@@ -62,5 +62,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\nwrote {n} labeled instances; file starts with:")
     for line in path.read_text().splitlines()[:4]:
         print("  " + line)
-    instances, meta = read_instance_file(path)
-    print(f"read back {len(instances)} instances, schema {meta['schema']}, q={meta['q']}")
+    ids, features, labels, meta = read_instance_file(path)
+    print(
+        f"read back {len(ids)} instances as columns: features {features.shape}, "
+        f"label codes {labels.tolist()}, schema {meta['schema']}, q={meta['q']}"
+    )

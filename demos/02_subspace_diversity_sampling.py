@@ -19,16 +19,16 @@ from matchgan import (
 instances, gold = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=123)
 )
-pool = InstancePool(instances)
+pool = InstancePool.from_instances(instances)
 partition = build_partition(pool.ids, pool.features)
 
 print(f"pool: {len(pool)} instances, {len(gold)} matches, {partition.b} subspaces")
 print(f"per-feature medians: {partition.medians.round(4)}")
 
-populations = partition.populations(pool.ids)
+populations = partition.populations()  # pool rows per subspace
 sizes = [len(p) for p in populations]
 match_per_cell = [
-    sum(1 for pid in pop if gold.is_match(*pid)) for pop in populations
+    sum(1 for r in pop if gold.is_match(*pool.ids[r])) for pop in populations
 ]
 print("\nsubspace populations (matches in parentheses):")
 for ix, (n, m) in enumerate(zip(sizes, match_per_cell)):
@@ -41,7 +41,7 @@ rng = np.random.default_rng(0)
 diverse_hits = uniform_hits = 0
 for _ in range(trials):
     sel = diverse_sample(populations, budget, rng)
-    if any(gold.is_match(*pid) for pid in sel.selected_ids):
+    if any(gold.is_match(*pool.ids[r]) for r in sel.selected_ids):
         diverse_hits += 1
     rows = rng.choice(len(pool), size=budget, replace=False)
     if any(gold.is_match(*pool.ids[r]) for r in rows):

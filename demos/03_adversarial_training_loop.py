@@ -6,6 +6,8 @@ phase the most confidently pseudo-labeled instances join the labeled pool
 until nothing is left, and the propagated labels are scored against truth.
 """
 
+import numpy as np
+
 from matchgan import (
     InstancePool,
     SyntheticConfig,
@@ -20,7 +22,7 @@ from matchgan.training import predict
 instances, gold = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=123)
 )
-pool = InstancePool(instances)
+pool = InstancePool.from_instances(instances)
 partition = build_partition(pool.ids, pool.features)
 
 cfg = TrainConfig(seed=61)
@@ -34,7 +36,7 @@ for r in result.report["rounds"]:
         f"{r.get('pseudo_fm', float('nan')):>9.3f} {r['d_objective']:>12.4f} {r['g_loss']:>8.4f}"
     )
 
-metrics = evaluate_run(pool, result.predictions)
+metrics = evaluate_run(pool, result)
 final = result.report["final"]
 print(f"\npropagated label counts: {final['pseudo_label_counts']}")
 print(f"generator/propagation agreement: {final['consistency']:.3f}")
@@ -47,6 +49,6 @@ print(
 held_out, _ = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=50, n_features=4, separation=0.9, seed=999)
 )
-labels = predict(result.generator, held_out)
+labels = predict(result.generator, np.vstack([inst.features for inst in held_out]))
 correct = sum(1 for inst, lab in zip(held_out, labels) if inst.real_label == lab)
 print(f"held-out accuracy via predict(): {correct}/{len(held_out)}")

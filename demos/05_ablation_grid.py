@@ -19,7 +19,7 @@ from matchgan.evaluation import format_table
 instances, gold = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=123)
 )
-pool = InstancePool(instances)
+pool = InstancePool.from_instances(instances)
 partition = build_partition(pool.ids, pool.features)
 
 table = run_ablation_suite(

@@ -62,13 +62,12 @@ from .nn import (
     save_model,
 )
 from .training import (
-    LabeledPool,
     RunResult,
+    RunState,
     TrainConfig,
     inner_train,
     predict,
     propagate,
-    pseudo_label,
     run,
     select_seed_labels,
 )

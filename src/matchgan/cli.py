@@ -10,10 +10,13 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .datasets import (
@@ -35,6 +38,9 @@ from .diversity import (
 from .evaluation import compute_metrics, evaluate_run, format_table, run_ablation_suite
 from .features import (
     INSTANCE_FORMAT_VERSION,
+    LABEL_CODES,
+    LABEL_NAMES,
+    UNLABELED,
     BlockingSpec,
     InstancePool,
     featurize_to_file,
@@ -88,23 +94,9 @@ def build_train_config(args) -> TrainConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
-    flag_map = {
-        "batch_size": args.batch_size,
-        "real_weight": args.real_weight,
-        "inner_iters": args.inner_iters,
-        "propagate_count": args.propagate_count,
-        "seed": args.seed,
-        "gen_hidden": args.gen_hidden,
-        "disc_hidden": args.disc_hidden,
-        "optimizer": args.optimizer,
-        "learning_rate": args.learning_rate,
-        "disc_optimizer": args.disc_optimizer,
-        "disc_learning_rate": args.disc_learning_rate,
-        "variant": args.variant,
-    }
-    for key, flag_value in flag_map.items():
-        if flag_value is not None:
-            values[key] = flag_value
+    for field in dataclasses.fields(TrainConfig):
+        if getattr(args, field.name) is not None:
+            values[field.name] = getattr(args, field.name)
     if "gen_hidden" in values and isinstance(values["gen_hidden"], str):
         values["gen_hidden"] = _parse_hidden(values["gen_hidden"])
     if "disc_hidden" in values and isinstance(values["disc_hidden"], str):
@@ -117,22 +109,18 @@ def build_train_config(args) -> TrainConfig:
 
 
 def _load_pool(path: str) -> tuple[InstancePool, dict]:
-    instances, meta = read_instance_file(path)
-    return InstancePool(instances), meta
+    ids, features, labels, meta = read_instance_file(path)
+    return InstancePool(ids, features, labels), meta
 
 
 def _gold_for(pool: InstancePool, gold_path: str | None, gold_header: bool) -> GoldStandard:
     if gold_path:
         return load_gold(gold_path, has_header=gold_header)
-    gold = GoldStandard()
-    missing = 0
-    for pid, label in zip(pool.ids, pool.real_labels):
-        if label is None:
-            missing += 1
-        elif label == MATCH:
-            gold.add(*pid)
-    if missing == len(pool.ids):
+    if np.all(pool.real_labels == UNLABELED):
         raise IngestError("instance file has no labels; provide --gold")
+    gold = GoldStandard()
+    for row in np.flatnonzero(pool.real_labels == LABEL_CODES[MATCH]):
+        gold.add(*pool.ids[row])
     return gold
 
 
@@ -147,11 +135,10 @@ def _partition_for(args, pool: InstancePool):
     return build_partition(pool.ids, pool.features, feature_indices)
 
 
-def _write_labels_file(path: Path, labels: dict) -> None:
+def _write_labels_file(path: Path, ids: list, labels: list[str]) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write("id_a\tid_b\tlabel\n")
-        for pid in sorted(labels):
-            fh.write(f"{pid[0]}\t{pid[1]}\t{labels[pid]}\n")
+        fh.writelines(f"{a}\t{b}\t{label}\n" for (a, b), label in zip(ids, labels))
 
 
 def _read_labels_file(path: str) -> dict:
@@ -249,9 +236,13 @@ def cmd_train(args) -> int:
     if result.discriminator is not None:
         save_model(out / "discriminator.npz", result.discriminator,
                    seed=cfg.seed, kind="discriminator")
-    _write_labels_file(out / "labels.tsv", result.predictions)
+    rows = result.state.pseudo_rows()
+    _write_labels_file(
+        out / "labels.tsv", [pool.ids[r] for r in rows],
+        LABEL_NAMES[result.state.label[rows]].tolist(),
+    )
     try:
-        metrics = evaluate_run(pool, result.predictions)
+        metrics = evaluate_run(pool, result)
         result.report["final"]["metrics"] = metrics.as_dict()
         print(
             f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
@@ -260,25 +251,27 @@ def cmd_train(args) -> int:
     except ValueError:
         pass  # pool carries no ground truth beyond the seeds
     write_report(result.report, out / "report.json")
-    print(f"rounds={result.report['final']['rounds']} pool={len(result.labeled_pool)}")
+    print(f"rounds={result.report['final']['rounds']} pool={len(result.state)}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    instances, _ = read_instance_file(args.instances)
+    ids, features, _, _ = read_instance_file(args.instances)
     model, _, _ = load_model(args.model)
-    labels = predict(model, instances)
-    _write_labels_file(Path(args.out), {inst.pair: lab for inst, lab in zip(instances, labels)})
+    labels = predict(model, features)
+    by_id = dict(zip(ids, labels))
+    order = sorted(by_id)
+    _write_labels_file(Path(args.out), order, [by_id[pid] for pid in order])
     print(f"wrote {len(labels)} labels to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     predicted = _read_labels_file(args.predicted)
-    truth_instances, _ = read_instance_file(args.truth)
-    truth = {inst.pair: inst.real_label for inst in truth_instances}
-    if any(lab is None for lab in truth.values()):
+    ids, _, labels, _ = read_instance_file(args.truth)
+    if np.any(labels == UNLABELED):
         raise IngestError(f"{args.truth}: truth file must carry labels")
+    truth = dict(zip(ids, labels))
     common = sorted(set(predicted) & set(truth))
     if not common:
         raise IngestError("no overlapping pairs between predictions and truth")

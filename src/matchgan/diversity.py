@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,11 +52,15 @@ def assign_subspace(features: np.ndarray, medians: np.ndarray) -> int:
 
 @dataclass
 class SubspacePartition:
-    """Median thresholds over selected features and the induced assignment."""
+    """Median thresholds over selected features and the induced assignment.
+
+    subspaces[r] is the subspace of row r of the feature matrix that
+    assign_all last saw.
+    """
 
     medians: np.ndarray
     feature_indices: tuple[int, ...]
-    assignment: dict = field(default_factory=dict)
+    subspaces: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     def __post_init__(self):
         self.medians = np.asarray(self.medians, dtype=np.float64)
@@ -67,23 +71,28 @@ class SubspacePartition:
     def b(self) -> int:
         return 1 << len(self.feature_indices)
 
-    def index_of(self, features: np.ndarray) -> int:
-        sub = np.asarray(features, dtype=np.float64)[list(self.feature_indices)]
-        return assign_subspace(sub, self.medians)
-
     def assign_all(self, ids: Sequence, features: np.ndarray) -> None:
-        cols = features[:, list(self.feature_indices)]
-        bits = cols > self.medians
-        weights = 1 << np.arange(bits.shape[1])
-        indices = bits @ weights
-        self.assignment = {pid: int(ix) for pid, ix in zip(ids, indices)}
+        """Assign every row of features; ids[r] names row r."""
+        if len(ids) != features.shape[0]:
+            raise ValueError(f"{len(ids)} ids for {features.shape[0]} feature rows")
+        _check_feature_indices(self.feature_indices, features.shape[1])
+        bits = features[:, list(self.feature_indices)] > self.medians
+        self.subspaces = bits @ (1 << np.arange(bits.shape[1]))
 
-    def populations(self, ids: Iterable) -> list[list]:
-        """Per-subspace id lists (id-sorted within each subspace)."""
-        pops: list[list] = [[] for _ in range(self.b)]
-        for pid in sorted(ids):
-            pops[self.assignment[pid]].append(pid)
-        return pops
+    def populations(self, rows: np.ndarray | None = None) -> list[np.ndarray]:
+        """Per-subspace arrays of the given rows (default: every assigned
+        row), ascending within each subspace."""
+        if rows is None:
+            rows = np.arange(len(self.subspaces))
+        subs = self.subspaces[rows]
+        grouped = rows[np.argsort(subs, kind="stable")]
+        return np.split(grouped, np.cumsum(np.bincount(subs, minlength=self.b))[:-1])
+
+
+def _check_feature_indices(feature_indices: Sequence[int], n_features: int) -> None:
+    for ix in feature_indices:
+        if not 0 <= ix < n_features:
+            raise ValueError(f"feature index {ix} outside the {n_features} features")
 
 
 def build_partition(
@@ -98,6 +107,7 @@ def build_partition(
         feature_indices = tuple(range(features.shape[1]))
     else:
         feature_indices = tuple(feature_indices)
+        _check_feature_indices(feature_indices, features.shape[1])
     sample = features
     if features.shape[0] > MEDIAN_SAMPLE_CAP:
         rng = rng or np.random.default_rng(0)
@@ -121,10 +131,6 @@ class DiversitySelection:
     counts: list[int]
     selected_ids: list
     budget: int
-
-    @property
-    def norm(self) -> float:
-        return l21_norm(self.counts)
 
 
 def waterfill_counts(populations_sizes: Sequence[int], m: int) -> list[int]:
@@ -181,10 +187,16 @@ def save_partition(part: SubspacePartition, path: str | Path) -> None:
 
 def load_partition(path: str | Path) -> SubspacePartition:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a partition file")
     version = payload.get("format_version")
     if version != PARTITION_FORMAT_VERSION:
         raise ValueError(f"unsupported partition format version {version!r}")
-    return SubspacePartition(
-        medians=np.array([float(v) for v in payload["medians"]]),
-        feature_indices=tuple(payload["feature_indices"]),
-    )
+    indices, medians = payload.get("feature_indices"), payload.get("medians")
+    if not isinstance(indices, list) or any(type(ix) is not int or ix < 0 for ix in indices):
+        raise ValueError(f"{path}: feature_indices must be a list of non-negative integers")
+    try:
+        medians = np.array([float(v) for v in medians], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: medians must be a list of numbers") from None
+    return SubspacePartition(medians=medians, feature_indices=tuple(indices))

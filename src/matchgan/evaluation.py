@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 from dataclasses import dataclass
 
@@ -9,8 +10,8 @@ import numpy as np
 
 from .datasets import MATCH, NON_MATCH, GoldStandard
 from .diversity import SubspacePartition
-from .features import InstancePool
-from .training import TrainConfig, run
+from .features import UNLABELED, InstancePool
+from .training import RunResult, TrainConfig, run
 
 
 @dataclass
@@ -26,16 +27,7 @@ class MetricsReport:
     objective_score: float
 
     def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "objective_score": self.objective_score,
-        }
+        return dataclasses.asdict(self)
 
 
 def split_pool(
@@ -63,30 +55,33 @@ def split_pool(
     return sorted(int(i) for i in order[:n_train]), sorted(int(i) for i in order[n_train:])
 
 
+def _label_codes(labels) -> np.ndarray:
+    """Label codes of a sequence of label strings or of codes; any other
+    label maps to UNLABELED."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind in "USO":
+        return np.where(labels == MATCH, 1, np.where(labels == NON_MATCH, 0, UNLABELED))
+    return labels
+
+
 def compute_metrics(predicted, actual) -> MetricsReport:
     """Precision/recall/f-measure with zero-denominator conventions.
 
-    Empty denominators score 0 (so a run predicting no matches reports
-    precision = recall = f-measure = 0 rather than failing).
+    Labels are label strings or label codes. Empty denominators score 0
+    (so a run predicting no matches reports precision = recall =
+    f-measure = 0 rather than failing).
     """
-    predicted = list(predicted)
-    actual = list(actual)
-    if len(predicted) != len(actual):
-        raise ValueError(f"length mismatch: {len(predicted)} vs {len(actual)}")
-    tp = fp = fn = tn = 0
-    for pred, act in zip(predicted, actual):
-        if pred == MATCH and act == MATCH:
-            tp += 1
-        elif pred == MATCH and act == NON_MATCH:
-            fp += 1
-        elif pred == NON_MATCH and act == MATCH:
-            fn += 1
-        else:
-            tn += 1
+    pred, act = _label_codes(predicted), _label_codes(actual)
+    if len(pred) != len(act):
+        raise ValueError(f"length mismatch: {len(pred)} vs {len(act)}")
+    tp = int(np.count_nonzero((pred == 1) & (act == 1)))
+    fp = int(np.count_nonzero((pred == 1) & (act == 0)))
+    fn = int(np.count_nonzero((pred == 0) & (act == 1)))
+    total = len(pred)
+    tn = total - tp - fp - fn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     fm = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    total = len(predicted)
     objective = (tp + tn) / total if total else 0.0
     return MetricsReport(precision, recall, fm, tp, fp, fn, tn, objective)
 
@@ -127,14 +122,13 @@ class AblationTable:
         return rows
 
 
-def evaluate_run(pool: InstancePool, predictions: dict) -> MetricsReport:
+def evaluate_run(pool: InstancePool, result: RunResult) -> MetricsReport:
     """Score a run's transductive labels against the pool's real labels."""
-    ids = sorted(predictions)
-    predicted = [predictions[pid] for pid in ids]
-    actual = [pool.real_labels[pool.row_of(pid)] for pid in ids]
-    if any(a is None for a in actual):
+    rows = result.state.pseudo_rows()
+    actual = pool.real_labels[rows]
+    if np.any(actual == UNLABELED):
         raise ValueError("pool instances lack real labels; cannot score")
-    return compute_metrics(predicted, actual)
+    return compute_metrics(result.state.label[rows], actual)
 
 
 def run_cell(
@@ -150,18 +144,7 @@ def run_cell(
     """One experiment: seed labels by budget (method-selected) or by a
     uniform train fraction (all train instances labeled), then train and
     score the propagated labels."""
-    cfg = TrainConfig(
-        batch_size=base_config.batch_size,
-        real_weight=base_config.real_weight,
-        inner_iters=base_config.inner_iters,
-        propagate_count=base_config.propagate_count,
-        seed=seed,
-        gen_hidden=base_config.gen_hidden,
-        disc_hidden=base_config.disc_hidden,
-        optimizer=base_config.optimizer,
-        learning_rate=base_config.learning_rate,
-        variant=variant,
-    )
+    cfg = dataclasses.replace(base_config, seed=seed, variant=variant)
     if budget is not None:
         result = run(cfg, pool, partition, gold=gold, seed_budget=budget)
     else:
@@ -175,7 +158,7 @@ def run_cell(
         budget=budget,
         fraction=fraction,
         seed=seed,
-        metrics=evaluate_run(pool, result.predictions),
+        metrics=evaluate_run(pool, result),
     )
 
 

@@ -2,14 +2,17 @@
 
 A pair of records becomes an instance: a vector with one similarity value
 per attribute, each in [0, 1]. Pairs are streamed in sorted id order
-(deterministic regardless of worker count) and instances can be written
-to / read from a delimited instance file so that large pools never need
-to live fully in memory.
+(deterministic regardless of worker count) and written straight to a
+delimited instance file. Reading a file back yields three columns per
+pool (an id list, a float64 feature matrix and an int8 label column)
+rather than one object per row.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +25,20 @@ from .datasets import MATCH, NON_MATCH, GoldStandard, IngestError, Record, Recor
 PairId = tuple[str, str]
 
 INSTANCE_FORMAT_VERSION = 1
+
+# Label column codes; UNLABELED marks a row without a real label.
+UNLABELED = -1
+LABEL_CODES = {MATCH: 1, NON_MATCH: 0}
+# LABEL_NAMES[code] turns 0/1 codes back into label strings
+LABEL_NAMES = np.array([NON_MATCH, MATCH])
+
+_FEATURE_RULE = "instance features must be finite and lie in [0, 1]"
+
+
+def _valid_rows(features: np.ndarray) -> np.ndarray:
+    """Per row of features: True iff every value is finite and in [0, 1]."""
+    ok = np.isfinite(features) & (features >= 0.0) & (features <= 1.0)
+    return ok.all(axis=-1)
 
 
 @dataclass
@@ -38,34 +55,37 @@ class Instance:
             raise IngestError(f"instance pair ids must be distinct: {self.pair}")
         if self.features.ndim != 1:
             raise IngestError("instance features must be a flat vector")
-        if np.any(self.features < 0.0) or np.any(self.features > 1.0):
-            raise IngestError("instance features must lie in [0, 1]")
+        if not _valid_rows(self.features):
+            raise IngestError(_FEATURE_RULE)
+        if self.real_label is not None and self.real_label not in LABEL_CODES:
+            raise IngestError(f"unknown label {self.real_label!r}")
 
 
 class InstancePool:
-    """Instances indexed by pair id, split into labeled and unlabeled sets.
+    """Pool columns in canonical row order, split into labeled and unlabeled rows.
 
-    Row order is canonical (sorted by pair id), so positional indices are
-    deterministic and id-ascending; the labeled and unlabeled index sets
-    are disjoint and together cover every instance.
+    Rows are sorted by pair id, so positional indices are deterministic and
+    id-ascending. real_labels holds one label code per row (UNLABELED where
+    the truth is unknown). The labeled and unlabeled row sets are disjoint
+    and together cover every row.
     """
 
-    def __init__(self, instances: Iterable[Instance], labeled_ids: Iterable[PairId] = ()):
-        ordered = sorted(instances, key=lambda inst: inst.pair)
-        self.ids: list[PairId] = [inst.pair for inst in ordered]
-        if len(set(self.ids)) != len(self.ids):
+    def __init__(self, ids: list[PairId], features: np.ndarray, real_labels: np.ndarray,
+                 labeled_ids: Iterable[PairId] = ()):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids: list[PairId] = [ids[k] for k in order]
+        if any(map(operator.eq, self.ids, self.ids[1:])):
             raise IngestError("duplicate pair ids in pool")
-        self.features = (
-            np.vstack([inst.features for inst in ordered])
-            if ordered
-            else np.empty((0, 0))
-        )
-        self.real_labels: list[str | None] = [inst.real_label for inst in ordered]
-        self._row_of = {pid: i for i, pid in enumerate(self.ids)}
-        self.labeled_rows: np.ndarray = np.empty(0, dtype=np.intp)
-        self.unlabeled_rows: np.ndarray = np.arange(len(self.ids), dtype=np.intp)
-        if labeled_ids:
-            self.set_labeled(labeled_ids)
+        self.features = np.asarray(features, dtype=np.float64)[order]
+        self.real_labels = np.asarray(real_labels, dtype=np.int8)[order]
+        self.set_labeled(labeled_ids)
+
+    @classmethod
+    def from_instances(cls, instances: Iterable[Instance], labeled_ids=()) -> InstancePool:
+        instances = list(instances)
+        features = np.vstack([i.features for i in instances]) if instances else np.empty((0, 0))
+        labels = [LABEL_CODES.get(i.real_label, UNLABELED) for i in instances]
+        return cls([i.pair for i in instances], features, labels, labeled_ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -75,25 +95,24 @@ class InstancePool:
         return self.features.shape[1]
 
     def row_of(self, pair_id: PairId) -> int:
-        return self._row_of[pair_id]
+        row = bisect_left(self.ids, pair_id)
+        if row == len(self.ids) or self.ids[row] != pair_id:
+            raise KeyError(pair_id)
+        return row
 
     def set_labeled(self, labeled_ids: Iterable[PairId]) -> None:
-        rows = sorted(self._row_of[pid] for pid in set(labeled_ids))
         mask = np.zeros(len(self.ids), dtype=bool)
-        mask[rows] = True
+        mask[[self.row_of(pid) for pid in set(labeled_ids)]] = True
         self.labeled_rows = np.flatnonzero(mask)
         self.unlabeled_rows = np.flatnonzero(~mask)
 
-    def labeled_ids(self) -> list[PairId]:
-        return [self.ids[i] for i in self.labeled_rows]
-
-    def unlabeled_ids(self) -> list[PairId]:
-        return [self.ids[i] for i in self.unlabeled_rows]
-
     def instance(self, pair_id: PairId) -> Instance:
-        row = self._row_of[pair_id]
+        row = self.row_of(pair_id)
+        code = self.real_labels[row]
         return Instance(
-            pair=pair_id, features=self.features[row], real_label=self.real_labels[row]
+            pair=pair_id,
+            features=self.features[row],
+            real_label=None if code == UNLABELED else str(LABEL_NAMES[code]),
         )
 
 
@@ -300,13 +319,21 @@ def write_instance_file(
         _write_instance_rows(fh, rows, labeled)
 
 
-def read_instance_file(path: str | Path) -> tuple[list[Instance], dict]:
-    """Read instances plus file metadata ({'q': int, 'schema': tuple})."""
+def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.ndarray, dict]:
+    """Read an instance file as columns: (ids, features, labels, meta).
+
+    ids lists the pair ids in file order, features is a float64 (n, d)
+    matrix and labels an int8 column of label codes (UNLABELED where the
+    file gives none); meta is {'q': int, 'schema': tuple}. Rows are parsed
+    a chunk at a time, so only one chunk's cell strings are alive at once.
+    """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"missing file: {path}")
     meta: dict = {}
-    instances: list[Instance] = []
+    ids: list[PairId] = []
+    label_cells: list[str] = []
+    blocks: list[np.ndarray] = []
     with path.open(encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("# instances"):
@@ -322,17 +349,38 @@ def read_instance_file(path: str | Path) -> tuple[list[Instance], dict]:
         attr_cols = header[2 : -1 if has_label else len(header)]
         meta["schema"] = tuple(attr_cols)
         n_feats = len(attr_cols)
-        for lineno, line in enumerate(fh, start=3):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            expected = 2 + n_feats + (1 if has_label else 0)
-            if len(cells) != expected:
-                raise IngestError(f"{path}:{lineno}: expected {expected} columns")
-            feats = np.array([float(v) for v in cells[2 : 2 + n_feats]])
-            label = cells[-1] if has_label and cells[-1] else None
-            instances.append(
-                Instance(pair=(cells[0], cells[1]), features=feats, real_label=label)
-            )
-    return instances, meta
+        expected = 2 + n_feats + (1 if has_label else 0)
+        for chunk in _chunked(fh, 256):
+            rows = [line.rstrip("\n").split("\t") for line in chunk if line != "\n"]
+            for k, row in enumerate(rows):
+                if len(row) != expected:
+                    raise _row_fault(path, len(ids) + k, f"expected {expected} columns")
+            cells = itertools.chain.from_iterable(row[2 : 2 + n_feats] for row in rows)
+            try:
+                blocks.append(np.fromiter(map(float, cells), np.float64, len(rows) * n_feats))
+            except ValueError as exc:
+                raise IngestError(f"{path}: {exc}") from None
+            ids.extend((row[0], row[1]) for row in rows)
+            label_cells.extend(row[-1] if has_label else "" for row in rows)
+
+    features = np.concatenate(blocks or [np.empty(0)]).reshape(len(ids), n_feats)
+    valid = _valid_rows(features)
+    if not valid.all():
+        raise _row_fault(path, int(np.argmin(valid)), _FEATURE_RULE)
+    for k, (id_a, id_b) in enumerate(ids):
+        if id_a == id_b:
+            raise _row_fault(path, k, f"instance pair ids must be distinct: {ids[k]}")
+    codes = {**LABEL_CODES, "": UNLABELED}
+    for k, cell in enumerate(label_cells):
+        if cell not in codes:
+            raise _row_fault(path, k, f"unknown label {cell!r}")
+    labels = np.array([codes[cell] for cell in label_cells], dtype=np.int8)
+    return ids, features, labels, meta
+
+
+def _row_fault(path: Path, row: int, message: str) -> IngestError:
+    """IngestError naming the file line of data row `row` (blank lines skipped)."""
+    with path.open(encoding="utf-8") as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if n > 2 and line != "\n")
+        lineno = next(itertools.islice(lines, row, None))
+    return IngestError(f"{path}:{lineno}: {message}")

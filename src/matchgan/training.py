@@ -12,8 +12,9 @@ absorbed into the labeled pool:
      discriminator's confidence in its pseudo label and move the
      top-scoring slice into the labeled pool.
 
-The labeled pool only ever grows: real seed labels are never overwritten
-and pseudo-labeled entries are never relabeled. Ablation variants disable
+The run's state is a handful of arrays over pool rows (RunState). The
+labeled set only ever grows: real seed labels are never overwritten and
+pseudo-labeled rows are never relabeled. Ablation variants disable
 the diversity sampler, the propagation loop, or the adversarial pairing.
 
 Training is transductive: the run's final label for each unlabeled pool
@@ -31,51 +32,47 @@ import numpy as np
 
 from .datasets import MATCH, NON_MATCH, GoldStandard
 from .diversity import SubspacePartition, diverse_sample, waterfill_counts
-from .features import Instance, InstancePool, PairId
+from .features import LABEL_CODES, LABEL_NAMES, UNLABELED, InstancePool, PairId
 from . import nn
 
 VARIANTS = ("full", "no_diversity", "no_propagation", "no_adversary")
 
-REAL = "real"
-PSEUDO = "pseudo"
 
-_LABEL_TO_FLOAT = {MATCH: 1.0, NON_MATCH: 0.0}
+class RunState:
+    """Row-indexed labels of one run over an n-row pool.
 
+    label[r] is row r's label code, UNLABELED until it is labeled.
+    round_added[r] is 0 for a real seed label, the propagation round for a
+    pseudo label and -1 while unlabeled, so it also records provenance.
+    order[:len(self)] lists labeled rows in the order they were added; the
+    real minibatches draw from that order. Labels only ever grow: adding an
+    already labeled row is rejected.
+    """
 
-@dataclass(frozen=True)
-class PoolEntry:
-    label: str
-    provenance: str
-    round_added: int
-
-
-class LabeledPool:
-    """Monotone-growing map of instance id -> (label, provenance, round)."""
-
-    def __init__(self):
-        self.entries: dict[PairId, PoolEntry] = {}
-
-    def add(self, pair_id: PairId, label: str, provenance: str, round_added: int) -> None:
-        if pair_id in self.entries:
-            raise ValueError(f"instance {pair_id} already in labeled pool")
-        if label not in (MATCH, NON_MATCH):
-            raise ValueError(f"invalid label {label!r}")
-        self.entries[pair_id] = PoolEntry(label, provenance, round_added)
+    def __init__(self, n: int):
+        self.label = np.full(n, UNLABELED, dtype=np.int8)
+        self.round_added = np.full(n, -1, dtype=np.int32)
+        self.order = np.empty(n, dtype=np.intp)
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._size
 
-    def __contains__(self, pair_id: PairId) -> bool:
-        return pair_id in self.entries
+    def add(self, rows: np.ndarray, labels: np.ndarray, round_index: int) -> None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if np.any(self.label[rows] != UNLABELED) or len(set(rows.tolist())) != len(rows):
+            raise ValueError("row already labeled")
+        self.label[rows] = labels
+        self.round_added[rows] = round_index
+        self.order[self._size : self._size + len(rows)] = rows
+        self._size += len(rows)
 
-    def label_of(self, pair_id: PairId) -> str:
-        return self.entries[pair_id].label
+    def labeled_rows(self) -> np.ndarray:
+        """Labeled rows in insertion order."""
+        return self.order[: self._size]
 
-    def real_ids(self) -> list[PairId]:
-        return [pid for pid, e in self.entries.items() if e.provenance == REAL]
-
-    def pseudo_ids(self) -> list[PairId]:
-        return [pid for pid, e in self.entries.items() if e.provenance == PSEUDO]
+    def pseudo_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.round_added > 0)
 
 
 @dataclass
@@ -117,18 +114,14 @@ class TrainConfig:
 
 
 @dataclass
-class PropagationState:
-    round_index: int
-    remaining: list[PairId]
-
-
-@dataclass
 class RunResult:
-    labeled_pool: LabeledPool
+    """A finished run; its transductive labels are state.label at the
+    pseudo rows."""
+
+    state: RunState
     generator: nn.MlpModel
     discriminator: nn.MlpModel | None
     report: dict
-    predictions: dict[PairId, str]
 
 
 def select_seed_labels(
@@ -148,37 +141,20 @@ def select_seed_labels(
         raise ValueError(f"budget {budget} exceeds pool size {len(pool)}")
     if variant == "no_diversity":
         rows = rng.choice(len(pool), size=budget, replace=False)
-        return [pool.ids[r] for r in np.sort(rows)]
-    populations = partition.populations(pool.ids)
-    selection = diverse_sample(populations, budget, rng)
-    return sorted(selection.selected_ids)
-
-
-def pseudo_label(gen: nn.MlpModel, x: Instance | np.ndarray) -> tuple[str, float]:
-    """Hard label plus the generator's soft score; ties go to non-match."""
-    feats = x.features if isinstance(x, Instance) else np.asarray(x)
-    score = nn.forward(gen, feats)
-    return (MATCH if score > 0.5 else NON_MATCH), score
+    else:
+        rows = diverse_sample(partition.populations(), budget, rng).selected_ids
+    return [pool.ids[r] for r in np.sort(rows)]
 
 
 def _pseudo_labels_batch(gen: nn.MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label codes (1 iff the soft score exceeds 1/2) plus the soft scores."""
     scores = nn.forward_batch(gen, X)
-    labels = np.where(scores > 0.5, MATCH, NON_MATCH)
-    return labels, scores
+    return (scores > 0.5).astype(np.int8), scores
 
 
-def _labeled_arrays(pool: InstancePool, labeled: LabeledPool):
-    rows = np.array([pool.row_of(pid) for pid in labeled.entries], dtype=np.intp)
-    y = np.array([_LABEL_TO_FLOAT[e.label] for e in labeled.entries.values()])
-    return pool.features[rows], y
-
-
-def _subspace_rows(pool: InstancePool, partition: SubspacePartition, rows: np.ndarray):
-    """Group pool rows by subspace; rows stay ascending inside each group."""
-    pops: list[list[int]] = [[] for _ in range(partition.b)]
-    for r in rows:
-        pops[partition.assignment[pool.ids[r]]].append(int(r))
-    return pops
+def _labeled_arrays(pool: InstancePool, state: RunState):
+    rows = state.labeled_rows()
+    return pool.features[rows], state.label[rows].astype(np.float64)
 
 
 class _MinibatchSampler:
@@ -194,12 +170,9 @@ class _MinibatchSampler:
         self.size = size
         self.diverse = diverse
         if diverse:
-            self.pop_arrays = [np.asarray(p, dtype=np.intp) for p in pops if len(p)]
-            sizes = [len(p) for p in self.pop_arrays]
-            counts = waterfill_counts(sizes, size)
-            self.plan = [
-                (pop, c) for pop, c in zip(self.pop_arrays, counts) if c > 0
-            ]
+            pops = [p for p in pops if len(p)]
+            counts = waterfill_counts([len(p) for p in pops], size)
+            self.plan = [(pop, c) for pop, c in zip(pops, counts) if c > 0]
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         if not self.diverse:
@@ -215,7 +188,7 @@ def inner_train(
     gen: nn.MlpModel,
     disc: nn.MlpModel,
     pool: InstancePool,
-    labeled: LabeledPool,
+    state: RunState,
     cfg: TrainConfig,
     partition: SubspacePartition,
     rng: np.random.Generator,
@@ -225,11 +198,12 @@ def inner_train(
 ) -> tuple[nn.MlpModel, nn.MlpModel, dict]:
     """Run the alternating minibatch updates for one propagation round.
 
-    Unlabeled minibatches come from the full unlabeled index regardless of
-    propagation progress; labeled minibatches come uniformly from the
-    current pool. Returns the models plus mean losses for reporting.
+    Unlabeled minibatches come from every row without a real label,
+    regardless of propagation progress; labeled minibatches come uniformly
+    from the rows labeled so far. Returns the models plus mean losses for
+    reporting.
     """
-    if len(labeled) == 0:
+    if len(state) == 0:
         raise ValueError("labeled pool is empty")
     n_iters = cfg.inner_iters if iters is None else iters
     if opt_gen is None:
@@ -237,9 +211,9 @@ def inner_train(
     if opt_disc is None:
         opt_disc = nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate)
 
-    u_rows = pool.unlabeled_rows
-    pops = _subspace_rows(pool, partition, u_rows)
-    lab_X, lab_y = _labeled_arrays(pool, labeled)
+    u_rows = np.flatnonzero(state.round_added != 0)
+    pops = partition.populations(u_rows)
+    lab_X, lab_y = _labeled_arrays(pool, state)
     fake_size = min(cfg.batch_size, len(u_rows))
     real_size = min(cfg.batch_size, lab_X.shape[0])
     sampler = _MinibatchSampler(pops, u_rows, fake_size, cfg.variant != "no_diversity")
@@ -275,7 +249,7 @@ def inner_train(
 def _inner_train_classifier(
     clf: nn.MlpModel,
     pool: InstancePool,
-    labeled: LabeledPool,
+    state: RunState,
     cfg: TrainConfig,
     rng: np.random.Generator,
     opt: nn.OptState,
@@ -283,7 +257,7 @@ def _inner_train_classifier(
 ) -> dict:
     """Plain supervised loop on the labeled pool (adversary removed)."""
     n_iters = cfg.inner_iters if iters is None else iters
-    lab_X, lab_y = _labeled_arrays(pool, labeled)
+    lab_X, lab_y = _labeled_arrays(pool, state)
     size = min(cfg.batch_size, lab_X.shape[0])
     loss_sum = 0.0
     for _ in range(n_iters):
@@ -301,7 +275,7 @@ def _inner_train_classifier(
 def confidence_scores(
     gen: nn.MlpModel, disc: nn.MlpModel | None, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo labels plus the confidence used to rank propagation.
+    """Pseudo label codes plus the confidence used to rank propagation.
 
     Adversarial mode scores (x, G(x)) with the discriminator. Classifier
     mode uses the classifier's own output, folded so that confident
@@ -316,26 +290,29 @@ def confidence_scores(
     return labels, conf
 
 
-def select_top(ids: list[PairId], scores: np.ndarray, count: int) -> list[int]:
-    """Positions of the count highest scores; ties broken by id ascending."""
-    order = sorted(range(len(ids)), key=lambda k: (-scores[k], ids[k]))
-    return order[: min(count, len(ids))]
+def select_top(scores: np.ndarray, count: int) -> np.ndarray:
+    """Positions of the count highest scores; ties go to the lower position.
+
+    Pool rows are in pair-id order, so over ascending rows this breaks
+    ties by id ascending.
+    """
+    return np.argsort(-scores, kind="stable")[:count]
 
 
 def propagate(
     gen: nn.MlpModel,
     disc: nn.MlpModel | None,
     pool: InstancePool,
-    remaining: list[PairId],
+    remaining: np.ndarray,
     count: int,
-) -> list[tuple[PairId, str, float]]:
-    """Pick the count most-confident remaining instances with their pseudo labels."""
-    if not remaining:
+) -> np.ndarray:
+    """The count most-confident of the ascending remaining rows, as
+    (row, pseudo label code) lines in confidence order."""
+    if len(remaining) == 0:
         raise ValueError("no remaining instances to propagate")
-    rows = np.array([pool.row_of(pid) for pid in remaining], dtype=np.intp)
-    labels, conf = confidence_scores(gen, disc, pool.features[rows])
-    chosen = select_top(remaining, conf, count)
-    return [(remaining[k], str(labels[k]), float(conf[k])) for k in chosen]
+    labels, conf = confidence_scores(gen, disc, pool.features[remaining])
+    chosen = select_top(conf, count)
+    return np.column_stack([remaining[chosen], labels[chosen]])
 
 
 def run(
@@ -352,8 +329,10 @@ def run(
     Seeds come either from an explicit id -> label map or from gold via
     diversity-aware selection of seed_budget instances. Ends when every
     unlabeled instance has been propagated; the final prediction for each
-    is its propagated pseudo label.
+    is its propagated pseudo label. The pool is left unchanged.
     """
+    if len(partition.subspaces) != len(pool):
+        raise ValueError("partition is not assigned over this pool")
     rng = np.random.default_rng(cfg.seed)
 
     if seed_labels is None:
@@ -363,11 +342,17 @@ def run(
         seed_labels = {pid: gold.label_of(*pid) for pid in seed_ids}
     if not seed_labels:
         raise ValueError("cannot train without any seed labels")
+    bad = {label for label in seed_labels.values() if label not in LABEL_CODES}
+    if bad:
+        raise ValueError(f"invalid labels {sorted(bad)}")
 
-    labeled = LabeledPool()
-    for pid in sorted(seed_labels):
-        labeled.add(pid, seed_labels[pid], REAL, round_added=0)
-    pool.set_labeled(seed_labels.keys())
+    state = RunState(len(pool))
+    seed_ids = sorted(seed_labels)
+    state.add(
+        [pool.row_of(pid) for pid in seed_ids],
+        [LABEL_CODES[seed_labels[pid]] for pid in seed_ids],
+        round_index=0,
+    )
 
     d = pool.n_features
     gen = nn.init_mlp((d, *cfg.gen_hidden, 1), rng)
@@ -386,65 +371,54 @@ def run(
         "pool_size": len(pool),
         "rounds": [],
     }
-    state = PropagationState(round_index=0, remaining=pool.unlabeled_ids())
-
-    if not state.remaining:
-        report["final"] = _final_summary(pool, labeled, gen, disc, {})
-        return RunResult(labeled, gen, disc, report, {})
-
-    predictions: dict[PairId, str] = {}
-    while state.remaining:
+    remaining = np.flatnonzero(state.label == UNLABELED)
+    round_index = 0
+    while len(remaining):
         if adversarial:
             _, _, stats = inner_train(
-                gen, disc, pool, labeled, cfg, partition, rng, opt_gen, opt_disc
+                gen, disc, pool, state, cfg, partition, rng, opt_gen, opt_disc
             )
         else:
-            stats = _inner_train_classifier(gen, pool, labeled, cfg, rng, opt_gen)
-        state.round_index += 1
+            stats = _inner_train_classifier(gen, pool, state, cfg, rng, opt_gen)
+        round_index += 1
 
         if cfg.variant == "no_propagation":
             # label everything directly; no confidence ranking, single round
-            rows = np.array([pool.row_of(pid) for pid in state.remaining], dtype=np.intp)
+            rows = remaining
             labels, _ = _pseudo_labels_batch(gen, pool.features[rows])
-            batch = [(pid, str(lab), 0.0) for pid, lab in zip(state.remaining, labels)]
         else:
-            gamma = cfg.propagate_count if cfg.propagate_count is not None else len(labeled)
-            batch = propagate(gen, disc, pool, state.remaining, gamma)
-
-        for pid, label, _score in batch:
-            labeled.add(pid, label, PSEUDO, round_added=state.round_index)
-            predictions[pid] = label
-        moved = {pid for pid, _, _ in batch}
-        state.remaining = [pid for pid in state.remaining if pid not in moved]
+            gamma = cfg.propagate_count if cfg.propagate_count is not None else len(state)
+            rows, labels = propagate(gen, disc, pool, remaining, gamma).T
+        state.add(rows, labels, round_index)
+        remaining = remaining[state.label[remaining] == UNLABELED]
 
         round_record = {
-            "round": state.round_index,
-            "gamma": len(batch),
-            "propagated": len(batch),
-            "pool_size_after": len(labeled),
-            "remaining_after": len(state.remaining),
+            "round": round_index,
+            "gamma": len(rows),
+            "propagated": len(rows),
+            "pool_size_after": len(state),
+            "remaining_after": len(remaining),
             "d_objective": stats["d_objective"],
             "g_loss": stats["g_loss"],
         }
-        fm = _pseudo_label_fm(pool, labeled)
+        fm = _pseudo_label_fm(pool, state)
         if fm is not None:
             round_record["pseudo_fm"] = fm
         report["rounds"].append(round_record)
 
         if checkpoint_dir is not None:
-            _save_round_checkpoints(checkpoint_dir, state.round_index, gen, disc, cfg)
+            _save_round_checkpoints(checkpoint_dir, round_index, gen, disc, cfg)
 
-    report["final"] = _final_summary(pool, labeled, gen, disc, predictions)
-    return RunResult(labeled, gen, disc, report, predictions)
+    report["final"] = _final_summary(pool, state, gen)
+    return RunResult(state, gen, disc, report)
 
 
-def predict(gen: nn.MlpModel, instances: list[Instance]) -> list[str]:
-    """Label instances that never entered the training pool."""
-    if not instances:
+def predict(gen: nn.MlpModel, features: np.ndarray) -> list[str]:
+    """Label feature rows of instances that never entered the training pool."""
+    if len(features) == 0:
         return []
-    X = np.vstack([inst.features for inst in instances])
-    labels, _ = _pseudo_labels_batch(gen, X)
-    return [str(lab) for lab in labels]
+    codes, _ = _pseudo_labels_batch(gen, np.asarray(features, dtype=np.float64))
+    return LABEL_NAMES[codes].tolist()
 
 
 def _config_dict(cfg: TrainConfig) -> dict:
@@ -454,52 +428,42 @@ def _config_dict(cfg: TrainConfig) -> dict:
     return out
 
 
-def _pseudo_label_fm(pool: InstancePool, labeled: LabeledPool) -> float | None:
+def _pseudo_label_fm(pool: InstancePool, state: RunState) -> float | None:
     """F-measure of pseudo labels propagated so far against known real labels."""
     from .evaluation import compute_metrics
 
-    predicted, truth = [], []
-    for pid, entry in labeled.entries.items():
-        if entry.provenance != PSEUDO:
-            continue
-        actual = pool.real_labels[pool.row_of(pid)]
-        if actual is None:
-            return None
-        predicted.append(entry.label)
-        truth.append(actual)
-    if not predicted:
+    rows = state.pseudo_rows()
+    truth = pool.real_labels[rows]
+    if len(rows) == 0 or np.any(truth == UNLABELED):
         return None
-    return compute_metrics(predicted, truth).f_measure
+    return compute_metrics(state.label[rows], truth).f_measure
 
 
-def _final_summary(pool, labeled, gen, disc, predictions) -> dict:
-    counts = {MATCH: 0, NON_MATCH: 0}
-    for pid in predictions:
-        counts[labeled.label_of(pid)] += 1
+def _final_summary(pool: InstancePool, state: RunState, gen: nn.MlpModel) -> dict:
+    rows = state.pseudo_rows()
+    matches = int(np.count_nonzero(state.label[rows] == LABEL_CODES[MATCH]))
     summary = {
-        "pool_size": len(labeled),
-        "rounds": max((e.round_added for e in labeled.entries.values()), default=0),
-        "pseudo_label_counts": counts,
-        "consistency": _prediction_consistency(pool, labeled, gen, predictions),
+        "pool_size": len(state),
+        "rounds": int(state.round_added.max(initial=0)),
+        "pseudo_label_counts": {MATCH: matches, NON_MATCH: len(rows) - matches},
+        "consistency": _prediction_consistency(pool, state, gen),
     }
-    fm = _pseudo_label_fm(pool, labeled)
+    fm = _pseudo_label_fm(pool, state)
     if fm is not None:
         summary["pseudo_fm"] = fm
     return summary
 
 
-def _prediction_consistency(pool, labeled, gen, predictions) -> float | None:
+def _prediction_consistency(pool: InstancePool, state: RunState, gen: nn.MlpModel):
     """Agreement between the generator's direct labels and propagated labels.
 
     Reported only; propagation is authoritative for pool instances.
     """
-    if not predictions:
+    rows = state.pseudo_rows()
+    if len(rows) == 0:
         return None
-    ids = sorted(predictions)
-    rows = np.array([pool.row_of(pid) for pid in ids], dtype=np.intp)
     fresh, _ = _pseudo_labels_batch(gen, pool.features[rows])
-    agree = sum(1 for pid, lab in zip(ids, fresh) if predictions[pid] == str(lab))
-    return agree / len(ids)
+    return int(np.count_nonzero(fresh == state.label[rows])) / len(rows)
 
 
 def _save_round_checkpoints(directory, round_index, gen, disc, cfg):

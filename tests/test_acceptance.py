@@ -29,7 +29,7 @@ from matchgan.datasets import (
 from matchgan.diversity import build_partition, waterfill_counts
 from matchgan.evaluation import compute_metrics, evaluate_run, run_cell
 from matchgan.features import InstancePool, featurize_to_file, read_instance_file
-from matchgan.training import REAL, TrainConfig, run
+from matchgan.training import TrainConfig, run
 
 DATA_SEED = 123
 RUN_SEEDS = tuple(range(61, 66))
@@ -52,7 +52,7 @@ def synthetic_runs():
             n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=DATA_SEED
         )
     )
-    pool = InstancePool(instances)
+    pool = InstancePool.from_instances(instances)
     partition = build_partition(pool.ids, pool.features)
     results = {}
     for variant in ("full", "no_diversity"):
@@ -60,7 +60,7 @@ def synthetic_runs():
         for seed in RUN_SEEDS:
             cfg = TrainConfig(seed=seed, variant=variant)
             result = run(cfg, pool, partition, gold=gold, seed_budget=50)
-            metrics = evaluate_run(pool, result.predictions)
+            metrics = evaluate_run(pool, result)
             per_seed.append((seed, result, metrics))
         results[variant] = per_seed
     return pool, results
@@ -177,7 +177,7 @@ def test_criterion_4_algorithm_structure():
     instances, gold = generate_synthetic(
         SyntheticConfig(n_matches=2, imbalance_rate=6, separation=0.9, seed=1)
     )
-    pool = InstancePool(instances)
+    pool = InstancePool.from_instances(instances)
     partition = build_partition(pool.ids, pool.features)
     seed_labels = {pid: gold.label_of(*pid) for pid in pool.ids[:4]}
 
@@ -186,11 +186,16 @@ def test_criterion_4_algorithm_structure():
     rounds_fixed = result.report["final"]["rounds"]
     assert rounds_fixed == math.ceil(10 / 3) == 4
 
-    # (b) monotone chain: seed entries at round 0, pseudo entries added in
+    # (b) monotone chain: seed rows at round 0, pseudo rows added in
     # strictly increasing rounds, nothing removed or relabeled
-    entries = result.labeled_pool.entries
-    assert len(entries) == len(pool)
-    assert all(e.round_added == 0 for e in entries.values() if e.provenance == REAL)
+    state = result.state
+    seed_rows = [pool.row_of(pid) for pid in seed_labels]
+    assert len(state) == len(pool)
+    assert sorted(state.labeled_rows().tolist()) == list(range(len(pool)))
+    assert sorted(np.flatnonzero(state.round_added == 0)) == sorted(seed_rows)
+    assert np.all(state.round_added[seed_rows] == 0)
+    added = state.round_added[state.labeled_rows()]
+    assert np.all(np.diff(added) >= 0) and np.all(added[len(seed_rows):] > 0)
     sizes = [r["pool_size_after"] for r in result.report["rounds"]]
     assert sizes == sorted(sizes)
     assert sizes[-1] == len(pool)
@@ -199,7 +204,7 @@ def test_criterion_4_algorithm_structure():
     instances2, gold2 = generate_synthetic(
         SyntheticConfig(n_matches=5, imbalance_rate=30, separation=0.9, seed=2)
     )
-    pool2 = InstancePool(instances2)
+    pool2 = InstancePool.from_instances(instances2)
     partition2 = build_partition(pool2.ids, pool2.features)
     budget = 6
     cfg2 = TrainConfig(seed=0, inner_iters=5)
@@ -259,8 +264,8 @@ def test_criterion_6_cora_reproduction(tmp_path):
     gold = load_gold(gold_path)
     inst_file = tmp_path / "cora.tsv"
     featurize_to_file(inst_file, records, gold=gold, q=2, workers=os.cpu_count() or 1)
-    instances, _ = read_instance_file(inst_file)
-    pool = InstancePool(instances)
+    ids, features, labels, _ = read_instance_file(inst_file)
+    pool = InstancePool(ids, features, labels)
     partition = build_partition(pool.ids, pool.features)
     fms = []
     for seed in (0, 1, 2):

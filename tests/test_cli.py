@@ -170,6 +170,45 @@ class TestMoreCliPaths:
         assert "exceeds pool size" in capsys.readouterr().err
 
 
+class TestBadInput:
+    def _single_error(self, capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "\n" not in err.strip()
+        return err
+
+    def test_non_finite_feature_rejected(self, tmp_path, capsys):
+        inst = tmp_path / "inst.tsv"
+        inst.write_text(
+            "# instances v1 q=2\nid_a\tid_b\tf0\tf1\tlabel\n"
+            "a\tb\t0.5\tnan\tM\nc\td\t0.1\t0.2\tN\n"
+        )
+        code = run_cli("partition", "--instances", inst, "-o", tmp_path / "p.json")
+        assert code == 1
+        assert "finite" in self._single_error(capsys)
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"format_version": 1, "medians": ["0.5"]}, "feature_indices"),
+            ({"format_version": 1, "medians": ["0.5"], "feature_indices": [7]}, "feature index 7"),
+        ],
+    )
+    def test_bad_partition_file_rejected(self, tmp_path, capsys, payload, message):
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        part = tmp_path / "partition.json"
+        part.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--instances", data / "instances.tsv", "--partition", part,
+            "--seed-budget", 4, "-o", tmp_path / "out",
+        )
+        assert code == 1
+        assert message in self._single_error(capsys)
+
+
 class TestAblateCommand:
     def test_small_grid(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from matchgan.datasets import MATCH, NON_MATCH, SyntheticConfig, generate_synthetic
 from matchgan.diversity import build_partition
+import matchgan.evaluation as evaluation
 from matchgan.evaluation import (
     compute_metrics,
     format_table,
@@ -98,7 +101,7 @@ def tiny_problem():
     instances, gold = generate_synthetic(
         SyntheticConfig(n_matches=6, imbalance_rate=12, separation=0.9, seed=9)
     )
-    pool = InstancePool(instances)
+    pool = InstancePool.from_instances(instances)
     partition = build_partition(pool.ids, pool.features)
     return pool, partition, gold
 
@@ -153,6 +156,21 @@ class TestAblationSuite:
         assert [
             (c.variant, c.seed, c.metrics.f_measure) for c in serial.cells
         ] == [(c.variant, c.seed, c.metrics.f_measure) for c in parallel.cells]
+
+    def test_cell_keeps_every_base_config_knob(self, monkeypatch):
+        seen = []
+        real_run = evaluation.run
+
+        def spy(cfg, *args, **kwargs):
+            seen.append(cfg)
+            return real_run(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run", spy)
+        pool, partition, gold = tiny_problem()
+        base = TrainConfig(inner_iters=5, disc_learning_rate=3e-3, disc_optimizer="sgd")
+        evaluation.run_cell(pool, partition, gold, base, "no_diversity", seed=4, budget=10)
+        assert seen[0] == dataclasses.replace(base, seed=4, variant="no_diversity")
+        assert seen[0].disc_learning_rate == 3e-3 and seen[0].disc_optimizer == "sgd"
 
     def test_table_formatting(self):
         rows = [

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +110,15 @@ class TestInstance:
         with pytest.raises(IngestError):
             Instance(pair=("a", "b"), features=np.array([1.5]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        with pytest.raises(IngestError, match="finite"):
+            Instance(pair=("a", "b"), features=np.array([0.5, value]))
+
+    def test_rejects_unknown_label(self):
+        with pytest.raises(IngestError, match="unknown label"):
+            Instance(pair=("a", "b"), features=np.array([0.5]), real_label="X")
+
 
 class TestGeneratePairs:
     def test_dedup_three_records(self, three_records):
@@ -202,15 +214,53 @@ class TestInstanceFile:
         ]
         path = tmp_path / "inst.tsv"
         write_instance_file(path, instances, schema=("t", "u", "v"), q=2)
-        back, meta = read_instance_file(path)
+        ids, features, labels, meta = read_instance_file(path)
         assert meta["q"] == 2
         assert meta["schema"] == ("t", "u", "v")
-        assert [i.pair for i in back] == [i.pair for i in instances]
-        assert [i.real_label for i in back] == [i.real_label for i in instances]
-        np.testing.assert_array_equal(
-            np.vstack([i.features for i in back]),
-            np.vstack([i.features for i in instances]),
+        assert ids == [i.pair for i in instances]
+        assert labels.tolist() == [1 if i % 2 else 0 for i in range(10)]
+        np.testing.assert_array_equal(features, np.vstack([i.features for i in instances]))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2),
+                st.sampled_from(["M", "N", None]),
+            ),
+            max_size=20,
         )
+    )
+    def test_roundtrip_property(self, rows):
+        instances = [
+            Instance((f"a{k}", f"b{k}"), np.array(feats), label)
+            for k, (feats, label) in enumerate(rows)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.tsv"
+            write_instance_file(path, instances, schema=("t", "u"))
+            ids, features, labels, _ = read_instance_file(path)
+        labeled = any(label is not None for _, label in rows)
+        codes = {"M": 1, "N": 0, None: -1}
+        assert ids == [inst.pair for inst in instances]
+        assert labels.tolist() == [codes[label] if labeled else -1 for _, label in rows]
+        expected = np.array([feats for feats, _ in rows]).reshape(len(rows), 2)
+        assert features.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a\tb\tnan\tN", "finite"),
+            ("a\tb\t1.5\tN", "lie in"),
+            ("a\ta\t0.5\tN", "distinct"),
+            ("a\tb\t0.5\tX", "unknown label"),
+            ("a\tb\t0.5", "expected 4 columns"),
+        ],
+    )
+    def test_rejects_bad_row_with_its_line(self, tmp_path, row, message):
+        path = tmp_path / "inst.tsv"
+        path.write_text(f"# instances v1 q=2\nid_a\tid_b\tf0\tlabel\nc\td\t0.1\tM\n\n{row}\n")
+        with pytest.raises(IngestError, match=f":5: .*{message}"):
+            read_instance_file(path)
 
     def test_unlabeled_file_has_no_label_column(self, tmp_path):
         instances = [Instance(("a", "b"), np.array([0.5]))]
@@ -218,8 +268,8 @@ class TestInstanceFile:
         write_instance_file(path, instances)
         header = path.read_text().splitlines()[1]
         assert not header.endswith("label")
-        back, _ = read_instance_file(path)
-        assert back[0].real_label is None
+        _, _, labels, _ = read_instance_file(path)
+        assert labels.tolist() == [-1]
 
     def test_rejects_non_instance_file(self, tmp_path):
         path = tmp_path / "junk.tsv"
@@ -233,11 +283,11 @@ class TestInstanceFile:
         out = tmp_path / "inst.tsv"
         n = featurize_to_file(out, three_records, gold=load_gold(gold_csv))
         assert n == 3
-        instances, meta = read_instance_file(out)
+        ids, _, labels, meta = read_instance_file(out)
         assert meta["schema"] == ("title", "author")
-        by_pair = {i.pair: i for i in instances}
-        assert by_pair[("r1", "r2")].real_label == "M"
-        assert by_pair[("r1", "r3")].real_label == "N"
+        by_pair = dict(zip(ids, labels.tolist()))
+        assert by_pair[("r1", "r2")] == 1
+        assert by_pair[("r1", "r3")] == 0
 
     def test_featurize_parallel_matches_serial(self, tmp_path):
         rs = RecordSet(
@@ -255,7 +305,7 @@ class TestInstancePool:
         instances = [
             Instance((f"a{i}", f"b{i}"), rng.random(2)) for i in range(10)
         ]
-        pool = InstancePool(instances, labeled_ids=[("a3", "b3"), ("a7", "b7")])
+        pool = InstancePool.from_instances(instances, labeled_ids=[("a3", "b3"), ("a7", "b7")])
         labeled = set(pool.labeled_rows.tolist())
         unlabeled = set(pool.unlabeled_rows.tolist())
         assert labeled.isdisjoint(unlabeled)
@@ -266,7 +316,7 @@ class TestInstancePool:
             Instance(("z", "zz"), rng.random(2)),
             Instance(("a", "aa"), rng.random(2)),
         ]
-        pool = InstancePool(instances)
+        pool = InstancePool.from_instances(instances)
         assert pool.ids == [("a", "aa"), ("z", "zz")]
 
     def test_duplicate_pairs_rejected(self):
@@ -275,11 +325,11 @@ class TestInstancePool:
             Instance(("a", "b"), np.array([0.2])),
         ]
         with pytest.raises(IngestError):
-            InstancePool(instances)
+            InstancePool.from_instances(instances)
 
     def test_instance_accessor(self, rng):
         instances = [Instance((f"a{i}", f"b{i}"), rng.random(2), "M") for i in range(3)]
-        pool = InstancePool(instances)
+        pool = InstancePool.from_instances(instances)
         inst = pool.instance(("a1", "b1"))
         assert inst.pair == ("a1", "b1")
         assert inst.real_label == "M"

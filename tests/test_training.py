@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import matchgan.nn as nn
 from matchgan.datasets import MATCH, NON_MATCH, SyntheticConfig, generate_synthetic
@@ -10,14 +11,11 @@ from matchgan.diversity import build_partition
 from matchgan.evaluation import evaluate_run
 from matchgan.features import Instance, InstancePool
 from matchgan.training import (
-    PSEUDO,
-    REAL,
-    LabeledPool,
+    RunState,
     TrainConfig,
     inner_train,
     predict,
     propagate,
-    pseudo_label,
     run,
     select_seed_labels,
     select_top,
@@ -28,7 +26,7 @@ def small_problem(n_matches=6, rate=12, separation=0.9, data_seed=5):
     instances, gold = generate_synthetic(
         SyntheticConfig(n_matches=n_matches, imbalance_rate=rate, separation=separation, seed=data_seed)
     )
-    pool = InstancePool(instances)
+    pool = InstancePool.from_instances(instances)
     partition = build_partition(pool.ids, pool.features)
     return pool, partition, gold
 
@@ -46,29 +44,38 @@ def twin_problem(n_per_class=10, data_seed=5):
             instances.append(Instance(lab_pair, feats[i], label))
             labels[lab_pair] = label
             instances.append(Instance((f"u{prefix}{i:02d}L", f"u{prefix}{i:02d}R"), feats[i], label))
-    pool = InstancePool(instances)
-    pool.set_labeled(labels.keys())
+    pool = InstancePool.from_instances(instances)
     partition = build_partition(pool.ids, pool.features)
-    labeled = LabeledPool()
-    for pid, label in sorted(labels.items()):
-        labeled.add(pid, label, REAL, 0)
-    return pool, partition, labeled
+    state = RunState(len(pool))
+    seeds = sorted(labels)
+    state.add(
+        [pool.row_of(pid) for pid in seeds],
+        [1 if labels[pid] == MATCH else 0 for pid in seeds],
+        round_index=0,
+    )
+    return pool, partition, state
 
 
 class TestLabeledPool:
+    """The run state's labeled rows: monotone, with provenance by round."""
+
     def test_monotone_no_relabeling(self):
-        pool = LabeledPool()
-        pool.add(("a", "b"), MATCH, REAL, 0)
+        state = RunState(3)
+        state.add([0], [1], round_index=0)
         with pytest.raises(ValueError):
-            pool.add(("a", "b"), NON_MATCH, PSEUDO, 1)
-        assert pool.label_of(("a", "b")) == MATCH
+            state.add([0], [0], round_index=1)
+        with pytest.raises(ValueError):
+            state.add([2, 2], [0, 1], round_index=1)
+        assert state.label.tolist() == [1, -1, -1]
+        assert len(state) == 1
 
     def test_provenance_split(self):
-        pool = LabeledPool()
-        pool.add(("a", "b"), MATCH, REAL, 0)
-        pool.add(("c", "d"), NON_MATCH, PSEUDO, 1)
-        assert pool.real_ids() == [("a", "b")]
-        assert pool.pseudo_ids() == [("c", "d")]
+        state = RunState(3)
+        state.add([2], [1], round_index=0)
+        state.add([0], [0], round_index=1)
+        assert np.flatnonzero(state.round_added == 0).tolist() == [2]
+        assert state.pseudo_rows().tolist() == [0]
+        assert state.labeled_rows().tolist() == [2, 0]
 
 
 class TestSelectSeedLabels:
@@ -102,43 +109,53 @@ class TestSelectSeedLabels:
         assert sum(1 for pid in ids if gold.is_match(*pid)) == 0
         cfg = TrainConfig(seed=0, variant="no_diversity", inner_iters=60)
         result = run(cfg, pool, partition, gold=gold, seed_budget=50)
-        assert evaluate_run(pool, result.predictions).f_measure == 0.0
+        assert evaluate_run(pool, result).f_measure == 0.0
 
 
 class TestPseudoLabel:
     def test_threshold_rule(self, rng):
         gen = nn.init_mlp((2, 4, 1), rng)
         gen.biases[-1][0] = 3.0  # output sigmoid(3) > 0.5
-        label, score = pseudo_label(gen, np.array([0.5, 0.5]))
-        assert label == MATCH and score > 0.5
+        x = np.array([[0.5, 0.5]])
+        assert predict(gen, x) == [MATCH] and nn.forward_batch(gen, x)[0] > 0.5
 
     def test_tie_goes_to_non_match(self):
         gen = nn.zero_mlp((2, 2, 1))
-        label, score = pseudo_label(gen, np.array([0.3, 0.4]))
-        assert score == 0.5
-        assert label == NON_MATCH
+        x = np.array([[0.3, 0.4]])
+        assert nn.forward_batch(gen, x)[0] == 0.5
+        assert predict(gen, x) == [NON_MATCH]
 
     def test_zero_network_labels_everything_non_match(self, rng):
         gen = nn.zero_mlp((3, 4, 1))
         X = np.random.default_rng(0).random((20, 3))
-        labels = predict(gen, [Instance((f"a{i}", f"b{i}"), X[i]) for i in range(20)])
+        labels = predict(gen, X)
         assert labels == [NON_MATCH] * 20
 
 
 class TestSelectTop:
     def test_top_by_score(self):
-        ids = [("a", "x"), ("b", "x"), ("c", "x")]
-        picks = select_top(ids, np.array([0.9, 0.8, 0.1]), 2)
-        assert [ids[k] for k in picks] == [("a", "x"), ("b", "x")]
+        picks = select_top(np.array([0.8, 0.9, 0.1]), 2)
+        assert picks.tolist() == [1, 0]
 
     def test_count_capped_at_population(self):
-        ids = [("a", "x"), ("b", "x")]
-        assert len(select_top(ids, np.array([0.5, 0.5]), 10)) == 2
+        assert len(select_top(np.array([0.5, 0.5]), 10)) == 2
 
     def test_equal_scores_lowest_id_first(self):
-        ids = [("c", "x"), ("a", "x"), ("b", "x")]
-        picks = select_top(ids, np.array([0.7, 0.7, 0.7]), 1)
-        assert ids[picks[0]] == ("a", "x")
+        # positions are rows of an id-sorted pool, so the lowest position
+        # is the lowest id
+        picks = select_top(np.array([0.7, 0.7, 0.7]), 1)
+        assert picks.tolist() == [0]
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=60),
+        st.integers(min_value=0, max_value=70),
+    )
+    def test_matches_id_tie_break_sort(self, values, count):
+        # the former rule: sort by (-score, id) over id-sorted pool rows
+        scores = np.array(values)
+        ids = [(f"a{k:03d}", "b") for k in range(len(values))]
+        expected = sorted(range(len(ids)), key=lambda k: (-scores[k], ids[k]))[:count]
+        assert select_top(scores, count).tolist() == expected
 
 
 class TestPropagate:
@@ -146,16 +163,19 @@ class TestPropagate:
         pool, partition, gold = small_problem()
         gen = nn.zero_mlp((4, 2, 1))
         disc = nn.zero_mlp((5, 2, 1))
-        remaining = pool.ids[:5]
+        remaining = np.array([1, 3, 4, 6, 9])
         batch = propagate(gen, disc, pool, remaining, 2)
-        # all scores 0.5: lowest ids selected, all labeled non-match
-        assert [pid for pid, _, _ in batch] == sorted(remaining)[:2]
-        assert all(label == NON_MATCH for _, label, _ in batch)
+        # all scores 0.5: lowest rows (so lowest ids) selected, all non-match
+        assert batch[:, 0].tolist() == [1, 3]
+        assert batch[:, 1].tolist() == [0, 0]
 
     def test_empty_remaining_rejected(self, rng):
         pool, partition, gold = small_problem()
         with pytest.raises(ValueError):
-            propagate(nn.zero_mlp((4, 2, 1)), nn.zero_mlp((5, 2, 1)), pool, [], 1)
+            propagate(
+                nn.zero_mlp((4, 2, 1)), nn.zero_mlp((5, 2, 1)), pool,
+                np.empty(0, dtype=np.intp), 1,
+            )
 
 
 class TestInnerTrain:
@@ -179,7 +199,7 @@ class TestInnerTrain:
                 nn.init_mlp((4, 4, 1), rng),
                 nn.init_mlp((5, 4, 1), rng),
                 pool,
-                LabeledPool(),
+                RunState(len(pool)),
                 TrainConfig(seed=0),
                 partition,
                 rng,
@@ -200,21 +220,21 @@ class TestInnerTrain:
     def test_equilibrium_on_twin_fixture(self):
         # when the generator labels the twins correctly, generated and real
         # pairs are indistinguishable and the discriminator tends to 1/2
-        pool, partition, labeled = twin_problem()
+        pool, partition, state = twin_problem()
         rng = np.random.default_rng(0)
         gen = nn.init_mlp((4, 32, 16, 1), rng)
         disc = nn.init_mlp((5, 32, 16, 1), rng)
         cfg = TrainConfig(seed=0, batch_size=20)
         opt_g = nn.OptState.for_model(gen, cfg.optimizer, cfg.learning_rate)
         opt_d = nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate)
-        inner_train(gen, disc, pool, labeled, cfg, partition, rng, opt_g, opt_d, iters=1500)
+        inner_train(gen, disc, pool, state, cfg, partition, rng, opt_g, opt_d, iters=1500)
 
-        u_rows = pool.unlabeled_rows
+        u_rows = np.flatnonzero(state.label == -1)
         soft = nn.forward_batch(gen, pool.features[u_rows])
         hard = (soft > 0.5).astype(float)
         d_fake = nn.forward_batch(disc, np.hstack([pool.features[u_rows], hard[:, None]]))
-        l_rows = pool.labeled_rows
-        y = np.array([1.0 if pool.real_labels[r] == MATCH else 0.0 for r in l_rows])
+        l_rows = state.labeled_rows()
+        y = pool.real_labels[l_rows].astype(float)
         d_real = nn.forward_batch(disc, np.hstack([pool.features[l_rows], y[:, None]]))
         assert np.abs(d_fake - 0.5).mean() < 0.15
         assert np.abs(d_real - 0.5).mean() < 0.15
@@ -225,8 +245,8 @@ class TestRun:
         pool, partition, gold = small_problem()
         seed_labels = {pid: gold.label_of(*pid) for pid in pool.ids}
         result = run(TrainConfig(seed=0), pool, partition, seed_labels=seed_labels)
-        assert len(result.labeled_pool) == len(pool)
-        assert result.predictions == {}
+        assert len(result.state) == len(pool)
+        assert len(result.state.pseudo_rows()) == 0
         assert result.report["rounds"] == []
 
     def test_fixed_count_round_formula(self):
@@ -266,12 +286,14 @@ class TestRun:
         pool, partition, gold = small_problem(n_matches=3, rate=10, data_seed=4)
         cfg = TrainConfig(seed=2, inner_iters=5)
         result = run(cfg, pool, partition, gold=gold, seed_budget=8)
-        entries = result.labeled_pool.entries
-        assert set(result.labeled_pool.real_ids()) == set(pool.labeled_ids())
-        rounds = [e.round_added for e in entries.values()]
-        assert min(rounds) == 0
+        state = result.state
+        real = np.flatnonzero(state.round_added == 0)
+        assert len(real) == 8
+        assert np.all(state.label[real] == pool.real_labels[real])
+        assert state.round_added.min() == 0
         # every unlabeled instance ends up pseudo-labeled exactly once
-        assert len(entries) == len(pool)
+        assert len(state) == len(pool)
+        assert sorted(state.labeled_rows().tolist()) == list(range(len(pool)))
         for record in result.report["rounds"]:
             assert record["pool_size_after"] - record["propagated"] >= 8
 
@@ -288,7 +310,7 @@ class TestRun:
         pool, partition, gold = small_problem(n_matches=8, rate=20, data_seed=9)
         cfg = TrainConfig(seed=0)
         result = run(cfg, pool, partition, gold=gold, seed_budget=30)
-        metrics = evaluate_run(pool, result.predictions)
+        metrics = evaluate_run(pool, result)
         assert metrics.f_measure >= 0.9
         # mode-collapse witness: both labels are present among pseudo labels
         counts = result.report["final"]["pseudo_label_counts"]
@@ -301,7 +323,7 @@ class TestRun:
         held_out, held_gold = generate_synthetic(
             SyntheticConfig(n_matches=5, imbalance_rate=20, separation=0.9, seed=77)
         )
-        labels = predict(result.generator, held_out)
+        labels = predict(result.generator, np.vstack([inst.features for inst in held_out]))
         truth = [inst.real_label for inst in held_out]
         from matchgan.evaluation import compute_metrics
 
@@ -315,6 +337,19 @@ class TestRun:
         cfg = TrainConfig(seed=2, inner_iters=5)
         result = run(cfg, pool, partition, gold=gold, seed_budget=8)
         assert 0.0 <= result.report["final"]["consistency"] <= 1.0
+
+    def test_run_leaves_pool_unchanged_and_repeats(self):
+        pool, partition, gold = small_problem(n_matches=3, rate=8, data_seed=6)
+        pool.set_labeled(pool.ids[:3])
+        before = (pool.labeled_rows.copy(), pool.unlabeled_rows.copy(), pool.features.copy())
+        cfg = TrainConfig(seed=5, inner_iters=10)
+        reports = [
+            json.dumps(run(cfg, pool, partition, gold=gold, seed_budget=6).report, sort_keys=True)
+            for _ in range(2)
+        ]
+        for kept, now in zip(before, (pool.labeled_rows, pool.unlabeled_rows, pool.features)):
+            np.testing.assert_array_equal(kept, now)
+        assert reports[0] == reports[1]
 
     def test_checkpoints_written_per_round(self, tmp_path):
         pool, partition, gold = small_problem(n_matches=2, rate=6, data_seed=1)
@@ -331,22 +366,22 @@ class TestVariants:
         cfg = TrainConfig(seed=1, variant="no_propagation")
         result = run(cfg, pool, partition, gold=gold, seed_budget=16)
         assert result.report["final"]["rounds"] == 1
-        assert len(result.labeled_pool) == len(pool)
-        assert len(result.predictions) == len(pool) - 16
+        assert len(result.state) == len(pool)
+        assert len(result.state.pseudo_rows()) == len(pool) - 16
 
     def test_no_adversary_trains_classifier(self):
         pool, partition, gold = small_problem(n_matches=8, rate=20, data_seed=9)
         cfg = TrainConfig(seed=0, variant="no_adversary")
         result = run(cfg, pool, partition, gold=gold, seed_budget=30)
         assert result.discriminator is None
-        metrics = evaluate_run(pool, result.predictions)
+        metrics = evaluate_run(pool, result)
         assert metrics.f_measure >= 0.9
 
     def test_no_diversity_uses_uniform_batches(self):
         pool, partition, gold = small_problem(n_matches=4, rate=15, data_seed=3)
         cfg = TrainConfig(seed=1, variant="no_diversity", inner_iters=5)
         result = run(cfg, pool, partition, gold=gold, seed_budget=10)
-        assert len(result.labeled_pool) == len(pool)
+        assert len(result.state) == len(pool)
 
     def test_invalid_variant_rejected(self):
         with pytest.raises(ValueError):
