@@ -142,14 +142,19 @@ def _write_labels_file(path: Path, ids: list, labels: list[str]) -> None:
 
 
 def _read_labels_file(path: str) -> dict:
+    """Label code by pair id; every row must be id_a, id_b and M or N."""
     labels = {}
     with Path(path).open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != ["id_a", "id_b", "label"]:
             raise IngestError(f"{path}: not a labels file")
-        for line in fh:
-            id_a, id_b, label = line.rstrip("\n").split("\t")
-            labels[(id_a, id_b)] = label
+        for lineno, line in enumerate(fh, start=2):
+            row = line.rstrip("\n").split("\t")
+            if len(row) != 3:
+                raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            if row[2] not in LABEL_CODES:
+                raise IngestError(f"{path}:{lineno}: unknown label {row[2]!r}")
+            labels[(row[0], row[1])] = LABEL_CODES[row[2]]
     return labels
 
 
@@ -188,10 +193,7 @@ def cmd_featurize(args) -> int:
         )
     gold = load_gold(args.gold, has_header=args.gold_header) if args.gold else None
     blocking = BlockingSpec(args.block_on) if args.block_on else None
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
-    count = featurize_to_file(
-        args.out, left, right, gold=gold, q=args.q, blocking=blocking, workers=workers
-    )
+    count = featurize_to_file(args.out, left, right, gold=gold, q=args.q, blocking=blocking)
     print(f"wrote {count} instances to {args.out}")
     return 0
 
@@ -271,11 +273,11 @@ def cmd_evaluate(args) -> int:
     ids, _, labels, _ = read_instance_file(args.truth)
     if np.any(labels == UNLABELED):
         raise IngestError(f"{args.truth}: truth file must carry labels")
-    truth = dict(zip(ids, labels))
-    common = sorted(set(predicted) & set(truth))
-    if not common:
+    codes = np.fromiter((predicted.get(pid, UNLABELED) for pid in ids), np.int8, len(ids))
+    rows = np.flatnonzero(codes != UNLABELED)
+    if not len(rows):
         raise IngestError("no overlapping pairs between predictions and truth")
-    metrics = compute_metrics([predicted[p] for p in common], [truth[p] for p in common])
+    metrics = compute_metrics(codes[rows], labels[rows])
     print(
         f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
         f"f_measure={metrics.f_measure:.4f} objective={metrics.objective_score:.4f} "
@@ -375,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", default=",")
     p.add_argument("--block-on", dest="block_on")
     p.add_argument("-q", type=int, default=2)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: featurize runs in one process")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_featurize)
 

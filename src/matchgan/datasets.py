@@ -139,6 +139,10 @@ def load_records(
                 raise MissingColumnError(f"missing column {col!r} in {path}")
         for row in reader:
             rid = row[id_column]
+            if rid and any(c in rid for c in "\t\n\r"):
+                raise IngestError(
+                    f"{path}:{reader.line_num}: record id {rid!r} contains a tab or line break"
+                )
             if rid in seen:
                 raise DuplicateIdError(f"duplicate id {rid!r} in {path}")
             seen.add(rid)

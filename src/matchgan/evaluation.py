@@ -67,13 +67,20 @@ def _label_codes(labels) -> np.ndarray:
 def compute_metrics(predicted, actual) -> MetricsReport:
     """Precision/recall/f-measure with zero-denominator conventions.
 
-    Labels are label strings or label codes. Empty denominators score 0
-    (so a run predicting no matches reports precision = recall =
-    f-measure = 0 rather than failing).
+    Labels are label strings or label codes; anything but a match or a
+    non-match raises ValueError. Empty denominators score 0 (so a run
+    predicting no matches reports precision = recall = f-measure = 0
+    rather than failing).
     """
     pred, act = _label_codes(predicted), _label_codes(actual)
     if len(pred) != len(act):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(act)}")
+    for name, codes in (("predicted", pred), ("actual", act)):
+        bad = np.flatnonzero((codes != 0) & (codes != 1))
+        if len(bad):
+            raise ValueError(
+                f"{name} label at position {bad[0]} is neither a match nor a non-match"
+            )
     tp = int(np.count_nonzero((pred == 1) & (act == 1)))
     fp = int(np.count_nonzero((pred == 1) & (act == 0)))
     fn = int(np.count_nonzero((pred == 0) & (act == 1)))

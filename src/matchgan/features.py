@@ -1,11 +1,15 @@
 """Candidate pair streaming and per-attribute similarity featurization.
 
 A pair of records becomes an instance: a vector with one similarity value
-per attribute, each in [0, 1]. Pairs are streamed in sorted id order
-(deterministic regardless of worker count) and written straight to a
-delimited instance file. Reading a file back yields three columns per
-pool (an id list, a float64 feature matrix and an int8 label column)
-rather than one object per row.
+per attribute, each in [0, 1]. featurize_to_file writes every candidate
+pair in sorted id order straight to a delimited instance file, one tile
+of pairs at a time in a single process: per attribute, each record's
+q-gram set becomes a row of gram ids, a tile's intersection counts come
+from one product of 0/1 indicator blocks, and Jaccard is
+I / (|A| + |B| - I). qgram_jaccard, featurize_pair and generate_pairs
+stay as the scalar reference that this kernel reproduces bit for bit.
+Reading a file back yields three columns per pool (an id list, a float64
+feature matrix and an int8 label column) rather than one object per row.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -166,11 +169,12 @@ def featurize_pair(
 
 
 def block_by_token(records: RecordSet, attr: str) -> dict[str, list[str]]:
-    """Map each case-folded whitespace token of the attribute to record ids."""
+    """Map each case-folded whitespace token of the attribute to record ids,
+    each record listed once per block."""
     col = records.attribute_index(attr)
     blocks: dict[str, list[str]] = {}
     for rec in records.records:
-        for token in rec.attributes[col].casefold().split():
+        for token in dict.fromkeys(rec.attributes[col].casefold().split()):
             blocks.setdefault(token, []).append(rec.id)
     return blocks
 
@@ -221,17 +225,10 @@ def generate_pairs(
                 yield r_i, r_j
 
 
-# One featurization task per worker chunk; module-level so it pickles.
-def _featurize_chunk(args) -> list[tuple[str, str, list[float], str]]:
-    pairs, q, match_pairs = args
-    out = []
-    for r_i, r_j in pairs:
-        inst = featurize_pair(r_i, r_j, q=q)
-        label = ""
-        if match_pairs is not None:
-            label = MATCH if frozenset((r_i.id, r_j.id)) in match_pairs else NON_MATCH
-        out.append((r_i.id, r_j.id, inst.features.tolist(), label))
-    return out
+# A tile takes as many left records as keep its left-by-right product
+# block at PAIR_TILE entries (at least one record), so no array grows with
+# the number of pairs.
+PAIR_TILE = 1 << 15
 
 
 def featurize_to_file(
@@ -241,32 +238,148 @@ def featurize_to_file(
     gold: GoldStandard | None = None,
     q: int = 2,
     blocking: BlockingSpec | None = None,
-    workers: int = 1,
-    chunk_size: int = 2048,
 ) -> int:
     """Featurize all candidate pairs straight to an instance file.
 
-    Output ordering is by (id_i, id_j) regardless of worker count.
-    Returns the number of instances written.
+    Rows come in generate_pairs order and hold the features featurize_pair
+    gives, bit for bit: for each tile of pairs and each attribute, the
+    gram-set intersections come from one indicator-matrix product and the
+    Jaccard values from one divide. Returns the number of instances
+    written.
     """
-    schema = left.schema
-    match_pairs = gold.matches if gold is not None else None
-    pair_stream = generate_pairs(left, right, blocking)
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    if right is not None and len(right.schema) != len(left.schema):
+        raise IngestError(
+            f"schema mismatch: {len(left.schema)} vs {len(right.schema)} attributes"
+        )
+    lrecs = sorted(left.records, key=operator.attrgetter("id"))
+    rrecs = lrecs if right is None else sorted(right.records, key=operator.attrgetter("id"))
+    n_left, n_right = len(lrecs), len(rrecs)
+    # right records follow the left ones in the gram rows of a linkage
+    offset = 0 if right is None else n_left
+    records = lrecs if right is None else lrecs + rrecs
+    grams = [_gram_rows([rec.attributes[k] for rec in records], q)
+             for k in range(len(left.schema))]
+    left_row = {rec.id: k for k, rec in enumerate(lrecs)}
+    right_row = left_row if right is None else {rec.id: k for k, rec in enumerate(rrecs)}
+    blocked = None
+    if blocking is not None:
+        pairs = _blocked_pair_ids(left, right, blocking)
+        blocked = (np.array([left_row[a] for a, _ in pairs], dtype=np.int64),
+                   np.array([right_row[b] for _, b in pairs], dtype=np.int64))
+    match_keys = None
+    if gold is not None:
+        match_keys = np.array([
+            left_row[a] * n_right + right_row[b]
+            for pair in gold.matches for a, b in itertools.permutations(pair)
+            if a in left_row and b in right_row
+        ], dtype=np.int64)
+    left_ids = np.array([rec.id for rec in lrecs], dtype=object)
+    right_ids = np.array([rec.id for rec in rrecs], dtype=object)
+
     count = 0
     with Path(out_path).open("w", encoding="utf-8") as fh:
-        _write_instance_header(fh, schema, q, labeled=gold is not None)
-        chunks = _chunked(pair_stream, chunk_size)
-        if workers <= 1:
-            results = (_featurize_chunk((chunk, q, match_pairs)) for chunk in chunks)
-            for block in results:
-                count += _write_instance_rows(fh, block, labeled=gold is not None)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                tasks = ((chunk, q, match_pairs) for chunk in chunks)
-                # map preserves submission order, keeping output deterministic
-                for block in pool.map(_featurize_chunk, tasks):
-                    count += _write_instance_rows(fh, block, labeled=gold is not None)
+        _write_instance_header(fh, left.schema, q, labeled=gold is not None)
+        for ia, ib in _pair_tiles(n_left, n_right, right is None, blocked):
+            ids_a, ids_b = left_ids[ia], right_ids[ib]
+            same = np.flatnonzero(ids_a == ids_b)
+            if len(same):
+                pair = (ids_a[same[0]], ids_b[same[0]])
+                raise IngestError(f"instance pair ids must be distinct: {pair}")
+            labels = None
+            if match_keys is not None:
+                labels = np.where(np.isin(ia * n_right + ib, match_keys), MATCH, NON_MATCH)
+            _write_tile(fh, ids_a, ids_b, _tile_features(grams, ia, ib + offset), labels)
+            count += len(ia)
     return count
+
+
+def _gram_rows(texts: list[str], q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, gram ids, sizes): text k's q-grams get the ids
+    ids[starts[k]:starts[k + 1]], and sizes[k] counts them."""
+    sets = [qgrams(text, q) for text in texts]
+    sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+    starts = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    vocab: dict[str, int] = {}
+    ids = np.fromiter(
+        (vocab.setdefault(gram, len(vocab)) for grams in sets for gram in grams),
+        np.int64, int(starts[-1]),
+    )
+    return starts, ids, sizes.astype(np.float64)
+
+
+def _pair_tiles(n_left: int, n_right: int, all_pairs: bool, blocked):
+    """(left rows, right rows) of each tile's pairs, in generate_pairs order.
+
+    all_pairs gives the upper triangle of the left records against
+    themselves; blocked, when given, holds the (left, right) rows of the
+    candidate pairs ordered by left row; otherwise left x right.
+    """
+    step = max(1, PAIR_TILE // max(n_right, 1))
+    for lo in range(0, n_left, step):
+        hi = min(lo + step, n_left)
+        if blocked is not None:
+            a, b = np.searchsorted(blocked[0], [lo, hi])
+            ia, ib = blocked[0][a:b], blocked[1][a:b]
+        elif all_pairs:
+            ia, ib = np.triu_indices(hi - lo, lo + 1, n_left)
+            ia = ia + lo
+        else:
+            ia = np.repeat(np.arange(lo, hi), n_right)
+            ib = np.tile(np.arange(n_right), hi - lo)
+        if len(ia):
+            yield ia, ib
+
+
+def _tile_features(grams, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """(len(ia), attributes) Jaccard features of the gram rows (ia, ib).
+
+    Intersection counts are exact integers in float32 (they stay far below
+    2**24), and a float64 divide of exact integers rounds as Python's
+    int / int does, so the values equal qgram_jaccard's.
+    """
+    rows_a, at_a = np.unique(ia, return_inverse=True)
+    rows_b, at_b = np.unique(ib, return_inverse=True)
+    feats = np.empty((len(ia), len(grams)))
+    for k, (starts, ids, sizes) in enumerate(grams):
+        pos_a, grams_a = _gather(starts, ids, rows_a)
+        # only grams of the left rows can be shared
+        cols, col_a = np.unique(grams_a, return_inverse=True)
+        pos_b, grams_b = _gather(starts, ids, rows_b)
+        shared = np.isin(grams_b, cols)
+        left_block = np.zeros((len(rows_a), len(cols)), dtype=np.float32)
+        left_block[pos_a, col_a] = 1.0
+        right_block = np.zeros((len(rows_b), len(cols)), dtype=np.float32)
+        right_block[pos_b[shared], np.searchsorted(cols, grams_b[shared])] = 1.0
+        inter = (left_block @ right_block.T)[at_a, at_b].astype(np.float64)
+        union = sizes[ia] + sizes[ib] - inter
+        # two empty gram sets agree on absence
+        feats[:, k] = np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+    return feats
+
+
+def _gather(starts: np.ndarray, ids: np.ndarray, rows: np.ndarray):
+    """(position in rows, gram id) of every gram of the given gram rows."""
+    lens = starts[rows + 1] - starts[rows]
+    first = np.cumsum(lens) - lens
+    flat = np.arange(int(lens.sum())) + np.repeat(starts[rows] - first, lens)
+    return np.repeat(np.arange(len(rows)), lens), ids[flat]
+
+
+def _write_tile(fh, ids_a: np.ndarray, ids_b: np.ndarray, feats: np.ndarray, labels) -> None:
+    """Write one tile of instance rows, calling repr once per distinct value.
+
+    Values are told apart by their bits, so repr sees exactly the floats
+    _write_instance_rows would.
+    """
+    bits, inverse = np.unique(feats.view(np.int64), return_inverse=True)
+    table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cols = [ids_a.tolist(), ids_b.tolist(), *table[inverse.reshape(feats.shape)].T.tolist()]
+    if labels is not None:
+        cols.append(labels.tolist())
+    fh.write("\n".join(map("\t".join, zip(*cols))) + "\n")
 
 
 def _chunked(stream: Iterator, size: int) -> Iterator[list]:

@@ -80,23 +80,25 @@ def zero_mlp(layer_dims) -> MlpModel:
     return MlpModel(layer_dims=tuple(layer_dims), weights=weights, biases=biases)
 
 
-def _forward_cached(model: MlpModel, X: np.ndarray):
-    """Batch forward pass keeping every layer input for backpropagation."""
+def _forward(model: MlpModel, X: np.ndarray, activations: list | None = None):
+    """Batch forward pass; appends every layer input to activations when the
+    caller passes a list to fill for backpropagation."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(
             f"input shape {X.shape} incompatible with input dim {model.input_dim}"
         )
-    activations = [X]
-    n_layers = len(model.weights)
     a = X
-    for ell in range(n_layers - 1):
-        z = a @ model.weights[ell].T + model.biases[ell]
-        a = np.maximum(z, 0.0)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        if activations is not None:
+            activations.append(a)
+        a = a @ w.T
+        a += b
+        np.maximum(a, 0.0, out=a)
+    if activations is not None:
         activations.append(a)
     z_out = (a @ model.weights[-1].T + model.biases[-1])[:, 0]
-    out = np.clip(_sigmoid(z_out), OUTPUT_EPS, 1.0 - OUTPUT_EPS)
-    return out, activations
+    return np.clip(_sigmoid(z_out), OUTPUT_EPS, 1.0 - OUTPUT_EPS)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -111,8 +113,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Deterministic feed-forward values in (0, 1), one per row of X."""
-    out, _ = _forward_cached(model, X)
-    return out
+    return _forward(model, X)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> float:
@@ -167,9 +168,11 @@ def generator_backward(gen: MlpModel, disc: MlpModel, X: np.ndarray):
     gradients are produced.
     """
     X = np.asarray(X, dtype=np.float64)
-    g_out, g_acts = _forward_cached(gen, X)
+    g_acts: list = []
+    g_out = _forward(gen, X, g_acts)
     fake_in = np.hstack([X, g_out[:, None]])
-    d_out, d_acts = _forward_cached(disc, fake_in)
+    d_acts: list = []
+    d_out = _forward(disc, fake_in, d_acts)
     n = d_out.shape[0]
     loss = generator_loss(d_out)
     dloss_dd = -1.0 / (n * (1.0 - d_out))
@@ -191,8 +194,10 @@ def discriminator_backward(
     treated as constants (the generator is frozen). The returned gradients
     are those of the negated objective, so an optimizer step ascends it.
     """
-    d_fake, fake_acts = _forward_cached(disc, fake_inputs)
-    d_real, real_acts = _forward_cached(disc, real_inputs)
+    fake_acts: list = []
+    real_acts: list = []
+    d_fake = _forward(disc, fake_inputs, fake_acts)
+    d_real = _forward(disc, real_inputs, real_acts)
     n_f, n_r = d_fake.shape[0], d_real.shape[0]
     objective = discriminator_loss(d_fake, d_real, real_weight)
     # minimized loss is -objective
@@ -213,7 +218,8 @@ def binary_log_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
 
 def classifier_backward(model: MlpModel, X: np.ndarray, targets: np.ndarray):
     """Loss and gradients of binary cross-entropy for the plain classifier."""
-    out, acts = _forward_cached(model, X)
+    acts: list = []
+    out = _forward(model, X, acts)
     y = np.asarray(targets, dtype=np.float64)
     n = out.shape[0]
     loss = binary_log_loss(out, y)

@@ -263,7 +263,7 @@ def test_criterion_6_cora_reproduction(tmp_path):
     records = load_records(records_path, schema=schema, id_column="id")
     gold = load_gold(gold_path)
     inst_file = tmp_path / "cora.tsv"
-    featurize_to_file(inst_file, records, gold=gold, q=2, workers=os.cpu_count() or 1)
+    featurize_to_file(inst_file, records, gold=gold, q=2)
     ids, features, labels, _ = read_instance_file(inst_file)
     pool = InstancePool(ids, features, labels)
     partition = build_partition(pool.ids, pool.features)

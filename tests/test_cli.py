@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -207,6 +208,32 @@ class TestBadInput:
         )
         assert code == 1
         assert message in self._single_error(capsys)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("a\tb\tX", ":3: unknown label 'X'"), ("a\tb", ":3: expected 3 columns, got 2")],
+    )
+    def test_bad_predicted_labels_rejected(self, tmp_path, capsys, row, message):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text(
+            "# instances v1 q=2\nid_a\tid_b\tf0\tlabel\na\tb\t0.9\tM\nc\td\t0.1\tN\n"
+        )
+        predicted = tmp_path / "pred.tsv"
+        predicted.write_text(f"id_a\tid_b\tlabel\nc\td\tN\n{row}\n")
+        code = run_cli("evaluate", "--predicted", predicted, "--truth", truth)
+        assert code == 1
+        assert message in self._single_error(capsys)
+
+    @pytest.mark.parametrize("rid", ["a\tx", "a\nx", "a\rx"])
+    def test_record_id_with_tab_or_line_break_rejected(self, tmp_path, capsys, rid):
+        records = tmp_path / "records.csv"
+        with records.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("id", "title"), ("r1", "deep"), (rid, "deep nets")])
+        inst = tmp_path / "inst.tsv"
+        code = run_cli("featurize", "--left", records, "-o", inst)
+        assert code == 1
+        assert "contains a tab or line break" in self._single_error(capsys)
+        assert not inst.exists()
 
 
 class TestAblateCommand:

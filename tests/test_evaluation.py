@@ -72,6 +72,11 @@ class TestMetrics:
         )
         assert m.objective_score == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("predicted, actual", [(["X"], [MATCH]), ([1], [2]), ([0], [-1])])
+    def test_rejects_label_neither_match_nor_non_match(self, predicted, actual):
+        with pytest.raises(ValueError, match="neither a match nor a non-match"):
+            compute_metrics(predicted, actual)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compute_metrics([MATCH], [MATCH, NON_MATCH])

@@ -1,15 +1,19 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from matchgan.datasets import IngestError, Record, RecordSet
+from matchgan import features
+from matchgan.datasets import GoldStandard, IngestError, Record, RecordSet
 from matchgan.features import (
     BlockingSpec,
     Instance,
     InstancePool,
+    _write_instance_header,
+    _write_instance_rows,
     block_by_token,
     featurize_pair,
     featurize_to_file,
@@ -18,6 +22,44 @@ from matchgan.features import (
     read_instance_file,
     write_instance_file,
 )
+
+
+def write_reference(path, left, right=None, gold=None, q=2, blocking=None):
+    """The instance file written pair by pair through the scalar kernel."""
+    rows = []
+    for r_i, r_j in generate_pairs(left, right, blocking):
+        label = "" if gold is None else gold.label_of(r_i.id, r_j.id)
+        rows.append((r_i.id, r_j.id, featurize_pair(r_i, r_j, q=q).features.tolist(), label))
+    with Path(path).open("w", encoding="utf-8") as fh:
+        _write_instance_header(fh, left.schema, q, labeled=gold is not None)
+        _write_instance_rows(fh, rows, labeled=gold is not None)
+
+
+# short strings over letters that case-fold together or expand (ß -> ss),
+# so empty and shorter-than-q values and repeated block tokens all occur
+_TEXT = st.text(alphabet="aAbß 1", max_size=6)
+
+
+@st.composite
+def featurize_cases(draw):
+    def record_set(prefix):
+        values = draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=7))
+        order = draw(st.permutations(range(len(values))))
+        return RecordSet(("t", "u"), [Record(f"{prefix}{k}", v) for k, v in zip(order, values)])
+
+    left = record_set("l")
+    right = record_set("r") if draw(st.booleans()) else None
+    ids = [rec.id for rs in (left, right) if rs is not None for rec in rs.records]
+    gold = None
+    if draw(st.booleans()):
+        gold = GoldStandard()
+        if len(ids) >= 2:
+            for a, b in draw(st.lists(st.permutations(ids).map(lambda p: p[:2]), max_size=6)):
+                gold.add(a, b)
+    blocking = BlockingSpec("t") if draw(st.booleans()) else None
+    q = draw(st.integers(1, 3))
+    tile = draw(st.sampled_from([1, 2, 5, features.PAIR_TILE]))
+    return left, right, gold, q, blocking, tile
 
 
 class TestQgramJaccard:
@@ -193,6 +235,14 @@ class TestBlockByToken:
         )
         assert list(generate_pairs(rs, blocking=BlockingSpec("title"))) == []
 
+    def test_repeated_token_blocks_record_once(self):
+        rs = RecordSet(
+            schema=("title",),
+            records=[Record("r1", ("deep deep",)), Record("r2", ("nets",))],
+        )
+        assert block_by_token(rs, "title")["deep"] == ["r1"]
+        assert list(generate_pairs(rs, blocking=BlockingSpec("title"))) == []
+
     def test_unknown_attribute(self, three_records):
         with pytest.raises(IngestError):
             block_by_token(three_records, "venue")
@@ -289,15 +339,35 @@ class TestInstanceFile:
         assert by_pair[("r1", "r2")] == 1
         assert by_pair[("r1", "r3")] == 0
 
-    def test_featurize_parallel_matches_serial(self, tmp_path):
+    def test_featurize_parallel_matches_serial(self, tmp_path, monkeypatch):
+        # a tile of at most five left-by-right entries spreads 66 pairs over
+        # many tiles; the bytes must still be the pair-by-pair reference's
         rs = RecordSet(
             schema=("t",),
             records=[Record(f"r{i:02d}", (f"tok{i} shared",)) for i in range(12)],
         )
-        serial, parallel = tmp_path / "s.tsv", tmp_path / "p.tsv"
-        featurize_to_file(serial, rs, workers=1, chunk_size=5)
-        featurize_to_file(parallel, rs, workers=3, chunk_size=5)
-        assert serial.read_bytes() == parallel.read_bytes()
+        monkeypatch.setattr(features, "PAIR_TILE", 5)
+        tiled, reference = tmp_path / "s.tsv", tmp_path / "p.tsv"
+        assert featurize_to_file(tiled, rs) == 66
+        write_reference(reference, rs)
+        assert tiled.read_bytes() == reference.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(featurize_cases())
+    def test_featurize_matches_scalar_reference(self, case):
+        left, right, gold, q, blocking, tile = case
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(features, "PAIR_TILE", tile):
+            tiled, reference = Path(tmp) / "tiled.tsv", Path(tmp) / "reference.tsv"
+            count = featurize_to_file(tiled, left, right, gold=gold, q=q, blocking=blocking)
+            write_reference(reference, left, right, gold, q, blocking)
+            assert tiled.read_bytes() == reference.read_bytes()
+            assert count == len(reference.read_text().splitlines()) - 2
+
+    def test_featurize_rejects_shared_linkage_id(self, tmp_path):
+        left = RecordSet(("t",), [Record("a", ("x",)), Record("b", ("y",))])
+        right = RecordSet(("t",), [Record("b", ("y",))])
+        with pytest.raises(IngestError, match="distinct: \\('b', 'b'\\)"):
+            featurize_to_file(tmp_path / "inst.tsv", left, right)
 
 
 class TestInstancePool:

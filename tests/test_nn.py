@@ -97,6 +97,22 @@ class TestForward:
             )
             assert forward(model, x) == pytest.approx(expected, rel=1e-12)
 
+    def test_forward_batch_bitwise_equals_recording_forward(self, rng):
+        for dims in ((3, 1), (4, 8, 1), (5, 16, 8, 1)):
+            model = init_mlp(dims, rng)
+            model.weights[-1] = rng.normal(size=model.weights[-1].shape)
+            X = rng.normal(size=(64, dims[0]))
+            acts: list = []
+            recorded = nn._forward(model, X, acts)
+            assert forward_batch(model, X).tobytes() == recorded.tobytes()
+            # every layer input, as backpropagation reads them
+            expected = [X]
+            for w, b in zip(model.weights[:-1], model.biases[:-1]):
+                expected.append(np.maximum(expected[-1] @ w.T + b, 0.0))
+            assert len(acts) == len(expected)
+            for got, want in zip(acts, expected):
+                assert got.tobytes() == want.tobytes()
+
     def test_dimension_mismatch(self, rng):
         model = init_mlp((3, 2, 1), rng)
         with pytest.raises(ValueError):
