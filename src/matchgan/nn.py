@@ -20,6 +20,12 @@ import numpy as np
 
 OUTPUT_EPS = 1e-7
 CHECKPOINT_FORMAT_VERSION = 1
+# Rows per forward_batch block. A pool-sized hidden layer (101k rows x 32
+# units is 25 MiB) that the allocator maps and unmaps raises glibc's
+# dynamic mmap and trim thresholds, after which tens of MiB of freed heap
+# stay resident or not depending on allocation order, and peak RSS then
+# differs between runs of the same input.
+SCORE_BLOCK = 4096
 
 
 @dataclass
@@ -112,8 +118,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Deterministic feed-forward values in (0, 1), one per row of X."""
-    return _forward(model, X)
+    """Deterministic feed-forward values in (0, 1), one per row of X.
+
+    Rows go through in blocks of SCORE_BLOCK, the last block taking the
+    remainder, so scoring a whole pool never allocates a pool-sized hidden
+    layer. Every block starts at a multiple of SCORE_BLOCK and holds at
+    least SCORE_BLOCK rows, so single-threaded BLAS runs the same kernels
+    on the same row alignment as in one pass and the bits match; a small
+    trailing block could take a small-matrix kernel that rounds otherwise.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or len(X) < 2 * SCORE_BLOCK:
+        return _forward(model, X)
+    bounds = [*range(0, len(X) // SCORE_BLOCK * SCORE_BLOCK, SCORE_BLOCK), len(X)]
+    return np.concatenate([_forward(model, X[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def forward(model: MlpModel, x: np.ndarray) -> float:

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +117,39 @@ class TestForward:
             assert len(acts) == len(expected)
             for got, want in zip(acts, expected):
                 assert got.tobytes() == want.tobytes()
+
+    def test_forward_batch_blocks_bitwise_equal_one_pass(self):
+        # BLAS on several threads splits one pass's rows at points of its
+        # own choosing, which decides the last bits; on one thread, as the
+        # benchmark runs, blocks must give the bits of one pass
+        script = textwrap.dedent("""
+            import numpy as np
+            from matchgan import nn
+            rng = np.random.default_rng(5)
+            model = nn.init_mlp((5, 32, 16, 1), rng)
+            model.weights[-1] = rng.normal(size=model.weights[-1].shape)
+            bad = []
+            for block in (256, 1000, nn.SCORE_BLOCK):
+                for n in (2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 37, 5 * block - 1):
+                    X = rng.normal(size=(n, 5))
+                    nn.SCORE_BLOCK = block
+                    if nn.forward_batch(model, X).tobytes() != nn._forward(model, X).tobytes():
+                        bad.append((block, n))
+            print(bad)
+        """)
+        one_thread = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
+        src = str(Path(nn.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, **one_thread, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_forward_batch_rejects_wrong_width_in_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(nn, "SCORE_BLOCK", 3)
+        with pytest.raises(ValueError):
+            forward_batch(init_mlp((5, 4, 1), rng), np.zeros((10, 4)))
 
     def test_dimension_mismatch(self, rng):
         model = init_mlp((3, 2, 1), rng)
