@@ -16,14 +16,14 @@ rng = np.random.default_rng(0)
 gen = nn.init_mlp((4, 3, 1), rng)
 disc = nn.init_mlp((5, 3, 1), rng)
 for m in (gen, disc):  # move off the zeroed output layer for a generic point
-    m.weights[-1] = rng.uniform(-0.5, 0.5, size=m.weights[-1].shape)
-    m.biases[-1] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
+    m.weights[-1][...] = rng.uniform(-0.5, 0.5, size=m.weights[-1].shape)
+    m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
 X = rng.random((6, 4))
 
-loss, grads = nn.generator_backward(gen, disc, X)
+loss, grad = nn.generator_backward(gen, disc, X)
 h = 1e-5
 w = gen.weights[0]
-analytic = grads[0][0][0, 0]
+analytic = gen.split(grad)[0][0][0, 0]  # the gradient entry of w[0, 0]
 w[0, 0] += h
 up = nn.generator_loss(nn.forward_batch(disc, np.hstack([X, nn.forward_batch(gen, X)[:, None]])))
 w[0, 0] -= 2 * h

@@ -213,29 +213,34 @@ def inner_train(
 
     u_rows = np.flatnonzero(state.round_added != 0)
     pops = partition.populations(u_rows)
-    lab_X, lab_y = _labeled_arrays(pool, state)
+    # the labeled [X | y] matrix, so that a real minibatch is one gather
+    real_all = np.column_stack(_labeled_arrays(pool, state))
     fake_size = min(cfg.batch_size, len(u_rows))
-    real_size = min(cfg.batch_size, lab_X.shape[0])
+    real_size = min(cfg.batch_size, len(real_all))
     sampler = _MinibatchSampler(pops, u_rows, fake_size, cfg.variant != "no_diversity")
+    # the discriminator judges hard pseudo labels, so generated and real
+    # pairs share the same label alphabet; the generator's own update keeps
+    # the soft differentiable path
+    d = pool.n_features
+    soft_in, hard_in = np.empty((fake_size, d + 1)), np.empty((fake_size, d + 1))
 
     d_sum = g_sum = 0.0
     for _ in range(n_iters):
         rows = sampler.draw(rng)
         Xf = pool.features[rows]
-        # the discriminator judges hard pseudo labels, so generated and real
-        # pairs share the same label alphabet; the generator's own update
-        # below keeps the soft differentiable path
-        g_soft = nn.forward_batch(gen, Xf)
-        fake_y = (g_soft > 0.5).astype(np.float64)
-        fake_in = np.hstack([Xf, fake_y[:, None]])
-        ridx = rng.choice(lab_X.shape[0], size=real_size, replace=False)
-        real_in = np.hstack([lab_X[ridx], lab_y[ridx][:, None]])
-        d_obj, d_grads = nn.discriminator_backward(
-            disc, fake_in, real_in, cfg.real_weight
+        g_acts: list = []
+        g_soft = nn.forward_pass(gen, Xf, g_acts)
+        soft_in[:, :d] = hard_in[:, :d] = Xf
+        soft_in[:, d] = g_soft
+        hard_in[:, d] = g_soft > 0.5
+        ridx = rng.choice(len(real_all), size=real_size, replace=False)
+        d_obj, d_grad = nn.discriminator_backward(
+            disc, hard_in, real_all[ridx], cfg.real_weight
         )
-        nn.opt_step(disc, d_grads, opt_disc)
-        g_loss, g_grads = nn.generator_backward(gen, disc, Xf)
-        nn.opt_step(gen, g_grads, opt_gen)
+        nn.opt_step(disc, d_grad, opt_disc)
+        # the generator is unchanged since its pass above, so that pass is reused
+        g_loss, g_grad = nn.generator_backward(gen, disc, Xf, (soft_in, g_acts))
+        nn.opt_step(gen, g_grad, opt_gen)
         d_sum += d_obj
         g_sum += g_loss
     stats = {
@@ -262,8 +267,8 @@ def _inner_train_classifier(
     loss_sum = 0.0
     for _ in range(n_iters):
         idx = rng.choice(lab_X.shape[0], size=size, replace=False)
-        loss, grads = nn.classifier_backward(clf, lab_X[idx], lab_y[idx])
-        nn.opt_step(clf, grads, opt)
+        loss, grad = nn.classifier_backward(clf, lab_X[idx], lab_y[idx])
+        nn.opt_step(clf, grad, opt)
         loss_sum += loss
     return {
         "iterations": n_iters,

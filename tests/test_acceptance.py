@@ -104,8 +104,8 @@ def test_criterion_2_gradient_correctness():
         gen = nn.init_mlp((4, 3, 1), rng)
         disc = nn.init_mlp((5, 3, 1), rng)
         for m in (gen, disc):
-            m.weights[-1] = rng.uniform(-0.5, 0.5, size=m.weights[-1].shape)
-            m.biases[-1] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
+            m.weights[-1][...] = rng.uniform(-0.5, 0.5, size=m.weights[-1].shape)
+            m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
         X = rng.random((5, 4))
 
         _, analytic = nn.generator_backward(gen, disc, X)

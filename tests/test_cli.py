@@ -224,6 +224,33 @@ class TestBadInput:
         assert code == 1
         assert message in self._single_error(capsys)
 
+    @pytest.mark.parametrize(
+        "damage, message", [("missing", "no 'W2' array"), ("nan", "'W1' is not finite")]
+    )
+    def test_bad_model_checkpoint_rejected(self, tmp_path, capsys, damage, message):
+        import numpy as np
+
+        from matchgan.nn import init_mlp, save_model
+
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        model_path = tmp_path / "generator.npz"
+        save_model(model_path, init_mlp((4, 3, 2, 1), np.random.default_rng(0)))
+        arrays = dict(np.load(model_path))
+        if damage == "missing":
+            del arrays["W2"]
+        else:
+            arrays["W1"][0, 0] = np.nan
+        np.savez(model_path, **arrays)
+        capsys.readouterr()
+        labels = tmp_path / "pred.tsv"
+        code = run_cli(
+            "predict", "--instances", data / "instances.tsv", "--model", model_path, "-o", labels
+        )
+        assert code == 1
+        assert message in self._single_error(capsys)
+        assert not labels.exists()
+
     @pytest.mark.parametrize("rid", ["a\tx", "a\nx", "a\rx"])
     def test_record_id_with_tab_or_line_break_rejected(self, tmp_path, capsys, rid):
         records = tmp_path / "records.csv"

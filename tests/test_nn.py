@@ -46,36 +46,33 @@ def hand_rolled_forward(x, weights, biases):
 
 
 def finite_diff_grads(loss_fn, model, h=1e-5):
-    """Central differences over every parameter of the model."""
-    grads = []
-    for ell in range(len(model.weights)):
-        dw = np.zeros_like(model.weights[ell])
-        for idx in np.ndindex(*model.weights[ell].shape):
-            model.weights[ell][idx] += h
-            up = loss_fn()
-            model.weights[ell][idx] -= 2 * h
-            down = loss_fn()
-            model.weights[ell][idx] += h
-            dw[idx] = (up - down) / (2 * h)
-        db = np.zeros_like(model.biases[ell])
-        for idx in np.ndindex(*model.biases[ell].shape):
-            model.biases[ell][idx] += h
-            up = loss_fn()
-            model.biases[ell][idx] -= 2 * h
-            down = loss_fn()
-            model.biases[ell][idx] += h
-            db[idx] = (up - down) / (2 * h)
-        grads.append((dw, db))
-    return grads
+    """Central differences over every parameter, laid out like model.params."""
+    grad = np.zeros_like(model.params)
+    for i in range(model.params.size):
+        model.params[i] += h
+        up = loss_fn()
+        model.params[i] -= 2 * h
+        down = loss_fn()
+        model.params[i] += h
+        grad[i] = (up - down) / (2 * h)
+    return grad
 
 
 def relative_error(analytic, numeric):
-    num = 0.0
-    den = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        num += np.abs(aw - nw).sum() + np.abs(ab - nb).sum()
-        den += np.abs(aw).sum() + np.abs(nw).sum() + np.abs(ab).sum() + np.abs(nb).sum()
+    num = np.abs(analytic - numeric).sum()
+    den = np.abs(analytic).sum() + np.abs(numeric).sum()
     return num / max(den, 1e-12)
+
+
+def layer_filled(model, w_value, b_value):
+    """A vector laid out like model.params, w_value in every weight and
+    b_value in every bias."""
+    flat = np.empty_like(model.params)
+    weights, biases = model.split(flat)
+    for w, b in zip(weights, biases):
+        w[...] = w_value
+        b[...] = b_value
+    return flat
 
 
 class TestForward:
@@ -91,8 +88,8 @@ class TestForward:
     def test_matches_hand_rolled_oracle(self, rng):
         model = init_mlp((2, 2, 1), rng)
         # overwrite the zeroed output layer so the oracle sees real values
-        model.weights[-1] = rng.uniform(-1, 1, size=(1, 2))
-        model.biases[-1] = rng.uniform(-1, 1, size=1)
+        model.weights[-1][...] = rng.uniform(-1, 1, size=(1, 2))
+        model.biases[-1][...] = rng.uniform(-1, 1, size=1)
         for _ in range(20):
             x = rng.random(2)
             expected = hand_rolled_forward(
@@ -105,10 +102,10 @@ class TestForward:
     def test_forward_batch_bitwise_equals_recording_forward(self, rng):
         for dims in ((3, 1), (4, 8, 1), (5, 16, 8, 1)):
             model = init_mlp(dims, rng)
-            model.weights[-1] = rng.normal(size=model.weights[-1].shape)
+            model.weights[-1][...] = rng.normal(size=model.weights[-1].shape)
             X = rng.normal(size=(64, dims[0]))
             acts: list = []
-            recorded = nn._forward(model, X, acts)
+            recorded = nn.forward_pass(model, X, acts)
             assert forward_batch(model, X).tobytes() == recorded.tobytes()
             # every layer input, as backpropagation reads them
             expected = [X]
@@ -127,13 +124,13 @@ class TestForward:
             from matchgan import nn
             rng = np.random.default_rng(5)
             model = nn.init_mlp((5, 32, 16, 1), rng)
-            model.weights[-1] = rng.normal(size=model.weights[-1].shape)
+            model.weights[-1][...] = rng.normal(size=model.weights[-1].shape)
             bad = []
             for block in (256, 1000, nn.SCORE_BLOCK):
                 for n in (2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 37, 5 * block - 1):
                     X = rng.normal(size=(n, 5))
                     nn.SCORE_BLOCK = block
-                    if nn.forward_batch(model, X).tobytes() != nn._forward(model, X).tobytes():
+                    if nn.forward_batch(model, X).tobytes() != nn.forward_pass(model, X).tobytes():
                         bad.append((block, n))
             print(bad)
         """)
@@ -186,6 +183,41 @@ class TestModelShapes:
             MlpModel((2, 2), [np.zeros((2, 2))], [np.zeros(2)])
 
 
+    def test_wrong_layer_count_rejected(self):
+        # zip would pair up the layers given and ignore the missing one
+        with pytest.raises(ValueError, match="weight and bias arrays"):
+            MlpModel((2, 3, 1), [np.zeros((3, 2))], [np.zeros(3)])
+        with pytest.raises(ValueError, match="weight and bias arrays"):
+            MlpModel((2, 3, 1), [np.zeros((3, 2)), np.zeros((1, 3))], [np.zeros(3)])
+        with pytest.raises(ValueError, match="weight and bias arrays"):
+            MlpModel((1,), [], [])
+
+    def test_layers_are_views_into_params(self, rng):
+        model = init_mlp((3, 4, 1), rng)
+        model.biases[0][1] = -3.0
+        model.weights[-1][...] = 2.0
+        # layout W0 (4 x 3), b0 (4), W1 (1 x 4), b1 (1)
+        assert model.params.size == 12 + 4 + 4 + 1
+        assert model.params[12 + 1] == -3.0
+        np.testing.assert_array_equal(model.params[16:20], 2.0)
+
+    def test_rebinding_a_layer_raises(self, rng):
+        model = init_mlp((3, 4, 1), rng)
+        with pytest.raises(TypeError):
+            model.weights[-1] = np.zeros((1, 4))
+        with pytest.raises(TypeError):
+            model.biases[0] = np.zeros(4)
+
+    def test_copy_shares_no_storage(self, rng):
+        model = init_mlp((3, 4, 2, 1), rng)
+        twin = model.copy()
+        assert twin.params.tobytes() == model.params.tobytes()
+        for mine in (twin.params, *twin.weights, *twin.biases):
+            assert not np.shares_memory(mine, model.params)
+        twin.weights[0][0, 0] += 1.0
+        assert twin.params.tobytes() != model.params.tobytes()
+
+
 class TestLosses:
     def test_generator_loss_at_half(self):
         assert generator_loss(np.array([0.5])) == pytest.approx(math.log(0.5))
@@ -220,8 +252,8 @@ class TestBackward:
             gen = init_mlp((4, 3, 1), rng)
             disc = init_mlp((5, 3, 1), rng)
             for m in (gen, disc):  # un-zero output layers for a generic point
-                m.weights[-1] = rng.uniform(-0.5, 0.5, size=m.weights[-1].shape)
-                m.biases[-1] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
+                m.weights[-1][...] = rng.uniform(-0.5, 0.5, size=m.weights[-1].shape)
+                m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
             X = rng.random((6, 4))
             _, analytic = generator_backward(gen, disc, X)
 
@@ -236,8 +268,8 @@ class TestBackward:
     def test_discriminator_grads_match_finite_differences(self, rng):
         for _ in range(30):
             disc = init_mlp((4, 3, 1), rng)
-            disc.weights[-1] = rng.uniform(-0.5, 0.5, size=(1, 3))
-            disc.biases[-1] = rng.uniform(-0.5, 0.5, size=1)
+            disc.weights[-1][...] = rng.uniform(-0.5, 0.5, size=(1, 3))
+            disc.biases[-1][...] = rng.uniform(-0.5, 0.5, size=1)
             fake = rng.random((5, 4))
             real = rng.random((4, 4))
             weight = float(rng.uniform(0.2, 2.0))
@@ -253,7 +285,7 @@ class TestBackward:
 
     def test_classifier_grads_match_finite_differences(self, rng):
         clf = init_mlp((3, 4, 1), rng)
-        clf.weights[-1] = rng.uniform(-0.5, 0.5, size=(1, 4))
+        clf.weights[-1][...] = rng.uniform(-0.5, 0.5, size=(1, 4))
         X = rng.random((8, 3))
         y = (rng.random(8) > 0.5).astype(float)
         _, analytic = classifier_backward(clf, X, y)
@@ -265,17 +297,15 @@ class TestBackward:
         # generator's loss is locally flat
         gen = init_mlp((3, 4, 1), rng)
         disc = zero_mlp((4, 2, 1))
-        _, grads = generator_backward(gen, disc, rng.random((5, 3)))
-        for dw, db in grads:
-            np.testing.assert_array_equal(dw, 0.0)
-            np.testing.assert_array_equal(db, 0.0)
+        _, grad = generator_backward(gen, disc, rng.random((5, 3)))
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_generator_step_leaves_discriminator_untouched(self, rng):
         gen = init_mlp((3, 4, 1), rng)
         disc = init_mlp((4, 4, 1), rng)
         before_w = [w.copy() for w in disc.weights]
-        _, g_grads = generator_backward(gen, disc, rng.random((5, 3)))
-        opt_step(gen, g_grads, OptState.for_model(gen))
+        _, g_grad = generator_backward(gen, disc, rng.random((5, 3)))
+        opt_step(gen, g_grad, OptState.for_model(gen))
         for w_now, w_then in zip(disc.weights, before_w):
             np.testing.assert_array_equal(w_now, w_then)
 
@@ -283,27 +313,24 @@ class TestBackward:
 class TestOptStep:
     def test_zero_gradients_leave_parameters(self, rng):
         model = init_mlp((2, 3, 1), rng)
-        before = [w.copy() for w in model.weights]
-        grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(model.weights, model.biases)]
-        opt_step(model, grads, OptState.for_model(model))
-        for w_now, w_then in zip(model.weights, before):
-            np.testing.assert_array_equal(w_now, w_then)
+        before = model.params.copy()
+        opt_step(model, np.zeros_like(model.params), OptState.for_model(model))
+        np.testing.assert_array_equal(model.params, before)
 
     def test_single_adam_update_hand_computed(self):
         # one parameter, gradient g: m=(1-b1)g, v=(1-b2)g^2, bias-corrected
         # m_hat=g, v_hat=g^2, step = lr * g / (|g| + eps)
         model = MlpModel((1, 1), [np.array([[0.25]])], [np.array([0.0])])
         g = 0.37
-        grads = [(np.array([[g]]), np.array([0.0]))]
+        grad = np.array([g, 0.0])  # W0[0, 0], b0[0]
         state = OptState.for_model(model, learning_rate=1e-3)
-        opt_step(model, grads, state)
+        opt_step(model, grad, state)
         expected = 0.25 - 1e-3 * g / (math.sqrt(g * g) + 1e-8)
         assert model.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_sgd_update(self):
         model = MlpModel((1, 1), [np.array([[1.0]])], [np.array([0.5])])
-        grads = [(np.array([[0.2]]), np.array([-0.4]))]
-        opt_step(model, grads, OptState(kind="sgd", learning_rate=0.1))
+        opt_step(model, np.array([0.2, -0.4]), OptState(kind="sgd", learning_rate=0.1))
         assert model.weights[0][0, 0] == pytest.approx(0.98)
         assert model.biases[0][0] == pytest.approx(0.54)
 
@@ -312,12 +339,9 @@ class TestOptStep:
             r = np.random.default_rng(3)
             model = init_mlp((2, 3, 1), r)
             state = OptState.for_model(model)
-            grads = [
-                (np.full_like(w, 0.1), np.full_like(b, -0.2))
-                for w, b in zip(model.weights, model.biases)
-            ]
+            grad = layer_filled(model, 0.1, -0.2)
             for _ in range(5):
-                opt_step(model, grads, state)
+                opt_step(model, grad, state)
             return model.weights[0].copy()
 
         np.testing.assert_array_equal(run_once(), run_once())
@@ -379,11 +403,7 @@ class TestCheckpoint:
     def test_roundtrip_with_optimizer_state(self, tmp_path, rng):
         model = init_mlp((3, 4, 1), rng)
         state = OptState.for_model(model)
-        grads = [
-            (np.full_like(w, 0.05), np.full_like(b, 0.02))
-            for w, b in zip(model.weights, model.biases)
-        ]
-        opt_step(model, grads, state)
+        opt_step(model, layer_filled(model, 0.05, 0.02), state)
         path = tmp_path / "model.npz"
         save_model(path, model, state, seed=11, kind="generator")
         back, back_state, meta = load_model(path)
@@ -391,7 +411,7 @@ class TestCheckpoint:
         for w1, w2 in zip(back.weights, model.weights):
             np.testing.assert_array_equal(w1, w2)
         assert back_state.step_count == 1
-        np.testing.assert_array_equal(back_state.moment1[0][0], state.moment1[0][0])
+        np.testing.assert_array_equal(back_state.moment1, state.moment1)
         assert meta["seed"] == 11
         assert meta["kind"] == "generator"
 
@@ -405,4 +425,26 @@ class TestCheckpoint:
         data["format_version"] = np_.array(99)
         np_.savez(path, **data)
         with pytest.raises(ValueError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["W1", "b0", "m2W1", "opt_lr"])
+    def test_missing_array_rejected(self, tmp_path, rng, key):
+        model = init_mlp((3, 4, 1), rng)
+        path = tmp_path / "model.npz"
+        save_model(path, model, OptState.for_model(model))
+        data = dict(np.load(path, allow_pickle=False))
+        del data[key]
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=f"no '{key}' array"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, value", [("W0", np.nan), ("b1", np.inf), ("m1b0", -np.inf)])
+    def test_non_finite_array_rejected(self, tmp_path, rng, key, value):
+        model = init_mlp((3, 4, 1), rng)
+        path = tmp_path / "model.npz"
+        save_model(path, model, OptState.for_model(model))
+        data = dict(np.load(path, allow_pickle=False))
+        data[key].flat[0] = value
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=f"'{key}' is not finite"):
             load_model(path)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from matchgan.features import Instance, InstancePool
 from matchgan.training import (
     RunState,
     TrainConfig,
+    _labeled_arrays,
+    _MinibatchSampler,
     inner_train,
     predict,
     propagate,
@@ -54,6 +60,127 @@ def twin_problem(n_per_class=10, data_seed=5):
         round_index=0,
     )
     return pool, partition, state
+
+
+# The training iteration as it ran before each model's parameters became
+# one flat vector: per-layer arrays, a logistic split by boolean masks and
+# np.clip, hstack-built inputs, a second generator pass for the generator's
+# update, and Adam layer by layer. inner_train must reproduce it bit for bit.
+def _ref_forward(layers, X, acts=None):
+    a = X
+    for w, b in layers[:-1]:
+        if acts is not None:
+            acts.append(a)
+        a = a @ w.T
+        a += b
+        np.maximum(a, 0.0, out=a)
+    if acts is not None:
+        acts.append(a)
+    z = (a @ layers[-1][0].T + layers[-1][1])[:, 0]
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, nn.OUTPUT_EPS, 1.0 - nn.OUTPUT_EPS)
+
+
+def _ref_backprop(layers, out, acts, dloss_dout):
+    delta = (dloss_dout * out * (1.0 - out))[:, None]
+    grads = [None] * len(layers)
+    for ell in range(len(layers) - 1, -1, -1):
+        grads[ell] = (delta.T @ acts[ell], delta.sum(axis=0))
+        dprev = delta @ layers[ell][0]
+        if ell > 0:
+            dprev = dprev * (acts[ell] > 0.0)
+        delta = dprev
+    return grads, delta
+
+
+def _ref_adam(layers, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    for ell, layer_grads in enumerate(grads):
+        for which, grad in enumerate(layer_grads):
+            m, v = moments[0][ell][which], moments[1][ell][which]
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            layers[ell][which] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
+    """Layers and Adam moments (lists of (W, b)) of both models, plus the
+    mean objective and loss, after iters reference iterations."""
+    G = [[w.copy(), b.copy()] for w, b in zip(gen.weights, gen.biases)]
+    D = [[w.copy(), b.copy()] for w, b in zip(disc.weights, disc.biases)]
+    mg, md = ([[[np.zeros_like(a) for a in layer] for layer in m] for _ in range(2)] for m in (G, D))
+    u_rows = np.flatnonzero(state.round_added != 0)
+    lab_X, lab_y = _labeled_arrays(pool, state)
+    real_size = min(cfg.batch_size, lab_X.shape[0])
+    sampler = _MinibatchSampler(
+        partition.populations(u_rows), u_rows, min(cfg.batch_size, len(u_rows)),
+        cfg.variant != "no_diversity",
+    )
+    d_sum = g_sum = 0.0
+    for t in range(1, iters + 1):
+        Xf = pool.features[sampler.draw(rng)]
+        g_soft = _ref_forward(G, Xf)
+        fake_in = np.hstack([Xf, (g_soft > 0.5).astype(np.float64)[:, None]])
+        ridx = rng.choice(lab_X.shape[0], size=real_size, replace=False)
+        real_in = np.hstack([lab_X[ridx], lab_y[ridx][:, None]])
+        fake_acts, real_acts = [], []
+        d_fake = _ref_forward(D, fake_in, fake_acts)
+        d_real = _ref_forward(D, real_in, real_acts)
+        d_sum += float(np.mean(np.log(1.0 - d_fake)) + cfg.real_weight * np.mean(np.log(d_real)))
+        grads_f, _ = _ref_backprop(D, d_fake, fake_acts, 1.0 / (len(d_fake) * (1.0 - d_fake)))
+        grads_r, _ = _ref_backprop(D, d_real, real_acts, -cfg.real_weight / (len(d_real) * d_real))
+        d_grads = [(gf[0] + gr[0], gf[1] + gr[1]) for gf, gr in zip(grads_f, grads_r)]
+        _ref_adam(D, d_grads, md, t, cfg.disc_learning_rate)
+        g_acts, d_acts = [], []
+        g_out = _ref_forward(G, Xf, g_acts)
+        d_out = _ref_forward(D, np.hstack([Xf, g_out[:, None]]), d_acts)
+        g_sum += float(np.mean(np.log(1.0 - d_out)))
+        _, dinput = _ref_backprop(D, d_out, d_acts, -1.0 / (len(d_out) * (1.0 - d_out)))
+        g_grads, _ = _ref_backprop(G, g_out, g_acts, dinput[:, -1])
+        _ref_adam(G, g_grads, mg, t, cfg.learning_rate)
+    return G, D, mg, md, d_sum / iters, g_sum / iters
+
+
+def _flat(layers):
+    return np.concatenate([a.ravel() for layer in layers for a in layer])
+
+
+def inner_train_mismatches(iters=50):
+    """Names of the values where inner_train and the reference differ."""
+    pool, partition, _ = small_problem()
+    state = RunState(len(pool))
+    state.add(np.arange(0, len(pool), 4), pool.real_labels[::4], round_index=0)
+    pseudo = np.arange(2, len(pool), 8)
+    state.add(pseudo, pool.real_labels[pseudo], round_index=1)
+    bad = []
+    for cfg in (
+        TrainConfig(seed=3, batch_size=16, real_weight=0.7),
+        TrainConfig(seed=4, batch_size=500, variant="no_diversity"),
+    ):
+        rng = np.random.default_rng(cfg.seed)
+        gen = nn.init_mlp((pool.n_features, *cfg.gen_hidden, 1), rng)
+        disc = nn.init_mlp((pool.n_features + 1, *cfg.disc_hidden, 1), rng)
+        ref = _ref_inner_train(gen, disc, pool, state, cfg, partition,
+                               np.random.default_rng(cfg.seed), iters)
+        opt_g = nn.OptState.for_model(gen, cfg.optimizer, cfg.learning_rate)
+        opt_d = nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate)
+        _, _, stats = inner_train(gen, disc, pool, state, cfg, partition,
+                                  np.random.default_rng(cfg.seed), opt_g, opt_d, iters=iters)
+        got = (gen.params, disc.params, opt_g.moment1, opt_g.moment2,
+               opt_d.moment1, opt_d.moment2, stats["d_objective"], stats["g_loss"])
+        want = (_flat(ref[0]), _flat(ref[1]), _flat(ref[2][0]), _flat(ref[2][1]),
+                _flat(ref[3][0]), _flat(ref[3][1]), ref[4], ref[5])
+        names = ("gen", "disc", "gen m1", "gen m2", "disc m1", "disc m2", "d_objective", "g_loss")
+        bad += [f"{cfg.variant}: {name}" for name, a, b in zip(names, got, want)
+                if np.asarray(a).tobytes() != np.asarray(b).tobytes()]
+    return bad
 
 
 class TestLabeledPool:
@@ -190,6 +317,21 @@ class TestInnerTrain:
         inner_train(gen, disc, pool, labeled, cfg, partition, rng, iters=0)
         for now, then in zip(gen.weights + disc.weights, w_gen + w_disc):
             np.testing.assert_array_equal(now, then)
+
+    def test_bitwise_equal_to_reference_loop(self):
+        # on one BLAS thread, as the benchmark runs; several threads may
+        # split a product where OpenBLAS chooses
+        one_thread = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
+        here = Path(__file__).resolve().parent
+        src = str(Path(nn.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import test_training; print(test_training.inner_train_mismatches())"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, **one_thread, "PYTHONPATH": os.pathsep.join([src, str(here)])},
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_empty_labeled_pool_rejected(self):
         pool, partition, _ = small_problem()
