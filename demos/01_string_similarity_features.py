@@ -44,8 +44,7 @@ papers = RecordSet(
 
 print("\nall candidate pairs (C(4,2) = 6):")
 for r_i, r_j in generate_pairs(papers):
-    inst = featurize_pair(r_i, r_j)
-    print(f"  ({r_i.id},{r_j.id}) features {inst.features.round(3)}")
+    print(f"  ({r_i.id},{r_j.id}) features {featurize_pair(r_i, r_j).round(3)}")
 
 # --- token blocking shrinks the candidate set ------------------------------
 blocks = block_by_token(papers, "title")

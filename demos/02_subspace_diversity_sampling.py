@@ -8,7 +8,6 @@ captures match instances with a 50-label budget.
 import numpy as np
 
 from matchgan import (
-    InstancePool,
     SyntheticConfig,
     build_partition,
     diverse_sample,
@@ -16,10 +15,9 @@ from matchgan import (
     l21_norm,
 )
 
-instances, gold = generate_synthetic(
+pool, gold = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=123)
 )
-pool = InstancePool.from_instances(instances)
 partition = build_partition(pool.ids, pool.features)
 
 print(f"pool: {len(pool)} instances, {len(gold)} matches, {partition.b} subspaces")

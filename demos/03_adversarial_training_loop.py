@@ -6,10 +6,7 @@ phase the most confidently pseudo-labeled instances join the labeled pool
 until nothing is left, and the propagated labels are scored against truth.
 """
 
-import numpy as np
-
 from matchgan import (
-    InstancePool,
     SyntheticConfig,
     TrainConfig,
     build_partition,
@@ -17,12 +14,12 @@ from matchgan import (
     run,
 )
 from matchgan.evaluation import evaluate_run
+from matchgan.features import LABEL_NAMES
 from matchgan.training import predict
 
-instances, gold = generate_synthetic(
+pool, gold = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=123)
 )
-pool = InstancePool.from_instances(instances)
 partition = build_partition(pool.ids, pool.features)
 
 cfg = TrainConfig(seed=61)
@@ -49,6 +46,6 @@ print(
 held_out, _ = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=50, n_features=4, separation=0.9, seed=999)
 )
-labels = predict(result.generator, np.vstack([inst.features for inst in held_out]))
-correct = sum(1 for inst, lab in zip(held_out, labels) if inst.real_label == lab)
+labels = predict(result.generator, held_out.features)
+correct = sum(1 for truth, lab in zip(LABEL_NAMES[held_out.real_labels], labels) if truth == lab)
 print(f"held-out accuracy via predict(): {correct}/{len(held_out)}")

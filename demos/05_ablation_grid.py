@@ -7,7 +7,6 @@ uniform label budget misses the minority class entirely.
 """
 
 from matchgan import (
-    InstancePool,
     SyntheticConfig,
     TrainConfig,
     build_partition,
@@ -16,10 +15,9 @@ from matchgan import (
 )
 from matchgan.evaluation import format_table
 
-instances, gold = generate_synthetic(
+pool, gold = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=123)
 )
-pool = InstancePool.from_instances(instances)
 partition = build_partition(pool.ids, pool.features)
 
 table = run_ablation_suite(

@@ -25,7 +25,6 @@ from .diversity import (
     SubspacePartition,
     build_partition,
     compute_medians,
-    assign_subspace,
     diverse_sample,
     l21_norm,
     load_partition,
@@ -40,7 +39,6 @@ from .evaluation import (
 )
 from .features import (
     BlockingSpec,
-    Instance,
     InstancePool,
     block_by_token,
     featurize_pair,
@@ -54,7 +52,6 @@ from .nn import (
     DiscreteJointDistribution,
     MlpModel,
     OptState,
-    forward,
     forward_batch,
     init_mlp,
     load_model,

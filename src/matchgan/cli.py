@@ -50,19 +50,26 @@ from .features import (
 from .nn import CHECKPOINT_FORMAT_VERSION, load_model, save_model
 from .training import TrainConfig, predict, run, write_report
 
+
+def _parse_hidden(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_propagate(text: str) -> int | None:
+    return None if text == "pool" else int(text)
+
+
+# How the text of each TrainConfig field (a config value or a flag) is
+# read: by the type of its default unless a parser is listed here.
+_PARSERS = {
+    "gen_hidden": _parse_hidden,
+    "disc_hidden": _parse_hidden,
+    "propagate_count": _parse_propagate,  # integer or "pool"
+    "variant": lambda text: text.replace("-", "_"),
+}
 _CONFIG_KEYS = {
-    "batch_size": int,
-    "real_weight": float,
-    "inner_iters": int,
-    "propagate_count": str,  # integer or "pool"
-    "seed": int,
-    "gen_hidden": str,
-    "disc_hidden": str,
-    "optimizer": str,
-    "learning_rate": float,
-    "disc_optimizer": str,
-    "disc_learning_rate": float,
-    "variant": str,
+    field.name: _PARSERS.get(field.name, type(field.default))
+    for field in dataclasses.fields(TrainConfig)
 }
 
 
@@ -82,29 +89,15 @@ def read_config_file(path: str | Path) -> dict:
     return values
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_propagate(text: str) -> int | None:
-    return None if text == "pool" else int(text)
-
-
 def build_train_config(args) -> TrainConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
-    for field in dataclasses.fields(TrainConfig):
-        if getattr(args, field.name) is not None:
-            values[field.name] = getattr(args, field.name)
-    if "gen_hidden" in values and isinstance(values["gen_hidden"], str):
-        values["gen_hidden"] = _parse_hidden(values["gen_hidden"])
-    if "disc_hidden" in values and isinstance(values["disc_hidden"], str):
-        values["disc_hidden"] = _parse_hidden(values["disc_hidden"])
-    if "propagate_count" in values and isinstance(values["propagate_count"], str):
-        values["propagate_count"] = _parse_propagate(values["propagate_count"])
-    if "variant" in values:
-        values["variant"] = values["variant"].replace("-", "_")
+    for name, parse in _CONFIG_KEYS.items():
+        value = getattr(args, name)
+        if value is not None:
+            # flags without an argparse type arrive as text
+            values[name] = parse(value) if isinstance(value, str) else value
     return TrainConfig(**values)
 
 
@@ -166,12 +159,12 @@ def cmd_synth(args) -> int:
         separation=args.separation,
         seed=args.seed if args.seed is not None else 0,
     )
-    instances, gold = generate_synthetic(cfg)
+    pool, gold = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_instance_file(out / "instances.tsv", instances)
+    write_instance_file(out / "instances.tsv", pool)
     save_gold(gold, out / "gold.csv")
-    print(f"wrote {len(instances)} instances ({len(gold)} matches) to {out}")
+    print(f"wrote {len(pool)} instances ({len(gold)} matches) to {out}")
     return 0
 
 
@@ -258,12 +251,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ids, features, _, _ = read_instance_file(args.instances)
+    pool, _ = _load_pool(args.instances)
     model, _, _ = load_model(args.model)
-    labels = predict(model, features)
-    by_id = dict(zip(ids, labels))
-    order = sorted(by_id)
-    _write_labels_file(Path(args.out), order, [by_id[pid] for pid in order])
+    labels = predict(model, pool.features)
+    _write_labels_file(Path(args.out), pool.ids, labels)
     print(f"wrote {len(labels)} labels to {args.out}")
     return 0
 

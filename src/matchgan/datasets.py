@@ -2,9 +2,10 @@
 
 Datasets arrive as delimited text with a header row. Gold standards are
 two-column files of matching id pairs; every pair not listed is a
-non-match. The synthetic generator emits pair feature vectors directly
-(no record form), with class overlap controlled by a single knob, so
-imbalanced workloads of any size can be produced deterministically.
+non-match. The synthetic generator emits an InstancePool of pair feature
+vectors directly (no record form), built as whole columns, with class
+overlap controlled by a single knob, so imbalanced workloads of any size
+can be produced deterministically.
 """
 
 from __future__ import annotations
@@ -207,14 +208,14 @@ def class_feature_params(separation: float) -> tuple[tuple[float, float], tuple[
 
 
 def generate_synthetic(cfg: SyntheticConfig):
-    """Deterministically generate labeled pair instances plus a gold standard.
+    """Deterministically generate a labeled instance pool plus a gold standard.
 
     Match feature vectors are drawn near 1, non-matches near 0 (with a
     separation-scaled fraction of features exactly 0.0). Returns
-    (instances, gold) with class counts exactly n_matches and
-    n_matches * imbalance_rate.
+    (InstancePool, GoldStandard) with class counts exactly n_matches and
+    n_matches * imbalance_rate; the matches come first in pair-id order.
     """
-    from .features import Instance
+    from .features import LABEL_CODES, InstancePool
 
     rng = np.random.default_rng(cfg.seed)
     n_non = cfg.n_matches * cfg.imbalance_rate
@@ -226,14 +227,9 @@ def generate_synthetic(cfg: SyntheticConfig):
     non_feats[zero_mask] = 0.0
 
     width = len(str(cfg.n_matches + n_non))
+    ids = [(f"s{k:0{width}d}a", f"s{k:0{width}d}b") for k in range(cfg.n_matches + n_non)]
     gold = GoldStandard()
-    instances: list[Instance] = []
-    for i in range(cfg.n_matches):
-        pair = (f"s{i:0{width}d}a", f"s{i:0{width}d}b")
+    for pair in ids[: cfg.n_matches]:
         gold.add(*pair)
-        instances.append(Instance(pair=pair, features=match_feats[i], real_label=MATCH))
-    for j in range(n_non):
-        k = cfg.n_matches + j
-        pair = (f"s{k:0{width}d}a", f"s{k:0{width}d}b")
-        instances.append(Instance(pair=pair, features=non_feats[j], real_label=NON_MATCH))
-    return instances, gold
+    labels = np.repeat([LABEL_CODES[MATCH], LABEL_CODES[NON_MATCH]], [cfg.n_matches, n_non])
+    return InstancePool(ids, np.vstack([match_feats, non_feats]), labels), gold

@@ -34,22 +34,6 @@ def compute_medians(features: np.ndarray) -> np.ndarray:
     return ordered[(features.shape[0] - 1) // 2]
 
 
-def assign_subspace(features: np.ndarray, medians: np.ndarray) -> int:
-    """Subspace index with bit k set iff feature k exceeds median k.
-
-    Feature 0 is the least-significant bit; values equal to the median
-    fall on the 0 side.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    medians = np.asarray(medians, dtype=np.float64)
-    if features.shape != medians.shape:
-        raise ValueError(
-            f"dimension mismatch: {features.shape} features vs {medians.shape} medians"
-        )
-    bits = features > medians
-    return int(np.sum(bits * (1 << np.arange(bits.shape[0]))))
-
-
 @dataclass
 class SubspacePartition:
     """Median thresholds over selected features and the induced assignment.
@@ -72,7 +56,9 @@ class SubspacePartition:
         return 1 << len(self.feature_indices)
 
     def assign_all(self, ids: Sequence, features: np.ndarray) -> None:
-        """Assign every row of features; ids[r] names row r."""
+        """Assign every row of features; ids[r] names row r. Bit k of a
+        row's subspace is set iff selected feature k exceeds medians[k], so
+        the first is the least-significant bit and a tie falls on the 0 side."""
         if len(ids) != features.shape[0]:
             raise ValueError(f"{len(ids)} ids for {features.shape[0]} feature rows")
         _check_feature_indices(self.feature_indices, features.shape[1])

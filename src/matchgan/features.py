@@ -8,8 +8,9 @@ q-gram set becomes a row of gram ids, a tile's intersection counts come
 from one product of 0/1 indicator blocks, and Jaccard is
 I / (|A| + |B| - I). qgram_jaccard, featurize_pair and generate_pairs
 stay as the scalar reference that this kernel reproduces bit for bit.
-Reading a file back yields three columns per pool (an id list, a float64
-feature matrix and an int8 label column) rather than one object per row.
+A pool lives in memory only as InstancePool's columns (an id list, a
+float64 feature matrix and an int8 label column), and the instance file
+is read into and written from those columns; no object stands for a row.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,51 +45,49 @@ def _valid_rows(features: np.ndarray) -> np.ndarray:
     return ok.all(axis=-1)
 
 
-@dataclass
-class Instance:
-    """Feature vector of one record pair, optionally carrying its real label."""
+def _check_columns(ids: list[PairId], features: np.ndarray,
+                   labels: np.ndarray) -> tuple[int, str] | None:
+    """(row, message) of the first row that breaks an instance rule, or None.
 
-    pair: PairId
-    features: np.ndarray
-    real_label: str | None = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.pair[0] == self.pair[1]:
-            raise IngestError(f"instance pair ids must be distinct: {self.pair}")
-        if self.features.ndim != 1:
-            raise IngestError("instance features must be a flat vector")
-        if not _valid_rows(self.features):
-            raise IngestError(_FEATURE_RULE)
-        if self.real_label is not None and self.real_label not in LABEL_CODES:
-            raise IngestError(f"unknown label {self.real_label!r}")
+    Every feature must be finite and in [0, 1], the two ids of a pair must
+    differ and a label code must be UNLABELED, 0 or 1.
+    """
+    faults = []
+    valid = _valid_rows(features)
+    if not valid.all():
+        faults.append((int(np.argmin(valid)), _FEATURE_RULE))
+    row = next(itertools.compress(itertools.count(), itertools.starmap(operator.eq, ids)), None)
+    if row is not None:
+        faults.append((row, f"instance pair ids must be distinct: {ids[row]}"))
+    bad = np.flatnonzero((labels < UNLABELED) | (labels > 1))
+    if len(bad):
+        faults.append((int(bad[0]), f"unknown label code {labels[bad[0]]}"))
+    return min(faults, default=None)
 
 
 class InstancePool:
-    """Pool columns in canonical row order, split into labeled and unlabeled rows.
+    """Pool columns in canonical row order.
 
     Rows are sorted by pair id, so positional indices are deterministic and
-    id-ascending. real_labels holds one label code per row (UNLABELED where
-    the truth is unknown). The labeled and unlabeled row sets are disjoint
-    and together cover every row.
+    id-ascending. features is a float64 (rows, attributes) matrix and
+    real_labels holds one label code per row (UNLABELED where the truth is
+    unknown). Which rows a run has labeled is kept by the run, not here.
     """
 
-    def __init__(self, ids: list[PairId], features: np.ndarray, real_labels: np.ndarray,
-                 labeled_ids: Iterable[PairId] = ()):
+    def __init__(self, ids: list[PairId], features: np.ndarray, real_labels: np.ndarray):
+        features = np.asarray(features, dtype=np.float64)
+        real_labels = np.asarray(real_labels, dtype=np.int8)
+        if features.ndim != 2 or len(features) != len(ids) or real_labels.shape != (len(ids),):
+            raise IngestError("a pool needs one feature row and one label code per pair id")
+        fault = _check_columns(ids, features, real_labels)
+        if fault is not None:
+            raise IngestError(fault[1])
         order = sorted(range(len(ids)), key=ids.__getitem__)
         self.ids: list[PairId] = [ids[k] for k in order]
         if any(map(operator.eq, self.ids, self.ids[1:])):
             raise IngestError("duplicate pair ids in pool")
-        self.features = np.asarray(features, dtype=np.float64)[order]
-        self.real_labels = np.asarray(real_labels, dtype=np.int8)[order]
-        self.set_labeled(labeled_ids)
-
-    @classmethod
-    def from_instances(cls, instances: Iterable[Instance], labeled_ids=()) -> InstancePool:
-        instances = list(instances)
-        features = np.vstack([i.features for i in instances]) if instances else np.empty((0, 0))
-        labels = [LABEL_CODES.get(i.real_label, UNLABELED) for i in instances]
-        return cls([i.pair for i in instances], features, labels, labeled_ids)
+        self.features = features[order]
+        self.real_labels = real_labels[order]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -102,21 +101,6 @@ class InstancePool:
         if row == len(self.ids) or self.ids[row] != pair_id:
             raise KeyError(pair_id)
         return row
-
-    def set_labeled(self, labeled_ids: Iterable[PairId]) -> None:
-        mask = np.zeros(len(self.ids), dtype=bool)
-        mask[[self.row_of(pid) for pid in set(labeled_ids)]] = True
-        self.labeled_rows = np.flatnonzero(mask)
-        self.unlabeled_rows = np.flatnonzero(~mask)
-
-    def instance(self, pair_id: PairId) -> Instance:
-        row = self.row_of(pair_id)
-        code = self.real_labels[row]
-        return Instance(
-            pair=pair_id,
-            features=self.features[row],
-            real_label=None if code == UNLABELED else str(LABEL_NAMES[code]),
-        )
 
 
 @dataclass(frozen=True)
@@ -154,18 +138,17 @@ def featurize_pair(
     r_j: Record,
     sim: Callable[[str, str, int], float] = qgram_jaccard,
     q: int = 2,
-    real_label: str | None = None,
-) -> Instance:
-    """Instance whose k-th feature is sim applied to attribute k of both records."""
+) -> np.ndarray:
+    """Feature vector whose k-th value is sim applied to attribute k of both
+    records."""
     if len(r_i.attributes) != len(r_j.attributes):
         raise IngestError(
             f"schema mismatch: {len(r_i.attributes)} vs {len(r_j.attributes)} attributes"
         )
-    feats = np.array(
+    return np.array(
         [sim(a, b, q) for a, b in zip(r_i.attributes, r_j.attributes)],
         dtype=np.float64,
     )
-    return Instance(pair=(r_i.id, r_j.id), features=feats, real_label=real_label)
 
 
 def block_by_token(records: RecordSet, attr: str) -> dict[str, list[str]]:
@@ -371,8 +354,8 @@ def _gather(starts: np.ndarray, ids: np.ndarray, rows: np.ndarray):
 def _write_tile(fh, ids_a: np.ndarray, ids_b: np.ndarray, feats: np.ndarray, labels) -> None:
     """Write one tile of instance rows, calling repr once per distinct value.
 
-    Values are told apart by their bits, so repr sees exactly the floats
-    _write_instance_rows would.
+    Values are told apart by their bits, so each float is written as its
+    own repr.
     """
     bits, inverse = np.unique(feats.view(np.int64), return_inverse=True)
     table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
@@ -398,38 +381,25 @@ def _write_instance_header(fh, schema: tuple[str, ...], q: int, labeled: bool) -
     fh.write("\t".join(cols) + "\n")
 
 
-def _write_instance_rows(fh, rows, labeled: bool) -> int:
-    for id_a, id_b, feats, label in rows:
-        cells = [id_a, id_b, *(repr(v) for v in feats)]
-        if labeled:
-            cells.append(label)
-        fh.write("\t".join(cells) + "\n")
-    return len(rows)
-
-
 def write_instance_file(
     path: str | Path,
-    instances: Iterable[Instance],
+    pool: InstancePool,
     schema: tuple[str, ...] | None = None,
     q: int = 2,
 ) -> None:
-    instances = list(instances)
-    labeled = any(inst.real_label is not None for inst in instances)
+    """Write a pool's rows in row order, PAIR_TILE rows at a time. The label
+    column is written only when some row has a real label; an unlabeled
+    row's cell is then empty."""
+    labeled = bool(np.any(pool.real_labels != UNLABELED))
     if schema is None:
-        width = instances[0].features.shape[0] if instances else 0
-        schema = tuple(f"f{k}" for k in range(width))
-    rows = [
-        (
-            inst.pair[0],
-            inst.pair[1],
-            inst.features.tolist(),
-            inst.real_label or "",
-        )
-        for inst in instances
-    ]
+        schema = tuple(f"f{k}" for k in range(pool.n_features))
+    cells = np.where(pool.real_labels == UNLABELED, "", LABEL_NAMES[pool.real_labels])
     with Path(path).open("w", encoding="utf-8") as fh:
         _write_instance_header(fh, schema, q, labeled)
-        _write_instance_rows(fh, rows, labeled)
+        for lo in range(0, len(pool), PAIR_TILE):
+            ids = np.array(pool.ids[lo : lo + PAIR_TILE], dtype=object)
+            _write_tile(fh, ids[:, 0], ids[:, 1], pool.features[lo : lo + PAIR_TILE],
+                        cells[lo : lo + PAIR_TILE] if labeled else None)
 
 
 def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.ndarray, dict]:
@@ -477,17 +447,14 @@ def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.n
             label_cells.extend(row[-1] if has_label else "" for row in rows)
 
     features = np.concatenate(blocks or [np.empty(0)]).reshape(len(ids), n_feats)
-    valid = _valid_rows(features)
-    if not valid.all():
-        raise _row_fault(path, int(np.argmin(valid)), _FEATURE_RULE)
-    for k, (id_a, id_b) in enumerate(ids):
-        if id_a == id_b:
-            raise _row_fault(path, k, f"instance pair ids must be distinct: {ids[k]}")
     codes = {**LABEL_CODES, "": UNLABELED}
     for k, cell in enumerate(label_cells):
         if cell not in codes:
             raise _row_fault(path, k, f"unknown label {cell!r}")
     labels = np.array([codes[cell] for cell in label_cells], dtype=np.int8)
+    fault = _check_columns(ids, features, labels)
+    if fault is not None:
+        raise _row_fault(path, *fault)
     return ids, features, labels, meta
 
 

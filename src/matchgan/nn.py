@@ -150,14 +150,6 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return np.concatenate([forward_pass(model, X[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
 
-def forward(model: MlpModel, x: np.ndarray) -> float:
-    """Feed-forward value for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward expects a single flat input vector")
-    return float(forward_batch(model, x[None, :])[0])
-
-
 def backprop(model: MlpModel, out: np.ndarray, activations, dloss_dout: np.ndarray,
              want_params: bool = True, want_input: bool = False):
     """Gradients of a scalar loss w.r.t. the parameters and the input.

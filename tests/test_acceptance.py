@@ -47,12 +47,11 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def synthetic_runs():
-    instances, gold = generate_synthetic(
+    pool, gold = generate_synthetic(
         SyntheticConfig(
             n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=DATA_SEED
         )
     )
-    pool = InstancePool.from_instances(instances)
     partition = build_partition(pool.ids, pool.features)
     results = {}
     for variant in ("full", "no_diversity"):
@@ -174,10 +173,9 @@ def test_criterion_4_algorithm_structure():
     """(a) fixed count 3 over 10 unlabeled instances -> exactly 4 rounds;
     (b) the labeled pool grows monotonically, never relabeling;
     (c) the pool-size rule halts within ceil(log2(total/seeds)) + 1 rounds."""
-    instances, gold = generate_synthetic(
+    pool, gold = generate_synthetic(
         SyntheticConfig(n_matches=2, imbalance_rate=6, separation=0.9, seed=1)
     )
-    pool = InstancePool.from_instances(instances)
     partition = build_partition(pool.ids, pool.features)
     seed_labels = {pid: gold.label_of(*pid) for pid in pool.ids[:4]}
 
@@ -201,10 +199,9 @@ def test_criterion_4_algorithm_structure():
     assert sizes[-1] == len(pool)
 
     # (c) pool-size rule bound
-    instances2, gold2 = generate_synthetic(
+    pool2, gold2 = generate_synthetic(
         SyntheticConfig(n_matches=5, imbalance_rate=30, separation=0.9, seed=2)
     )
-    pool2 = InstancePool.from_instances(instances2)
     partition2 = build_partition(pool2.ids, pool2.features)
     budget = 6
     cfg2 = TrainConfig(seed=0, inner_iters=5)

@@ -251,6 +251,24 @@ class TestBadInput:
         assert message in self._single_error(capsys)
         assert not labels.exists()
 
+    def test_predict_rejects_repeated_pair_id(self, tmp_path, capsys):
+        import numpy as np
+
+        from matchgan.nn import init_mlp, save_model
+
+        inst = tmp_path / "inst.tsv"
+        inst.write_text(
+            "# instances v1 q=2\nid_a\tid_b\tf0\n"
+            "a\tb\t0.1\nc\td\t0.2\na\tb\t0.3\na\tb\t0.4\n"
+        )
+        model_path = tmp_path / "generator.npz"
+        save_model(model_path, init_mlp((1, 2, 1), np.random.default_rng(0)))
+        labels = tmp_path / "pred.tsv"
+        code = run_cli("predict", "--instances", inst, "--model", model_path, "-o", labels)
+        assert code == 1
+        assert "duplicate pair ids" in self._single_error(capsys)
+        assert not labels.exists()
+
     @pytest.mark.parametrize("rid", ["a\tx", "a\nx", "a\rx"])
     def test_record_id_with_tab_or_line_break_rejected(self, tmp_path, capsys, rid):
         records = tmp_path / "records.csv"
@@ -314,6 +332,31 @@ class TestConfigFile:
             ["train", "--instances", "x", "--seed-budget", "1", "-o", "y", "--config", str(cfg)]
         )
         assert build_train_config(args).propagate_count is None
+
+    def test_every_train_config_field_settable_from_file(self, tmp_path):
+        import dataclasses
+
+        from matchgan.cli import build_parser, build_train_config
+        from matchgan.training import TrainConfig
+
+        text = {
+            "batch_size": ("7", 7), "real_weight": ("0.25", 0.25), "inner_iters": ("3", 3),
+            "propagate_count": ("11", 11), "seed": ("9", 9), "gen_hidden": ("8,4", (8, 4)),
+            "disc_hidden": ("6", (6,)), "optimizer": ("sgd", "sgd"),
+            "learning_rate": ("0.01", 0.01), "disc_optimizer": ("sgd", "sgd"),
+            "disc_learning_rate": ("0.02", 0.02), "variant": ("no-adversary", "no_adversary"),
+        }
+        fields = {field.name: field.default for field in dataclasses.fields(TrainConfig)}
+        assert set(text) == set(fields)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, (value, _) in text.items()))
+        args = build_parser().parse_args(
+            ["train", "--instances", "x", "--seed-budget", "1", "-o", "y", "--config", str(cfg)]
+        )
+        built = build_train_config(args)
+        for key, (_, expected) in text.items():
+            assert expected != fields[key]
+            assert getattr(built, key) == expected
 
     def test_variant_hyphen_translation(self):
         from matchgan.cli import build_parser, build_train_config

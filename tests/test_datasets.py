@@ -119,19 +119,22 @@ class TestLoadGold:
 class TestGenerateSynthetic:
     def test_exact_class_counts(self):
         cfg = SyntheticConfig(n_matches=10, imbalance_rate=100, seed=7)
-        instances, gold = generate_synthetic(cfg)
-        labels = [inst.real_label for inst in instances]
-        assert labels.count(MATCH) == 10
-        assert labels.count(NON_MATCH) == 1000
+        pool, gold = generate_synthetic(cfg)
+        assert np.count_nonzero(pool.real_labels == 1) == 10
+        assert np.count_nonzero(pool.real_labels == 0) == 1000
+        assert len(pool) == 1010
         assert len(gold) == 10
+        # gold lists exactly the pairs labeled as matches
+        assert {frozenset(pool.ids[r]) for r in np.flatnonzero(pool.real_labels == 1)} \
+            == gold.matches
 
     def test_separable_at_full_separation(self):
         # oracle: scan every feature; match and non-match value ranges must
         # not overlap on any of them
         cfg = SyntheticConfig(n_matches=10, imbalance_rate=100, separation=1.0, seed=7)
-        instances, _ = generate_synthetic(cfg)
-        m = np.vstack([i.features for i in instances if i.real_label == MATCH])
-        n = np.vstack([i.features for i in instances if i.real_label == NON_MATCH])
+        pool, _ = generate_synthetic(cfg)
+        m = pool.features[pool.real_labels == 1]
+        n = pool.features[pool.real_labels == 0]
         for k in range(cfg.n_features):
             assert n[:, k].max() < m[:, k].min()
 
@@ -139,29 +142,27 @@ class TestGenerateSynthetic:
         cfg = SyntheticConfig(n_matches=5, imbalance_rate=10, seed=3)
         first, _ = generate_synthetic(cfg)
         second, _ = generate_synthetic(cfg)
-        assert [i.pair for i in first] == [i.pair for i in second]
-        np.testing.assert_array_equal(
-            np.vstack([i.features for i in first]),
-            np.vstack([i.features for i in second]),
-        )
+        assert first.ids == second.ids
+        assert first.features.tobytes() == second.features.tobytes()
+        assert first.real_labels.tobytes() == second.real_labels.tobytes()
 
     def test_zero_separation_identical_distributions(self):
         match_range, nonmatch_range, zero_prob = class_feature_params(0.0)
         assert match_range == nonmatch_range
         assert zero_prob == 0.0
         cfg = SyntheticConfig(n_matches=200, imbalance_rate=1, separation=0.0, seed=1)
-        instances, _ = generate_synthetic(cfg)
-        m = np.vstack([i.features for i in instances if i.real_label == MATCH])
-        n = np.vstack([i.features for i in instances if i.real_label == NON_MATCH])
+        pool, _ = generate_synthetic(cfg)
+        m = pool.features[pool.real_labels == 1]
+        n = pool.features[pool.real_labels == 0]
         for arr in (m, n):
             assert arr.min() >= 0.45 and arr.max() <= 0.55
 
     def test_imbalance_ratio_exact(self):
         for rate in (1, 7, 50):
             cfg = SyntheticConfig(n_matches=4, imbalance_rate=rate, seed=0)
-            instances, _ = generate_synthetic(cfg)
-            labels = [i.real_label for i in instances]
-            assert labels.count(NON_MATCH) == rate * labels.count(MATCH)
+            pool, _ = generate_synthetic(cfg)
+            counts = np.bincount(pool.real_labels, minlength=2)
+            assert counts[0] == rate * counts[1]
 
     def test_invalid_configs(self):
         with pytest.raises(IngestError):

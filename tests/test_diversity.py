@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matchgan.diversity import (
-    assign_subspace,
+    SubspacePartition,
     build_partition,
     compute_medians,
     diverse_sample,
@@ -49,20 +49,27 @@ class TestComputeMedians:
             assert med[k] == np.sort(X[:, k])[50]
 
 
+def assign_one(x, medians):
+    """Subspace of the single feature row x under the given medians."""
+    part = SubspacePartition(medians=medians, feature_indices=tuple(range(len(medians))))
+    part.assign_all(["x"], np.atleast_2d(x))
+    return int(part.subspaces[0])
+
+
 class TestAssignSubspace:
     def test_mixed_bits(self):
         # bits (1, 0) with feature 0 least significant -> index 1
-        assert assign_subspace(np.array([0.7, 0.2]), np.array([0.5, 0.5])) == 1
+        assert assign_one(np.array([0.7, 0.2]), np.array([0.5, 0.5])) == 1
 
     def test_at_median_goes_to_zero_side(self):
-        assert assign_subspace(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0
+        assert assign_one(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0
 
     def test_all_above_four_features(self):
-        assert assign_subspace(np.full(4, 0.9), np.full(4, 0.5)) == 15
+        assert assign_one(np.full(4, 0.9), np.full(4, 0.5)) == 15
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            assign_subspace(np.array([0.1]), np.array([0.5, 0.5]))
+            assign_one(np.array([0.1]), np.array([0.5, 0.5]))
 
     def test_total_onto_range_and_partition(self, rng):
         X = rng.random((200, 3))

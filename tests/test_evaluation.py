@@ -12,7 +12,6 @@ from matchgan.evaluation import (
     run_ablation_suite,
     split_pool,
 )
-from matchgan.features import InstancePool
 from matchgan.training import TrainConfig
 
 
@@ -103,10 +102,9 @@ class TestMetrics:
 
 
 def tiny_problem():
-    instances, gold = generate_synthetic(
+    pool, gold = generate_synthetic(
         SyntheticConfig(n_matches=6, imbalance_rate=12, separation=0.9, seed=9)
     )
-    pool = InstancePool.from_instances(instances)
     partition = build_partition(pool.ids, pool.features)
     return pool, partition, gold
 

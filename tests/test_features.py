@@ -10,10 +10,8 @@ from matchgan import features
 from matchgan.datasets import GoldStandard, IngestError, Record, RecordSet
 from matchgan.features import (
     BlockingSpec,
-    Instance,
     InstancePool,
     _write_instance_header,
-    _write_instance_rows,
     block_by_token,
     featurize_pair,
     featurize_to_file,
@@ -25,14 +23,21 @@ from matchgan.features import (
 
 
 def write_reference(path, left, right=None, gold=None, q=2, blocking=None):
-    """The instance file written pair by pair through the scalar kernel."""
-    rows = []
-    for r_i, r_j in generate_pairs(left, right, blocking):
-        label = "" if gold is None else gold.label_of(r_i.id, r_j.id)
-        rows.append((r_i.id, r_j.id, featurize_pair(r_i, r_j, q=q).features.tolist(), label))
+    """The instance file written pair by pair through the scalar kernel,
+    one repr call per feature value."""
     with Path(path).open("w", encoding="utf-8") as fh:
         _write_instance_header(fh, left.schema, q, labeled=gold is not None)
-        _write_instance_rows(fh, rows, labeled=gold is not None)
+        for r_i, r_j in generate_pairs(left, right, blocking):
+            cells = [r_i.id, r_j.id, *map(repr, featurize_pair(r_i, r_j, q=q).tolist())]
+            if gold is not None:
+                cells.append(gold.label_of(r_i.id, r_j.id))
+            fh.write("\t".join(cells) + "\n")
+
+
+def pool_of(rows):
+    """InstancePool of (pair id, features, label code) rows."""
+    ids, feats, labels = zip(*rows)
+    return InstancePool(list(ids), np.array(feats, dtype=np.float64), np.array(labels))
 
 
 # short strings over letters that case-fold together or expand (ß -> ss),
@@ -119,47 +124,63 @@ class TestFeaturizePair:
     def test_all_attributes_equal(self):
         a = Record("x", ("alpha", "beta"))
         b = Record("y", ("alpha", "beta"))
-        inst = featurize_pair(a, b)
-        np.testing.assert_array_equal(inst.features, [1.0, 1.0])
+        np.testing.assert_array_equal(featurize_pair(a, b), [1.0, 1.0])
 
     def test_disjoint_values(self):
         a = Record("x", ("aaaa", "bbbb"))
         b = Record("y", ("cccc", "dddd"))
-        inst = featurize_pair(a, b)
-        np.testing.assert_array_equal(inst.features, [0.0, 0.0])
+        np.testing.assert_array_equal(featurize_pair(a, b), [0.0, 0.0])
 
     def test_derived_two_attribute_example(self):
         a = Record("x", ("abc", "xy"))
         b = Record("y", ("abd", "xy"))
-        inst = featurize_pair(a, b)
-        np.testing.assert_allclose(inst.features, [1 / 3, 1.0])
+        np.testing.assert_allclose(featurize_pair(a, b), [1 / 3, 1.0])
 
     def test_schema_mismatch(self):
         with pytest.raises(IngestError, match="schema mismatch"):
             featurize_pair(Record("x", ("a",)), Record("y", ("a", "b")))
 
-    def test_pair_identity(self):
-        inst = featurize_pair(Record("x", ("a",)), Record("y", ("a",)))
-        assert inst.pair == ("x", "y")
+    def test_pair_identity(self, tmp_path):
+        # the row featurized from records x and y is named by the pair (x, y)
+        x, y = Record("x", ("ab",)), Record("y", ("abc",))
+        featurize_to_file(tmp_path / "inst.tsv", RecordSet(("t",), [y, x]))
+        ids, features, _, _ = read_instance_file(tmp_path / "inst.tsv")
+        assert ids == [("x", "y")]
+        np.testing.assert_array_equal(features, [featurize_pair(x, y)])
 
 
 class TestInstance:
+    """The row rules InstancePool enforces on the columns it is given."""
+
     def test_rejects_self_pair(self):
-        with pytest.raises(IngestError):
-            Instance(pair=("a", "a"), features=np.array([0.5]))
+        with pytest.raises(IngestError, match="distinct"):
+            pool_of([(("c", "d"), [0.5], -1), (("a", "a"), [0.5], -1)])
 
     def test_rejects_out_of_range_features(self):
-        with pytest.raises(IngestError):
-            Instance(pair=("a", "b"), features=np.array([1.5]))
+        with pytest.raises(IngestError, match="lie in"):
+            pool_of([(("a", "b"), [1.5], -1)])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features(self, value):
         with pytest.raises(IngestError, match="finite"):
-            Instance(pair=("a", "b"), features=np.array([0.5, value]))
+            pool_of([(("a", "b"), [0.5, value], -1)])
 
     def test_rejects_unknown_label(self):
-        with pytest.raises(IngestError, match="unknown label"):
-            Instance(pair=("a", "b"), features=np.array([0.5]), real_label="X")
+        with pytest.raises(IngestError, match="unknown label code 2"):
+            pool_of([(("a", "b"), [0.5], 1), (("c", "d"), [0.5], 2)])
+
+    def test_reports_first_bad_row(self):
+        # every row breaks a rule: the NaN of row 0 is reported
+        with pytest.raises(IngestError, match="finite"):
+            InstancePool([("a", "b"), ("c", "c")], [[np.nan], [7.0]], [5, -3])
+        with pytest.raises(IngestError, match="unknown label code 5"):
+            InstancePool([("a", "b"), ("c", "c")], [[0.5], [0.5]], [5, 0])
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(IngestError, match="one feature row"):
+            InstancePool([("a", "b"), ("c", "d")], [[0.5]], [1, 0])
+        with pytest.raises(IngestError, match="one feature row"):
+            InstancePool([("a", "b")], [[0.5]], [1, 0])
 
 
 class TestGeneratePairs:
@@ -258,18 +279,31 @@ class TestBlockByToken:
 
 class TestInstanceFile:
     def test_roundtrip_lossless(self, tmp_path, rng):
-        instances = [
-            Instance((f"a{i}", f"b{i}"), rng.random(3), "M" if i % 2 else "N")
-            for i in range(10)
-        ]
+        pool = pool_of([((f"a{i}", f"b{i}"), rng.random(3), i % 2) for i in range(10)])
         path = tmp_path / "inst.tsv"
-        write_instance_file(path, instances, schema=("t", "u", "v"), q=2)
+        write_instance_file(path, pool, schema=("t", "u", "v"), q=2)
         ids, features, labels, meta = read_instance_file(path)
         assert meta["q"] == 2
         assert meta["schema"] == ("t", "u", "v")
-        assert ids == [i.pair for i in instances]
+        assert ids == pool.ids
         assert labels.tolist() == [1 if i % 2 else 0 for i in range(10)]
-        np.testing.assert_array_equal(features, np.vstack([i.features for i in instances]))
+        np.testing.assert_array_equal(features, pool.features)
+
+    def test_writes_in_blocks_of_pair_tile(self, tmp_path, rng, monkeypatch):
+        pool = pool_of([((f"a{i}", f"b{i}"), rng.random(2), i % 3 - 1) for i in range(7)])
+        whole, tiled = tmp_path / "whole.tsv", tmp_path / "tiled.tsv"
+        write_instance_file(whole, pool)
+        monkeypatch.setattr(features, "PAIR_TILE", 3)
+        write_instance_file(tiled, pool)
+        assert tiled.read_bytes() == whole.read_bytes()
+        assert len(whole.read_text().splitlines()) == 2 + 7
+
+    def test_empty_pool_writes_only_the_header(self, tmp_path):
+        path = tmp_path / "inst.tsv"
+        write_instance_file(path, InstancePool([], np.empty((0, 1)), []), schema=("t",))
+        assert path.read_text() == "# instances v1 q=2\nid_a\tid_b\tt\n"
+        ids, features, labels, _ = read_instance_file(path)
+        assert ids == [] and features.shape == (0, 1) and labels.tolist() == []
 
     @given(
         st.lists(
@@ -281,17 +315,18 @@ class TestInstanceFile:
         )
     )
     def test_roundtrip_property(self, rows):
-        instances = [
-            Instance((f"a{k}", f"b{k}"), np.array(feats), label)
-            for k, (feats, label) in enumerate(rows)
-        ]
+        codes = {"M": 1, "N": 0, None: -1}
+        pool = InstancePool(
+            [(f"a{k:02d}", f"b{k:02d}") for k in range(len(rows))],
+            np.array([feats for feats, _ in rows]).reshape(len(rows), 2),
+            [codes[label] for _, label in rows],
+        )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "inst.tsv"
-            write_instance_file(path, instances, schema=("t", "u"))
+            write_instance_file(path, pool, schema=("t", "u"))
             ids, features, labels, _ = read_instance_file(path)
         labeled = any(label is not None for _, label in rows)
-        codes = {"M": 1, "N": 0, None: -1}
-        assert ids == [inst.pair for inst in instances]
+        assert ids == pool.ids == [(f"a{k:02d}", f"b{k:02d}") for k in range(len(rows))]
         assert labels.tolist() == [codes[label] if labeled else -1 for _, label in rows]
         expected = np.array([feats for feats, _ in rows]).reshape(len(rows), 2)
         assert features.tobytes() == expected.tobytes()
@@ -313,9 +348,8 @@ class TestInstanceFile:
             read_instance_file(path)
 
     def test_unlabeled_file_has_no_label_column(self, tmp_path):
-        instances = [Instance(("a", "b"), np.array([0.5]))]
         path = tmp_path / "inst.tsv"
-        write_instance_file(path, instances)
+        write_instance_file(path, pool_of([(("a", "b"), [0.5], -1)]))
         header = path.read_text().splitlines()[1]
         assert not header.endswith("label")
         _, _, labels, _ = read_instance_file(path)
@@ -371,36 +405,10 @@ class TestInstanceFile:
 
 
 class TestInstancePool:
-    def test_indexes_disjoint_and_covering(self, rng):
-        instances = [
-            Instance((f"a{i}", f"b{i}"), rng.random(2)) for i in range(10)
-        ]
-        pool = InstancePool.from_instances(instances, labeled_ids=[("a3", "b3"), ("a7", "b7")])
-        labeled = set(pool.labeled_rows.tolist())
-        unlabeled = set(pool.unlabeled_rows.tolist())
-        assert labeled.isdisjoint(unlabeled)
-        assert labeled | unlabeled == set(range(10))
-
     def test_rows_sorted_by_pair_id(self, rng):
-        instances = [
-            Instance(("z", "zz"), rng.random(2)),
-            Instance(("a", "aa"), rng.random(2)),
-        ]
-        pool = InstancePool.from_instances(instances)
+        pool = pool_of([(("z", "zz"), rng.random(2), -1), (("a", "aa"), rng.random(2), -1)])
         assert pool.ids == [("a", "aa"), ("z", "zz")]
 
     def test_duplicate_pairs_rejected(self):
-        instances = [
-            Instance(("a", "b"), np.array([0.1])),
-            Instance(("a", "b"), np.array([0.2])),
-        ]
-        with pytest.raises(IngestError):
-            InstancePool.from_instances(instances)
-
-    def test_instance_accessor(self, rng):
-        instances = [Instance((f"a{i}", f"b{i}"), rng.random(2), "M") for i in range(3)]
-        pool = InstancePool.from_instances(instances)
-        inst = pool.instance(("a1", "b1"))
-        assert inst.pair == ("a1", "b1")
-        assert inst.real_label == "M"
-        np.testing.assert_array_equal(inst.features, pool.features[pool.row_of(("a1", "b1"))])
+        with pytest.raises(IngestError, match="duplicate"):
+            pool_of([(("a", "b"), [0.1], -1), (("a", "b"), [0.2], -1)])

@@ -17,7 +17,6 @@ from matchgan.nn import (
     classifier_backward,
     discriminator_backward,
     discriminator_loss,
-    forward,
     forward_batch,
     generator_backward,
     generator_loss,
@@ -73,6 +72,11 @@ def layer_filled(model, w_value, b_value):
         w[...] = w_value
         b[...] = b_value
     return flat
+
+
+def forward(model, x):
+    """The output for one input vector, as a one-row batch."""
+    return forward_batch(model, x[None])[0]
 
 
 class TestForward:

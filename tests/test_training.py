@@ -13,7 +13,7 @@ import matchgan.nn as nn
 from matchgan.datasets import MATCH, NON_MATCH, SyntheticConfig, generate_synthetic
 from matchgan.diversity import build_partition
 from matchgan.evaluation import evaluate_run
-from matchgan.features import Instance, InstancePool
+from matchgan.features import LABEL_NAMES, InstancePool
 from matchgan.training import (
     RunState,
     TrainConfig,
@@ -29,10 +29,9 @@ from matchgan.training import (
 
 
 def small_problem(n_matches=6, rate=12, separation=0.9, data_seed=5):
-    instances, gold = generate_synthetic(
+    pool, gold = generate_synthetic(
         SyntheticConfig(n_matches=n_matches, imbalance_rate=rate, separation=separation, seed=data_seed)
     )
-    pool = InstancePool.from_instances(instances)
     partition = build_partition(pool.ids, pool.features)
     return pool, partition, gold
 
@@ -43,14 +42,16 @@ def twin_problem(n_per_class=10, data_seed=5):
     rng = np.random.default_rng(data_seed)
     feats_m = rng.uniform(0.85, 0.95, size=(n_per_class, 4))
     feats_n = rng.uniform(0.05, 0.15, size=(n_per_class, 4))
-    instances, labels = [], {}
+    ids, rows, codes, labels = [], [], [], {}
     for i in range(n_per_class):
         for prefix, feats, label in (("m", feats_m, MATCH), ("n", feats_n, NON_MATCH)):
             lab_pair = (f"{prefix}{i:02d}L", f"{prefix}{i:02d}R")
-            instances.append(Instance(lab_pair, feats[i], label))
             labels[lab_pair] = label
-            instances.append(Instance((f"u{prefix}{i:02d}L", f"u{prefix}{i:02d}R"), feats[i], label))
-    pool = InstancePool.from_instances(instances)
+            for pair in (lab_pair, (f"u{prefix}{i:02d}L", f"u{prefix}{i:02d}R")):
+                ids.append(pair)
+                rows.append(feats[i])
+                codes.append(1 if label == MATCH else 0)
+    pool = InstancePool(ids, np.vstack(rows), codes)
     partition = build_partition(pool.ids, pool.features)
     state = RunState(len(pool))
     seeds = sorted(labels)
@@ -465,8 +466,8 @@ class TestRun:
         held_out, held_gold = generate_synthetic(
             SyntheticConfig(n_matches=5, imbalance_rate=20, separation=0.9, seed=77)
         )
-        labels = predict(result.generator, np.vstack([inst.features for inst in held_out]))
-        truth = [inst.real_label for inst in held_out]
+        labels = predict(result.generator, held_out.features)
+        truth = LABEL_NAMES[held_out.real_labels].tolist()
         from matchgan.evaluation import compute_metrics
 
         assert compute_metrics(labels, truth).f_measure >= 0.9
@@ -482,15 +483,15 @@ class TestRun:
 
     def test_run_leaves_pool_unchanged_and_repeats(self):
         pool, partition, gold = small_problem(n_matches=3, rate=8, data_seed=6)
-        pool.set_labeled(pool.ids[:3])
-        before = (pool.labeled_rows.copy(), pool.unlabeled_rows.copy(), pool.features.copy())
+        before = (list(pool.ids), pool.features.copy(), pool.real_labels.copy())
         cfg = TrainConfig(seed=5, inner_iters=10)
         reports = [
             json.dumps(run(cfg, pool, partition, gold=gold, seed_budget=6).report, sort_keys=True)
             for _ in range(2)
         ]
-        for kept, now in zip(before, (pool.labeled_rows, pool.unlabeled_rows, pool.features)):
-            np.testing.assert_array_equal(kept, now)
+        assert pool.ids == before[0]
+        assert pool.features.tobytes() == before[1].tobytes()
+        assert pool.real_labels.tobytes() == before[2].tobytes()
         assert reports[0] == reports[1]
 
     def test_checkpoints_written_per_round(self, tmp_path):
