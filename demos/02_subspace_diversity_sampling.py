@@ -14,6 +14,7 @@ from matchgan import (
     generate_synthetic,
     l21_norm,
 )
+from matchgan.diversity import waterfill_counts
 
 pool, gold = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=123)
@@ -38,16 +39,15 @@ trials = 200
 rng = np.random.default_rng(0)
 diverse_hits = uniform_hits = 0
 for _ in range(trials):
-    sel = diverse_sample(populations, budget, rng)
-    if any(gold.is_match(*pool.ids[r]) for r in sel.selected_ids):
+    if any(gold.is_match(*pool.ids[r]) for r in diverse_sample(populations, budget, rng)):
         diverse_hits += 1
     rows = rng.choice(len(pool), size=budget, replace=False)
     if any(gold.is_match(*pool.ids[r]) for r in rows):
         uniform_hits += 1
 
-sel = diverse_sample(populations, budget, np.random.default_rng(1))
-print(f"\nwater-filling counts for budget {budget}: {sel.counts}")
-print(f"selection l2,1 norm: {l21_norm(sel.counts):.3f}")
+counts = waterfill_counts(sizes, budget)
+print(f"\nwater-filling counts for budget {budget}: {counts}")
+print(f"selection l2,1 norm: {l21_norm(counts):.3f}")
 print(f"\nover {trials} draws of {budget}:")
 print(f"  diversity-aware draws containing a match: {diverse_hits}/{trials}")
 print(f"  uniform draws containing a match:         {uniform_hits}/{trials}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -43,6 +44,7 @@ from .features import (
     UNLABELED,
     BlockingSpec,
     InstancePool,
+    _row_fault,
     featurize_to_file,
     read_instance_file,
     write_instance_file,
@@ -134,9 +136,10 @@ def _write_labels_file(path: Path, ids: list, labels: list[str]) -> None:
         fh.writelines(f"{a}\t{b}\t{label}\n" for (a, b), label in zip(ids, labels))
 
 
-def _read_labels_file(path: str) -> dict:
-    """Label code by pair id; every row must be id_a, id_b and M or N."""
-    labels = {}
+def _read_labels_file(path: str) -> tuple[list, np.ndarray]:
+    """Pair ids and label codes in file order; every row must be id_a, id_b
+    and M or N, so data row k is on line k + 2."""
+    ids, codes = [], []
     with Path(path).open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != ["id_a", "id_b", "label"]:
@@ -147,8 +150,28 @@ def _read_labels_file(path: str) -> dict:
                 raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             if row[2] not in LABEL_CODES:
                 raise IngestError(f"{path}:{lineno}: unknown label {row[2]!r}")
-            labels[(row[0], row[1])] = LABEL_CODES[row[2]]
-    return labels
+            ids.append((row[0], row[1]))
+            codes.append(LABEL_CODES[row[2]])
+    return ids, np.array(codes, dtype=np.int8)
+
+
+def _join_ids(left: list, right: list):
+    """Rows of left and right that name the same pair id, as two aligned
+    arrays, plus the first row of each list that repeats an id named
+    earlier in the same list (None if there is none)."""
+    n = len(left)
+    keys = np.fromiter(itertools.chain(left, right), dtype=object, count=n + len(right))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    del keys  # evaluate's peak memory is reached here
+    # the sort is stable: equal ids keep left before right, each in file order
+    first, later = order[same], order[same + 1]
+    in_left, in_right = later < n, first >= n
+    repeats = [int(rows.min()) if len(rows) else None
+               for rows in (later[in_left], later[in_right] - n)]
+    joined = ~in_left & ~in_right
+    return first[joined], later[joined] - n, repeats
 
 
 def cmd_synth(args) -> int:
@@ -260,15 +283,20 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    predicted = _read_labels_file(args.predicted)
+    pred_ids, pred_codes = _read_labels_file(args.predicted)
     ids, _, labels, _ = read_instance_file(args.truth)
     if np.any(labels == UNLABELED):
         raise IngestError(f"{args.truth}: truth file must carry labels")
-    codes = np.fromiter((predicted.get(pid, UNLABELED) for pid in ids), np.int8, len(ids))
-    rows = np.flatnonzero(codes != UNLABELED)
+    rows, pred_rows, (truth_repeat, pred_repeat) = _join_ids(ids, pred_ids)
+    if pred_repeat is not None:
+        raise IngestError(
+            f"{args.predicted}:{pred_repeat + 2}: repeated pair id {pred_ids[pred_repeat]}"
+        )
+    if truth_repeat is not None:
+        raise _row_fault(Path(args.truth), truth_repeat, f"repeated pair id {ids[truth_repeat]}")
     if not len(rows):
         raise IngestError("no overlapping pairs between predictions and truth")
-    metrics = compute_metrics(codes[rows], labels[rows])
+    metrics = compute_metrics(pred_codes[pred_rows], labels[rows])
     print(
         f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
         f"f_measure={metrics.f_measure:.4f} objective={metrics.objective_score:.4f} "

@@ -112,13 +112,6 @@ def l21_norm(counts: Sequence[int]) -> float:
     return float(sum(math.sqrt(c) for c in counts))
 
 
-@dataclass
-class DiversitySelection:
-    counts: list[int]
-    selected_ids: list
-    budget: int
-
-
 def waterfill_counts(populations_sizes: Sequence[int], m: int) -> list[int]:
     """Exact maximizer of sum(sqrt(c_i)) s.t. sum(c_i) = m, c_i <= n_i.
 
@@ -141,13 +134,12 @@ def waterfill_counts(populations_sizes: Sequence[int], m: int) -> list[int]:
     return counts
 
 
-def diverse_sample(
-    populations: Sequence[Sequence], m: int, rng: np.random.Generator
-) -> DiversitySelection:
-    """Select m instance ids spread over as many subspaces as possible.
+def diverse_sample(populations: Sequence[Sequence], m: int, rng: np.random.Generator) -> list:
+    """Select m members spread over as many subspaces as possible.
 
     Counts follow the exact water-filling optimum; within each subspace the
-    ids are chosen uniformly at random without replacement.
+    members are chosen uniformly at random without replacement. Returns the
+    selected members, subspace by subspace.
     """
     counts = waterfill_counts([len(p) for p in populations], m)
     selected: list = []
@@ -159,7 +151,7 @@ def diverse_sample(
         else:
             picks = rng.choice(len(pop), size=c, replace=False)
             selected.extend(pop[k] for k in np.sort(picks))
-    return DiversitySelection(counts=counts, selected_ids=selected, budget=m)
+    return selected
 
 
 def save_partition(part: SubspacePartition, path: str | Path) -> None:

@@ -235,23 +235,22 @@ def discriminator_backward(
     """Objective value and descent gradient for the discriminator update.
 
     fake_inputs carry the generator's labels as their last column, treated
-    as constants (the generator is frozen). The returned gradient is that
-    of the negated objective, so an optimizer step ascends it.
+    as constants (the generator is frozen). Both batches go through one
+    forward pass and one backpropagation, stacked as [fake; real]: the
+    minimized loss is -objective, whose derivative w.r.t. a row's output d
+    is 1/(n_f (1 - d)) on a fake row and -real_weight/(n_r d) on a real
+    one. The returned gradient is that of the negated objective, so an
+    optimizer step ascends it.
     """
-    fake_acts: list = []
-    real_acts: list = []
-    d_fake = forward_pass(disc, fake_inputs, fake_acts)
-    d_real = forward_pass(disc, real_inputs, real_acts)
-    n_f, n_r = d_fake.shape[0], d_real.shape[0]
+    n_f = len(fake_inputs)
+    acts: list = []
+    d_out = forward_pass(disc, np.concatenate([fake_inputs, real_inputs]), acts)
+    d_fake, d_real = d_out[:n_f], d_out[n_f:]
     objective = discriminator_loss(d_fake, d_real, real_weight)
-    # minimized loss is -objective
-    dloss_dfake = 1.0 / (n_f * (1.0 - d_fake))
-    dloss_dreal = -real_weight / (n_r * d_real)
-    # two passes summed afterwards: one pass over both batches would sum
-    # the rows in another order
-    grad, _ = backprop(disc, d_fake, fake_acts, dloss_dfake)
-    grad_real, _ = backprop(disc, d_real, real_acts, dloss_dreal)
-    grad += grad_real
+    dloss_dout = np.concatenate(
+        [1.0 / (n_f * (1.0 - d_fake)), -real_weight / (len(d_real) * d_real)]
+    )
+    grad, _ = backprop(disc, d_out, acts, dloss_dout)
     return objective, grad
 
 

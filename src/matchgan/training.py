@@ -142,7 +142,7 @@ def select_seed_labels(
     if variant == "no_diversity":
         rows = rng.choice(len(pool), size=budget, replace=False)
     else:
-        rows = diverse_sample(partition.populations(), budget, rng).selected_ids
+        rows = diverse_sample(partition.populations(), budget, rng)
     return [pool.ids[r] for r in np.sort(rows)]
 
 
@@ -161,8 +161,15 @@ class _MinibatchSampler:
     """Per-round minibatch source over the fixed unlabeled index.
 
     Subspace populations do not change within a round, so the diversity
-    allocation (water-filling counts) is computed once; each draw only
-    picks uniformly within subspaces.
+    allocation (water-filling counts) is computed once, and so is a flat
+    array of the subspaces drawn from: a subspace whose count equals its
+    size is taken whole, the others are laid end to end in population.
+    Slot k of a draw picks population[lo[k] + i] with i uniform below
+    hi[k], where lo and hi are its subspace's offset and size, so one
+    rng.integers call fills every slot. A slot that repeats an earlier
+    slot's pick is drawn again until no pick repeats; that rule is blind
+    to which rows were picked, so each subspace's picks are a uniform
+    sample without replacement.
     """
 
     def __init__(self, pops, u_rows: np.ndarray, size: int, diverse: bool):
@@ -172,16 +179,27 @@ class _MinibatchSampler:
         if diverse:
             pops = [p for p in pops if len(p)]
             counts = waterfill_counts([len(p) for p in pops], size)
-            self.plan = [(pop, c) for pop, c in zip(pops, counts) if c > 0]
+            none = np.empty(0, dtype=np.intp)
+            self.whole = np.concatenate([none, *(p for p, c in zip(pops, counts) if c == len(p))])
+            drawn = [(p, c) for p, c in zip(pops, counts) if 0 < c < len(p)]
+            sizes = np.array([len(p) for p, _ in drawn], dtype=np.intp)
+            slots = [c for _, c in drawn]
+            self.population = np.concatenate([none, *(p for p, _ in drawn)])
+            self.lo = np.repeat(np.cumsum(sizes) - sizes, slots)
+            self.hi = np.repeat(sizes, slots)
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         if not self.diverse:
             return rng.choice(self.u_rows, size=self.size, replace=False)
-        parts = [
-            pop if c == len(pop) else pop[rng.choice(len(pop), size=c, replace=False)]
-            for pop, c in self.plan
-        ]
-        return np.concatenate(parts)
+        pos = self.lo + rng.integers(0, self.hi)
+        while True:
+            order = np.argsort(pos, kind="stable")
+            ranked = pos[order]
+            repeats = order[1:][ranked[1:] == ranked[:-1]]
+            if not len(repeats):
+                break
+            pos[repeats] = self.lo[repeats] + rng.integers(0, self.hi[repeats])
+        return np.concatenate([self.whole, self.population[pos]])
 
 
 def inner_train(

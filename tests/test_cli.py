@@ -224,6 +224,33 @@ class TestBadInput:
         assert code == 1
         assert message in self._single_error(capsys)
 
+    def test_evaluate_rejects_repeated_truth_pair(self, tmp_path, capsys):
+        # the repeat of (a, b), on line 6 after a blank line, used to be scored twice
+        truth = tmp_path / "truth.tsv"
+        truth.write_text(
+            "# instances v1 q=2\nid_a\tid_b\tf0\tlabel\n"
+            "a\tb\t0.9\tM\nc\td\t0.1\tN\n\na\tb\t0.9\tM\n"
+        )
+        predicted = tmp_path / "pred.tsv"
+        predicted.write_text("id_a\tid_b\tlabel\na\tb\tM\nc\td\tN\n")
+        out = tmp_path / "metrics.json"
+        code = run_cli("evaluate", "--predicted", predicted, "--truth", truth, "-o", out)
+        assert code == 1
+        assert f"{truth}:6: repeated pair id ('a', 'b')" in self._single_error(capsys)
+        assert not out.exists()
+
+    def test_evaluate_rejects_conflicting_predicted_labels(self, tmp_path, capsys):
+        # a pair labeled M and then N used to keep the last line silently
+        truth = tmp_path / "truth.tsv"
+        truth.write_text(
+            "# instances v1 q=2\nid_a\tid_b\tf0\tlabel\na\tb\t0.9\tM\nc\td\t0.1\tN\n"
+        )
+        predicted = tmp_path / "pred.tsv"
+        predicted.write_text("id_a\tid_b\tlabel\nc\td\tM\na\tb\tM\nc\td\tN\n")
+        code = run_cli("evaluate", "--predicted", predicted, "--truth", truth)
+        assert code == 1
+        assert f"{predicted}:4: repeated pair id ('c', 'd')" in self._single_error(capsys)
+
     @pytest.mark.parametrize(
         "damage, message", [("missing", "no 'W2' array"), ("nan", "'W1' is not finite")]
     )

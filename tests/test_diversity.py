@@ -108,20 +108,20 @@ class TestL21Norm:
 class TestDiverseSample:
     def test_known_allocation_against_brute_force(self, rng):
         sizes = [5, 1, 2]
-        sel = diverse_sample([list(range(n)) for n in sizes], 4, rng)
-        assert sel.counts == [2, 1, 1]
-        assert l21_norm(sel.counts) == pytest.approx(brute_force_best_norm(sizes, 4))
-        assert l21_norm(sel.counts) == pytest.approx(math.sqrt(2) + 2)
+        pops = [[(k, i) for i in range(n)] for k, n in enumerate(sizes)]
+        picked = diverse_sample(pops, 4, rng)
+        counts = [sum(1 for k, _ in picked if k == sub) for sub in range(len(sizes))]
+        assert counts == [2, 1, 1] and len(set(picked)) == 4
+        assert l21_norm(counts) == pytest.approx(brute_force_best_norm(sizes, 4))
+        assert l21_norm(counts) == pytest.approx(math.sqrt(2) + 2)
 
     def test_full_budget_selects_everything(self, rng):
         pops = [["a", "b"], ["c"]]
-        sel = diverse_sample(pops, 3, rng)
-        assert sorted(sel.selected_ids) == ["a", "b", "c"]
+        assert sorted(diverse_sample(pops, 3, rng)) == ["a", "b", "c"]
 
     def test_single_subspace(self, rng):
-        sel = diverse_sample([list("abcde")], 3, rng)
-        assert sel.counts == [3]
-        assert len(sel.selected_ids) == 3
+        picked = diverse_sample([list("abcde")], 3, rng)
+        assert len(set(picked)) == 3 and set(picked) <= set("abcde")
 
     def test_budget_exceeds_population(self, rng):
         with pytest.raises(ValueError):
@@ -129,8 +129,8 @@ class TestDiverseSample:
 
     def test_deterministic_under_seed(self):
         pops = [list(range(10)), list(range(10, 14))]
-        a = diverse_sample(pops, 6, np.random.default_rng(9)).selected_ids
-        b = diverse_sample(pops, 6, np.random.default_rng(9)).selected_ids
+        a = diverse_sample(pops, 6, np.random.default_rng(9))
+        b = diverse_sample(pops, 6, np.random.default_rng(9))
         assert a == b
 
     def test_ties_broken_by_subspace_index(self):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import matchgan.nn as nn
 from matchgan.datasets import MATCH, NON_MATCH, SyntheticConfig, generate_synthetic
-from matchgan.diversity import build_partition
+from matchgan.diversity import build_partition, waterfill_counts
 from matchgan.evaluation import evaluate_run
 from matchgan.features import LABEL_NAMES, InstancePool
 from matchgan.training import (
@@ -66,7 +66,8 @@ def twin_problem(n_per_class=10, data_seed=5):
 # The training iteration as it ran before each model's parameters became
 # one flat vector: per-layer arrays, a logistic split by boolean masks and
 # np.clip, hstack-built inputs, a second generator pass for the generator's
-# update, and Adam layer by layer. inner_train must reproduce it bit for bit.
+# update, and Adam layer by layer; the discriminator's step is one pass over
+# the stacked [fake; real] batch. inner_train must reproduce it bit for bit.
 def _ref_forward(layers, X, acts=None):
     a = X
     for w, b in layers[:-1]:
@@ -131,13 +132,13 @@ def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
         fake_in = np.hstack([Xf, (g_soft > 0.5).astype(np.float64)[:, None]])
         ridx = rng.choice(lab_X.shape[0], size=real_size, replace=False)
         real_in = np.hstack([lab_X[ridx], lab_y[ridx][:, None]])
-        fake_acts, real_acts = [], []
-        d_fake = _ref_forward(D, fake_in, fake_acts)
-        d_real = _ref_forward(D, real_in, real_acts)
+        d_acts = []
+        d_all = _ref_forward(D, np.concatenate([fake_in, real_in]), d_acts)
+        d_fake, d_real = d_all[: len(fake_in)], d_all[len(fake_in) :]
         d_sum += float(np.mean(np.log(1.0 - d_fake)) + cfg.real_weight * np.mean(np.log(d_real)))
-        grads_f, _ = _ref_backprop(D, d_fake, fake_acts, 1.0 / (len(d_fake) * (1.0 - d_fake)))
-        grads_r, _ = _ref_backprop(D, d_real, real_acts, -cfg.real_weight / (len(d_real) * d_real))
-        d_grads = [(gf[0] + gr[0], gf[1] + gr[1]) for gf, gr in zip(grads_f, grads_r)]
+        dloss = np.concatenate([1.0 / (len(d_fake) * (1.0 - d_fake)),
+                                -cfg.real_weight / (len(d_real) * d_real)])
+        d_grads, _ = _ref_backprop(D, d_all, d_acts, dloss)
         _ref_adam(D, d_grads, md, t, cfg.disc_learning_rate)
         g_acts, d_acts = [], []
         g_out = _ref_forward(G, Xf, g_acts)
@@ -304,6 +305,53 @@ class TestPropagate:
                 nn.zero_mlp((4, 2, 1)), nn.zero_mlp((5, 2, 1)), pool,
                 np.empty(0, dtype=np.intp), 1,
             )
+
+
+def _split_rows(sizes):
+    """Consecutive row ranges of the given sizes, one per subspace."""
+    bounds = np.cumsum([0, *sizes])
+    return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class TestMinibatchSampler:
+    def test_draw_is_uniform_without_replacement(self):
+        # sizes (3, 4, 1) and a batch of 5 give counts (2, 2, 1): 3 * 6
+        # subsets, each drawn with probability 1/18; two picks among 3 rows
+        # repeat a third of the time, so the redraw path runs often
+        pops = _split_rows([3, 4, 1])
+        sampler = _MinibatchSampler(pops, np.arange(8), 5, diverse=True)
+        rng = np.random.default_rng(11)
+        n_draws = 18_000
+        freq: dict = {}
+        for _ in range(n_draws):
+            key = tuple(sorted(sampler.draw(rng).tolist()))
+            freq[key] = freq.get(key, 0) + 1
+        assert len(freq) == 18
+        assert all(len(set(key)) == 5 and 7 in key for key in freq)
+        # within 15% of n_draws / 18: about five standard deviations
+        assert all(abs(n - 1000) < 150 for n in freq.values()), freq
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_planned_distinct_counts_and_full_subspaces_whole(self, sizes, size, seed):
+        pops = _split_rows(sizes)
+        size = min(size, sum(sizes))
+        if size == 0:
+            return
+        counts = waterfill_counts(sizes, size)
+        sampler = _MinibatchSampler(pops, np.arange(sum(sizes)), size, diverse=True)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            rows = sampler.draw(rng)
+            assert len(rows) == size and len(set(rows.tolist())) == size
+            for pop, c in zip(pops, counts):
+                picked = np.intersect1d(rows, pop)
+                assert len(picked) == c
+                if c == len(pop):
+                    assert picked.tolist() == pop.tolist()
 
 
 class TestInnerTrain:
