@@ -105,7 +105,8 @@ def build_train_config(args) -> TrainConfig:
 
 def _load_pool(path: str) -> tuple[InstancePool, dict]:
     ids, features, labels, meta = read_instance_file(path)
-    return InstancePool(ids, features, labels), meta
+    # read_instance_file has checked the row rules and named the bad line
+    return InstancePool(ids, features, labels, _checked=True), meta
 
 
 def _gold_for(pool: InstancePool, gold_path: str | None, gold_header: bool) -> GoldStandard:

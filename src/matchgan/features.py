@@ -72,14 +72,17 @@ class InstancePool:
     id-ascending. features is a float64 (rows, attributes) matrix and
     real_labels holds one label code per row (UNLABELED where the truth is
     unknown). Which rows a run has labeled is kept by the run, not here.
+    The row rules are checked here unless _checked says that
+    read_instance_file has just checked these very columns.
     """
 
-    def __init__(self, ids: list[PairId], features: np.ndarray, real_labels: np.ndarray):
+    def __init__(self, ids: list[PairId], features: np.ndarray, real_labels: np.ndarray,
+                 *, _checked: bool = False):
         features = np.asarray(features, dtype=np.float64)
         real_labels = np.asarray(real_labels, dtype=np.int8)
         if features.ndim != 2 or len(features) != len(ids) or real_labels.shape != (len(ids),):
             raise IngestError("a pool needs one feature row and one label code per pair id")
-        fault = _check_columns(ids, features, real_labels)
+        fault = None if _checked else _check_columns(ids, features, real_labels)
         if fault is not None:
             raise IngestError(fault[1])
         order = sorted(range(len(ids)), key=ids.__getitem__)

@@ -14,6 +14,16 @@ A model keeps every parameter in one contiguous float64 vector, params,
 laid out W0, b0, W1, b1, ...; its weights and biases are views into that
 vector. Gradients and Adam moments are vectors with the same layout, so an
 optimizer update is one elementwise pass per model.
+
+The passes and the optimizer step write every intermediate into a
+Buffers of fixed arrays, which a training loop builds once and reuses;
+called without one they build their own. Either way the same products and
+elementwise operations run in the same order, so the bits do not depend on
+whether buffers were passed. The forward pass multiplies with np.matmul,
+which is a @ w.T itself and the faster at scoring-block sizes; backprop
+uses np.dot, the faster at minibatch sizes, whose bits agree with @ there.
+Weights stay fan_out x fan_in: products with a contiguous copy of w.T round
+differently.
 """
 
 from __future__ import annotations
@@ -103,77 +113,151 @@ def zero_mlp(layer_dims) -> MlpModel:
     return MlpModel(layer_dims=tuple(layer_dims), weights=weights, biases=biases)
 
 
-def forward_pass(model: MlpModel, X: np.ndarray, activations: list | None = None):
+class Buffers:
+    """Arrays that forward_pass and backprop of one model on n rows write to.
+
+    A loop that runs many passes of the same size builds one Buffers per
+    model and size and hands it to each call as buffers=; the pass then
+    allocates nothing, and its results (the output, the gradient, the
+    input gradient) are these arrays, overwritten by the next call. x is
+    an input matrix for callers that gather or stack rows into it; grad is
+    laid out like params, with per-layer views dws and dbs; step is
+    optimizer scratch. A call made without buffers builds its own, so there
+    is one copy of the layer math.
+    """
+
+    def __init__(self, model: MlpModel, n: int):
+        dims = model.layer_dims
+        self.model, self.n = model, n
+        self.x = np.empty((n, dims[0]))
+        # the input of each layer; acts[0] is rebound to each call's input
+        self.acts = [self.x, *(np.empty((n, h)) for h in dims[1:-1])]
+        self.weights_t = tuple(w.T for w in model.weights)
+        self.z = np.empty((n, 1))
+        self.out, self.e, self.t = np.empty(n), np.empty(n), np.empty(n)
+        self.nonneg = np.empty(n, dtype=bool)
+        # deltas[ell] is the loss gradient at layer ell's output
+        self.deltas = [np.empty((n, h)) for h in dims[1:]]
+        self.masks = [np.empty((n, h), dtype=bool) for h in dims[1:-1]]
+        self.dinput = np.empty((n, dims[0]))
+        self.dloss, self.terms = np.empty(n), np.empty(n)
+        self.grad = np.empty_like(model.params)
+        self.dws, self.dbs = model.split(self.grad)
+        self.step = (np.empty_like(model.params), np.empty_like(model.params))
+
+
+def _buffers_for(model: MlpModel, n: int, buffers: Buffers | None) -> Buffers:
+    if buffers is None:
+        return Buffers(model, n)
+    if buffers.model is not model or buffers.n != n:
+        raise ValueError(f"buffers hold {buffers.n} rows of another pass, not {n} of this one")
+    return buffers
+
+
+def forward_pass(model: MlpModel, X: np.ndarray, activations: list | None = None,
+                 buffers: Buffers | None = None) -> np.ndarray:
     """Batch forward pass in one piece; appends every layer input to
-    activations when the caller passes a list to fill for backpropagation."""
+    activations when the caller passes a list to fill for backpropagation.
+    The returned output is buffers.out."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(
             f"input shape {X.shape} incompatible with input dim {model.input_dim}"
         )
-    a = X
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        if activations is not None:
-            activations.append(a)
-        a = a @ w.T
-        a += b
-        np.maximum(a, 0.0, out=a)
+    buf = _buffers_for(model, len(X), buffers)
+    acts, w_t = buf.acts, buf.weights_t
+    acts[0] = a = X
+    for ell in range(1, len(acts)):
+        h = acts[ell]
+        np.matmul(a, w_t[ell - 1], out=h)
+        h += model.biases[ell - 1]
+        np.maximum(h, 0.0, out=h)
+        a = h
     if activations is not None:
-        activations.append(a)
-    z = a @ model.weights[-1].T
-    z += model.biases[-1]
-    z = z[:, 0]
+        activations.extend(acts)
+    np.matmul(a, w_t[-1], out=buf.z)
+    buf.z += model.biases[-1]
+    z, e, out = buf.z[:, 0], buf.e, buf.out
     # overflow-safe logistic, 1/(1+e) for z >= 0 and e/(1+e) below, where
-    # e = exp(-|z|) never overflows
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e)
-    out /= 1.0 + e
+    # e = exp(-|z|) never overflows; as e <= 1, max(e, z >= 0) is that
+    # numerator, without a masked (and slower) divide
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=buf.t)
+    np.greater_equal(z, 0.0, out=buf.nonneg)
+    np.maximum(e, buf.nonneg, out=out)
+    np.divide(out, buf.t, out=out)
     np.maximum(out, OUTPUT_EPS, out=out)
     np.minimum(out, 1.0 - OUTPUT_EPS, out=out)
     return out
 
 
-def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Deterministic feed-forward values in (0, 1), one per row of X.
+def forward_batch(model: MlpModel, X: np.ndarray, label: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic feed-forward values in (0, 1), one per row of X, or
+    per row of [X | label] when a label column is given.
 
     Rows go through in blocks of SCORE_BLOCK, the last block taking the
     remainder, so scoring a whole pool never allocates a pool-sized hidden
-    layer. Every block starts at a multiple of SCORE_BLOCK and holds at
-    least SCORE_BLOCK rows, so single-threaded BLAS runs the same kernels
-    on the same row alignment as in one pass and the bits match; a small
-    trailing block could take a small-matrix kernel that rounds otherwise.
+    layer or input. Every block starts at a multiple of SCORE_BLOCK and
+    holds at least SCORE_BLOCK rows, so single-threaded BLAS runs the same
+    kernels on the same row alignment as in one pass and the bits match; a
+    small trailing block could take a small-matrix kernel that rounds
+    otherwise.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or len(X) < 2 * SCORE_BLOCK:
-        return forward_pass(model, X)
-    bounds = [*range(0, len(X) // SCORE_BLOCK * SCORE_BLOCK, SCORE_BLOCK), len(X)]
-    return np.concatenate([forward_pass(model, X[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    width = model.input_dim - (label is not None)
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError(f"input shape {X.shape} incompatible with input dim {width}")
+    n = len(X)
+    cuts = [0, n]
+    if n >= 2 * SCORE_BLOCK:
+        cuts = [*range(0, n // SCORE_BLOCK * SCORE_BLOCK, SCORE_BLOCK), n]
+    out = np.empty(n)
+    buf = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        if buf is None or buf.n != hi - lo:
+            buf = Buffers(model, hi - lo)
+        x = X[lo:hi]
+        if label is not None:
+            buf.x[:, :-1] = x
+            buf.x[:, -1] = label[lo:hi]
+            x = buf.x
+        out[lo:hi] = forward_pass(model, x, buffers=buf)
+    return out
 
 
 def backprop(model: MlpModel, out: np.ndarray, activations, dloss_dout: np.ndarray,
-             want_params: bool = True, want_input: bool = False):
+             want_params: bool = True, want_input: bool = False,
+             buffers: Buffers | None = None):
     """Gradients of a scalar loss w.r.t. the parameters and the input.
 
     dloss_dout holds the loss derivative w.r.t. the clamped logistic
     output, one entry per batch row. Returns (grad, dinput): grad is laid
     out like model.params, dinput has one row per input row, and each is
-    None, its work skipped, unless asked for.
+    None, its work skipped, unless asked for. They are buffers.grad and
+    buffers.dinput.
     """
-    grad = np.empty_like(model.params) if want_params else None
-    if want_params:
-        dws, dbs = model.split(grad)
-    delta = (dloss_dout * out * (1.0 - out))[:, None]  # through the logistic output
+    buf = _buffers_for(model, len(out), buffers)
+    delta = buf.deltas[-1]
+    through = delta[:, 0]  # through the logistic output
+    np.multiply(dloss_dout, out, out=through)
+    np.subtract(1.0, out, out=buf.t)
+    np.multiply(through, buf.t, out=through)
     for ell in range(len(model.weights) - 1, -1, -1):
         if want_params:
-            np.matmul(delta.T, activations[ell], out=dws[ell])
-            np.add.reduce(delta, axis=0, out=dbs[ell])
+            np.dot(delta.T, activations[ell], out=buf.dws[ell])
+            np.add.reduce(delta, axis=0, out=buf.dbs[ell])
         if ell == 0 and not want_input:
-            return grad, None
-        dprev = delta @ model.weights[ell]
+            break
+        prev = buf.deltas[ell - 1] if ell > 0 else buf.dinput
+        np.dot(delta, model.weights[ell], out=prev)
         if ell > 0:
-            dprev *= activations[ell] > 0.0  # rectifier mask
-        delta = dprev
-    return grad, delta
+            # rectifier mask
+            np.greater(activations[ell], 0.0, out=buf.masks[ell - 1])
+            np.multiply(prev, buf.masks[ell - 1], out=prev)
+        delta = prev
+    return (buf.grad if want_params else None), (buf.dinput if want_input else None)
 
 
 def _mean(x: np.ndarray) -> np.float64:
@@ -181,23 +265,34 @@ def _mean(x: np.ndarray) -> np.float64:
     return np.add.reduce(x, axis=None) / x.size
 
 
-def generator_loss(d_on_fake: np.ndarray) -> float:
-    """Mean of log(1 - d) over the discriminator's scores on generated pairs."""
+def generator_loss(d_on_fake: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Mean of log(1 - d) over the discriminator's scores on generated
+    pairs; out, when given, receives the log terms."""
     d = np.asarray(d_on_fake, dtype=np.float64)
-    return float(_mean(np.log(1.0 - d)))
+    terms = np.subtract(1.0, d, out=out)
+    return float(_mean(np.log(terms, out=terms)))
 
 
 def discriminator_loss(
-    d_on_fake: np.ndarray, d_on_real: np.ndarray, real_weight: float
+    d_on_fake: np.ndarray, d_on_real: np.ndarray, real_weight: float,
+    out: np.ndarray | None = None,
 ) -> float:
     """Objective the discriminator maximizes: mean log(1 - d_fake) plus
-    real_weight times mean log(d_real)."""
+    real_weight times mean log(d_real). out, when given, receives the log
+    terms, fake ones first."""
     fake = np.asarray(d_on_fake, dtype=np.float64)
     real = np.asarray(d_on_real, dtype=np.float64)
-    return float(_mean(np.log(1.0 - fake)) + real_weight * _mean(np.log(real)))
+    if out is None:
+        out = np.empty(len(fake) + len(real))
+    fake_terms, real_terms = out[: len(fake)], out[len(fake) :]
+    np.subtract(1.0, fake, out=fake_terms)
+    np.log(fake_terms, out=fake_terms)
+    np.log(real, out=real_terms)
+    return float(_mean(fake_terms) + real_weight * _mean(real_terms))
 
 
-def generator_backward(gen: MlpModel, disc: MlpModel, X: np.ndarray, recorded=None):
+def generator_backward(gen: MlpModel, disc: MlpModel, X: np.ndarray, recorded=None,
+                       buffers: tuple[Buffers, Buffers] | None = None):
     """Loss and generator gradient of mean log(1 - D(x, G(x))).
 
     The gradient flows through the discriminator's label input channel
@@ -205,24 +300,30 @@ def generator_backward(gen: MlpModel, disc: MlpModel, X: np.ndarray, recorded=No
     generator's gradient is produced. recorded, when given, is
     (fake_in, activations) from a recording forward_pass of gen over X:
     the discriminator input [X | G(X)] and the generator's layer inputs,
-    which are then not computed again.
+    which are then not computed again. buffers is a (generator,
+    discriminator) pair of Buffers over len(X) rows.
     """
+    if buffers is None:
+        buffers = (Buffers(gen, len(X)), Buffers(disc, len(X)))
+    g_buf, d_buf = buffers
     if recorded is None:
-        X = np.asarray(X, dtype=np.float64)
-        g_acts: list = []
-        g_out = forward_pass(gen, X, g_acts)
-        fake_in = np.hstack([X, g_out[:, None]])
+        g_out = forward_pass(gen, X, buffers=g_buf)
+        fake_in, g_acts = d_buf.x, g_buf.acts
+        fake_in[:, :-1] = X
+        fake_in[:, -1] = g_out
     else:
         fake_in, g_acts = recorded
         g_out = fake_in[:, -1]
-    d_acts: list = []
-    d_out = forward_pass(disc, fake_in, d_acts)
-    n = d_out.shape[0]
-    loss = generator_loss(d_out)
-    dloss_dd = -1.0 / (n * (1.0 - d_out))
-    _, dinput = backprop(disc, d_out, d_acts, dloss_dd, want_params=False, want_input=True)
+    d_out = forward_pass(disc, fake_in, buffers=d_buf)
+    loss = generator_loss(d_out, out=d_buf.terms)
+    dloss_dd = d_buf.dloss
+    np.subtract(1.0, d_out, out=dloss_dd)
+    np.multiply(dloss_dd, len(d_out), out=dloss_dd)
+    np.divide(-1.0, dloss_dd, out=dloss_dd)
+    _, dinput = backprop(disc, d_out, d_buf.acts, dloss_dd, want_params=False,
+                         want_input=True, buffers=d_buf)
     dloss_dg = dinput[:, -1]  # derivative w.r.t. the generated label channel
-    grad, _ = backprop(gen, g_out, g_acts, dloss_dg)
+    grad, _ = backprop(gen, g_out, g_acts, dloss_dg, buffers=g_buf)
     return loss, grad
 
 
@@ -231,26 +332,33 @@ def discriminator_backward(
     fake_inputs: np.ndarray,
     real_inputs: np.ndarray,
     real_weight: float,
+    buffers: Buffers | None = None,
 ):
     """Objective value and descent gradient for the discriminator update.
 
     fake_inputs carry the generator's labels as their last column, treated
     as constants (the generator is frozen). Both batches go through one
-    forward pass and one backpropagation, stacked as [fake; real]: the
-    minimized loss is -objective, whose derivative w.r.t. a row's output d
-    is 1/(n_f (1 - d)) on a fake row and -real_weight/(n_r d) on a real
-    one. The returned gradient is that of the negated objective, so an
-    optimizer step ascends it.
+    forward pass and one backpropagation, stacked as [fake; real] in
+    buffers.x (a caller that gathers them there already skips the copy):
+    the minimized loss is -objective, whose derivative w.r.t. a row's
+    output d is 1/(n_f (1 - d)) on a fake row and -real_weight/(n_r d) on a
+    real one. The returned gradient is that of the negated objective, so
+    an optimizer step ascends it.
     """
     n_f = len(fake_inputs)
-    acts: list = []
-    d_out = forward_pass(disc, np.concatenate([fake_inputs, real_inputs]), acts)
+    buf = _buffers_for(disc, n_f + len(real_inputs), buffers)
+    # copying a view onto itself is skipped
+    np.concatenate((fake_inputs, real_inputs), out=buf.x)
+    d_out = forward_pass(disc, buf.x, buffers=buf)
     d_fake, d_real = d_out[:n_f], d_out[n_f:]
-    objective = discriminator_loss(d_fake, d_real, real_weight)
-    dloss_dout = np.concatenate(
-        [1.0 / (n_f * (1.0 - d_fake)), -real_weight / (len(d_real) * d_real)]
-    )
-    grad, _ = backprop(disc, d_out, acts, dloss_dout)
+    objective = discriminator_loss(d_fake, d_real, real_weight, out=buf.terms)
+    dloss_fake, dloss_real = buf.dloss[:n_f], buf.dloss[n_f:]
+    np.subtract(1.0, d_fake, out=dloss_fake)
+    np.multiply(dloss_fake, n_f, out=dloss_fake)
+    np.divide(1.0, dloss_fake, out=dloss_fake)
+    np.multiply(d_real, len(d_real), out=dloss_real)
+    np.divide(-real_weight, dloss_real, out=dloss_real)
+    grad, _ = backprop(disc, d_out, buf.acts, buf.dloss, buffers=buf)
     return objective, grad
 
 
@@ -261,15 +369,21 @@ def binary_log_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
     return float(-_mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
 
 
-def classifier_backward(model: MlpModel, X: np.ndarray, targets: np.ndarray):
+def classifier_backward(model: MlpModel, X: np.ndarray, targets: np.ndarray,
+                        buffers: Buffers | None = None):
     """Loss and gradient of binary cross-entropy for the plain classifier."""
-    acts: list = []
-    out = forward_pass(model, X, acts)
+    buf = _buffers_for(model, len(X), buffers)
+    out = forward_pass(model, X, buffers=buf)
     y = np.asarray(targets, dtype=np.float64)
-    n = out.shape[0]
     loss = binary_log_loss(out, y)
-    dloss_dout = (out - y) / (out * (1.0 - out) * n)
-    grad, _ = backprop(model, out, acts, dloss_dout)
+    # (out - y) / (out (1 - out) n)
+    dloss_dout, denom = buf.dloss, buf.terms
+    np.subtract(out, y, out=dloss_dout)
+    np.subtract(1.0, out, out=denom)
+    np.multiply(out, denom, out=denom)
+    np.multiply(denom, len(out), out=denom)
+    np.divide(dloss_dout, denom, out=dloss_dout)
+    grad, _ = backprop(model, out, buf.acts, dloss_dout, buffers=buf)
     return loss, grad
 
 
@@ -298,29 +412,43 @@ class OptState:
         return state
 
 
-def opt_step(model: MlpModel, grad: np.ndarray, state: OptState) -> tuple[MlpModel, OptState]:
+def opt_step(model: MlpModel, grad: np.ndarray, state: OptState,
+             buffers: Buffers | None = None) -> tuple[MlpModel, OptState]:
     """One deterministic optimizer update of model.params in place.
 
     grad is laid out like params. Adam uses bias-corrected first/second
     moments:
         m <- b1 m + (1-b1) g        v <- b2 v + (1-b2) g^2
         p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-    with the products evaluated left to right, as written.
+    with the products evaluated left to right, as written. Intermediates
+    go to buffers.step when buffers are given.
     """
     state.step_count += 1
     t = state.step_count
     lr = state.learning_rate
+    if buffers is None:
+        s1, s2 = np.empty_like(model.params), np.empty_like(model.params)
+    else:
+        s1, s2 = buffers.step
     if state.kind == "sgd":
-        model.params -= lr * grad
+        np.multiply(grad, lr, out=s1)
+        model.params -= s1
         return model, state
     m, v = state.moment1, state.moment2
     m *= state.beta1
-    m += (1.0 - state.beta1) * grad
+    np.multiply(grad, 1.0 - state.beta1, out=s1)
+    m += s1
     v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    model.params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(grad, 1.0 - state.beta2, out=s1)
+    s1 *= grad
+    v += s1
+    np.divide(m, 1.0 - state.beta1**t, out=s1)  # m_hat
+    np.divide(v, 1.0 - state.beta2**t, out=s2)  # v_hat
+    np.sqrt(s2, out=s2)
+    s2 += state.eps
+    s1 *= lr
+    s1 /= s2
+    model.params -= s1
     return model, state
 
 

@@ -236,29 +236,42 @@ def inner_train(
     fake_size = min(cfg.batch_size, len(u_rows))
     real_size = min(cfg.batch_size, len(real_all))
     sampler = _MinibatchSampler(pops, u_rows, fake_size, cfg.variant != "no_diversity")
+    # fixed arrays for the round's passes: the generator on the fake rows
+    # (gathered into g_buf.x), the discriminator on the stacked
+    # [fake; real] batch (d_buf.x) and on [X | soft] for the generator's
+    # update (s_buf.x)
+    g_buf = nn.Buffers(gen, fake_size)
+    d_buf = nn.Buffers(disc, fake_size + real_size)
+    s_buf = nn.Buffers(disc, fake_size)
+    Xf, soft_in = g_buf.x, s_buf.x
+    hard_in, real_in = d_buf.x[:fake_size], d_buf.x[fake_size:]
     # the discriminator judges hard pseudo labels, so generated and real
     # pairs share the same label alphabet; the generator's own update keeps
     # the soft differentiable path
     d = pool.n_features
-    soft_in, hard_in = np.empty((fake_size, d + 1)), np.empty((fake_size, d + 1))
+    soft_x, soft_label = soft_in[:, :d], soft_in[:, d]
+    hard_x, hard_label = hard_in[:, :d], hard_in[:, d]
 
     d_sum = g_sum = 0.0
     for _ in range(n_iters):
-        rows = sampler.draw(rng)
-        Xf = pool.features[rows]
-        g_acts: list = []
-        g_soft = nn.forward_pass(gen, Xf, g_acts)
-        soft_in[:, :d] = hard_in[:, :d] = Xf
-        soft_in[:, d] = g_soft
-        hard_in[:, d] = g_soft > 0.5
+        # the rows are in range, and mode="clip" spares take a staging copy
+        np.take(pool.features, sampler.draw(rng), axis=0, out=Xf, mode="clip")
+        g_soft = nn.forward_pass(gen, Xf, buffers=g_buf)
+        np.copyto(soft_x, Xf)
+        np.copyto(hard_x, Xf)
+        np.copyto(soft_label, g_soft)
+        np.greater(g_soft, 0.5, out=hard_label)
         ridx = rng.choice(len(real_all), size=real_size, replace=False)
+        np.take(real_all, ridx, axis=0, out=real_in, mode="clip")
         d_obj, d_grad = nn.discriminator_backward(
-            disc, hard_in, real_all[ridx], cfg.real_weight
+            disc, hard_in, real_in, cfg.real_weight, buffers=d_buf
         )
-        nn.opt_step(disc, d_grad, opt_disc)
+        nn.opt_step(disc, d_grad, opt_disc, buffers=d_buf)
         # the generator is unchanged since its pass above, so that pass is reused
-        g_loss, g_grad = nn.generator_backward(gen, disc, Xf, (soft_in, g_acts))
-        nn.opt_step(gen, g_grad, opt_gen)
+        g_loss, g_grad = nn.generator_backward(
+            gen, disc, Xf, (soft_in, g_buf.acts), buffers=(g_buf, s_buf)
+        )
+        nn.opt_step(gen, g_grad, opt_gen, buffers=g_buf)
         d_sum += d_obj
         g_sum += g_loss
     stats = {
@@ -282,11 +295,15 @@ def _inner_train_classifier(
     n_iters = cfg.inner_iters if iters is None else iters
     lab_X, lab_y = _labeled_arrays(pool, state)
     size = min(cfg.batch_size, lab_X.shape[0])
+    buf = nn.Buffers(clf, size)
+    y = np.empty(size)
     loss_sum = 0.0
     for _ in range(n_iters):
         idx = rng.choice(lab_X.shape[0], size=size, replace=False)
-        loss, grad = nn.classifier_backward(clf, lab_X[idx], lab_y[idx])
-        nn.opt_step(clf, grad, opt)
+        np.take(lab_X, idx, axis=0, out=buf.x, mode="clip")
+        np.take(lab_y, idx, out=y, mode="clip")
+        loss, grad = nn.classifier_backward(clf, buf.x, y, buffers=buf)
+        nn.opt_step(clf, grad, opt, buffers=buf)
         loss_sum += loss
     return {
         "iterations": n_iters,
@@ -306,8 +323,7 @@ def confidence_scores(
     """
     labels, soft = _pseudo_labels_batch(gen, X)
     if disc is not None:
-        hard = (soft > 0.5).astype(np.float64)
-        conf = nn.forward_batch(disc, np.hstack([X, hard[:, None]]))
+        conf = nn.forward_batch(disc, X, label=soft > 0.5)
     else:
         conf = np.maximum(soft, 1.0 - soft)
     return labels, conf
@@ -317,9 +333,22 @@ def select_top(scores: np.ndarray, count: int) -> np.ndarray:
     """Positions of the count highest scores; ties go to the lower position.
 
     Pool rows are in pair-id order, so over ascending rows this breaks
-    ties by id ascending.
+    ties by id ascending. This is np.argsort(-scores, kind="stable")[:count]
+    without sorting the rows that are not taken: the count-th highest
+    score is found by a partition, every row above it is taken, and so
+    are the lowest-positioned rows that equal it, until count are chosen.
     """
-    return np.argsort(-scores, kind="stable")[:count]
+    neg = -np.asarray(scores)
+    if count >= len(neg):
+        return np.argsort(neg, kind="stable")
+    if count <= 0:
+        return np.empty(0, dtype=np.intp)
+    cut = np.partition(neg, count - 1)[count - 1]
+    taken = neg < cut
+    ties = np.flatnonzero(neg == cut)
+    taken[ties[: count - np.count_nonzero(taken)]] = True
+    chosen = np.flatnonzero(taken)
+    return chosen[np.argsort(neg[chosen], kind="stable")]
 
 
 def propagate(

@@ -189,6 +189,24 @@ class TestBadInput:
         assert "finite" in self._single_error(capsys)
         assert not (tmp_path / "p.json").exists()
 
+    def test_rows_checked_once_per_load(self, tmp_path, capsys, monkeypatch):
+        import matchgan.features as features
+
+        calls = []
+        check = features._check_columns
+        monkeypatch.setattr(features, "_check_columns",
+                            lambda *cols: calls.append(1) or check(*cols))
+        inst = tmp_path / "inst.tsv"
+        rows = "a\tb\t0.5\t0.5\tM\nc\td\t0.1\t0.2\tN\n"
+        inst.write_text(f"# instances v1 q=2\nid_a\tid_b\tf0\tf1\tlabel\n{rows}")
+        assert run_cli("partition", "--instances", inst, "-o", tmp_path / "p.json") == 0
+        assert len(calls) == 1
+        # the one check still names the file line of the bad row
+        inst.write_text(f"# instances v1 q=2\nid_a\tid_b\tf0\tf1\tlabel\n{rows}e\tf\t0.5\t1.5\tN\n")
+        assert run_cli("partition", "--instances", inst, "-o", tmp_path / "q.json") == 1
+        assert f"{inst}:5: " in self._single_error(capsys)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize(
         "payload, message",
         [

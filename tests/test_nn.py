@@ -314,6 +314,55 @@ class TestBackward:
             np.testing.assert_array_equal(w_now, w_then)
 
 
+class TestBuffers:
+    """Calls that reuse one Buffers give the bits of calls that build their own."""
+
+    def test_reused_buffers_match_fresh_calls(self, rng):
+        gen = init_mlp((3, 8, 4, 1), rng)
+        disc = init_mlp((4, 8, 4, 1), rng)
+        n = 6
+        g_buf, s_buf, d_buf = nn.Buffers(gen, n), nn.Buffers(disc, n), nn.Buffers(disc, 2 * n)
+        for _ in range(3):
+            X, fake, real = rng.random((n, 3)), rng.random((n, 4)), rng.random((n, 4))
+            y = (rng.random(n) > 0.5).astype(np.float64)
+            calls = [
+                lambda **b: nn.forward_pass(gen, X, **b),
+                lambda **b: generator_backward(gen, disc, X, **b),
+                lambda **b: discriminator_backward(disc, fake, real, 0.7, **b),
+                lambda **b: classifier_backward(gen, X, y, **b),
+            ]
+            for call, buf in zip(calls, (g_buf, (g_buf, s_buf), d_buf, g_buf)):
+                # a buffered result is overwritten by the next call, so
+                # each is read at once
+                assert self._bits(call()) == self._bits(call(buffers=buf))
+
+    @staticmethod
+    def _bits(result):
+        values = result if isinstance(result, tuple) else (result,)
+        return [np.asarray(v).tobytes() for v in values]
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_buffered_opt_step_matches_fresh(self, rng, kind):
+        models = [init_mlp((3, 5, 1), np.random.default_rng(4)) for _ in range(2)]
+        states = [OptState.for_model(m, kind, 0.01) for m in models]
+        buf = nn.Buffers(models[1], 2)
+        for _ in range(4):
+            grad = rng.standard_normal(models[0].params.size)
+            opt_step(models[0], grad, states[0])
+            opt_step(models[1], grad, states[1], buffers=buf)
+        assert models[0].params.tobytes() == models[1].params.tobytes()
+        if kind == "adam":
+            assert states[0].moment2.tobytes() == states[1].moment2.tobytes()
+
+    def test_buffers_of_another_pass_rejected(self, rng):
+        gen = init_mlp((3, 4, 1), rng)
+        X = rng.random((5, 3))
+        with pytest.raises(ValueError, match="rows"):
+            nn.forward_pass(gen, X, buffers=nn.Buffers(gen, 4))
+        with pytest.raises(ValueError, match="rows"):
+            nn.forward_pass(gen, X, buffers=nn.Buffers(init_mlp((3, 4, 1), rng), 5))
+
+
 class TestOptStep:
     def test_zero_gradients_leave_parameters(self, rng):
         model = init_mlp((2, 3, 1), rng)

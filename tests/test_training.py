@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import matchgan.nn as nn
+import matchgan.training as training
 from matchgan.datasets import MATCH, NON_MATCH, SyntheticConfig, generate_synthetic
 from matchgan.diversity import build_partition, waterfill_counts
 from matchgan.evaluation import evaluate_run
@@ -66,8 +68,9 @@ def twin_problem(n_per_class=10, data_seed=5):
 # The training iteration as it ran before each model's parameters became
 # one flat vector: per-layer arrays, a logistic split by boolean masks and
 # np.clip, hstack-built inputs, a second generator pass for the generator's
-# update, and Adam layer by layer; the discriminator's step is one pass over
-# the stacked [fake; real] batch. inner_train must reproduce it bit for bit.
+# update, and Adam or SGD layer by layer; the discriminator's step is one
+# pass over the stacked [fake; real] batch. inner_train must reproduce it
+# bit for bit.
 def _ref_forward(layers, X, acts=None):
     a = X
     for w, b in layers[:-1]:
@@ -112,9 +115,16 @@ def _ref_adam(layers, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
             layers[ell][which] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def _ref_sgd(layers, grads, moments, t, lr):
+    for ell, layer_grads in enumerate(grads):
+        for which, grad in enumerate(layer_grads):
+            layers[ell][which] -= lr * grad
+
+
 def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
     """Layers and Adam moments (lists of (W, b)) of both models, plus the
     mean objective and loss, after iters reference iterations."""
+    step = {"adam": _ref_adam, "sgd": _ref_sgd}
     G = [[w.copy(), b.copy()] for w, b in zip(gen.weights, gen.biases)]
     D = [[w.copy(), b.copy()] for w, b in zip(disc.weights, disc.biases)]
     mg, md = ([[[np.zeros_like(a) for a in layer] for layer in m] for _ in range(2)] for m in (G, D))
@@ -139,14 +149,14 @@ def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
         dloss = np.concatenate([1.0 / (len(d_fake) * (1.0 - d_fake)),
                                 -cfg.real_weight / (len(d_real) * d_real)])
         d_grads, _ = _ref_backprop(D, d_all, d_acts, dloss)
-        _ref_adam(D, d_grads, md, t, cfg.disc_learning_rate)
+        step[cfg.disc_optimizer](D, d_grads, md, t, cfg.disc_learning_rate)
         g_acts, d_acts = [], []
         g_out = _ref_forward(G, Xf, g_acts)
         d_out = _ref_forward(D, np.hstack([Xf, g_out[:, None]]), d_acts)
         g_sum += float(np.mean(np.log(1.0 - d_out)))
         _, dinput = _ref_backprop(D, d_out, d_acts, -1.0 / (len(d_out) * (1.0 - d_out)))
         g_grads, _ = _ref_backprop(G, g_out, g_acts, dinput[:, -1])
-        _ref_adam(G, g_grads, mg, t, cfg.learning_rate)
+        step[cfg.optimizer](G, g_grads, mg, t, cfg.learning_rate)
     return G, D, mg, md, d_sum / iters, g_sum / iters
 
 
@@ -165,6 +175,7 @@ def inner_train_mismatches(iters=50):
     for cfg in (
         TrainConfig(seed=3, batch_size=16, real_weight=0.7),
         TrainConfig(seed=4, batch_size=500, variant="no_diversity"),
+        TrainConfig(seed=5, batch_size=37, optimizer="sgd", disc_optimizer="sgd"),
     ):
         rng = np.random.default_rng(cfg.seed)
         gen = nn.init_mlp((pool.n_features, *cfg.gen_hidden, 1), rng)
@@ -180,8 +191,12 @@ def inner_train_mismatches(iters=50):
         want = (_flat(ref[0]), _flat(ref[1]), _flat(ref[2][0]), _flat(ref[2][1]),
                 _flat(ref[3][0]), _flat(ref[3][1]), ref[4], ref[5])
         names = ("gen", "disc", "gen m1", "gen m2", "disc m1", "disc m2", "d_objective", "g_loss")
-        bad += [f"{cfg.variant}: {name}" for name, a, b in zip(names, got, want)
-                if np.asarray(a).tobytes() != np.asarray(b).tobytes()]
+        # SGD keeps no moments
+        kept = [cfg.optimizer == "adam"] * 2 + [cfg.disc_optimizer == "adam"] * 2
+        compared = [True, True, *kept, True, True]
+        bad += [f"{cfg.variant}/{cfg.optimizer}: {name}"
+                for name, a, b, on in zip(names, got, want, compared)
+                if on and np.asarray(a).tobytes() != np.asarray(b).tobytes()]
     return bad
 
 
@@ -285,6 +300,20 @@ class TestSelectTop:
         ids = [(f"a{k:03d}", "b") for k in range(len(values))]
         expected = sorted(range(len(ids)), key=lambda k: (-scores[k], ids[k]))[:count]
         assert select_top(scores, count).tolist() == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=5_000, max_value=20_000),
+        st.lists(st.sampled_from([nn.OUTPUT_EPS, 0.25, 0.5, 0.75, 1.0 - nn.OUTPUT_EPS]),
+                 min_size=1, max_size=5, unique=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_partial_selection_at_pool_size(self, n, alphabet, seed):
+        # pool-sized ties, the clamp values included, for every count case
+        scores = np.random.default_rng(seed).choice(alphabet, size=n)
+        for count in (0, 1, n // 2, n - 1, n, n + 5):
+            want = np.argsort(-scores, kind="stable")[:count]
+            assert np.array_equal(select_top(scores, count), want), count
 
 
 class TestPropagate:
@@ -429,6 +458,38 @@ class TestInnerTrain:
         d_real = nn.forward_batch(disc, np.hstack([pool.features[l_rows], y[:, None]]))
         assert np.abs(d_fake - 0.5).mean() < 0.15
         assert np.abs(d_real - 0.5).mean() < 0.15
+
+
+class TestTracedNames:
+    """The step and propagation reach the layer functions through the
+    module attributes that a tracer wraps."""
+
+    def test_wrapped_attributes_see_every_call(self, monkeypatch):
+        calls = collections.Counter()
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def passthrough(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, passthrough)
+
+        for name in ("discriminator_backward", "generator_backward", "opt_step", "forward_batch"):
+            count(nn, name)
+        count(training, "select_top")
+        pool, partition, state = twin_problem()
+        rng = np.random.default_rng(0)
+        gen = nn.init_mlp((4, 8, 1), rng)
+        disc = nn.init_mlp((5, 8, 1), rng)
+        k = 7
+        inner_train(gen, disc, pool, state, TrainConfig(seed=0, batch_size=10), partition,
+                    rng, iters=k)
+        assert calls == {"discriminator_backward": k, "generator_backward": k, "opt_step": 2 * k}
+        calls.clear()
+        propagate(gen, disc, pool, np.flatnonzero(state.label == -1), 5)
+        assert calls == {"forward_batch": 2, "select_top": 1}
 
 
 class TestRun:
