@@ -36,19 +36,33 @@ print(f"  numeric  {numeric:+.10f}")
 print(f"  |difference| {abs(analytic - numeric):.2e}")
 
 # --- closed-form pointwise optimum vs search --------------------------------
+# At each support point the objective w*p_real*log(d) + p_gen*log(1-d) is
+# concave in d, with maximizer w*p_real / (w*p_real + p_gen). Ternary search
+# finds the maximizer without that formula.
+def search_optimum(p_real, p_gen, weight, lo=1e-9, hi=1.0 - 1e-9):
+    def objective(d):
+        return weight * p_real * np.log(d) + p_gen * np.log(1.0 - d)
+
+    for _ in range(200):
+        third = (hi - lo) / 3.0
+        a, b = lo + third, hi - third
+        if objective(a) < objective(b):
+            lo = a
+        else:
+            hi = b
+    return 0.5 * (lo + hi)
+
+
 print("\npointwise discriminator optimum (closed form vs ternary search):")
-dist = nn.DiscreteJointDistribution(
-    points=["low/low", "high/high", "mixed"],
-    p_real=[0.6, 0.3, 0.1],
-    p_generated=[0.2, 0.3, 0.5],
-)
+points = ["low/low", "high/high", "mixed"]
+p_real, p_generated = [0.6, 0.3, 0.1], [0.2, 0.3, 0.5]
 for weight in (0.5, 1.0, 2.0):
-    pairs = nn.optimal_discriminator_check(dist, weight)
     print(f"  weight {weight}:")
-    for point, (closed, numeric) in zip(dist.points, pairs):
+    for point, p_d, p_g in zip(points, p_real, p_generated):
+        closed = weight * p_d / (weight * p_d + p_g)
+        numeric = search_optimum(p_d, p_g, weight)
         print(f"    {point:>9}: closed {closed:.8f}  search {numeric:.8f}  gap {abs(closed-numeric):.1e}")
 
 print("\nwhere real and generated mass agree, the optimum is exactly 1/2:")
-dist_eq = nn.DiscreteJointDistribution(points=[0], p_real=[1.0], p_generated=[1.0])
-closed, numeric = nn.optimal_discriminator_check(dist_eq, 1.0)[0]
+closed, numeric = 1.0 / (1.0 + 1.0), search_optimum(1.0, 1.0, 1.0)
 print(f"  closed {closed}, search {numeric:.8f}")

@@ -19,14 +19,12 @@ from .datasets import (
     load_gold,
     load_records,
     save_gold,
-    save_records,
 )
 from .diversity import (
     SubspacePartition,
     build_partition,
     compute_medians,
     diverse_sample,
-    l21_norm,
     load_partition,
     save_partition,
 )
@@ -49,13 +47,11 @@ from .features import (
     write_instance_file,
 )
 from .nn import (
-    DiscreteJointDistribution,
     MlpModel,
     OptState,
     forward_batch,
     init_mlp,
     load_model,
-    optimal_discriminator_check,
     save_model,
 )
 from .training import (

@@ -57,7 +57,6 @@ class Record:
 class RecordSet:
     schema: tuple[str, ...]
     records: list[Record]
-    source_tag: str = ""
 
     def __post_init__(self):
         width = len(self.schema)
@@ -123,7 +122,6 @@ def load_records(
     schema: list[str] | tuple[str, ...],
     id_column: str,
     delimiter: str = ",",
-    source_tag: str = "",
 ) -> RecordSet:
     """Load one record per data row; missing cells become empty strings."""
     path = Path(path)
@@ -149,33 +147,17 @@ def load_records(
             seen.add(rid)
             values = tuple((row.get(col) or "") for col in schema)
             records.append(Record(id=rid, attributes=values))
-    return RecordSet(schema=schema, records=records, source_tag=source_tag or path.stem)
+    return RecordSet(schema=schema, records=records)
 
 
-def save_records(
-    recordset: RecordSet,
-    path: str | Path,
-    id_column: str = "id",
-    delimiter: str = ",",
-) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow((id_column, *recordset.schema))
-        for rec in recordset.records:
-            writer.writerow((rec.id, *rec.attributes))
-
-
-def load_gold(
-    path: str | Path, delimiter: str = ",", has_header: bool = False
-) -> GoldStandard:
+def load_gold(path: str | Path, has_header: bool = False) -> GoldStandard:
     """Load a symmetric, deduplicated match set from a two-column file."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"missing file: {path}")
     gold = GoldStandard()
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if lineno == 1 and has_header:
                 continue
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -188,12 +170,10 @@ def load_gold(
     return gold
 
 
-def save_gold(gold: GoldStandard, path: str | Path, delimiter: str = ",") -> None:
+def save_gold(gold: GoldStandard, path: str | Path) -> None:
     rows = sorted(tuple(sorted(pair)) for pair in gold.matches)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        for a, b in rows:
-            writer.writerow((a, b))
+        csv.writer(fh).writerows(rows)
 
 
 def class_feature_params(separation: float) -> tuple[tuple[float, float], tuple[float, float], float]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -79,13 +78,14 @@ def _check_feature_indices(feature_indices: Sequence[int], n_features: int) -> N
     for ix in feature_indices:
         if not 0 <= ix < n_features:
             raise ValueError(f"feature index {ix} outside the {n_features} features")
+    if len(set(feature_indices)) != len(feature_indices):
+        raise ValueError(f"feature indices {list(feature_indices)} repeat an index")
 
 
 def build_partition(
     ids: Sequence,
     features: np.ndarray,
     feature_indices: Sequence[int] | None = None,
-    rng: np.random.Generator | None = None,
 ) -> SubspacePartition:
     """Compute medians (on a capped uniform sample) and assign every instance."""
     features = np.asarray(features, dtype=np.float64)
@@ -96,20 +96,13 @@ def build_partition(
         _check_feature_indices(feature_indices, features.shape[1])
     sample = features
     if features.shape[0] > MEDIAN_SAMPLE_CAP:
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         rows = rng.choice(features.shape[0], size=MEDIAN_SAMPLE_CAP, replace=False)
         sample = features[np.sort(rows)]
     medians = compute_medians(sample[:, list(feature_indices)])
     part = SubspacePartition(medians=medians, feature_indices=feature_indices)
     part.assign_all(ids, features)
     return part
-
-
-def l21_norm(counts: Sequence[int]) -> float:
-    """Sum of square roots of the per-subspace selection counts."""
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be non-negative")
-    return float(sum(math.sqrt(c) for c in counts))
 
 
 def waterfill_counts(populations_sizes: Sequence[int], m: int) -> list[int]:
@@ -171,10 +164,17 @@ def load_partition(path: str | Path) -> SubspacePartition:
     if version != PARTITION_FORMAT_VERSION:
         raise ValueError(f"unsupported partition format version {version!r}")
     indices, medians = payload.get("feature_indices"), payload.get("medians")
-    if not isinstance(indices, list) or any(type(ix) is not int or ix < 0 for ix in indices):
-        raise ValueError(f"{path}: feature_indices must be a list of non-negative integers")
+    if (not isinstance(indices, list) or any(type(ix) is not int or ix < 0 for ix in indices)
+            or len(set(indices)) != len(indices)):
+        raise ValueError(
+            f"{path}: feature_indices must be a list of distinct non-negative integers"
+        )
     try:
         medians = np.array([float(v) for v in medians], dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: medians must be a list of numbers") from None
+    if not np.isfinite(medians).all():
+        raise ValueError(f"{path}: medians must be finite")
+    if len(medians) != len(indices):
+        raise ValueError(f"{path}: {len(indices)} feature_indices but {len(medians)} medians")
     return SubspacePartition(medians=medians, feature_indices=tuple(indices))

@@ -30,27 +30,13 @@ class MetricsReport:
         return dataclasses.asdict(self)
 
 
-def split_pool(
-    pool_size: int,
-    seed: int,
-    train_fraction: float | None = None,
-    label_budget: int | None = None,
-) -> tuple[list[int], list[int]]:
-    """Uniform random (train, test) split over instance positions.
-
-    Fraction mode takes floor(fraction * n) train positions; budget mode
-    takes exactly label_budget. Disjoint and covering by construction.
-    """
-    if (train_fraction is None) == (label_budget is None):
-        raise ValueError("specify exactly one of train_fraction or label_budget")
-    if train_fraction is not None:
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
-        n_train = int(pool_size * train_fraction)
-    else:
-        if not 0 < label_budget <= pool_size:
-            raise ValueError("label_budget must lie in (0, pool size]")
-        n_train = label_budget
+def split_pool(pool_size: int, seed: int, train_fraction: float) -> tuple[list[int], list[int]]:
+    """Uniform random (train, test) split over instance positions: the
+    train part has floor(train_fraction * pool_size) positions. Disjoint
+    and covering by construction."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie strictly between 0 and 1")
+    n_train = int(pool_size * train_fraction)
     order = np.random.default_rng(seed).permutation(pool_size)
     return sorted(int(i) for i in order[:n_train]), sorted(int(i) for i in order[n_train:])
 
@@ -155,7 +141,7 @@ def run_cell(
     if budget is not None:
         result = run(cfg, pool, partition, gold=gold, seed_budget=budget)
     else:
-        train_rows, _ = split_pool(len(pool), seed, train_fraction=fraction)
+        train_rows, _ = split_pool(len(pool), seed, fraction)
         seed_labels = {
             pool.ids[r]: gold.label_of(*pool.ids[r]) for r in train_rows
         }

@@ -119,18 +119,17 @@ def qgrams(text: str, q: int) -> frozenset[str]:
     return frozenset(folded[i : i + q] for i in range(len(folded) - q + 1))
 
 
-def qgram_jaccard(s1: str, s2: str, q: int = 2, both_empty: float = 1.0) -> float:
+def qgram_jaccard(s1: str, s2: str, q: int = 2) -> float:
     """Jaccard overlap of the two strings' q-gram sets, in [0, 1].
 
-    Two empty gram sets score both_empty (default 1.0: agreement on
-    absence); exactly one empty scores 0.0. Total function, symmetric in
-    its string arguments.
+    Two empty gram sets score 1.0 (agreement on absence); exactly one
+    empty scores 0.0. Total function, symmetric in its string arguments.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
     grams1, grams2 = qgrams(s1, q), qgrams(s2, q)
     if not grams1 and not grams2:
-        return both_empty
+        return 1.0
     if not grams1 or not grams2:
         return 0.0
     return len(grams1 & grams2) / len(grams1 | grams2)

@@ -41,6 +41,8 @@ CHECKPOINT_FORMAT_VERSION = 1
 # stay resident or not depending on allocation order, and peak RSS then
 # differs between runs of the same input.
 SCORE_BLOCK = 4096
+# Adam's moment decay rates and the denominator's guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class MlpModel:
@@ -80,9 +82,6 @@ class MlpModel:
             lo += fan_out
         return tuple(weights), tuple(biases)
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.layer_dims, self.weights, self.biases)
-
 
 def init_mlp(layer_dims, rng: np.random.Generator) -> MlpModel:
     """Uniform fan-in initialization with a zeroed output layer.
@@ -100,16 +99,6 @@ def init_mlp(layer_dims, rng: np.random.Generator) -> MlpModel:
         biases.append(rng.uniform(-bound, bound, size=fan_out))
     weights[-1][:] = 0.0
     biases[-1][:] = 0.0
-    return MlpModel(layer_dims=tuple(layer_dims), weights=weights, biases=biases)
-
-
-def zero_mlp(layer_dims) -> MlpModel:
-    """All-zero parameters; the network outputs exactly 0.5 everywhere."""
-    weights = [
-        np.zeros((fan_out, fan_in))
-        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:])
-    ]
-    biases = [np.zeros(fan_out) for fan_out in layer_dims[1:]]
     return MlpModel(layer_dims=tuple(layer_dims), weights=weights, biases=biases)
 
 
@@ -154,11 +143,9 @@ def _buffers_for(model: MlpModel, n: int, buffers: Buffers | None) -> Buffers:
     return buffers
 
 
-def forward_pass(model: MlpModel, X: np.ndarray, activations: list | None = None,
-                 buffers: Buffers | None = None) -> np.ndarray:
-    """Batch forward pass in one piece; appends every layer input to
-    activations when the caller passes a list to fill for backpropagation.
-    The returned output is buffers.out."""
+def forward_pass(model: MlpModel, X: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
+    """Batch forward pass in one piece. The returned output is buffers.out,
+    and buffers.acts then holds every layer input for backpropagation."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(
@@ -173,8 +160,6 @@ def forward_pass(model: MlpModel, X: np.ndarray, activations: list | None = None
         h += model.biases[ell - 1]
         np.maximum(h, 0.0, out=h)
         a = h
-    if activations is not None:
-        activations.extend(acts)
     np.matmul(a, w_t[-1], out=buf.z)
     buf.z += model.biases[-1]
     z, e, out = buf.z[:, 0], buf.e, buf.out
@@ -298,7 +283,7 @@ def generator_backward(gen: MlpModel, disc: MlpModel, X: np.ndarray, recorded=No
     The gradient flows through the discriminator's label input channel
     with the discriminator's own parameters held fixed; only the
     generator's gradient is produced. recorded, when given, is
-    (fake_in, activations) from a recording forward_pass of gen over X:
+    (fake_in, activations) from a forward_pass of gen over X:
     the discriminator input [X | G(X)] and the generator's layer inputs,
     which are then not computed again. buffers is a (generator,
     discriminator) pair of Buffers over len(X) rows.
@@ -394,9 +379,6 @@ class OptState:
 
     kind: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     moment1: np.ndarray | None = None
     moment2: np.ndarray | None = None
@@ -417,7 +399,7 @@ def opt_step(model: MlpModel, grad: np.ndarray, state: OptState,
     """One deterministic optimizer update of model.params in place.
 
     grad is laid out like params. Adam uses bias-corrected first/second
-    moments:
+    moments, with b1, b2 and eps the ADAM_ constants:
         m <- b1 m + (1-b1) g        v <- b2 v + (1-b2) g^2
         p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
     with the products evaluated left to right, as written. Intermediates
@@ -435,75 +417,21 @@ def opt_step(model: MlpModel, grad: np.ndarray, state: OptState,
         model.params -= s1
         return model, state
     m, v = state.moment1, state.moment2
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=s1)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)
     m += s1
-    v *= state.beta2
-    np.multiply(grad, 1.0 - state.beta2, out=s1)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=s1)
     s1 *= grad
     v += s1
-    np.divide(m, 1.0 - state.beta1**t, out=s1)  # m_hat
-    np.divide(v, 1.0 - state.beta2**t, out=s2)  # v_hat
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=s1)  # m_hat
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=s2)  # v_hat
     np.sqrt(s2, out=s2)
-    s2 += state.eps
+    s2 += ADAM_EPS
     s1 *= lr
     s1 /= s2
     model.params -= s1
     return model, state
-
-
-@dataclass
-class DiscreteJointDistribution:
-    """Two discrete distributions over shared (x, y) support points."""
-
-    points: list
-    p_real: np.ndarray
-    p_generated: np.ndarray
-
-    def __post_init__(self):
-        self.p_real = np.asarray(self.p_real, dtype=np.float64)
-        self.p_generated = np.asarray(self.p_generated, dtype=np.float64)
-        for p in (self.p_real, self.p_generated):
-            if np.any(p < 0.0):
-                raise ValueError("probabilities must be non-negative")
-            if abs(float(p.sum()) - 1.0) > 1e-9:
-                raise ValueError("each distribution must sum to 1")
-
-
-def _ternary_max(objective, lo: float, hi: float, iters: int = 200) -> float:
-    for _ in range(iters):
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        if objective(a) < objective(b):
-            lo = a
-        else:
-            hi = b
-    return 0.5 * (lo + hi)
-
-
-def optimal_discriminator_check(
-    dist: DiscreteJointDistribution, real_weight: float = 1.0
-) -> list[tuple[float, float]]:
-    """Closed-form vs. numeric pointwise optimum of the discriminator objective.
-
-    At each support point the objective w*p_real*log(d) + p_gen*log(1-d)
-    is concave in d; its maximizer has the closed form
-    w*p_real / (w*p_real + p_gen). The numeric value comes from ternary
-    search, independent of that formula. Points with both probabilities
-    zero are skipped.
-    """
-    out: list[tuple[float, float]] = []
-    for p_d, p_g in zip(dist.p_real, dist.p_generated):
-        if p_d == 0.0 and p_g == 0.0:
-            continue
-        closed = real_weight * p_d / (real_weight * p_d + p_g)
-
-        def pointwise(d, p_d=p_d, p_g=p_g):
-            return real_weight * p_d * np.log(d) + p_g * np.log(1.0 - d)
-
-        numeric = _ternary_max(pointwise, 1e-9, 1.0 - 1e-9)
-        out.append((float(closed), float(numeric)))
-    return out
 
 
 def save_model(

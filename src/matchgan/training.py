@@ -25,6 +25,7 @@ out from training entirely) are labeled afterwards via predict().
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -98,8 +99,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.real_weight < 0:
-            raise ValueError("real_weight must be non-negative")
+        if not 0.0 <= self.real_weight < math.inf:
+            raise ValueError("real_weight must be finite and non-negative")
         if self.inner_iters < 1:
             raise ValueError("inner_iters must be at least 1")
         if self.propagate_count is not None and self.propagate_count < 1:
@@ -109,6 +110,9 @@ class TrainConfig:
         for opt in (self.optimizer, self.disc_optimizer):
             if opt not in ("adam", "sgd"):
                 raise ValueError("optimizer must be 'adam' or 'sgd'")
+        for name in ("learning_rate", "disc_learning_rate"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         self.gen_hidden = tuple(self.gen_hidden)
         self.disc_hidden = tuple(self.disc_hidden)
 
@@ -289,16 +293,14 @@ def _inner_train_classifier(
     cfg: TrainConfig,
     rng: np.random.Generator,
     opt: nn.OptState,
-    iters: int | None = None,
 ) -> dict:
     """Plain supervised loop on the labeled pool (adversary removed)."""
-    n_iters = cfg.inner_iters if iters is None else iters
     lab_X, lab_y = _labeled_arrays(pool, state)
     size = min(cfg.batch_size, lab_X.shape[0])
     buf = nn.Buffers(clf, size)
     y = np.empty(size)
     loss_sum = 0.0
-    for _ in range(n_iters):
+    for _ in range(cfg.inner_iters):
         idx = rng.choice(lab_X.shape[0], size=size, replace=False)
         np.take(lab_X, idx, axis=0, out=buf.x, mode="clip")
         np.take(lab_y, idx, out=y, mode="clip")
@@ -306,9 +308,9 @@ def _inner_train_classifier(
         nn.opt_step(clf, grad, opt, buffers=buf)
         loss_sum += loss
     return {
-        "iterations": n_iters,
+        "iterations": cfg.inner_iters,
         "d_objective": None,
-        "g_loss": loss_sum / n_iters if n_iters else None,
+        "g_loss": loss_sum / cfg.inner_iters,
     }
 
 

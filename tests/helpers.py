@@ -1,0 +1,94 @@
+"""Test oracles and conveniences that the library itself has no use for."""
+
+import csv
+import math
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from matchgan.datasets import RecordSet
+from matchgan.nn import MlpModel
+
+
+def zero_mlp(layer_dims) -> MlpModel:
+    """All-zero parameters; the network outputs exactly 0.5 everywhere."""
+    dims = tuple(layer_dims)
+    weights = [np.zeros((fan_out, fan_in)) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+    return MlpModel(dims, weights, [np.zeros(fan_out) for fan_out in dims[1:]])
+
+
+def copy_model(model: MlpModel) -> MlpModel:
+    """A model with the same parameters in storage of its own."""
+    return MlpModel(model.layer_dims, model.weights, model.biases)
+
+
+def save_records(recordset: RecordSet, path, id_column: str = "id", delimiter: str = ",") -> None:
+    """Write records as load_records reads them: a header, then one row each."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow((id_column, *recordset.schema))
+        for rec in recordset.records:
+            writer.writerow((rec.id, *rec.attributes))
+
+
+def l21_norm(counts) -> float:
+    """Sum of square roots of the per-subspace selection counts."""
+    if any(c < 0 for c in counts):
+        raise ValueError("counts must be non-negative")
+    return float(sum(math.sqrt(c) for c in counts))
+
+
+@dataclass
+class DiscreteJointDistribution:
+    """Two discrete distributions over shared (x, y) support points."""
+
+    points: list
+    p_real: np.ndarray
+    p_generated: np.ndarray
+
+    def __post_init__(self):
+        self.p_real = np.asarray(self.p_real, dtype=np.float64)
+        self.p_generated = np.asarray(self.p_generated, dtype=np.float64)
+        for p in (self.p_real, self.p_generated):
+            if np.any(p < 0.0):
+                raise ValueError("probabilities must be non-negative")
+            if abs(float(p.sum()) - 1.0) > 1e-9:
+                raise ValueError("each distribution must sum to 1")
+
+
+def ternary_max(objective, lo: float, hi: float, iters: int = 200) -> float:
+    """Maximizer of a function that is concave on [lo, hi]."""
+    for _ in range(iters):
+        third = (hi - lo) / 3.0
+        a, b = lo + third, hi - third
+        if objective(a) < objective(b):
+            lo = a
+        else:
+            hi = b
+    return 0.5 * (lo + hi)
+
+
+def optimal_discriminator_check(
+    dist: DiscreteJointDistribution, real_weight: float = 1.0
+) -> list[tuple[float, float]]:
+    """Closed-form vs. numeric pointwise optimum of the discriminator objective.
+
+    At each support point the objective w*p_real*log(d) + p_gen*log(1-d)
+    is concave in d; its maximizer has the closed form
+    w*p_real / (w*p_real + p_gen). The numeric value comes from ternary
+    search, independent of that formula. Points with both probabilities
+    zero are skipped.
+    """
+    out: list[tuple[float, float]] = []
+    for p_d, p_g in zip(dist.p_real, dist.p_generated):
+        if p_d == 0.0 and p_g == 0.0:
+            continue
+        closed = real_weight * p_d / (real_weight * p_d + p_g)
+
+        def pointwise(d, p_d=p_d, p_g=p_g):
+            return real_weight * p_d * np.log(d) + p_g * np.log(1.0 - d)
+
+        numeric = ternary_max(pointwise, 1e-9, 1.0 - 1e-9)
+        out.append((float(closed), float(numeric)))
+    return out

@@ -31,6 +31,8 @@ from matchgan.evaluation import compute_metrics, evaluate_run, run_cell
 from matchgan.features import InstancePool, featurize_to_file, read_instance_file
 from matchgan.training import TrainConfig, run
 
+from helpers import DiscreteJointDistribution, optimal_discriminator_check
+
 DATA_SEED = 123
 RUN_SEEDS = tuple(range(61, 66))
 
@@ -153,10 +155,10 @@ def test_criterion_3_pointwise_optimum_closed_form():
             p_d /= p_d.sum()
             p_g = rng.random(k)
             p_g /= p_g.sum()
-            dist = nn.DiscreteJointDistribution(
+            dist = DiscreteJointDistribution(
                 points=list(range(k)), p_real=p_d, p_generated=p_g
             )
-            for closed, numeric in nn.optimal_discriminator_check(dist, weight):
+            for closed, numeric in optimal_discriminator_check(dist, weight):
                 diff = abs(closed - numeric)
                 worst = max(worst, diff)
                 assert diff < 1e-6

@@ -212,6 +212,11 @@ class TestBadInput:
         [
             ({"format_version": 1, "medians": ["0.5"]}, "feature_indices"),
             ({"format_version": 1, "medians": ["0.5"], "feature_indices": [7]}, "feature index 7"),
+            # a nan median used to put every row on the 0 side of that feature
+            ({"format_version": 1, "medians": ["0.5", "nan"], "feature_indices": [0, 1]},
+             "medians must be finite"),
+            ({"format_version": 1, "medians": ["0.5"] * 4, "feature_indices": [0, 0, 1, 2]},
+             "feature_indices must be a list of distinct"),
         ],
     )
     def test_bad_partition_file_rejected(self, tmp_path, capsys, payload, message):
@@ -226,6 +231,45 @@ class TestBadInput:
         )
         assert code == 1
         assert message in self._single_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["partition", "train"])
+    def test_repeated_split_feature_rejected(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        extra = ("--seed-budget", 4) if command == "train" else ()
+        code = run_cli(command, "--instances", data / "instances.tsv",
+                       "--split-features", "0,0", *extra, "-o", out)
+        assert code == 1
+        assert "repeat an index" in self._single_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("learning_rate", "nan"), ("learning_rate", "-1"), ("disc_learning_rate", "0"),
+         ("disc_learning_rate", "inf"), ("real_weight", "nan")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_rate_or_weight_rejected(self, tmp_path, capsys, key, value, source):
+        # a nan learning rate used to train to exit 0 and write a generator
+        # that predict then refused as not finite
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        capsys.readouterr()
+        if source == "flag":
+            setting = ("--" + key.replace("_", "-"), value)
+        else:
+            config = tmp_path / "train.cfg"
+            config.write_text(f"{key} = {value}\n")
+            setting = ("--config", config)
+        out = tmp_path / "out"
+        code = run_cli("train", "--instances", data / "instances.tsv", "--seed-budget", 4,
+                       *setting, "-o", out)
+        assert code == 1
+        assert f"{key} must be finite" in self._single_error(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "row, message",

@@ -15,8 +15,9 @@ from matchgan.datasets import (
     load_gold,
     load_records,
     save_gold,
-    save_records,
 )
+
+from helpers import save_records
 
 
 class TestLoadRecords:

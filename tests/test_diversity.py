@@ -9,11 +9,12 @@ from matchgan.diversity import (
     build_partition,
     compute_medians,
     diverse_sample,
-    l21_norm,
     load_partition,
     save_partition,
     waterfill_counts,
 )
+
+from helpers import l21_norm
 
 
 def brute_force_best_norm(sizes, m):
@@ -171,3 +172,38 @@ class TestPartitionPersistence:
         path.write_text('{"format_version": 99, "medians": [], "feature_indices": []}')
         with pytest.raises(ValueError, match="version"):
             load_partition(path)
+
+    @pytest.mark.parametrize("median", ["nan", "inf", "-inf"])
+    def test_non_finite_median_rejected(self, tmp_path, median):
+        path = tmp_path / "partition.json"
+        path.write_text(
+            f'{{"format_version": 1, "medians": ["0.5", "{median}"], "feature_indices": [0, 1]}}'
+        )
+        with pytest.raises(ValueError, match=f"{path}: medians must be finite"):
+            load_partition(path)
+
+    def test_repeated_feature_index_rejected(self, tmp_path):
+        path = tmp_path / "partition.json"
+        path.write_text(
+            '{"format_version": 1, "medians": ["0.5", "0.5", "0.5"], "feature_indices": [0, 0, 1]}'
+        )
+        with pytest.raises(ValueError, match=f"{path}: feature_indices must be a list of distinct"):
+            load_partition(path)
+
+    def test_median_count_must_match_indices(self, tmp_path):
+        # the constructor's own check used to report this without the path
+        path = tmp_path / "partition.json"
+        path.write_text('{"format_version": 1, "medians": ["0.5"], "feature_indices": [0, 1]}')
+        with pytest.raises(ValueError, match=f"{path}: 2 feature_indices but 1 medians"):
+            load_partition(path)
+
+
+class TestRepeatedFeatureIndex:
+    def test_build_partition_rejects_repeat(self, rng):
+        with pytest.raises(ValueError, match="repeat an index"):
+            build_partition(list(range(10)), rng.random((10, 3)), feature_indices=[2, 0, 2])
+
+    def test_assign_all_rejects_repeat(self, rng):
+        part = SubspacePartition(medians=np.full(2, 0.5), feature_indices=(1, 1))
+        with pytest.raises(ValueError, match="repeat an index"):
+            part.assign_all(list(range(10)), rng.random((10, 3)))

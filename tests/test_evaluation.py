@@ -25,24 +25,16 @@ class TestSplit:
             100, seed=3, train_fraction=0.3
         )
 
-    def test_budget_exact(self):
-        train, test = split_pool(1000, seed=1, label_budget=500)
-        assert len(train) == 500 and len(test) == 500
-
     def test_disjoint_and_covering(self):
-        train, test = split_pool(57, seed=9, label_budget=13)
+        train, test = split_pool(57, seed=9, train_fraction=0.25)
+        assert len(train) == 14
         assert set(train).isdisjoint(test)
         assert sorted(train + test) == list(range(57))
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            split_pool(10, seed=0)
-        with pytest.raises(ValueError):
-            split_pool(10, seed=0, train_fraction=0.5, label_budget=5)
-        with pytest.raises(ValueError):
-            split_pool(10, seed=0, train_fraction=1.5)
-        with pytest.raises(ValueError):
-            split_pool(10, seed=0, label_budget=11)
+        for fraction in (0.0, 1.0, 1.5, -0.2):
+            with pytest.raises(ValueError):
+                split_pool(10, seed=0, train_fraction=fraction)
 
 
 class TestMetrics:

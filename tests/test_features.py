@@ -85,9 +85,6 @@ class TestQgramJaccard:
     def test_case_folded(self):
         assert qgram_jaccard("ABC", "abc", 2) == 1.0
 
-    def test_both_empty_score_configurable(self):
-        assert qgram_jaccard("", "", 2, both_empty=0.0) == 0.0
-
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             qgram_jaccard("abc", "abd", 0)

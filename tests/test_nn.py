@@ -10,7 +10,6 @@ import pytest
 
 from matchgan import nn
 from matchgan.nn import (
-    DiscreteJointDistribution,
     MlpModel,
     OptState,
     binary_log_loss,
@@ -23,10 +22,10 @@ from matchgan.nn import (
     init_mlp,
     load_model,
     opt_step,
-    optimal_discriminator_check,
     save_model,
-    zero_mlp,
 )
+
+from helpers import DiscreteJointDistribution, copy_model, optimal_discriminator_check, zero_mlp
 
 
 def hand_rolled_forward(x, weights, biases):
@@ -108,9 +107,10 @@ class TestForward:
             model = init_mlp(dims, rng)
             model.weights[-1][...] = rng.normal(size=model.weights[-1].shape)
             X = rng.normal(size=(64, dims[0]))
-            acts: list = []
-            recorded = nn.forward_pass(model, X, acts)
+            buf = nn.Buffers(model, len(X))
+            recorded = nn.forward_pass(model, X, buffers=buf)
             assert forward_batch(model, X).tobytes() == recorded.tobytes()
+            acts = buf.acts
             # every layer input, as backpropagation reads them
             expected = [X]
             for w, b in zip(model.weights[:-1], model.biases[:-1]):
@@ -214,7 +214,7 @@ class TestModelShapes:
 
     def test_copy_shares_no_storage(self, rng):
         model = init_mlp((3, 4, 2, 1), rng)
-        twin = model.copy()
+        twin = copy_model(model)
         assert twin.params.tobytes() == model.params.tobytes()
         for mine in (twin.params, *twin.weights, *twin.biases):
             assert not np.shares_memory(mine, model.params)

@@ -29,6 +29,8 @@ from matchgan.training import (
     select_top,
 )
 
+from helpers import zero_mlp
+
 
 def small_problem(n_matches=6, rate=12, separation=0.9, data_seed=5):
     pool, gold = generate_synthetic(
@@ -264,13 +266,13 @@ class TestPseudoLabel:
         assert predict(gen, x) == [MATCH] and nn.forward_batch(gen, x)[0] > 0.5
 
     def test_tie_goes_to_non_match(self):
-        gen = nn.zero_mlp((2, 2, 1))
+        gen = zero_mlp((2, 2, 1))
         x = np.array([[0.3, 0.4]])
         assert nn.forward_batch(gen, x)[0] == 0.5
         assert predict(gen, x) == [NON_MATCH]
 
     def test_zero_network_labels_everything_non_match(self, rng):
-        gen = nn.zero_mlp((3, 4, 1))
+        gen = zero_mlp((3, 4, 1))
         X = np.random.default_rng(0).random((20, 3))
         labels = predict(gen, X)
         assert labels == [NON_MATCH] * 20
@@ -319,8 +321,8 @@ class TestSelectTop:
 class TestPropagate:
     def test_zero_networks_give_tie_rule(self, rng):
         pool, partition, gold = small_problem()
-        gen = nn.zero_mlp((4, 2, 1))
-        disc = nn.zero_mlp((5, 2, 1))
+        gen = zero_mlp((4, 2, 1))
+        disc = zero_mlp((5, 2, 1))
         remaining = np.array([1, 3, 4, 6, 9])
         batch = propagate(gen, disc, pool, remaining, 2)
         # all scores 0.5: lowest rows (so lowest ids) selected, all non-match
@@ -331,7 +333,7 @@ class TestPropagate:
         pool, partition, gold = small_problem()
         with pytest.raises(ValueError):
             propagate(
-                nn.zero_mlp((4, 2, 1)), nn.zero_mlp((5, 2, 1)), pool,
+                zero_mlp((4, 2, 1)), zero_mlp((5, 2, 1)), pool,
                 np.empty(0, dtype=np.intp), 1,
             )
 
@@ -549,6 +551,52 @@ class TestRun:
         for record in result.report["rounds"]:
             assert record["pool_size_after"] - record["propagated"] >= 8
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 120 // m - 1))),
+        st.integers(1, 4),
+        st.floats(0.0, 1.0),
+        st.sampled_from(training.VARIANTS),
+        st.sampled_from([None, 1, 3, 17]),
+        st.integers(1, 5),
+        st.integers(1, 30),
+        st.integers(0, 2**16),
+    )
+    def test_real_labels_survive_every_round(self, size, n_features, separation, variant,
+                                             propagate_count, inner_iters, budget, seed):
+        n_matches, rate = size
+        pool, gold = generate_synthetic(SyntheticConfig(
+            n_matches=n_matches, imbalance_rate=rate, n_features=n_features,
+            separation=separation, seed=seed,
+        ))
+        partition = build_partition(pool.ids, pool.features)
+        budget = min(budget, len(pool))
+        cfg = TrainConfig(seed=seed, batch_size=16, inner_iters=inner_iters,
+                          propagate_count=propagate_count, variant=variant)
+        picked = select_seed_labels(pool, gold, budget, partition,
+                                    np.random.default_rng(seed), variant)
+        seeds = np.array([pool.row_of(pid) for pid in picked])
+        rounds = []
+
+        class CheckedState(RunState):
+            def add(self, rows, labels, round_index):
+                super().add(rows, labels, round_index)
+                rounds.append(round_index)
+                assert np.array_equal(self.label[seeds], pool.real_labels[seeds])
+                assert np.array_equal(self.round_added[seeds], np.zeros(budget))
+
+        original, training.RunState = training.RunState, CheckedState
+        try:
+            state = run(cfg, pool, partition, gold=gold, seed_budget=budget).state
+        finally:
+            training.RunState = original
+        assert rounds == list(range(len(rounds)))
+        assert np.array_equal(np.flatnonzero(state.round_added == 0), np.sort(seeds))
+        assert np.array_equal(state.label[seeds], pool.real_labels[seeds])
+        # every row labeled exactly once, in rounds that never decrease
+        assert sorted(state.labeled_rows().tolist()) == list(range(len(pool)))
+        assert np.all(np.diff(state.round_added[state.order]) >= 0)
+
     def test_deterministic_reports_byte_identical(self):
         def report_once():
             pool, partition, gold = small_problem(n_matches=3, rate=8, data_seed=6)
@@ -650,6 +698,15 @@ class TestVariants:
             TrainConfig(propagate_count=0)
         with pytest.raises(ValueError):
             TrainConfig(optimizer="lbfgs")
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+                TrainConfig(learning_rate=bad)
+            with pytest.raises(ValueError, match="disc_learning_rate must be finite"):
+                TrainConfig(disc_learning_rate=bad)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="real_weight"):
+                TrainConfig(real_weight=bad)
+        TrainConfig(real_weight=0.0, learning_rate=1e-12, disc_learning_rate=5.0)
 
     def test_run_requires_seed_source(self):
         pool, partition, _ = small_problem()
