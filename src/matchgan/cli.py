@@ -320,7 +320,7 @@ def cmd_ablate(args) -> int:
     variants = [v.replace("-", "_") for v in args.variants.split(",")]
     base_seed = cfg.seed
     seeds = [base_seed + k for k in range(args.seeds)]
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     table = run_ablation_suite(
         pool, partition, gold, cfg,
         variants=variants, budgets=budgets, fractions=fractions, seeds=seeds,
@@ -460,6 +460,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

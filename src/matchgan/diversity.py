@@ -5,7 +5,8 @@ values against per-feature medians. Minibatch selection maximizes the
 l2,1 norm of the per-subspace selection counts (sum of square roots),
 which for a binary selection vector spreads the budget across as many
 subspaces as possible. The objective is separable and concave, so greedy
-water-filling is exactly optimal.
+water-filling is exactly optimal. Training draws many minibatches at once,
+each a row of distinct picks (distinct_picks, uniform_subsets).
 """
 
 from __future__ import annotations
@@ -145,6 +146,48 @@ def diverse_sample(populations: Sequence[Sequence], m: int, rng: np.random.Gener
             picks = rng.choice(len(pop), size=c, replace=False)
             selected.extend(pop[k] for k in np.sort(picks))
     return selected
+
+
+def distinct_picks(
+    rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, n: int
+) -> np.ndarray:
+    """n rows of picks: pick k of a row is lo[k] + i with i uniform below hi[k].
+
+    Within a row, a slot that repeats an earlier slot's pick is drawn again
+    until no pick repeats. The rule is blind to which values were picked,
+    so slots that share a range hold a uniform sample without replacement.
+    """
+    width = len(hi)
+    pos = lo + rng.integers(0, hi, size=(n, width))
+    slots = np.arange(width)
+    rows = np.arange(n)
+    sub = pos
+    while True:
+        # sorting pick * width + slot puts equal picks side by side, the
+        # earliest slot first
+        key = np.sort(sub * width + slots, axis=1)
+        pick = key // width
+        repeat = pick[:, 1:] == pick[:, :-1]
+        r, j = np.nonzero(repeat)
+        if not len(r):
+            return pos
+        slot = key[r, j + 1] % width
+        pos[rows[r], slot] = lo[slot] + rng.integers(0, hi[slot])
+        # only rows that held a repeat changed
+        rows = rows[repeat.any(axis=1)]
+        sub = pos[rows]
+
+
+def uniform_subsets(rng: np.random.Generator, size: int, k: int, n: int) -> np.ndarray:
+    """n rows of k distinct positions below size, each a uniform k-subset."""
+    if k == size:
+        return np.broadcast_to(np.arange(size), (n, size))
+    if 2 * k > size:
+        # draw the fewer positions to leave out
+        keep = np.ones((n, size), dtype=bool)
+        keep[np.arange(n)[:, None], uniform_subsets(rng, size, size - k, n)] = False
+        return np.nonzero(keep)[1].reshape(n, k)
+    return distinct_picks(rng, np.zeros(k, dtype=np.intp), np.full(k, size), n)
 
 
 def save_partition(part: SubspacePartition, path: str | Path) -> None:

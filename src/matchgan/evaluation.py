@@ -155,8 +155,19 @@ def run_cell(
     )
 
 
-def _run_cell_task(args):
-    return run_cell(*args[:-2], budget=args[-2], fraction=args[-1])
+# (pool, partition, gold, base_config) of the suite that a worker process
+# serves, set once by the pool's initializer in that process
+_shared: tuple = ()
+
+
+def _init_worker(*shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_cell_task(task):
+    variant, seed, budget, fraction = task
+    return run_cell(*_shared, variant, seed, budget=budget, fraction=fraction)
 
 
 def run_ablation_suite(
@@ -174,24 +185,22 @@ def run_ablation_suite(
 
     Cells are independent and internally deterministic, so they may run in
     parallel; results keep the canonical cell order regardless of workers.
+    A worker process receives the pool, partition, gold and base config
+    once, when it starts, and each cell task only names its cell.
     """
     if not budgets and not fractions:
         raise ValueError("need at least one budget or fraction")
-    tasks = []
-    for variant in variants:
-        for budget in budgets:
-            for seed in seeds:
-                tasks.append((pool, partition, gold, base_config, variant, seed, budget, None))
-        for fraction in fractions:
-            for seed in seeds:
-                tasks.append((pool, partition, gold, base_config, variant, seed, None, fraction))
+    costs = [(b, None) for b in budgets] + [(None, f) for f in fractions]
+    tasks = [(v, s, b, f) for v in variants for b, f in costs for s in seeds]
+    shared = (pool, partition, gold, base_config)
+    workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=shared) as ex:
             cells = list(ex.map(_run_cell_task, tasks))
     else:
-        cells = [_run_cell_task(t) for t in tasks]
+        cells = [run_cell(*shared, v, s, budget=b, fraction=f) for v, s, b, f in tasks]
     return AblationTable(cells)
 
 

@@ -32,7 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import MATCH, NON_MATCH, GoldStandard
-from .diversity import SubspacePartition, diverse_sample, waterfill_counts
+from .diversity import (
+    SubspacePartition,
+    distinct_picks,
+    diverse_sample,
+    uniform_subsets,
+    waterfill_counts,
+)
 from .features import LABEL_CODES, LABEL_NAMES, UNLABELED, InstancePool, PairId
 from . import nn
 
@@ -161,19 +167,21 @@ def _labeled_arrays(pool: InstancePool, state: RunState):
     return pool.features[rows], state.label[rows].astype(np.float64)
 
 
+_CHUNK = 50  # iterations whose minibatches are drawn at once
+
+
 class _MinibatchSampler:
-    """Per-round minibatch source over the fixed unlabeled index.
+    """Per-round source of unlabeled minibatches over the fixed unlabeled
+    index, drawn a chunk of iterations at a time.
 
     Subspace populations do not change within a round, so the diversity
     allocation (water-filling counts) is computed once, and so is a flat
     array of the subspaces drawn from: a subspace whose count equals its
     size is taken whole, the others are laid end to end in population.
-    Slot k of a draw picks population[lo[k] + i] with i uniform below
-    hi[k], where lo and hi are its subspace's offset and size, so one
-    rng.integers call fills every slot. A slot that repeats an earlier
-    slot's pick is drawn again until no pick repeats; that rule is blind
-    to which rows were picked, so each subspace's picks are a uniform
-    sample without replacement.
+    Slot k of a minibatch picks population[lo[k] + i] with i uniform below
+    hi[k], where lo and hi are its subspace's offset and size, and no two
+    slots of a minibatch pick the same row (distinct_picks). Without
+    diversity a minibatch is a uniform subset of the index.
     """
 
     def __init__(self, pops, u_rows: np.ndarray, size: int, diverse: bool):
@@ -192,18 +200,14 @@ class _MinibatchSampler:
             self.lo = np.repeat(np.cumsum(sizes) - sizes, slots)
             self.hi = np.repeat(sizes, slots)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
+    def chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n minibatches of pool rows, one per row of the result."""
         if not self.diverse:
-            return rng.choice(self.u_rows, size=self.size, replace=False)
-        pos = self.lo + rng.integers(0, self.hi)
-        while True:
-            order = np.argsort(pos, kind="stable")
-            ranked = pos[order]
-            repeats = order[1:][ranked[1:] == ranked[:-1]]
-            if not len(repeats):
-                break
-            pos[repeats] = self.lo[repeats] + rng.integers(0, self.hi[repeats])
-        return np.concatenate([self.whole, self.population[pos]])
+            return self.u_rows[uniform_subsets(rng, len(self.u_rows), self.size, n)]
+        out = np.empty((n, self.size), dtype=np.intp)
+        out[:, : len(self.whole)] = self.whole
+        out[:, len(self.whole) :] = self.population[distinct_picks(rng, self.lo, self.hi, n)]
+        return out
 
 
 def inner_train(
@@ -257,27 +261,30 @@ def inner_train(
     hard_x, hard_label = hard_in[:, :d], hard_in[:, d]
 
     d_sum = g_sum = 0.0
-    for _ in range(n_iters):
-        # the rows are in range, and mode="clip" spares take a staging copy
-        np.take(pool.features, sampler.draw(rng), axis=0, out=Xf, mode="clip")
-        g_soft = nn.forward_pass(gen, Xf, buffers=g_buf)
-        np.copyto(soft_x, Xf)
-        np.copyto(hard_x, Xf)
-        np.copyto(soft_label, g_soft)
-        np.greater(g_soft, 0.5, out=hard_label)
-        ridx = rng.choice(len(real_all), size=real_size, replace=False)
-        np.take(real_all, ridx, axis=0, out=real_in, mode="clip")
-        d_obj, d_grad = nn.discriminator_backward(
-            disc, hard_in, real_in, cfg.real_weight, buffers=d_buf
-        )
-        nn.opt_step(disc, d_grad, opt_disc, buffers=d_buf)
-        # the generator is unchanged since its pass above, so that pass is reused
-        g_loss, g_grad = nn.generator_backward(
-            gen, disc, Xf, (soft_in, g_buf.acts), buffers=(g_buf, s_buf)
-        )
-        nn.opt_step(gen, g_grad, opt_gen, buffers=g_buf)
-        d_sum += d_obj
-        g_sum += g_loss
+    for start in range(0, n_iters, _CHUNK):
+        n = min(_CHUNK, n_iters - start)
+        fake_rows = sampler.chunk(rng, n)
+        real_rows = uniform_subsets(rng, len(real_all), real_size, n)
+        for fake, real in zip(fake_rows, real_rows):
+            # the rows are in range, and mode="clip" spares take a staging copy
+            np.take(pool.features, fake, axis=0, out=Xf, mode="clip")
+            g_soft = nn.forward_pass(gen, Xf, buffers=g_buf)
+            np.copyto(soft_x, Xf)
+            np.copyto(hard_x, Xf)
+            np.copyto(soft_label, g_soft)
+            np.greater(g_soft, 0.5, out=hard_label)
+            np.take(real_all, real, axis=0, out=real_in, mode="clip")
+            d_obj, d_grad = nn.discriminator_backward(
+                disc, hard_in, real_in, cfg.real_weight, buffers=d_buf
+            )
+            nn.opt_step(disc, d_grad, opt_disc, buffers=d_buf)
+            # the generator is unchanged since its pass above, so that pass is reused
+            g_loss, g_grad = nn.generator_backward(
+                gen, disc, Xf, (soft_in, g_buf.acts), buffers=(g_buf, s_buf)
+            )
+            nn.opt_step(gen, g_grad, opt_gen, buffers=g_buf)
+            d_sum += d_obj
+            g_sum += g_loss
     stats = {
         "iterations": n_iters,
         "d_objective": d_sum / n_iters if n_iters else None,
@@ -300,13 +307,14 @@ def _inner_train_classifier(
     buf = nn.Buffers(clf, size)
     y = np.empty(size)
     loss_sum = 0.0
-    for _ in range(cfg.inner_iters):
-        idx = rng.choice(lab_X.shape[0], size=size, replace=False)
-        np.take(lab_X, idx, axis=0, out=buf.x, mode="clip")
-        np.take(lab_y, idx, out=y, mode="clip")
-        loss, grad = nn.classifier_backward(clf, buf.x, y, buffers=buf)
-        nn.opt_step(clf, grad, opt, buffers=buf)
-        loss_sum += loss
+    for start in range(0, cfg.inner_iters, _CHUNK):
+        n = min(_CHUNK, cfg.inner_iters - start)
+        for idx in uniform_subsets(rng, len(lab_y), size, n):
+            np.take(lab_X, idx, axis=0, out=buf.x, mode="clip")
+            np.take(lab_y, idx, out=y, mode="clip")
+            loss, grad = nn.classifier_backward(clf, buf.x, y, buffers=buf)
+            nn.opt_step(clf, grad, opt, buffers=buf)
+            loss_sum += loss
     return {
         "iterations": cfg.inner_iters,
         "d_objective": None,

@@ -207,6 +207,23 @@ class TestBadInput:
         assert f"{inst}:5: " in self._single_error(capsys)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("command", ["ablate", "featurize"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, records_csv, command, workers):
+        # -3 used to run serially and 0 to mean every CPU, both with exit 0
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        capsys.readouterr()
+        out = tmp_path / "out.tsv"
+        if command == "ablate":
+            argv = ["ablate", "--instances", data / "instances.tsv", "--budgets", 4,
+                    "--seeds", 1, "--inner-iters", 2]
+        else:
+            argv = ["featurize", "--left", records_csv]
+        assert run_cli(*argv, "--workers", workers, "-o", out) == 1
+        assert "--workers must be at least 1" in self._single_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "payload, message",
         [

@@ -152,6 +152,33 @@ class TestAblationSuite:
             (c.variant, c.seed, c.metrics.f_measure) for c in serial.cells
         ] == [(c.variant, c.seed, c.metrics.f_measure) for c in parallel.cells]
 
+    def test_workers_get_inputs_once_and_pool_is_capped(self, monkeypatch):
+        import concurrent.futures
+
+        seen = {}
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                seen["workers"], seen["initargs"] = max_workers, kwargs["initargs"]
+                super().__init__(max_workers, **kwargs)
+
+            def map(self, fn, tasks):
+                seen["tasks"] = list(tasks)
+                return super().map(fn, seen["tasks"])
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        pool, partition, gold = tiny_problem()
+        cfg = TrainConfig(inner_iters=20)
+        kwargs = dict(variants=("full", "no_adversary"), budgets=(10,), fractions=(0.5,),
+                      seeds=(0,))
+        parallel = run_ablation_suite(pool, partition, gold, cfg, workers=8, **kwargs)
+        serial = run_ablation_suite(pool, partition, gold, cfg, workers=1, **kwargs)
+        assert seen["workers"] == 4
+        assert all(a is b for a, b in zip(seen["initargs"], (pool, partition, gold, cfg)))
+        assert seen["tasks"] == [("full", 0, 10, None), ("full", 0, None, 0.5),
+                                 ("no_adversary", 0, 10, None), ("no_adversary", 0, None, 0.5)]
+        assert parallel.cells == serial.cells
+
     def test_cell_keeps_every_base_config_knob(self, monkeypatch):
         seen = []
         real_run = evaluation.run

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import matchgan.nn as nn
 import matchgan.training as training
 from matchgan.datasets import MATCH, NON_MATCH, SyntheticConfig, generate_synthetic
-from matchgan.diversity import build_partition, waterfill_counts
+from matchgan.diversity import build_partition, uniform_subsets, waterfill_counts
 from matchgan.evaluation import evaluate_run
 from matchgan.features import LABEL_NAMES, InstancePool
 from matchgan.training import (
@@ -139,10 +139,16 @@ def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
     )
     d_sum = g_sum = 0.0
     for t in range(1, iters + 1):
-        Xf = pool.features[sampler.draw(rng)]
+        # each chunk of iterations draws its fake, then its real minibatches
+        i = (t - 1) % training._CHUNK
+        if i == 0:
+            n = min(training._CHUNK, iters - t + 1)
+            fake_plan = sampler.chunk(rng, n)
+            real_plan = uniform_subsets(rng, lab_X.shape[0], real_size, n)
+        Xf = pool.features[fake_plan[i]]
         g_soft = _ref_forward(G, Xf)
         fake_in = np.hstack([Xf, (g_soft > 0.5).astype(np.float64)[:, None]])
-        ridx = rng.choice(lab_X.shape[0], size=real_size, replace=False)
+        ridx = real_plan[i]
         real_in = np.hstack([lab_X[ridx], lab_y[ridx][:, None]])
         d_acts = []
         d_all = _ref_forward(D, np.concatenate([fake_in, real_in]), d_acts)
@@ -166,19 +172,23 @@ def _flat(layers):
     return np.concatenate([a.ravel() for layer in layers for a in layer])
 
 
-def inner_train_mismatches(iters=50):
-    """Names of the values where inner_train and the reference differ."""
+def inner_train_mismatches(iters_list=(1, 49, 50, 51, 73)):
+    """Names of the values where inner_train and the reference differ, at
+    iteration counts on both sides of the draw chunk's edges."""
     pool, partition, _ = small_problem()
     state = RunState(len(pool))
     state.add(np.arange(0, len(pool), 4), pool.real_labels[::4], round_index=0)
     pseudo = np.arange(2, len(pool), 8)
     state.add(pseudo, pool.real_labels[pseudo], round_index=1)
     bad = []
-    for cfg in (
+    configs = (
         TrainConfig(seed=3, batch_size=16, real_weight=0.7),
         TrainConfig(seed=4, batch_size=500, variant="no_diversity"),
         TrainConfig(seed=5, batch_size=37, optimizer="sgd", disc_optimizer="sgd"),
-    ):
+        # at most half of each index: both draws redraw repeats
+        TrainConfig(seed=6, batch_size=12, variant="no_diversity"),
+    )
+    for iters, cfg in ((i, c) for i in iters_list for c in configs):
         rng = np.random.default_rng(cfg.seed)
         gen = nn.init_mlp((pool.n_features, *cfg.gen_hidden, 1), rng)
         disc = nn.init_mlp((pool.n_features + 1, *cfg.disc_hidden, 1), rng)
@@ -196,7 +206,7 @@ def inner_train_mismatches(iters=50):
         # SGD keeps no moments
         kept = [cfg.optimizer == "adam"] * 2 + [cfg.disc_optimizer == "adam"] * 2
         compared = [True, True, *kept, True, True]
-        bad += [f"{cfg.variant}/{cfg.optimizer}: {name}"
+        bad += [f"{cfg.variant}/{cfg.optimizer}/{iters}: {name}"
                 for name, a, b, on in zip(names, got, want, compared)
                 if on and np.asarray(a).tobytes() != np.asarray(b).tobytes()]
     return bad
@@ -344,6 +354,11 @@ def _split_rows(sizes):
     return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _subset_frequencies(plan):
+    """How often each row of plan holds each set of values."""
+    return collections.Counter(tuple(sorted(row)) for row in plan.tolist())
+
+
 class TestMinibatchSampler:
     def test_draw_is_uniform_without_replacement(self):
         # sizes (3, 4, 1) and a batch of 5 give counts (2, 2, 1): 3 * 6
@@ -353,10 +368,10 @@ class TestMinibatchSampler:
         sampler = _MinibatchSampler(pops, np.arange(8), 5, diverse=True)
         rng = np.random.default_rng(11)
         n_draws = 18_000
-        freq: dict = {}
-        for _ in range(n_draws):
-            key = tuple(sorted(sampler.draw(rng).tolist()))
-            freq[key] = freq.get(key, 0) + 1
+        freq = _subset_frequencies(
+            np.vstack([sampler.chunk(rng, training._CHUNK)
+                       for _ in range(n_draws // training._CHUNK)])
+        )
         assert len(freq) == 18
         assert all(len(set(key)) == 5 and 7 in key for key in freq)
         # within 15% of n_draws / 18: about five standard deviations
@@ -365,24 +380,72 @@ class TestMinibatchSampler:
     @given(
         st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6),
         st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=7),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_planned_distinct_counts_and_full_subspaces_whole(self, sizes, size, seed):
+    def test_planned_distinct_counts_and_full_subspaces_whole(self, sizes, size, n, seed):
         pops = _split_rows(sizes)
         size = min(size, sum(sizes))
         if size == 0:
             return
         counts = waterfill_counts(sizes, size)
         sampler = _MinibatchSampler(pops, np.arange(sum(sizes)), size, diverse=True)
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            rows = sampler.draw(rng)
-            assert len(rows) == size and len(set(rows.tolist())) == size
+        plan = sampler.chunk(np.random.default_rng(seed), n)
+        assert plan.shape == (n, size)
+        for rows in plan:
+            assert len(set(rows.tolist())) == size
             for pop, c in zip(pops, counts):
                 picked = np.intersect1d(rows, pop)
                 assert len(picked) == c
                 if c == len(pop):
                     assert picked.tolist() == pop.tolist()
+
+    def test_subspace_drawn_all_but_one(self):
+        # sizes (5, 1) and a batch of 5: the lone row is taken whole and 4
+        # of the 5 others are drawn, so the redraw rule must find the last
+        # free rows; each of the 5 subsets has probability 1/5
+        sampler = _MinibatchSampler(_split_rows([5, 1]), np.arange(6), 5, diverse=True)
+        freq = _subset_frequencies(sampler.chunk(np.random.default_rng(2), 10_000))
+        assert len(freq) == 5
+        assert all(len(set(key)) == 5 and 5 in key for key in freq)
+        assert all(abs(n - 2000) < 300 for n in freq.values()), freq
+        # a larger dense subspace: 59 of 60 for every row of a chunk
+        plan = _MinibatchSampler(_split_rows([60]), np.arange(60), 59, diverse=True).chunk(
+            np.random.default_rng(3), training._CHUNK
+        )
+        assert all(len(set(row)) == 59 for row in plan.tolist())
+
+    @pytest.mark.parametrize("size, k, n_rows", [
+        (101, 100, 101_000), (30, 16, 2_500), (30, 12, 2_500), (6, 3, 20_000),
+    ])
+    def test_uniform_subsets_distinct_and_uniform(self, size, k, n_rows):
+        # 100 of 101 and 16 of 30 draw the fewer rows to leave out; 12 of
+        # 30 and 3 of 6 redraw repeats
+        rng = np.random.default_rng(size * k)
+        exhaustive = math.comb(size, k) <= 20
+        hits = np.zeros(size, dtype=np.int64)
+        freq = collections.Counter()
+        for _ in range(n_rows // training._CHUNK):
+            plan = uniform_subsets(rng, size, k, training._CHUNK)
+            assert plan.shape == (training._CHUNK, k)
+            assert np.all(np.diff(np.sort(plan, axis=1), axis=1) > 0)
+            hits += np.bincount(plan.ravel(), minlength=size)
+            if exhaustive:
+                freq += _subset_frequencies(plan)
+        # each position is in a row with probability k / size; the rarer
+        # of in and out is expected at least 1,000 times per position, and
+        # every count is within 15% of that
+        rare = np.minimum(hits, n_rows - hits)
+        expected = n_rows * min(k, size - k) / size
+        assert np.all(np.abs(rare - expected) < 0.15 * expected), rare
+        if exhaustive:
+            each = n_rows / math.comb(size, k)
+            assert len(freq) == math.comb(size, k)
+            assert all(abs(n - each) < 0.15 * each for n in freq.values()), freq
+
+    def test_uniform_subsets_of_everything_take_every_row(self):
+        plan = uniform_subsets(np.random.default_rng(0), 101, 101, 3)
+        assert plan.tolist() == [list(range(101))] * 3
 
 
 class TestInnerTrain:
