@@ -20,7 +20,7 @@ for m in (gen, disc):  # move off the zeroed output layer for a generic point
     m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
 X = rng.random((6, 4))
 
-loss, grad = nn.generator_backward(gen, disc, X)
+grad = nn.generator_backward(gen, disc, X)
 h = 1e-5
 w = gen.weights[0]
 analytic = gen.split(grad)[0][0][0, 0]  # the gradient entry of w[0, 0]

@@ -240,7 +240,6 @@ def cmd_train(args) -> int:
     partition = _partition_for(args, pool)
     gold = _gold_for(pool, args.gold, args.gold_header)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = run(
         cfg,
         pool,
@@ -249,6 +248,8 @@ def cmd_train(args) -> int:
         seed_budget=args.seed_budget,
         checkpoint_dir=out / "checkpoints" if args.checkpoints else None,
     )
+    # made only now, so that a run that fails leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
     save_partition(partition, out / "partition.json")
     save_model(out / "generator.npz", result.generator, seed=cfg.seed,
                kind="classifier" if cfg.variant == "no_adversary" else "generator")
@@ -460,8 +461,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "workers", None) is not None and args.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        for flag in ("workers", "seeds"):
+            if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
+                raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
         return args.func(args)
     except (IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

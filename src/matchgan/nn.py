@@ -8,11 +8,15 @@ clamped away from {0, 1} so no loss evaluation can be non-finite.
 
 Backpropagation is written out by hand (no autodiff): the generator's
 gradients flow through the discriminator's input while the discriminator
-stays frozen, and vice versa.
+stays frozen, and vice versa. It starts from the loss derivative at the
+output logit, which each loss gives in closed form.
 
 A model keeps every parameter in one contiguous float64 vector, params,
-laid out W0, b0, W1, b1, ...; its weights and biases are views into that
-vector. Gradients and Adam moments are vectors with the same layout, so an
+that holds each layer as one fan_out x (fan_in + 1) block [W | b], layer
+after layer; its weights and biases are views into those blocks. Every
+layer input carries a trailing ones column, so a layer's forward product
+adds its bias and its parameter gradient is one product delta.T @ [a | 1].
+Gradients and Adam moments are vectors with the same layout, so an
 optimizer update is one elementwise pass per model.
 
 The passes and the optimizer step write every intermediate into a
@@ -20,10 +24,10 @@ Buffers of fixed arrays, which a training loop builds once and reuses;
 called without one they build their own. Either way the same products and
 elementwise operations run in the same order, so the bits do not depend on
 whether buffers were passed. The forward pass multiplies with np.matmul,
-which is a @ w.T itself and the faster at scoring-block sizes; backprop
-uses np.dot, the faster at minibatch sizes, whose bits agree with @ there.
-Weights stay fan_out x fan_in: products with a contiguous copy of w.T round
-differently.
+the faster at scoring-block sizes; backprop uses np.dot, the faster at
+minibatch sizes, whose bits agree with @ there. Blocks stay
+fan_out x (fan_in + 1): products with a contiguous copy of their transpose
+round differently.
 """
 
 from __future__ import annotations
@@ -49,8 +53,10 @@ class MlpModel:
     """Parameters of one rectifier network with logistic output.
 
     The constructor copies the per-layer weights (fan_out x fan_in) and
-    biases into params. weights and biases are tuples of views into params,
-    so a layer cannot be rebound to an array that params would not see.
+    biases into params. blocks holds each layer's [W | b] block, and
+    weights and biases its columns; all three are tuples of views into
+    params, so a layer cannot be rebound to an array that params would
+    not see.
     """
 
     def __init__(self, layer_dims, weights, biases):
@@ -61,6 +67,7 @@ class MlpModel:
         if n_layers < 1 or len(weights) != n_layers or len(biases) != n_layers:
             raise ValueError(f"layer_dims {dims} need {n_layers} weight and bias arrays")
         self.params = np.empty(sum((i + 1) * o for i, o in zip(dims[:-1], dims[1:])))
+        self.blocks = self.layer_blocks(self.params)
         self.weights, self.biases = self.split(self.params)
         for ell, (w, b) in enumerate(zip(weights, biases)):
             if np.shape(w) != self.weights[ell].shape or np.shape(b) != self.biases[ell].shape:
@@ -72,15 +79,18 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
+    def layer_blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-layer [W | b] views into a vector laid out like params."""
+        blocks, lo = [], 0
+        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            blocks.append(flat[lo : lo + fan_out * (fan_in + 1)].reshape(fan_out, fan_in + 1))
+            lo += fan_out * (fan_in + 1)
+        return tuple(blocks)
+
     def split(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Per-layer (weights, biases) views into a vector laid out like params."""
-        weights, biases, lo = [], [], 0
-        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
-            weights.append(flat[lo : lo + fan_out * fan_in].reshape(fan_out, fan_in))
-            lo += fan_out * fan_in
-            biases.append(flat[lo : lo + fan_out])
-            lo += fan_out
-        return tuple(weights), tuple(biases)
+        blocks = self.layer_blocks(flat)
+        return tuple(b[:, :-1] for b in blocks), tuple(b[:, -1] for b in blocks)
 
 
 def init_mlp(layer_dims, rng: np.random.Generator) -> MlpModel:
@@ -108,30 +118,33 @@ class Buffers:
     A loop that runs many passes of the same size builds one Buffers per
     model and size and hands it to each call as buffers=; the pass then
     allocates nothing, and its results (the output, the gradient, the
-    input gradient) are these arrays, overwritten by the next call. x is
-    an input matrix for callers that gather or stack rows into it; grad is
-    laid out like params, with per-layer views dws and dbs; step is
-    optimizer scratch. A call made without buffers builds its own, so there
-    is one copy of the layer math.
+    input gradient) are these arrays, overwritten by the next call. acts
+    holds each layer's input with its ones column, filled here once; x is
+    the input columns of acts[0], which callers may gather or stack rows
+    into, and hidden the rectified columns of the others. dz receives the
+    loss derivative at the output logit before backprop. grad is laid out
+    like params, with per-layer block views; step is optimizer scratch. A
+    call made without buffers builds its own, so there is one copy of the
+    layer math.
     """
 
     def __init__(self, model: MlpModel, n: int):
         dims = model.layer_dims
         self.model, self.n = model, n
-        self.x = np.empty((n, dims[0]))
-        # the input of each layer; acts[0] is rebound to each call's input
-        self.acts = [self.x, *(np.empty((n, h)) for h in dims[1:-1])]
-        self.weights_t = tuple(w.T for w in model.weights)
+        self.acts = [np.ones((n, d + 1)) for d in dims[:-1]]
+        self.x = self.acts[0][:, :-1]
+        self.hidden = [a[:, :-1] for a in self.acts[1:]]
+        self.blocks_t = tuple(b.T for b in model.blocks)
         self.z = np.empty((n, 1))
         self.out, self.e, self.t = np.empty(n), np.empty(n), np.empty(n)
         self.nonneg = np.empty(n, dtype=bool)
         # deltas[ell] is the loss gradient at layer ell's output
         self.deltas = [np.empty((n, h)) for h in dims[1:]]
+        self.dz = self.deltas[-1][:, 0]
         self.masks = [np.empty((n, h), dtype=bool) for h in dims[1:-1]]
         self.dinput = np.empty((n, dims[0]))
-        self.dloss, self.terms = np.empty(n), np.empty(n)
         self.grad = np.empty_like(model.params)
-        self.dws, self.dbs = model.split(self.grad)
+        self.grad_blocks = model.layer_blocks(self.grad)
         self.step = (np.empty_like(model.params), np.empty_like(model.params))
 
 
@@ -145,23 +158,23 @@ def _buffers_for(model: MlpModel, n: int, buffers: Buffers | None) -> Buffers:
 
 def forward_pass(model: MlpModel, X: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
     """Batch forward pass in one piece. The returned output is buffers.out,
-    and buffers.acts then holds every layer input for backpropagation."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input shape {X.shape} incompatible with input dim {model.input_dim}"
-        )
+    and buffers.acts then holds every layer input for backpropagation. X
+    is copied into buffers.x unless it is buffers.x."""
+    if buffers is None or X is not buffers.x:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != model.input_dim:
+            raise ValueError(
+                f"input shape {X.shape} incompatible with input dim {model.input_dim}"
+            )
     buf = _buffers_for(model, len(X), buffers)
-    acts, w_t = buf.acts, buf.weights_t
-    acts[0] = a = X
-    for ell in range(1, len(acts)):
-        h = acts[ell]
-        np.matmul(a, w_t[ell - 1], out=h)
-        h += model.biases[ell - 1]
-        np.maximum(h, 0.0, out=h)
-        a = h
-    np.matmul(a, w_t[-1], out=buf.z)
-    buf.z += model.biases[-1]
+    if X is not buf.x:
+        np.copyto(buf.x, X)
+    acts, blocks_t = buf.acts, buf.blocks_t
+    for ell, h in enumerate(buf.hidden):
+        np.matmul(acts[ell], blocks_t[ell], out=h)
+        # the ones column stays 1
+        np.maximum(acts[ell + 1], 0.0, out=acts[ell + 1])
+    np.matmul(acts[-1], blocks_t[-1], out=buf.z)
     z, e, out = buf.z[:, 0], buf.e, buf.out
     # overflow-safe logistic, 1/(1+e) for z >= 0 and e/(1+e) below, where
     # e = exp(-|z|) never overflows; as e <= 1, max(e, z >= 0) is that
@@ -212,104 +225,92 @@ def forward_batch(model: MlpModel, X: np.ndarray, label: np.ndarray | None = Non
     return out
 
 
-def backprop(model: MlpModel, out: np.ndarray, activations, dloss_dout: np.ndarray,
-             want_params: bool = True, want_input: bool = False,
-             buffers: Buffers | None = None):
+def backprop(model: MlpModel, buffers: Buffers, want_params: bool = True,
+             want_input: bool = False):
     """Gradients of a scalar loss w.r.t. the parameters and the input.
 
-    dloss_dout holds the loss derivative w.r.t. the clamped logistic
-    output, one entry per batch row. Returns (grad, dinput): grad is laid
-    out like model.params, dinput has one row per input row, and each is
-    None, its work skipped, unless asked for. They are buffers.grad and
-    buffers.dinput.
+    buffers holds a forward_pass of model, and buffers.dz the loss
+    derivative w.r.t. the output logit, one entry per row. Returns
+    (grad, dinput): grad is laid out like model.params, dinput has one row
+    per input row, and each is None, its work skipped, unless asked for.
+    They are buffers.grad and buffers.dinput.
     """
-    buf = _buffers_for(model, len(out), buffers)
+    buf = _buffers_for(model, buffers.n, buffers)
     delta = buf.deltas[-1]
-    through = delta[:, 0]  # through the logistic output
-    np.multiply(dloss_dout, out, out=through)
-    np.subtract(1.0, out, out=buf.t)
-    np.multiply(through, buf.t, out=through)
-    for ell in range(len(model.weights) - 1, -1, -1):
+    for ell in range(len(model.blocks) - 1, -1, -1):
         if want_params:
-            np.dot(delta.T, activations[ell], out=buf.dws[ell])
-            np.add.reduce(delta, axis=0, out=buf.dbs[ell])
+            np.dot(delta.T, buf.acts[ell], out=buf.grad_blocks[ell])
         if ell == 0 and not want_input:
             break
         prev = buf.deltas[ell - 1] if ell > 0 else buf.dinput
         np.dot(delta, model.weights[ell], out=prev)
         if ell > 0:
             # rectifier mask
-            np.greater(activations[ell], 0.0, out=buf.masks[ell - 1])
+            np.greater(buf.hidden[ell - 1], 0.0, out=buf.masks[ell - 1])
             np.multiply(prev, buf.masks[ell - 1], out=prev)
         delta = prev
     return (buf.grad if want_params else None), (buf.dinput if want_input else None)
 
 
-def _mean(x: np.ndarray) -> np.float64:
-    # the sum and one division, as np.mean computes it, without its overhead
-    return np.add.reduce(x, axis=None) / x.size
+def _mean(x: np.ndarray):
+    # the sum over the last axis and one division, as np.mean computes it,
+    # without its overhead; each row of a 2-D x gets the bits of a 1-D x
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def generator_loss(d_on_fake: np.ndarray, out: np.ndarray | None = None) -> float:
+def add_in_order(total: float, values: np.ndarray) -> float:
+    """total plus each of values in turn, with the bits of a loop that adds
+    one value per iteration."""
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def generator_loss(d_on_fake: np.ndarray):
     """Mean of log(1 - d) over the discriminator's scores on generated
-    pairs; out, when given, receives the log terms."""
+    pairs, along the last axis: one loss per row of a 2-D array."""
     d = np.asarray(d_on_fake, dtype=np.float64)
-    terms = np.subtract(1.0, d, out=out)
-    return float(_mean(np.log(terms, out=terms)))
+    return _mean(np.log(1.0 - d))
 
 
-def discriminator_loss(
-    d_on_fake: np.ndarray, d_on_real: np.ndarray, real_weight: float,
-    out: np.ndarray | None = None,
-) -> float:
+def discriminator_loss(d_on_fake: np.ndarray, d_on_real: np.ndarray, real_weight: float):
     """Objective the discriminator maximizes: mean log(1 - d_fake) plus
-    real_weight times mean log(d_real). out, when given, receives the log
-    terms, fake ones first."""
+    real_weight times mean log(d_real), along the last axis."""
     fake = np.asarray(d_on_fake, dtype=np.float64)
     real = np.asarray(d_on_real, dtype=np.float64)
-    if out is None:
-        out = np.empty(len(fake) + len(real))
-    fake_terms, real_terms = out[: len(fake)], out[len(fake) :]
-    np.subtract(1.0, fake, out=fake_terms)
-    np.log(fake_terms, out=fake_terms)
-    np.log(real, out=real_terms)
-    return float(_mean(fake_terms) + real_weight * _mean(real_terms))
+    return _mean(np.log(1.0 - fake)) + real_weight * _mean(np.log(real))
 
 
-def generator_backward(gen: MlpModel, disc: MlpModel, X: np.ndarray, recorded=None,
-                       buffers: tuple[Buffers, Buffers] | None = None):
-    """Loss and generator gradient of mean log(1 - D(x, G(x))).
+def generator_backward(gen: MlpModel, disc: MlpModel, X: np.ndarray, recorded: bool = False,
+                       buffers: tuple[Buffers, Buffers] | None = None) -> np.ndarray:
+    """Generator gradient of mean log(1 - D(x, G(x))).
 
     The gradient flows through the discriminator's label input channel
     with the discriminator's own parameters held fixed; only the
-    generator's gradient is produced. recorded, when given, is
-    (fake_in, activations) from a forward_pass of gen over X:
-    the discriminator input [X | G(X)] and the generator's layer inputs,
-    which are then not computed again. buffers is a (generator,
-    discriminator) pair of Buffers over len(X) rows.
+    generator's gradient is produced. buffers is a (generator,
+    discriminator) pair of Buffers over len(X) rows. recorded says that
+    they already hold a forward_pass of gen over X and, in the
+    discriminator's x, its input [X | G(X)], which are then not computed
+    again.
     """
     if buffers is None:
         buffers = (Buffers(gen, len(X)), Buffers(disc, len(X)))
     g_buf, d_buf = buffers
-    if recorded is None:
-        g_out = forward_pass(gen, X, buffers=g_buf)
-        fake_in, g_acts = d_buf.x, g_buf.acts
-        fake_in[:, :-1] = X
-        fake_in[:, -1] = g_out
-    else:
-        fake_in, g_acts = recorded
-        g_out = fake_in[:, -1]
-    d_out = forward_pass(disc, fake_in, buffers=d_buf)
-    loss = generator_loss(d_out, out=d_buf.terms)
-    dloss_dd = d_buf.dloss
-    np.subtract(1.0, d_out, out=dloss_dd)
-    np.multiply(dloss_dd, len(d_out), out=dloss_dd)
-    np.divide(-1.0, dloss_dd, out=dloss_dd)
-    _, dinput = backprop(disc, d_out, d_buf.acts, dloss_dd, want_params=False,
-                         want_input=True, buffers=d_buf)
-    dloss_dg = dinput[:, -1]  # derivative w.r.t. the generated label channel
-    grad, _ = backprop(gen, g_out, g_acts, dloss_dg, buffers=g_buf)
-    return loss, grad
+    if not recorded:
+        forward_pass(gen, X, buffers=g_buf)
+        d_buf.x[:, :-1] = g_buf.x
+        d_buf.x[:, -1] = g_buf.out
+    d_out = forward_pass(disc, d_buf.x, buffers=d_buf)
+    # d/dz of log(1 - d) / n
+    np.divide(d_out, -len(d_out), out=d_buf.dz)
+    _, dinput = backprop(disc, d_buf, want_params=False, want_input=True)
+    # through the generator's logistic to its logit: g (1 - g) dL/dg
+    g_out, dz = g_buf.out, g_buf.dz
+    np.subtract(1.0, g_out, out=dz)
+    np.multiply(dz, g_out, out=dz)
+    np.multiply(dz, dinput[:, -1], out=dz)
+    grad, _ = backprop(gen, g_buf)
+    return grad
 
 
 def discriminator_backward(
@@ -318,58 +319,51 @@ def discriminator_backward(
     real_inputs: np.ndarray,
     real_weight: float,
     buffers: Buffers | None = None,
-):
-    """Objective value and descent gradient for the discriminator update.
+) -> np.ndarray:
+    """Descent gradient for the discriminator update.
 
     fake_inputs carry the generator's labels as their last column, treated
     as constants (the generator is frozen). Both batches go through one
     forward pass and one backpropagation, stacked as [fake; real] in
-    buffers.x (a caller that gathers them there already skips the copy):
-    the minimized loss is -objective, whose derivative w.r.t. a row's
-    output d is 1/(n_f (1 - d)) on a fake row and -real_weight/(n_r d) on a
-    real one. The returned gradient is that of the negated objective, so
-    an optimizer step ascends it.
+    buffers.x; inputs that are views of buffers.x are taken to sit there
+    already, fake rows first, and are not copied. The minimized loss is
+    -objective, whose derivative w.r.t. a row's logit is d / n_f on a fake
+    row and -real_weight (1 - d) / n_r on a real one. The returned
+    gradient is that of the negated objective, so an optimizer step
+    ascends it.
     """
     n_f = len(fake_inputs)
     buf = _buffers_for(disc, n_f + len(real_inputs), buffers)
-    # copying a view onto itself is skipped
-    np.concatenate((fake_inputs, real_inputs), out=buf.x)
-    d_out = forward_pass(disc, buf.x, buffers=buf)
-    d_fake, d_real = d_out[:n_f], d_out[n_f:]
-    objective = discriminator_loss(d_fake, d_real, real_weight, out=buf.terms)
-    dloss_fake, dloss_real = buf.dloss[:n_f], buf.dloss[n_f:]
-    np.subtract(1.0, d_fake, out=dloss_fake)
-    np.multiply(dloss_fake, n_f, out=dloss_fake)
-    np.divide(1.0, dloss_fake, out=dloss_fake)
-    np.multiply(d_real, len(d_real), out=dloss_real)
-    np.divide(-real_weight, dloss_real, out=dloss_real)
-    grad, _ = backprop(disc, d_out, buf.acts, buf.dloss, buffers=buf)
-    return objective, grad
+    x = buf.x
+    if fake_inputs.base is not x.base or real_inputs.base is not x.base:
+        np.concatenate((fake_inputs, real_inputs), out=x)
+    d_out = forward_pass(disc, x, buffers=buf)
+    dz_fake, dz_real = buf.dz[:n_f], buf.dz[n_f:]
+    np.divide(d_out[:n_f], n_f, out=dz_fake)
+    np.subtract(d_out[n_f:], 1.0, out=dz_real)
+    np.multiply(dz_real, real_weight / len(dz_real), out=dz_real)
+    grad, _ = backprop(disc, buf)
+    return grad
 
 
-def binary_log_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean binary cross-entropy of clamped outputs against 0/1 targets."""
+def binary_log_loss(outputs: np.ndarray, targets: np.ndarray):
+    """Mean binary cross-entropy of clamped outputs against 0/1 targets,
+    along the last axis."""
     s = np.asarray(outputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    return float(-_mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
+    return -_mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
 
 
 def classifier_backward(model: MlpModel, X: np.ndarray, targets: np.ndarray,
-                        buffers: Buffers | None = None):
-    """Loss and gradient of binary cross-entropy for the plain classifier."""
+                        buffers: Buffers | None = None) -> np.ndarray:
+    """Gradient of binary cross-entropy for the plain classifier, whose
+    derivative w.r.t. a row's logit is (out - y) / n."""
     buf = _buffers_for(model, len(X), buffers)
     out = forward_pass(model, X, buffers=buf)
-    y = np.asarray(targets, dtype=np.float64)
-    loss = binary_log_loss(out, y)
-    # (out - y) / (out (1 - out) n)
-    dloss_dout, denom = buf.dloss, buf.terms
-    np.subtract(out, y, out=dloss_dout)
-    np.subtract(1.0, out, out=denom)
-    np.multiply(out, denom, out=denom)
-    np.multiply(denom, len(out), out=denom)
-    np.divide(dloss_dout, denom, out=dloss_dout)
-    grad, _ = backprop(model, out, buf.acts, dloss_dout, buffers=buf)
-    return loss, grad
+    np.subtract(out, targets, out=buf.dz)
+    np.divide(buf.dz, len(out), out=buf.dz)
+    grad, _ = backprop(model, buf)
+    return grad
 
 
 @dataclass

@@ -121,6 +121,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and positive")
         self.gen_hidden = tuple(self.gen_hidden)
         self.disc_hidden = tuple(self.disc_hidden)
+        if min(self.gen_hidden + self.disc_hidden, default=1) < 1:
+            raise ValueError("hidden layer widths must be at least 1")
 
 
 @dataclass
@@ -239,20 +241,21 @@ def inner_train(
 
     u_rows = np.flatnonzero(state.round_added != 0)
     pops = partition.populations(u_rows)
-    # the labeled [X | y] matrix, so that a real minibatch is one gather
-    real_all = np.column_stack(_labeled_arrays(pool, state))
+    # the labeled [X | y | 1] matrix, so that a real minibatch is one gather
+    real_all = np.column_stack((*_labeled_arrays(pool, state), np.ones(len(state))))
     fake_size = min(cfg.batch_size, len(u_rows))
     real_size = min(cfg.batch_size, len(real_all))
     sampler = _MinibatchSampler(pops, u_rows, fake_size, cfg.variant != "no_diversity")
     # fixed arrays for the round's passes: the generator on the fake rows
-    # (gathered into g_buf.x), the discriminator on the stacked
+    # (gathered into Xf), the discriminator on the stacked
     # [fake; real] batch (d_buf.x) and on [X | soft] for the generator's
     # update (s_buf.x)
     g_buf = nn.Buffers(gen, fake_size)
     d_buf = nn.Buffers(disc, fake_size + real_size)
     s_buf = nn.Buffers(disc, fake_size)
-    Xf, soft_in = g_buf.x, s_buf.x
+    Xf, soft_in = np.empty((fake_size, pool.n_features)), s_buf.x
     hard_in, real_in = d_buf.x[:fake_size], d_buf.x[fake_size:]
+    real_block = d_buf.acts[0][fake_size:]
     # the discriminator judges hard pseudo labels, so generated and real
     # pairs share the same label alphabet; the generator's own update keeps
     # the soft differentiable path
@@ -265,26 +268,34 @@ def inner_train(
         n = min(_CHUNK, n_iters - start)
         fake_rows = sampler.chunk(rng, n)
         real_rows = uniform_subsets(rng, len(real_all), real_size, n)
-        for fake, real in zip(fake_rows, real_rows):
+        # each pass's discriminator outputs, whose losses are taken once per
+        # chunk; they live only between the draws, whose temporaries set
+        # the round's peak memory
+        d_rows, g_rows = np.empty((n, fake_size + real_size)), np.empty((n, fake_size))
+        for i, (fake, real) in enumerate(zip(fake_rows, real_rows)):
             # the rows are in range, and mode="clip" spares take a staging copy
-            np.take(pool.features, fake, axis=0, out=Xf, mode="clip")
+            pool.features.take(fake, axis=0, out=Xf, mode="clip")
             g_soft = nn.forward_pass(gen, Xf, buffers=g_buf)
             np.copyto(soft_x, Xf)
             np.copyto(hard_x, Xf)
             np.copyto(soft_label, g_soft)
             np.greater(g_soft, 0.5, out=hard_label)
-            np.take(real_all, real, axis=0, out=real_in, mode="clip")
-            d_obj, d_grad = nn.discriminator_backward(
+            real_all.take(real, axis=0, out=real_block, mode="clip")
+            d_grad = nn.discriminator_backward(
                 disc, hard_in, real_in, cfg.real_weight, buffers=d_buf
             )
+            np.copyto(d_rows[i], d_buf.out)
             nn.opt_step(disc, d_grad, opt_disc, buffers=d_buf)
             # the generator is unchanged since its pass above, so that pass is reused
-            g_loss, g_grad = nn.generator_backward(
-                gen, disc, Xf, (soft_in, g_buf.acts), buffers=(g_buf, s_buf)
+            g_grad = nn.generator_backward(
+                gen, disc, Xf, recorded=True, buffers=(g_buf, s_buf)
             )
+            np.copyto(g_rows[i], s_buf.out)
             nn.opt_step(gen, g_grad, opt_gen, buffers=g_buf)
-            d_sum += d_obj
-            g_sum += g_loss
+        d_sum = nn.add_in_order(d_sum, nn.discriminator_loss(
+            d_rows[:, :fake_size], d_rows[:, fake_size:], cfg.real_weight))
+        g_sum = nn.add_in_order(g_sum, nn.generator_loss(g_rows))
+        del d_rows, g_rows
     stats = {
         "iterations": n_iters,
         "d_objective": d_sum / n_iters if n_iters else None,
@@ -303,18 +314,22 @@ def _inner_train_classifier(
 ) -> dict:
     """Plain supervised loop on the labeled pool (adversary removed)."""
     lab_X, lab_y = _labeled_arrays(pool, state)
-    size = min(cfg.batch_size, lab_X.shape[0])
+    # [X | 1], so that a minibatch gathers straight into buf.acts[0]
+    lab_X = np.column_stack((lab_X, np.ones(len(lab_y))))
+    size = min(cfg.batch_size, len(lab_y))
     buf = nn.Buffers(clf, size)
-    y = np.empty(size)
+    out_rows = np.empty((_CHUNK, size))
     loss_sum = 0.0
     for start in range(0, cfg.inner_iters, _CHUNK):
         n = min(_CHUNK, cfg.inner_iters - start)
-        for idx in uniform_subsets(rng, len(lab_y), size, n):
-            np.take(lab_X, idx, axis=0, out=buf.x, mode="clip")
-            np.take(lab_y, idx, out=y, mode="clip")
-            loss, grad = nn.classifier_backward(clf, buf.x, y, buffers=buf)
+        idx = uniform_subsets(rng, len(lab_y), size, n)
+        y_rows = lab_y.take(idx)
+        for i in range(n):
+            lab_X.take(idx[i], axis=0, out=buf.acts[0], mode="clip")
+            grad = nn.classifier_backward(clf, buf.x, y_rows[i], buffers=buf)
+            np.copyto(out_rows[i], buf.out)
             nn.opt_step(clf, grad, opt, buffers=buf)
-            loss_sum += loss
+        loss_sum = nn.add_in_order(loss_sum, nn.binary_log_loss(out_rows[:n], y_rows))
     return {
         "iterations": cfg.inner_iters,
         "d_objective": None,
@@ -428,7 +443,7 @@ def run(
     )
 
     report: dict = {
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),  # the hidden widths are written as JSON lists
         "seed_count": len(seed_labels),
         "pool_size": len(pool),
         "rounds": [],
@@ -481,13 +496,6 @@ def predict(gen: nn.MlpModel, features: np.ndarray) -> list[str]:
         return []
     codes, _ = _pseudo_labels_batch(gen, np.asarray(features, dtype=np.float64))
     return LABEL_NAMES[codes].tolist()
-
-
-def _config_dict(cfg: TrainConfig) -> dict:
-    out = asdict(cfg)
-    out["gen_hidden"] = list(cfg.gen_hidden)
-    out["disc_hidden"] = list(cfg.disc_hidden)
-    return out
 
 
 def _pseudo_label_fm(pool: InstancePool, state: RunState) -> float | None:

@@ -109,7 +109,7 @@ def test_criterion_2_gradient_correctness():
             m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
         X = rng.random((5, 4))
 
-        _, analytic = nn.generator_backward(gen, disc, X)
+        analytic = nn.generator_backward(gen, disc, X)
 
         def g_loss():
             g = nn.forward_batch(gen, X)
@@ -123,7 +123,7 @@ def test_criterion_2_gradient_correctness():
         fake = np.hstack([X, nn.forward_batch(gen, X)[:, None]])
         real = np.hstack([rng.random((4, 4)), (rng.random(4) > 0.5).astype(float)[:, None]])
         weight = float(rng.uniform(0.3, 2.0))
-        _, analytic_d = nn.discriminator_backward(disc, fake, real, weight)
+        analytic_d = nn.discriminator_backward(disc, fake, real, weight)
 
         def d_loss():
             return -nn.discriminator_loss(

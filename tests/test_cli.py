@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchgan.cli import main, read_config_file
 
@@ -385,6 +391,98 @@ class TestBadInput:
         assert code == 1
         assert "contains a tab or line break" in self._single_error(capsys)
         assert not inst.exists()
+
+    @pytest.mark.parametrize("flag", [
+        "--gen-hidden=0", "--disc-hidden=0,4", "--gen-hidden=-3", "--disc-hidden=8,-1",
+    ])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_hidden_width_below_one_rejected(self, tmp_path, capsys, command, flag):
+        # 0 used to end in an OverflowError traceback from init_mlp, and a
+        # negative width in an error only after train had made its -o directory
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gen_hidden = 0\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        budget = "--seed-budget" if command == "train" else "--budgets"
+        for extra in ([flag], ["--config", cfg]):
+            assert run_cli(command, "--instances", data / "instances.tsv", budget, 4,
+                           *extra, "-o", out) == 1
+            assert "hidden layer widths must be at least 1" in self._single_error(capsys)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", [0, -2])
+    def test_ablate_seeds_below_one_rejected(self, tmp_path, capsys, seeds):
+        # these used to print an empty table and write a header-only file
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        capsys.readouterr()
+        out = tmp_path / "cells.tsv"
+        assert run_cli("ablate", "--instances", data / "instances.tsv", "--budgets", 4,
+                       f"--seeds={seeds}", "-o", out) == 1
+        assert "--seeds must be at least 1" in self._single_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_failed_train_leaves_no_output_directory(self, tmp_path, capsys, budget):
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run_cli("train", "--instances", data / "instances.tsv",
+                       f"--seed-budget={budget}", "--checkpoints", "-o", out) == 1
+        assert "without any seed labels" in self._single_error(capsys)
+        assert not out.exists()
+
+
+def _nonpositive_ints():
+    return st.integers(max_value=0).map(str)
+
+
+_BAD_TRAIN_FLAGS = st.one_of(
+    st.tuples(st.sampled_from(["--batch-size", "--inner-iters", "--propagate-count"]),
+              _nonpositive_ints()),
+    st.tuples(st.sampled_from(["--gen-hidden", "--disc-hidden"]),
+              st.lists(st.integers(-5, 8), min_size=1, max_size=3)
+              .filter(lambda widths: min(widths) < 1)
+              .map(lambda widths: ",".join(map(str, widths)))),
+    st.tuples(st.sampled_from(["--learning-rate", "--disc-learning-rate"]),
+              st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))
+              .map(repr)),
+    st.tuples(st.just("--real-weight"),
+              st.one_of(st.floats(max_value=-1e-300), st.sampled_from([math.inf, math.nan]))
+              .map(repr)),
+    st.tuples(st.just("--seed-budget"),
+              st.one_of(_nonpositive_ints(), st.integers(min_value=34).map(str))),
+)
+
+
+class TestTrainFlagProperty:
+    """train with one numeric flag out of range fails cleanly: exit 1, one
+    error line and no output directory."""
+
+    @pytest.fixture(scope="class")
+    def instances(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("data")
+        assert run_cli("synth", "--matches", 3, "--imbalance", 10, "--seed", 1, "--out", data) == 0
+        return data / "instances.tsv"  # 33 rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(bad=_BAD_TRAIN_FLAGS)
+    def test_one_bad_flag(self, instances, bad):
+        flag, value = bad
+        argv = {"--seed-budget": "5", "--inner-iters": "2", flag: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("train", "--instances", instances,
+                               *(f"{k}={v}" for k, v in argv.items()), "-o", out)
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert not out.exists()
 
 
 class TestAblateCommand:

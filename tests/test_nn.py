@@ -111,13 +111,16 @@ class TestForward:
             recorded = nn.forward_pass(model, X, buffers=buf)
             assert forward_batch(model, X).tobytes() == recorded.tobytes()
             acts = buf.acts
-            # every layer input, as backpropagation reads them
+            # every layer input, as backpropagation reads them: each layer
+            # is its [W | b] block applied to [input | 1]
             expected = [X]
-            for w, b in zip(model.weights[:-1], model.biases[:-1]):
-                expected.append(np.maximum(expected[-1] @ w.T + b, 0.0))
+            for block in model.blocks[:-1]:
+                with_ones = np.hstack([expected[-1], np.ones((len(X), 1))])
+                expected.append(np.maximum(with_ones @ block.T, 0.0))
             assert len(acts) == len(expected)
             for got, want in zip(acts, expected):
-                assert got.tobytes() == want.tobytes()
+                assert got[:, :-1].tobytes() == want.tobytes()
+                np.testing.assert_array_equal(got[:, -1], 1.0)
 
     def test_forward_batch_blocks_bitwise_equal_one_pass(self):
         # BLAS on several threads splits one pass's rows at points of its
@@ -200,10 +203,14 @@ class TestModelShapes:
         model = init_mlp((3, 4, 1), rng)
         model.biases[0][1] = -3.0
         model.weights[-1][...] = 2.0
-        # layout W0 (4 x 3), b0 (4), W1 (1 x 4), b1 (1)
-        assert model.params.size == 12 + 4 + 4 + 1
-        assert model.params[12 + 1] == -3.0
+        # layout [W0 | b0] (4 x 4), then [W1 | b1] (1 x 5), row by row
+        assert model.params.size == 16 + 5
+        assert model.params[1 * 4 + 3] == -3.0
         np.testing.assert_array_equal(model.params[16:20], 2.0)
+        assert model.params[20] == model.biases[-1][0]
+        np.testing.assert_array_equal(model.blocks[0][:, :3], model.weights[0])
+        for view in (*model.blocks, *model.weights, *model.biases):
+            assert np.shares_memory(view, model.params)
 
     def test_rebinding_a_layer_raises(self, rng):
         model = init_mlp((3, 4, 1), rng)
@@ -249,6 +256,24 @@ class TestLosses:
         assert val == pytest.approx(math.log(0.9) + math.log(0.9))
         assert val == pytest.approx(-0.21072, abs=1e-5)
 
+    def test_rows_give_the_bits_of_one_row_each(self, rng):
+        # training stores a chunk's outputs, one row per iteration, takes
+        # their losses at once and adds them up in iteration order
+        stacked = rng.uniform(0.01, 0.99, size=(7, 37 + 12))
+        fake, real = stacked[:, :37], stacked[:, 37:]
+        y = (rng.random((7, 37)) > 0.5).astype(np.float64)
+        rows = (generator_loss(fake), discriminator_loss(fake, real, 0.7),
+                binary_log_loss(fake, y))
+        for i in range(7):
+            ones = (generator_loss(fake[i]), discriminator_loss(fake[i], real[i], 0.7),
+                    binary_log_loss(fake[i], y[i]))
+            for got, want in zip(rows, ones):
+                assert got[i].tobytes() == want.tobytes()
+        total = 0.25
+        for value in rows[1]:
+            total += float(value)
+        assert nn.add_in_order(0.25, rows[1]) == total
+
 
 class TestBackward:
     def test_generator_grads_match_finite_differences(self, rng):
@@ -259,7 +284,7 @@ class TestBackward:
                 m.weights[-1][...] = rng.uniform(-0.5, 0.5, size=m.weights[-1].shape)
                 m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
             X = rng.random((6, 4))
-            _, analytic = generator_backward(gen, disc, X)
+            analytic = generator_backward(gen, disc, X)
 
             def loss_fn():
                 g = forward_batch(gen, X)
@@ -277,7 +302,7 @@ class TestBackward:
             fake = rng.random((5, 4))
             real = rng.random((4, 4))
             weight = float(rng.uniform(0.2, 2.0))
-            _, analytic = discriminator_backward(disc, fake, real, weight)
+            analytic = discriminator_backward(disc, fake, real, weight)
 
             def loss_fn():
                 return -discriminator_loss(
@@ -292,7 +317,7 @@ class TestBackward:
         clf.weights[-1][...] = rng.uniform(-0.5, 0.5, size=(1, 4))
         X = rng.random((8, 3))
         y = (rng.random(8) > 0.5).astype(float)
-        _, analytic = classifier_backward(clf, X, y)
+        analytic = classifier_backward(clf, X, y)
         numeric = finite_diff_grads(lambda: binary_log_loss(forward_batch(clf, X), y), clf)
         assert relative_error(analytic, numeric) < 1e-4
 
@@ -301,14 +326,14 @@ class TestBackward:
         # generator's loss is locally flat
         gen = init_mlp((3, 4, 1), rng)
         disc = zero_mlp((4, 2, 1))
-        _, grad = generator_backward(gen, disc, rng.random((5, 3)))
+        grad = generator_backward(gen, disc, rng.random((5, 3)))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_generator_step_leaves_discriminator_untouched(self, rng):
         gen = init_mlp((3, 4, 1), rng)
         disc = init_mlp((4, 4, 1), rng)
         before_w = [w.copy() for w in disc.weights]
-        _, g_grad = generator_backward(gen, disc, rng.random((5, 3)))
+        g_grad = generator_backward(gen, disc, rng.random((5, 3)))
         opt_step(gen, g_grad, OptState.for_model(gen))
         for w_now, w_then in zip(disc.weights, before_w):
             np.testing.assert_array_equal(w_now, w_then)

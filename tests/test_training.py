@@ -67,23 +67,22 @@ def twin_problem(n_per_class=10, data_seed=5):
     return pool, partition, state
 
 
-# The training iteration as it ran before each model's parameters became
-# one flat vector: per-layer arrays, a logistic split by boolean masks and
-# np.clip, hstack-built inputs, a second generator pass for the generator's
-# update, and Adam or SGD layer by layer; the discriminator's step is one
-# pass over the stacked [fake; real] batch. inner_train must reproduce it
-# bit for bit.
+# The training iteration written out plainly: each layer a [W | b] block
+# applied to its input with a ones column hstacked on, a logistic split by
+# boolean masks and np.clip, hstack-built inputs, a second generator pass
+# for the generator's update, each loss gradient taken at the output logit,
+# and Adam or SGD layer by layer; the discriminator's step is one pass over
+# the stacked [fake; real] batch. inner_train must reproduce it bit for bit.
 def _ref_forward(layers, X, acts=None):
     a = X
-    for w, b in layers[:-1]:
+    for ell, block in enumerate(layers):
+        a = np.hstack([a, np.ones((len(a), 1))])
         if acts is not None:
             acts.append(a)
-        a = a @ w.T
-        a += b
-        np.maximum(a, 0.0, out=a)
-    if acts is not None:
-        acts.append(a)
-    z = (a @ layers[-1][0].T + layers[-1][1])[:, 0]
+        a = a @ block.T
+        if ell < len(layers) - 1:
+            np.maximum(a, 0.0, out=a)
+    z = a[:, 0]
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -92,44 +91,43 @@ def _ref_forward(layers, X, acts=None):
     return np.clip(out, nn.OUTPUT_EPS, 1.0 - nn.OUTPUT_EPS)
 
 
-def _ref_backprop(layers, out, acts, dloss_dout):
-    delta = (dloss_dout * out * (1.0 - out))[:, None]
+def _ref_backprop(layers, acts, dloss_dz):
+    delta = dloss_dz[:, None]
     grads = [None] * len(layers)
     for ell in range(len(layers) - 1, -1, -1):
-        grads[ell] = (delta.T @ acts[ell], delta.sum(axis=0))
-        dprev = delta @ layers[ell][0]
+        grads[ell] = delta.T @ acts[ell]
+        dprev = delta @ layers[ell][:, :-1]
         if ell > 0:
-            dprev = dprev * (acts[ell] > 0.0)
+            dprev = dprev * (acts[ell][:, :-1] > 0.0)
         delta = dprev
     return grads, delta
 
 
 def _ref_adam(layers, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-    for ell, layer_grads in enumerate(grads):
-        for which, grad in enumerate(layer_grads):
-            m, v = moments[0][ell][which], moments[1][ell][which]
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            layers[ell][which] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    for ell, grad in enumerate(grads):
+        m, v = moments[0][ell], moments[1][ell]
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        layers[ell] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def _ref_sgd(layers, grads, moments, t, lr):
-    for ell, layer_grads in enumerate(grads):
-        for which, grad in enumerate(layer_grads):
-            layers[ell][which] -= lr * grad
+    for ell, grad in enumerate(grads):
+        layers[ell] -= lr * grad
 
 
 def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
-    """Layers and Adam moments (lists of (W, b)) of both models, plus the
-    mean objective and loss, after iters reference iterations."""
+    """Layer blocks and Adam moments (lists of [W | b] arrays) of both
+    models, plus the mean objective and loss, after iters reference
+    iterations."""
     step = {"adam": _ref_adam, "sgd": _ref_sgd}
-    G = [[w.copy(), b.copy()] for w, b in zip(gen.weights, gen.biases)]
-    D = [[w.copy(), b.copy()] for w, b in zip(disc.weights, disc.biases)]
-    mg, md = ([[[np.zeros_like(a) for a in layer] for layer in m] for _ in range(2)] for m in (G, D))
+    G = [np.column_stack([w, b]) for w, b in zip(gen.weights, gen.biases)]
+    D = [np.column_stack([w, b]) for w, b in zip(disc.weights, disc.biases)]
+    mg, md = ([[np.zeros_like(a) for a in m] for _ in range(2)] for m in (G, D))
     u_rows = np.flatnonzero(state.round_added != 0)
     lab_X, lab_y = _labeled_arrays(pool, state)
     real_size = min(cfg.batch_size, lab_X.shape[0])
@@ -154,22 +152,22 @@ def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
         d_all = _ref_forward(D, np.concatenate([fake_in, real_in]), d_acts)
         d_fake, d_real = d_all[: len(fake_in)], d_all[len(fake_in) :]
         d_sum += float(np.mean(np.log(1.0 - d_fake)) + cfg.real_weight * np.mean(np.log(d_real)))
-        dloss = np.concatenate([1.0 / (len(d_fake) * (1.0 - d_fake)),
-                                -cfg.real_weight / (len(d_real) * d_real)])
-        d_grads, _ = _ref_backprop(D, d_all, d_acts, dloss)
+        dz = np.concatenate([d_fake / len(d_fake),
+                             (d_real - 1.0) * (cfg.real_weight / len(d_real))])
+        d_grads, _ = _ref_backprop(D, d_acts, dz)
         step[cfg.disc_optimizer](D, d_grads, md, t, cfg.disc_learning_rate)
         g_acts, d_acts = [], []
         g_out = _ref_forward(G, Xf, g_acts)
         d_out = _ref_forward(D, np.hstack([Xf, g_out[:, None]]), d_acts)
         g_sum += float(np.mean(np.log(1.0 - d_out)))
-        _, dinput = _ref_backprop(D, d_out, d_acts, -1.0 / (len(d_out) * (1.0 - d_out)))
-        g_grads, _ = _ref_backprop(G, g_out, g_acts, dinput[:, -1])
+        _, dinput = _ref_backprop(D, d_acts, d_out / -len(d_out))
+        g_grads, _ = _ref_backprop(G, g_acts, g_out * (1.0 - g_out) * dinput[:, -1])
         step[cfg.optimizer](G, g_grads, mg, t, cfg.learning_rate)
     return G, D, mg, md, d_sum / iters, g_sum / iters
 
 
 def _flat(layers):
-    return np.concatenate([a.ravel() for layer in layers for a in layer])
+    return np.concatenate([block.ravel() for block in layers])
 
 
 def inner_train_mismatches(iters_list=(1, 49, 50, 51, 73)):
@@ -761,6 +759,12 @@ class TestVariants:
             TrainConfig(propagate_count=0)
         with pytest.raises(ValueError):
             TrainConfig(optimizer="lbfgs")
+        for hidden in ((0,), (8, 0), (-3,), (4, -1, 4)):
+            with pytest.raises(ValueError, match="hidden layer widths must be at least 1"):
+                TrainConfig(gen_hidden=hidden)
+            with pytest.raises(ValueError, match="hidden layer widths must be at least 1"):
+                TrainConfig(disc_hidden=hidden)
+        TrainConfig(gen_hidden=(), disc_hidden=(1,))
         for bad in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
                 TrainConfig(learning_rate=bad)
