@@ -17,14 +17,14 @@ from matchgan.evaluation import evaluate_run
 from matchgan.features import LABEL_NAMES
 from matchgan.training import predict
 
-pool, gold = generate_synthetic(
+pool, _ = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=123)
 )
 partition = build_partition(pool.ids, pool.features)
 
 cfg = TrainConfig(seed=61)
 print(f"pool {len(pool)} instances; seed budget 50; growing the pool by its own size each round\n")
-result = run(cfg, pool, partition, gold=gold, seed_budget=50)
+result = run(cfg, pool, partition, seed_budget=50)
 
 print(f"{'round':>5} {'propagated':>10} {'pool after':>10} {'pseudo FM':>9} {'d_objective':>12} {'g_loss':>8}")
 for r in result.report["rounds"]:

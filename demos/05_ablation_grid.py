@@ -15,7 +15,7 @@ from matchgan import (
 )
 from matchgan.evaluation import format_table
 
-pool, gold = generate_synthetic(
+pool, _ = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=100, n_features=4, separation=0.9, seed=123)
 )
 partition = build_partition(pool.ids, pool.features)
@@ -23,7 +23,6 @@ partition = build_partition(pool.ids, pool.features)
 table = run_ablation_suite(
     pool,
     partition,
-    gold,
     TrainConfig(),
     variants=("full", "no_diversity", "no_propagation", "no_adversary"),
     budgets=(50, 100),

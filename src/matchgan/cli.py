@@ -21,8 +21,6 @@ import numpy as np
 
 from . import __version__
 from .datasets import (
-    MATCH,
-    GoldStandard,
     IngestError,
     SyntheticConfig,
     generate_synthetic,
@@ -61,6 +59,17 @@ def _parse_propagate(text: str) -> int | None:
     return None if text == "pool" else int(text)
 
 
+def _listed(parse):
+    """An argparse type for comma-separated values, each read by parse, so
+    that argparse names the flag whose value does not parse."""
+    def read(text: str) -> list:
+        try:
+            return [parse(tok) for tok in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
 # How the text of each TrainConfig field (a config value or a flag) is
 # read: by the type of its default unless a parser is listed here.
 _PARSERS = {
@@ -96,28 +105,24 @@ def build_train_config(args) -> TrainConfig:
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
     for name, parse in _CONFIG_KEYS.items():
-        value = getattr(args, name)
-        if value is not None:
-            # flags without an argparse type arrive as text
-            values[name] = parse(value) if isinstance(value, str) else value
+        text = getattr(args, name)
+        if text is not None:
+            try:
+                values[name] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
     return TrainConfig(**values)
 
 
-def _load_pool(path: str) -> tuple[InstancePool, dict]:
-    ids, features, labels, meta = read_instance_file(path)
-    # read_instance_file has checked the row rules and named the bad line
-    return InstancePool(ids, features, labels, _checked=True), meta
-
-
-def _gold_for(pool: InstancePool, gold_path: str | None, gold_header: bool) -> GoldStandard:
+def _load_pool(path: str, gold_path: str | None = None, gold_header: bool = False) -> InstancePool:
+    """The pool of an instance file. A gold file is the oracle: it labels
+    every row, replacing the file's label column."""
+    ids, features, labels, _ = read_instance_file(path)
     if gold_path:
-        return load_gold(gold_path, has_header=gold_header)
-    if np.all(pool.real_labels == UNLABELED):
-        raise IngestError("instance file has no labels; provide --gold")
-    gold = GoldStandard()
-    for row in np.flatnonzero(pool.real_labels == LABEL_CODES[MATCH]):
-        gold.add(*pool.ids[row])
-    return gold
+        gold = load_gold(gold_path, has_header=gold_header)
+        labels = np.array([LABEL_CODES[gold.label_of(*pid)] for pid in ids], dtype=np.int8)
+    # read_instance_file has checked the row rules and named the bad line
+    return InstancePool(ids, features, labels, _checked=True)
 
 
 def _partition_for(args, pool: InstancePool):
@@ -125,10 +130,7 @@ def _partition_for(args, pool: InstancePool):
         part = load_partition(args.partition)
         part.assign_all(pool.ids, pool.features)
         return part
-    feature_indices = None
-    if getattr(args, "split_features", None):
-        feature_indices = [int(t) for t in args.split_features.split(",")]
-    return build_partition(pool.ids, pool.features, feature_indices)
+    return build_partition(pool.ids, pool.features, getattr(args, "split_features", None))
 
 
 def _write_labels_file(path: Path, ids: list, labels: list[str]) -> None:
@@ -224,11 +226,7 @@ def _infer_schema(path: str, id_column: str, delimiter: str) -> list[str]:
 
 
 def cmd_partition(args) -> int:
-    pool, _ = _load_pool(args.instances)
-    feature_indices = None
-    if args.split_features:
-        feature_indices = [int(t) for t in args.split_features.split(",")]
-    part = build_partition(pool.ids, pool.features, feature_indices)
+    part = _partition_for(args, _load_pool(args.instances))
     save_partition(part, args.out)
     print(f"wrote partition ({part.b} subspaces) to {args.out}")
     return 0
@@ -236,15 +234,13 @@ def cmd_partition(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_train_config(args)
-    pool, _ = _load_pool(args.instances)
+    pool = _load_pool(args.instances, args.gold, args.gold_header)
     partition = _partition_for(args, pool)
-    gold = _gold_for(pool, args.gold, args.gold_header)
     out = Path(args.out)
     result = run(
         cfg,
         pool,
         partition,
-        gold=gold,
         seed_budget=args.seed_budget,
         checkpoint_dir=out / "checkpoints" if args.checkpoints else None,
     )
@@ -276,8 +272,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    pool, _ = _load_pool(args.instances)
-    model, _, _ = load_model(args.model)
+    pool = _load_pool(args.instances)
+    model, _ = load_model(args.model)
     labels = predict(model, pool.features)
     _write_labels_file(Path(args.out), pool.ids, labels)
     print(f"wrote {len(labels)} labels to {args.out}")
@@ -313,19 +309,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = build_train_config(args)
-    pool, _ = _load_pool(args.instances)
+    pool = _load_pool(args.instances, args.gold, args.gold_header)
     partition = _partition_for(args, pool)
-    gold = _gold_for(pool, args.gold, args.gold_header)
-    budgets = [int(t) for t in args.budgets.split(",")] if args.budgets else []
-    fractions = [float(t) for t in args.fractions.split(",")] if args.fractions else []
     variants = [v.replace("-", "_") for v in args.variants.split(",")]
-    base_seed = cfg.seed
-    seeds = [base_seed + k for k in range(args.seeds)]
+    seeds = [cfg.seed + k for k in range(args.seeds)]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     table = run_ablation_suite(
-        pool, partition, gold, cfg,
-        variants=variants, budgets=budgets, fractions=fractions, seeds=seeds,
-        workers=workers,
+        pool, partition, cfg,
+        variants=variants, budgets=args.budgets or [], fractions=args.fractions or [],
+        seeds=seeds, workers=workers,
     )
     rows = table.aggregate()
     print(format_table(rows))
@@ -343,28 +335,22 @@ def cmd_ablate(args) -> int:
 
 
 def _add_train_config_flags(sub) -> None:
+    """--config plus one flag per TrainConfig field, in field order; the
+    text of each is parsed by build_train_config."""
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    sub.add_argument("--real-weight", type=float, default=None, dest="real_weight")
-    sub.add_argument("--inner-iters", type=int, default=None, dest="inner_iters")
-    sub.add_argument(
-        "--propagate-count", default=None, dest="propagate_count",
-        help="instances propagated per round, or 'pool' to grow by pool size",
-    )
-    sub.add_argument("--gen-hidden", default=None, dest="gen_hidden")
-    sub.add_argument("--disc-hidden", default=None, dest="disc_hidden")
-    sub.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    sub.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    sub.add_argument("--disc-optimizer", choices=("adam", "sgd"), default=None, dest="disc_optimizer")
-    sub.add_argument("--disc-learning-rate", type=float, default=None, dest="disc_learning_rate")
-    sub.add_argument(
-        "--variant", default=None,
-        choices=("full", "no-diversity", "no-propagation", "no-adversary"),
-    )
+    for name in _CONFIG_KEYS:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line like any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matchgan",
         description="semi-supervised record-pair matching via adversarial label generation",
     )
@@ -405,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("partition", help="build and persist a subspace partition")
     p.add_argument("--instances", required=True)
-    p.add_argument("--split-features", dest="split_features",
+    p.add_argument("--split-features", type=_listed(int), dest="split_features",
                    help="comma-separated feature indices for the median split")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_partition)
@@ -413,11 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("train", help="train on an instance file")
     p.add_argument("--instances", required=True)
     p.add_argument("--partition", help="partition file (default: build from instances)")
-    p.add_argument("--split-features", dest="split_features")
+    p.add_argument("--split-features", type=_listed(int), dest="split_features")
     p.add_argument("--gold")
     p.add_argument("--gold-header", action="store_true", dest="gold_header")
     p.add_argument("--seed-budget", type=int, required=True, dest="seed_budget")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--checkpoints", action="store_true")
     p.add_argument("-o", "--out", required=True)
     _add_train_config_flags(p)
@@ -438,14 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("ablate", help="variant x label-cost x seed experiment grid")
     p.add_argument("--instances", required=True)
     p.add_argument("--partition")
-    p.add_argument("--split-features", dest="split_features")
+    p.add_argument("--split-features", type=_listed(int), dest="split_features")
     p.add_argument("--gold")
     p.add_argument("--gold-header", action="store_true", dest="gold_header")
-    p.add_argument("--budgets", help="comma-separated label budgets")
-    p.add_argument("--fractions", help="comma-separated train fractions")
+    p.add_argument("--budgets", type=_listed(int), help="comma-separated label budgets")
+    p.add_argument("--fractions", type=_listed(float), help="comma-separated train fractions")
     p.add_argument("--variants", default="full")
     p.add_argument("--seeds", type=int, default=3, help="number of seeds (base --seed + k)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("-o", "--out")
     _add_train_config_flags(p)
@@ -455,16 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         for flag in ("workers", "seeds"):
             if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
                 raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except (IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import MATCH, NON_MATCH, GoldStandard
+from .datasets import MATCH, NON_MATCH
 from .diversity import SubspacePartition
 from .features import UNLABELED, InstancePool
 from .training import RunResult, TrainConfig, run
@@ -127,7 +127,6 @@ def evaluate_run(pool: InstancePool, result: RunResult) -> MetricsReport:
 def run_cell(
     pool: InstancePool,
     partition: SubspacePartition,
-    gold: GoldStandard,
     base_config: TrainConfig,
     variant: str,
     seed: int,
@@ -136,16 +135,12 @@ def run_cell(
 ) -> AblationCell:
     """One experiment: seed labels by budget (method-selected) or by a
     uniform train fraction (all train instances labeled), then train and
-    score the propagated labels."""
+    score the propagated labels. Every label comes from pool.real_labels."""
     cfg = dataclasses.replace(base_config, seed=seed, variant=variant)
     if budget is not None:
-        result = run(cfg, pool, partition, gold=gold, seed_budget=budget)
+        result = run(cfg, pool, partition, seed_budget=budget)
     else:
-        train_rows, _ = split_pool(len(pool), seed, fraction)
-        seed_labels = {
-            pool.ids[r]: gold.label_of(*pool.ids[r]) for r in train_rows
-        }
-        result = run(cfg, pool, partition, seed_labels=seed_labels)
+        result = run(cfg, pool, partition, seed_rows=split_pool(len(pool), seed, fraction)[0])
     return AblationCell(
         variant=variant,
         budget=budget,
@@ -155,7 +150,7 @@ def run_cell(
     )
 
 
-# (pool, partition, gold, base_config) of the suite that a worker process
+# (pool, partition, base_config) of the suite that a worker process
 # serves, set once by the pool's initializer in that process
 _shared: tuple = ()
 
@@ -173,7 +168,6 @@ def _run_cell_task(task):
 def run_ablation_suite(
     pool: InstancePool,
     partition: SubspacePartition,
-    gold: GoldStandard,
     base_config: TrainConfig,
     variants=("full",),
     budgets=(),
@@ -185,14 +179,14 @@ def run_ablation_suite(
 
     Cells are independent and internally deterministic, so they may run in
     parallel; results keep the canonical cell order regardless of workers.
-    A worker process receives the pool, partition, gold and base config
+    A worker process receives the pool, partition and base config
     once, when it starts, and each cell task only names its cell.
     """
     if not budgets and not fractions:
         raise ValueError("need at least one budget or fraction")
     costs = [(b, None) for b in budgets] + [(None, f) for f in fractions]
     tasks = [(v, s, b, f) for v in variants for b, f in costs for s in seeds]
-    shared = (pool, partition, gold, base_config)
+    shared = (pool, partition, base_config)
     workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -383,21 +383,16 @@ def _write_instance_header(fh, schema: tuple[str, ...], q: int, labeled: bool) -
     fh.write("\t".join(cols) + "\n")
 
 
-def write_instance_file(
-    path: str | Path,
-    pool: InstancePool,
-    schema: tuple[str, ...] | None = None,
-    q: int = 2,
-) -> None:
-    """Write a pool's rows in row order, PAIR_TILE rows at a time. The label
+def write_instance_file(path: str | Path, pool: InstancePool) -> None:
+    """Write a pool's rows in row order, PAIR_TILE rows at a time, under
+    feature columns f0, f1, ... and the header's default q=2. The label
     column is written only when some row has a real label; an unlabeled
     row's cell is then empty."""
     labeled = bool(np.any(pool.real_labels != UNLABELED))
-    if schema is None:
-        schema = tuple(f"f{k}" for k in range(pool.n_features))
+    schema = [f"f{k}" for k in range(pool.n_features)]
     cells = np.where(pool.real_labels == UNLABELED, "", LABEL_NAMES[pool.real_labels])
     with Path(path).open("w", encoding="utf-8") as fh:
-        _write_instance_header(fh, schema, q, labeled)
+        _write_instance_header(fh, schema, 2, labeled)
         for lo in range(0, len(pool), PAIR_TILE):
             ids = np.array(pool.ids[lo : lo + PAIR_TILE], dtype=object)
             _write_tile(fh, ids[:, 0], ids[:, 1], pool.features[lo : lo + PAIR_TILE],

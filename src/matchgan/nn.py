@@ -428,34 +428,23 @@ def opt_step(model: MlpModel, grad: np.ndarray, state: OptState,
     return model, state
 
 
-def save_model(
-    path: str | Path,
-    model: MlpModel,
-    opt_state: OptState | None = None,
-    seed: int | None = None,
-    kind: str = "",
-) -> None:
-    """Write a checkpoint: layer dims, parameters, seed, and the Adam
-    moments, learning rate and step count when an Adam state is given."""
+def save_model(path: str | Path, model: MlpModel, seed: int | None = None,
+               kind: str = "") -> None:
+    """Write a checkpoint: layer dims, parameters, seed and kind."""
     payload: dict[str, np.ndarray] = {
         "format_version": np.array(CHECKPOINT_FORMAT_VERSION),
         "layer_dims": np.array(model.layer_dims),
         "kind": np.array(kind),
         "seed": np.array(-1 if seed is None else seed),
     }
-    vectors = {"": model.params}
-    if opt_state is not None and opt_state.kind == "adam":
-        payload["opt_step"] = np.array(opt_state.step_count)
-        payload["opt_lr"] = np.array(opt_state.learning_rate)
-        vectors.update(m1=opt_state.moment1, m2=opt_state.moment2)
-    for prefix, flat in vectors.items():
-        for ell, (w, b) in enumerate(zip(*model.split(flat))):
-            payload[f"{prefix}W{ell}"], payload[f"{prefix}b{ell}"] = w, b
+    for ell, (w, b) in enumerate(zip(model.weights, model.biases)):
+        payload[f"W{ell}"], payload[f"b{ell}"] = w, b
     np.savez(path, **payload)
 
 
 def load_model(path: str | Path):
-    """Read a checkpoint; returns (model, opt_state_or_None, meta).
+    """Read a checkpoint; returns (model, meta). Arrays it does not read,
+    such as optimizer moments, are ignored.
 
     A missing array, or a float array holding a value that is not finite,
     raises ValueError naming it.
@@ -470,26 +459,16 @@ def load_model(path: str | Path):
                 raise ValueError(f"{path}: checkpoint array {key!r} is not finite")
             return value
 
-        def layers(prefix: str) -> MlpModel:
-            # the constructor checks the count and shapes of the arrays
-            ells = range(len(dims) - 1)
-            return MlpModel(dims, [read(f"{prefix}W{i}") for i in ells],
-                            [read(f"{prefix}b{i}") for i in ells])
-
         version = int(read("format_version"))
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
         dims = tuple(int(d) for d in read("layer_dims"))
-        model = layers("")
-        opt_state = None
-        if "opt_step" in data:
-            opt_state = OptState(
-                learning_rate=float(read("opt_lr")), step_count=int(read("opt_step")),
-                moment1=layers("m1").params, moment2=layers("m2").params,
-            )
+        # the constructor checks the count and shapes of the arrays
+        ells = range(len(dims) - 1)
+        model = MlpModel(dims, [read(f"W{i}") for i in ells], [read(f"b{i}") for i in ells])
         meta = {
             "kind": str(read("kind")),
             "seed": int(read("seed")),
             "format_version": version,
         }
-    return model, opt_state, meta
+    return model, meta

@@ -144,18 +144,25 @@ def select_seed_labels(
     rng: np.random.Generator,
     variant: str = "full",
 ) -> list[PairId]:
-    """Choose which instances receive real labels.
+    """Pair ids of the seed rows that run() labels (see _seed_rows).
+
+    gold is never read: a seed's label is the pool's real label.
+    """
+    return [pool.ids[r] for r in _seed_rows(len(pool), budget, partition, rng, variant)]
+
+
+def _seed_rows(n: int, budget: int, partition: SubspacePartition,
+               rng: np.random.Generator, variant: str) -> np.ndarray:
+    """Ascending rows of an n-row pool that receive real labels.
 
     Diversity-aware selection spreads the budget across subspaces; the
     no_diversity variant draws uniformly instead.
     """
-    if budget > len(pool):
-        raise ValueError(f"budget {budget} exceeds pool size {len(pool)}")
+    if budget > n:
+        raise ValueError(f"budget {budget} exceeds pool size {n}")
     if variant == "no_diversity":
-        rows = rng.choice(len(pool), size=budget, replace=False)
-    else:
-        rows = diverse_sample(partition.populations(), budget, rng)
-    return [pool.ids[r] for r in np.sort(rows)]
+        return np.sort(rng.choice(n, size=budget, replace=False))
+    return np.sort(diverse_sample(partition.populations(), budget, rng))
 
 
 def _pseudo_labels_batch(gen: nn.MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,40 +403,34 @@ def run(
     cfg: TrainConfig,
     pool: InstancePool,
     partition: SubspacePartition,
-    gold: GoldStandard | None = None,
     seed_budget: int | None = None,
-    seed_labels: dict[PairId, str] | None = None,
+    seed_rows: np.ndarray | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> RunResult:
     """Full training run: seed labeling, alternating training, propagation.
 
-    Seeds come either from an explicit id -> label map or from gold via
-    diversity-aware selection of seed_budget instances. Ends when every
-    unlabeled instance has been propagated; the final prediction for each
-    is its propagated pseudo label. The pool is left unchanged.
+    The seed rows are given, or seed_budget of them are chosen by
+    diversity-aware selection; each takes its label from pool.real_labels,
+    the run's only oracle, and an unlabeled seed row is an error. Ends
+    when every other instance has been propagated; the final prediction
+    for each is its propagated pseudo label. The pool is left unchanged.
     """
     if len(partition.subspaces) != len(pool):
         raise ValueError("partition is not assigned over this pool")
     rng = np.random.default_rng(cfg.seed)
 
-    if seed_labels is None:
-        if gold is None or seed_budget is None:
-            raise ValueError("need either seed_labels or gold plus seed_budget")
-        seed_ids = select_seed_labels(pool, gold, seed_budget, partition, rng, cfg.variant)
-        seed_labels = {pid: gold.label_of(*pid) for pid in seed_ids}
-    if not seed_labels:
+    if seed_rows is None:
+        if seed_budget is None:
+            raise ValueError("need either seed_rows or seed_budget")
+        seed_rows = _seed_rows(len(pool), seed_budget, partition, rng, cfg.variant)
+    seed_rows = np.sort(np.asarray(seed_rows, dtype=np.intp))
+    if not len(seed_rows):
         raise ValueError("cannot train without any seed labels")
-    bad = {label for label in seed_labels.values() if label not in LABEL_CODES}
-    if bad:
-        raise ValueError(f"invalid labels {sorted(bad)}")
-
+    unlabeled = seed_rows[pool.real_labels[seed_rows] == UNLABELED]
+    if len(unlabeled):
+        raise ValueError(f"seed pair {pool.ids[unlabeled[0]]} has no real label")
     state = RunState(len(pool))
-    seed_ids = sorted(seed_labels)
-    state.add(
-        [pool.row_of(pid) for pid in seed_ids],
-        [LABEL_CODES[seed_labels[pid]] for pid in seed_ids],
-        round_index=0,
-    )
+    state.add(seed_rows, pool.real_labels[seed_rows], round_index=0)
 
     d = pool.n_features
     gen = nn.init_mlp((d, *cfg.gen_hidden, 1), rng)
@@ -444,7 +445,7 @@ def run(
 
     report: dict = {
         "config": asdict(cfg),  # the hidden widths are written as JSON lists
-        "seed_count": len(seed_labels),
+        "seed_count": len(seed_rows),
         "pool_size": len(pool),
         "rounds": [],
     }

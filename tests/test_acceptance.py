@@ -60,7 +60,7 @@ def synthetic_runs():
         per_seed = []
         for seed in RUN_SEEDS:
             cfg = TrainConfig(seed=seed, variant=variant)
-            result = run(cfg, pool, partition, gold=gold, seed_budget=50)
+            result = run(cfg, pool, partition, seed_budget=50)
             metrics = evaluate_run(pool, result)
             per_seed.append((seed, result, metrics))
         results[variant] = per_seed
@@ -179,17 +179,16 @@ def test_criterion_4_algorithm_structure():
         SyntheticConfig(n_matches=2, imbalance_rate=6, separation=0.9, seed=1)
     )
     partition = build_partition(pool.ids, pool.features)
-    seed_labels = {pid: gold.label_of(*pid) for pid in pool.ids[:4]}
+    seed_rows = [0, 1, 2, 3]
 
     cfg = TrainConfig(seed=0, inner_iters=5, propagate_count=3)
-    result = run(cfg, pool, partition, seed_labels=seed_labels)
+    result = run(cfg, pool, partition, seed_rows=seed_rows)
     rounds_fixed = result.report["final"]["rounds"]
     assert rounds_fixed == math.ceil(10 / 3) == 4
 
     # (b) monotone chain: seed rows at round 0, pseudo rows added in
     # strictly increasing rounds, nothing removed or relabeled
     state = result.state
-    seed_rows = [pool.row_of(pid) for pid in seed_labels]
     assert len(state) == len(pool)
     assert sorted(state.labeled_rows().tolist()) == list(range(len(pool)))
     assert sorted(np.flatnonzero(state.round_added == 0)) == sorted(seed_rows)
@@ -207,7 +206,7 @@ def test_criterion_4_algorithm_structure():
     partition2 = build_partition(pool2.ids, pool2.features)
     budget = 6
     cfg2 = TrainConfig(seed=0, inner_iters=5)
-    result2 = run(cfg2, pool2, partition2, gold=gold2, seed_budget=budget)
+    result2 = run(cfg2, pool2, partition2, seed_budget=budget)
     bound = math.ceil(math.log2(len(pool2) / budget)) + 1
     rounds_pool = result2.report["final"]["rounds"]
     assert rounds_pool <= bound
@@ -269,7 +268,7 @@ def test_criterion_6_cora_reproduction(tmp_path):
     fms = []
     for seed in (0, 1, 2):
         cell = run_cell(
-            pool, partition, gold, TrainConfig(), "full", seed, fraction=0.6
+            pool, partition, TrainConfig(), "full", seed, fraction=0.6
         )
         fms.append(cell.metrics.f_measure)
     mean_fm = float(np.mean(fms))

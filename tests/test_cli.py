@@ -162,7 +162,7 @@ class TestMoreCliPaths:
             "train", "--instances", data / "instances.tsv", "--seed-budget", 8,
             "--seed", 1, "--inner-iters", 30, "--variant", "no-adversary", "-o", out,
         ) == 0
-        _, _, meta = load_model(out / "generator.npz")
+        _, meta = load_model(out / "generator.npz")
         assert meta["kind"] == "classifier"
         assert not (out / "discriminator.npz").exists()
 
@@ -483,6 +483,123 @@ class TestTrainFlagProperty:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
             assert not out.exists()
+
+
+class TestSeedOracle:
+    """Seeds take their labels from the pool's label column, or from --gold."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("synth", "--matches", 3, "--imbalance", 10, "--seed", 1, "--out", data) == 0
+        return data  # 33 rows, 3 of them matches
+
+    def test_unlabeled_seed_row_is_an_error(self, data, tmp_path, capsys):
+        # only the 3 match cells keep their label: at least 9 of any 12
+        # seed rows are unlabeled, and none of them may become a non-match
+        lines = (data / "instances.tsv").read_text().splitlines(keepends=True)
+        blanked = []
+        for k, line in enumerate(lines[2:], start=2):
+            cells = line.rstrip("\n").split("\t")
+            if cells[-1] == "N":
+                blanked.append((cells[0], cells[1]))
+                lines[k] = "\t".join(cells[:-1]) + "\t\n"
+        assert len(blanked) == 30
+        inst = tmp_path / "partly_labeled.tsv"
+        inst.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run_cli("train", "--instances", inst, "--seed-budget", 12,
+                       "--inner-iters", 5, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert "has no real label" in err
+        assert any(str(pid) in err for pid in blanked), err
+        assert not out.exists()
+
+    def test_gold_labels_an_unlabeled_instance_file(self, data, tmp_path, capsys):
+        lines = (data / "instances.tsv").read_text().splitlines(keepends=True)
+        inst = tmp_path / "unlabeled.tsv"
+        inst.write_text(lines[0] + "".join(line.rsplit("\t", 1)[0] + "\n" for line in lines[1:]))
+        common = ["--seed-budget", 12, "--inner-iters", 5, "--seed", 2]
+        assert run_cli("train", "--instances", inst, "--gold", data / "gold.csv", *common,
+                       "-o", tmp_path / "gold_run") == 0
+        assert run_cli("train", "--instances", data / "instances.tsv", *common,
+                       "-o", tmp_path / "labeled_run") == 0
+        report = json.loads((tmp_path / "gold_run" / "report.json").read_text())
+        assert set(report["final"]["metrics"]) >= {"precision", "recall", "f_measure"}
+        # the gold file gives the rows the labels the labeled file carries
+        for name in ("report.json", "labels.tsv"):
+            assert ((tmp_path / "gold_run" / name).read_bytes()
+                    == (tmp_path / "labeled_run" / name).read_bytes())
+
+
+# per subcommand: its required options, and then a value that is not a
+# number where one belongs, with a word the error line must carry
+_ARGV = {
+    "synth": (["--matches", "2", "--imbalance", "4"], ["--matches", "x"], "--matches"),
+    "featurize": (["--left", "{records}"], ["-q", "x"], "-q"),
+    "partition": (["--instances", "{instances}"], ["--split-features", "0,x"],
+                  "--split-features"),
+    "train": (["--instances", "{instances}", "--seed-budget", "4"], ["--batch-size", "x"],
+              "--batch-size"),
+    "predict": (["--instances", "{instances}", "--model", "{model}"],
+                ["--instances", "{bad}"], "bad.tsv"),
+    "evaluate": (["--predicted", "{labels}", "--truth", "{instances}"],
+                 ["--truth", "{bad}"], "bad.tsv"),
+    "ablate": (["--instances", "{instances}", "--budgets", "4"], ["--budgets", "4,x"],
+               "--budgets"),
+}
+
+
+class TestMalformedArgv:
+    """A malformed command line is bad input like any other: exit 1, one
+    error: line and no output file."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        import numpy as np
+
+        from matchgan.nn import init_mlp, save_model
+
+        d = tmp_path_factory.mktemp("inputs")
+        assert run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", d) == 0
+        (d / "records.csv").write_text("id,title\nr1,deep nets\nr2,deep net\nr3,graphs\n")
+        save_model(d / "model.npz", init_mlp((4, 2, 1), np.random.default_rng(0)))
+        (d / "labels.tsv").write_text("id_a\tid_b\tlabel\n")
+        lines = (d / "instances.tsv").read_text().splitlines(keepends=True)
+        cells = lines[2].split("\t")
+        cells[2] = "x"  # a feature cell
+        (d / "bad.tsv").write_text("".join(lines[:2] + ["\t".join(cells)] + lines[3:]))
+        return {name: str(d / f"{name}.{ext}") for name, ext in (
+            ("records", "csv"), ("instances", "tsv"), ("model", "npz"), ("labels", "tsv"),
+            ("bad", "tsv"))}
+
+    @pytest.mark.parametrize("case", ["unknown flag", "missing option", "not a number"])
+    @pytest.mark.parametrize("command", list(_ARGV))
+    def test_exits_one_with_one_error_line(self, inputs, tmp_path, capsys, command, case):
+        required, not_a_number, named = _ARGV[command]
+        argv = {
+            "unknown flag": required + ["--bogus", "1"],
+            "missing option": required[2:],
+            "not a number": required + not_a_number,
+        }[case]
+        out = tmp_path / "out"
+        code = run_cli(command, *(arg.format(**inputs) for arg in argv),
+                       "--out" if command == "synth" else "-o", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        expected = {"unknown flag": "--bogus", "missing option": required[0],
+                    "not a number": named}[case]
+        assert expected in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out and not captured.err
 
 
 class TestAblateCommand:

@@ -98,15 +98,15 @@ def tiny_problem():
         SyntheticConfig(n_matches=6, imbalance_rate=12, separation=0.9, seed=9)
     )
     partition = build_partition(pool.ids, pool.features)
-    return pool, partition, gold
+    return pool, partition
 
 
 class TestAblationSuite:
     def test_single_cell(self):
-        pool, partition, gold = tiny_problem()
+        pool, partition = tiny_problem()
         cfg = TrainConfig(inner_iters=50)
         table = run_ablation_suite(
-            pool, partition, gold, cfg, variants=("full",), budgets=(12,), seeds=(0,)
+            pool, partition, cfg, variants=("full",), budgets=(12,), seeds=(0,)
         )
         assert len(table.cells) == 1
         rows = table.aggregate()
@@ -114,10 +114,10 @@ class TestAblationSuite:
         assert rows[0]["fm_std"] == 0.0
 
     def test_grid_shape_and_aggregation(self):
-        pool, partition, gold = tiny_problem()
+        pool, partition = tiny_problem()
         cfg = TrainConfig(inner_iters=20)
         table = run_ablation_suite(
-            pool, partition, gold, cfg,
+            pool, partition, cfg,
             variants=("full", "no_adversary"), budgets=(10, 16), seeds=(0, 1),
         )
         assert len(table.cells) == 8
@@ -126,10 +126,10 @@ class TestAblationSuite:
         assert all(r["seeds"] == 2 for r in rows)
 
     def test_fraction_mode(self):
-        pool, partition, gold = tiny_problem()
+        pool, partition = tiny_problem()
         cfg = TrainConfig(inner_iters=50)
         table = run_ablation_suite(
-            pool, partition, gold, cfg, variants=("full",), fractions=(0.6,), seeds=(0,)
+            pool, partition, cfg, variants=("full",), fractions=(0.6,), seeds=(0,)
         )
         cell = table.cells[0]
         assert cell.fraction == 0.6
@@ -138,16 +138,16 @@ class TestAblationSuite:
         assert cell.metrics.tp + cell.metrics.fp + cell.metrics.fn + cell.metrics.tn == expected_test
 
     def test_requires_some_cost_axis(self):
-        pool, partition, gold = tiny_problem()
+        pool, partition = tiny_problem()
         with pytest.raises(ValueError):
-            run_ablation_suite(pool, partition, gold, TrainConfig())
+            run_ablation_suite(pool, partition, TrainConfig())
 
     def test_parallel_cells_match_serial(self):
-        pool, partition, gold = tiny_problem()
+        pool, partition = tiny_problem()
         cfg = TrainConfig(inner_iters=20)
         kwargs = dict(variants=("full",), budgets=(10,), seeds=(0, 1))
-        serial = run_ablation_suite(pool, partition, gold, cfg, workers=1, **kwargs)
-        parallel = run_ablation_suite(pool, partition, gold, cfg, workers=2, **kwargs)
+        serial = run_ablation_suite(pool, partition, cfg, workers=1, **kwargs)
+        parallel = run_ablation_suite(pool, partition, cfg, workers=2, **kwargs)
         assert [
             (c.variant, c.seed, c.metrics.f_measure) for c in serial.cells
         ] == [(c.variant, c.seed, c.metrics.f_measure) for c in parallel.cells]
@@ -167,14 +167,14 @@ class TestAblationSuite:
                 return super().map(fn, seen["tasks"])
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        pool, partition, gold = tiny_problem()
+        pool, partition = tiny_problem()
         cfg = TrainConfig(inner_iters=20)
         kwargs = dict(variants=("full", "no_adversary"), budgets=(10,), fractions=(0.5,),
                       seeds=(0,))
-        parallel = run_ablation_suite(pool, partition, gold, cfg, workers=8, **kwargs)
-        serial = run_ablation_suite(pool, partition, gold, cfg, workers=1, **kwargs)
+        parallel = run_ablation_suite(pool, partition, cfg, workers=8, **kwargs)
+        serial = run_ablation_suite(pool, partition, cfg, workers=1, **kwargs)
         assert seen["workers"] == 4
-        assert all(a is b for a, b in zip(seen["initargs"], (pool, partition, gold, cfg)))
+        assert all(a is b for a, b in zip(seen["initargs"], (pool, partition, cfg)))
         assert seen["tasks"] == [("full", 0, 10, None), ("full", 0, None, 0.5),
                                  ("no_adversary", 0, 10, None), ("no_adversary", 0, None, 0.5)]
         assert parallel.cells == serial.cells
@@ -188,9 +188,9 @@ class TestAblationSuite:
             return real_run(cfg, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "run", spy)
-        pool, partition, gold = tiny_problem()
+        pool, partition = tiny_problem()
         base = TrainConfig(inner_iters=5, disc_learning_rate=3e-3, disc_optimizer="sgd")
-        evaluation.run_cell(pool, partition, gold, base, "no_diversity", seed=4, budget=10)
+        evaluation.run_cell(pool, partition, base, "no_diversity", seed=4, budget=10)
         assert seen[0] == dataclasses.replace(base, seed=4, variant="no_diversity")
         assert seen[0].disc_learning_rate == 3e-3 and seen[0].disc_optimizer == "sgd"
 

@@ -278,10 +278,10 @@ class TestInstanceFile:
     def test_roundtrip_lossless(self, tmp_path, rng):
         pool = pool_of([((f"a{i}", f"b{i}"), rng.random(3), i % 2) for i in range(10)])
         path = tmp_path / "inst.tsv"
-        write_instance_file(path, pool, schema=("t", "u", "v"), q=2)
+        write_instance_file(path, pool)
         ids, features, labels, meta = read_instance_file(path)
         assert meta["q"] == 2
-        assert meta["schema"] == ("t", "u", "v")
+        assert meta["schema"] == ("f0", "f1", "f2")
         assert ids == pool.ids
         assert labels.tolist() == [1 if i % 2 else 0 for i in range(10)]
         np.testing.assert_array_equal(features, pool.features)
@@ -297,8 +297,8 @@ class TestInstanceFile:
 
     def test_empty_pool_writes_only_the_header(self, tmp_path):
         path = tmp_path / "inst.tsv"
-        write_instance_file(path, InstancePool([], np.empty((0, 1)), []), schema=("t",))
-        assert path.read_text() == "# instances v1 q=2\nid_a\tid_b\tt\n"
+        write_instance_file(path, InstancePool([], np.empty((0, 1)), []))
+        assert path.read_text() == "# instances v1 q=2\nid_a\tid_b\tf0\n"
         ids, features, labels, _ = read_instance_file(path)
         assert ids == [] and features.shape == (0, 1) and labels.tolist() == []
 
@@ -320,7 +320,7 @@ class TestInstanceFile:
         )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "inst.tsv"
-            write_instance_file(path, pool, schema=("t", "u"))
+            write_instance_file(path, pool)
             ids, features, labels, _ = read_instance_file(path)
         labeled = any(label is not None for _, label in rows)
         assert ids == pool.ids == [(f"a{k:02d}", f"b{k:02d}") for k in range(len(rows))]

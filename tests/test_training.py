@@ -262,7 +262,7 @@ class TestSelectSeedLabels:
         )
         assert sum(1 for pid in ids if gold.is_match(*pid)) == 0
         cfg = TrainConfig(seed=0, variant="no_diversity", inner_iters=60)
-        result = run(cfg, pool, partition, gold=gold, seed_budget=50)
+        result = run(cfg, pool, partition, seed_budget=50)
         assert evaluate_run(pool, result).f_measure == 0.0
 
 
@@ -558,8 +558,7 @@ class TestTracedNames:
 class TestRun:
     def test_empty_unlabeled_returns_seed_pool(self):
         pool, partition, gold = small_problem()
-        seed_labels = {pid: gold.label_of(*pid) for pid in pool.ids}
-        result = run(TrainConfig(seed=0), pool, partition, seed_labels=seed_labels)
+        result = run(TrainConfig(seed=0), pool, partition, seed_rows=range(len(pool)))
         assert len(result.state) == len(pool)
         assert len(result.state.pseudo_rows()) == 0
         assert result.report["rounds"] == []
@@ -568,18 +567,15 @@ class TestRun:
         # ten unlabeled instances propagated three at a time: ceil(10/3) = 4
         pool, partition, gold = small_problem(n_matches=2, rate=6, data_seed=1)
         assert len(pool) == 14
-        seed_ids = pool.ids[:4]
-        seed_labels = {pid: gold.label_of(*pid) for pid in seed_ids}
         cfg = TrainConfig(seed=0, inner_iters=2, propagate_count=3)
-        result = run(cfg, pool, partition, seed_labels=seed_labels)
+        result = run(cfg, pool, partition, seed_rows=range(4))
         assert result.report["final"]["rounds"] == 4
         assert [r["propagated"] for r in result.report["rounds"]] == [3, 3, 3, 1]
 
     def test_propagated_size_is_min_of_gamma_and_remaining(self):
         pool, partition, gold = small_problem(n_matches=2, rate=5, data_seed=1)
-        seed_labels = {pid: gold.label_of(*pid) for pid in pool.ids[:2]}
         cfg = TrainConfig(seed=0, inner_iters=2, propagate_count=4)
-        result = run(cfg, pool, partition, seed_labels=seed_labels)
+        result = run(cfg, pool, partition, seed_rows=range(2))
         remaining = len(pool) - 2
         for record in result.report["rounds"]:
             assert record["propagated"] == min(4, remaining)
@@ -589,7 +585,7 @@ class TestRun:
         pool, partition, gold = small_problem(n_matches=4, rate=20, data_seed=2)
         budget = 5
         cfg = TrainConfig(seed=1, inner_iters=2)
-        result = run(cfg, pool, partition, gold=gold, seed_budget=budget)
+        result = run(cfg, pool, partition, seed_budget=budget)
         bound = math.ceil(math.log2(len(pool) / budget)) + 1
         assert result.report["final"]["rounds"] <= bound
         # pool at least doubles while instances remain
@@ -600,7 +596,7 @@ class TestRun:
     def test_monotone_chain_and_real_labels_preserved(self):
         pool, partition, gold = small_problem(n_matches=3, rate=10, data_seed=4)
         cfg = TrainConfig(seed=2, inner_iters=5)
-        result = run(cfg, pool, partition, gold=gold, seed_budget=8)
+        result = run(cfg, pool, partition, seed_budget=8)
         state = result.state
         real = np.flatnonzero(state.round_added == 0)
         assert len(real) == 8
@@ -648,7 +644,7 @@ class TestRun:
 
         original, training.RunState = training.RunState, CheckedState
         try:
-            state = run(cfg, pool, partition, gold=gold, seed_budget=budget).state
+            state = run(cfg, pool, partition, seed_budget=budget).state
         finally:
             training.RunState = original
         assert rounds == list(range(len(rounds)))
@@ -662,7 +658,7 @@ class TestRun:
         def report_once():
             pool, partition, gold = small_problem(n_matches=3, rate=8, data_seed=6)
             cfg = TrainConfig(seed=5, inner_iters=10)
-            result = run(cfg, pool, partition, gold=gold, seed_budget=6)
+            result = run(cfg, pool, partition, seed_budget=6)
             return json.dumps(result.report, sort_keys=True)
 
         assert report_once() == report_once()
@@ -670,7 +666,7 @@ class TestRun:
     def test_transductive_success_on_separable_pool(self):
         pool, partition, gold = small_problem(n_matches=8, rate=20, data_seed=9)
         cfg = TrainConfig(seed=0)
-        result = run(cfg, pool, partition, gold=gold, seed_budget=30)
+        result = run(cfg, pool, partition, seed_budget=30)
         metrics = evaluate_run(pool, result)
         assert metrics.f_measure >= 0.9
         # mode-collapse witness: both labels are present among pseudo labels
@@ -680,7 +676,7 @@ class TestRun:
     def test_predict_on_held_out_instances(self):
         pool, partition, gold = small_problem(n_matches=8, rate=20, data_seed=9)
         cfg = TrainConfig(seed=0)
-        result = run(cfg, pool, partition, gold=gold, seed_budget=30)
+        result = run(cfg, pool, partition, seed_budget=30)
         held_out, held_gold = generate_synthetic(
             SyntheticConfig(n_matches=5, imbalance_rate=20, separation=0.9, seed=77)
         )
@@ -696,7 +692,7 @@ class TestRun:
     def test_consistency_reported(self):
         pool, partition, gold = small_problem(n_matches=3, rate=10, data_seed=4)
         cfg = TrainConfig(seed=2, inner_iters=5)
-        result = run(cfg, pool, partition, gold=gold, seed_budget=8)
+        result = run(cfg, pool, partition, seed_budget=8)
         assert 0.0 <= result.report["final"]["consistency"] <= 1.0
 
     def test_run_leaves_pool_unchanged_and_repeats(self):
@@ -704,7 +700,7 @@ class TestRun:
         before = (list(pool.ids), pool.features.copy(), pool.real_labels.copy())
         cfg = TrainConfig(seed=5, inner_iters=10)
         reports = [
-            json.dumps(run(cfg, pool, partition, gold=gold, seed_budget=6).report, sort_keys=True)
+            json.dumps(run(cfg, pool, partition, seed_budget=6).report, sort_keys=True)
             for _ in range(2)
         ]
         assert pool.ids == before[0]
@@ -715,7 +711,7 @@ class TestRun:
     def test_checkpoints_written_per_round(self, tmp_path):
         pool, partition, gold = small_problem(n_matches=2, rate=6, data_seed=1)
         cfg = TrainConfig(seed=0, inner_iters=2, propagate_count=5)
-        run(cfg, pool, partition, gold=gold, seed_budget=4, checkpoint_dir=tmp_path)
+        run(cfg, pool, partition, seed_budget=4, checkpoint_dir=tmp_path)
         rounds = len(list(tmp_path.glob("generator_round*.npz")))
         assert rounds >= 2
         assert len(list(tmp_path.glob("discriminator_round*.npz"))) == rounds
@@ -725,7 +721,7 @@ class TestVariants:
     def test_no_propagation_single_round(self):
         pool, partition, gold = small_problem(n_matches=4, rate=15, data_seed=3)
         cfg = TrainConfig(seed=1, variant="no_propagation")
-        result = run(cfg, pool, partition, gold=gold, seed_budget=16)
+        result = run(cfg, pool, partition, seed_budget=16)
         assert result.report["final"]["rounds"] == 1
         assert len(result.state) == len(pool)
         assert len(result.state.pseudo_rows()) == len(pool) - 16
@@ -733,7 +729,7 @@ class TestVariants:
     def test_no_adversary_trains_classifier(self):
         pool, partition, gold = small_problem(n_matches=8, rate=20, data_seed=9)
         cfg = TrainConfig(seed=0, variant="no_adversary")
-        result = run(cfg, pool, partition, gold=gold, seed_budget=30)
+        result = run(cfg, pool, partition, seed_budget=30)
         assert result.discriminator is None
         metrics = evaluate_run(pool, result)
         assert metrics.f_measure >= 0.9
@@ -741,7 +737,7 @@ class TestVariants:
     def test_no_diversity_uses_uniform_batches(self):
         pool, partition, gold = small_problem(n_matches=4, rate=15, data_seed=3)
         cfg = TrainConfig(seed=1, variant="no_diversity", inner_iters=5)
-        result = run(cfg, pool, partition, gold=gold, seed_budget=10)
+        result = run(cfg, pool, partition, seed_budget=10)
         assert len(result.state) == len(pool)
 
     def test_invalid_variant_rejected(self):
@@ -777,7 +773,7 @@ class TestVariants:
 
     def test_run_requires_seed_source(self):
         pool, partition, _ = small_problem()
-        with pytest.raises(ValueError, match="seed_labels or gold"):
+        with pytest.raises(ValueError, match="seed_rows or seed_budget"):
             run(TrainConfig(seed=0), pool, partition)
         with pytest.raises(ValueError, match="without any seed labels"):
-            run(TrainConfig(seed=0), pool, partition, seed_labels={})
+            run(TrainConfig(seed=0), pool, partition, seed_rows=[])

@@ -61,13 +61,12 @@ def run_one(n_matches: int, seed: int) -> dict:
     from matchgan import SyntheticConfig, TrainConfig, build_partition, generate_synthetic, run
     from matchgan.evaluation import evaluate_run
 
-    pool, gold = generate_synthetic(SyntheticConfig(
+    pool, _ = generate_synthetic(SyntheticConfig(
         n_matches=n_matches, imbalance_rate=IMBALANCE_RATE, n_features=N_FEATURES,
         separation=SEPARATION, seed=seed,
     ))
     partition = build_partition(pool.ids, pool.features)
-    result = run(TrainConfig(seed=TRAIN_SEED), pool, partition, gold=gold,
-                 seed_budget=SEED_BUDGET)
+    result = run(TrainConfig(seed=TRAIN_SEED), pool, partition, seed_budget=SEED_BUDGET)
     result.report["final"]["metrics"] = evaluate_run(pool, result).as_dict()
     return result.report
 
