@@ -13,8 +13,8 @@ from matchgan import (
     generate_synthetic,
     run,
 )
+from matchgan.datasets import LABEL_NAMES
 from matchgan.evaluation import evaluate_run
-from matchgan.features import LABEL_NAMES
 from matchgan.training import predict
 
 pool, _ = generate_synthetic(

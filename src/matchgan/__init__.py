@@ -12,13 +12,16 @@ from .datasets import (
     NON_MATCH,
     GoldStandard,
     IngestError,
+    InstancePool,
     Record,
     RecordSet,
     SyntheticConfig,
     generate_synthetic,
     load_gold,
     load_records,
+    read_instance_file,
     save_gold,
+    write_instance_file,
 )
 from .diversity import (
     SubspacePartition,
@@ -37,14 +40,11 @@ from .evaluation import (
 )
 from .features import (
     BlockingSpec,
-    InstancePool,
     block_by_token,
     featurize_pair,
     featurize_to_file,
     generate_pairs,
     qgram_jaccard,
-    read_instance_file,
-    write_instance_file,
 )
 from .nn import (
     MlpModel,

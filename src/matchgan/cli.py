@@ -20,35 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import (
-    IngestError,
-    SyntheticConfig,
-    generate_synthetic,
-    load_gold,
-    load_records,
-    save_gold,
-)
-from .diversity import (
-    PARTITION_FORMAT_VERSION,
-    build_partition,
-    load_partition,
-    save_partition,
-)
+from .datasets import (INSTANCE_FORMAT_VERSION, LABEL_CODES, LABEL_NAMES, UNLABELED, IngestError,
+                       InstancePool, SyntheticConfig, _row_fault, generate_synthetic, load_gold,
+                       load_records, read_instance_file, save_gold, write_instance_file)
+from .diversity import PARTITION_FORMAT_VERSION, build_partition, load_partition, save_partition
 from .evaluation import compute_metrics, evaluate_run, format_table, run_ablation_suite
-from .features import (
-    INSTANCE_FORMAT_VERSION,
-    LABEL_CODES,
-    LABEL_NAMES,
-    UNLABELED,
-    BlockingSpec,
-    InstancePool,
-    _row_fault,
-    featurize_to_file,
-    read_instance_file,
-    write_instance_file,
-)
+from .features import BlockingSpec, featurize_to_file
 from .nn import CHECKPOINT_FORMAT_VERSION, load_model, save_model
-from .training import TrainConfig, predict, run, write_report
+from .training import VARIANTS, TrainConfig, predict, run, write_report
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -57,6 +36,15 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 def _parse_propagate(text: str) -> int | None:
     return None if text == "pool" else int(text)
+
+
+def _variant(text: str) -> str:
+    """A variant name from its flag spelling, hyphens or underscores."""
+    name = text.replace("-", "_")
+    if name not in VARIANTS:
+        spelled = ", ".join(v.replace("_", "-") for v in VARIANTS)
+        raise ValueError(f"unknown variant {text!r}; choose from {spelled}")
+    return name
 
 
 def _listed(parse):
@@ -76,7 +64,7 @@ _PARSERS = {
     "gen_hidden": _parse_hidden,
     "disc_hidden": _parse_hidden,
     "propagate_count": _parse_propagate,  # integer or "pool"
-    "variant": lambda text: text.replace("-", "_"),
+    "variant": _variant,
 }
 _CONFIG_KEYS = {
     field.name: _PARSERS.get(field.name, type(field.default))
@@ -96,7 +84,10 @@ def read_config_file(path: str | Path) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _CONFIG_KEYS:
             raise IngestError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _CONFIG_KEYS[key](value)
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -311,12 +302,11 @@ def cmd_ablate(args) -> int:
     cfg = build_train_config(args)
     pool = _load_pool(args.instances, args.gold, args.gold_header)
     partition = _partition_for(args, pool)
-    variants = [v.replace("-", "_") for v in args.variants.split(",")]
     seeds = [cfg.seed + k for k in range(args.seeds)]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     table = run_ablation_suite(
         pool, partition, cfg,
-        variants=variants, budgets=args.budgets or [], fractions=args.fractions or [],
+        variants=args.variants, budgets=args.budgets or [], fractions=args.fractions or [],
         seeds=seeds, workers=workers,
     )
     rows = table.aggregate()
@@ -428,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold-header", action="store_true", dest="gold_header")
     p.add_argument("--budgets", type=_listed(int), help="comma-separated label budgets")
     p.add_argument("--fractions", type=_listed(float), help="comma-separated train fractions")
-    p.add_argument("--variants", default="full")
+    p.add_argument("--variants", type=_listed(_variant), default="full")
     p.add_argument("--seeds", type=int, default=3, help="number of seeds (base --seed + k)")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("-o", "--out")

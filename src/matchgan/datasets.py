@@ -1,23 +1,41 @@
-"""Record/gold-standard loading and synthetic workload generation.
+"""Input data: records, gold standards, the instance pool and its file.
 
-Datasets arrive as delimited text with a header row. Gold standards are
-two-column files of matching id pairs; every pair not listed is a
-non-match. The synthetic generator emits an InstancePool of pair feature
-vectors directly (no record form), built as whole columns, with class
-overlap controlled by a single knob, so imbalanced workloads of any size
-can be produced deterministically.
+Records and gold standards arrive as delimited text; a gold standard lists
+matching id pairs, and every pair it does not list is a non-match. A pool
+of record-pair instances lives in memory only as InstancePool's columns
+(pair ids, a float64 feature matrix, an int8 label column), which the
+instance file is read into and written from; no object stands for a row.
+generate_synthetic builds such a pool directly, with class overlap set by
+one knob, so imbalanced workloads of any size are deterministic.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 MATCH = "M"
 NON_MATCH = "N"
+
+PairId = tuple[str, str]
+
+INSTANCE_FORMAT_VERSION = 1
+
+# Label column codes; UNLABELED marks a row without a real label.
+UNLABELED = -1
+LABEL_CODES = {MATCH: 1, NON_MATCH: 0}
+# LABEL_NAMES[code] turns 0/1 codes back into label strings
+LABEL_NAMES = np.array([NON_MATCH, MATCH])
+
+_FEATURE_RULE = "instance features must be finite and lie in [0, 1]"
+
+_FILE_TILE = 1 << 15  # rows that write_instance_file writes at a time
 
 # Fixed sampling width of each class's feature distribution; class centres
 # move apart as separation grows.
@@ -98,6 +116,67 @@ class GoldStandard:
         return len(self.matches)
 
 
+def _valid_rows(features: np.ndarray) -> np.ndarray:
+    """Per row of features: True iff every value is finite and in [0, 1]."""
+    ok = np.isfinite(features) & (features >= 0.0) & (features <= 1.0)
+    return ok.all(axis=-1)
+
+
+def _check_columns(ids: list[PairId], features: np.ndarray,
+                   labels: np.ndarray) -> tuple[int, str] | None:
+    """(row, message) of the first row that breaks an instance rule, or None.
+
+    Every feature must be finite and in [0, 1], the two ids of a pair must
+    differ and a label code must be UNLABELED, 0 or 1.
+    """
+    faults = []
+    valid = _valid_rows(features)
+    if not valid.all():
+        faults.append((int(np.argmin(valid)), _FEATURE_RULE))
+    row = next(itertools.compress(itertools.count(), itertools.starmap(operator.eq, ids)), None)
+    if row is not None:
+        faults.append((row, f"instance pair ids must be distinct: {ids[row]}"))
+    bad = np.flatnonzero((labels < UNLABELED) | (labels > 1))
+    if len(bad):
+        faults.append((int(bad[0]), f"unknown label code {labels[bad[0]]}"))
+    return min(faults, default=None)
+
+
+class InstancePool:
+    """Pool columns in canonical row order.
+
+    Rows are sorted by pair id, so positional indices are deterministic and
+    id-ascending. features is a float64 (rows, attributes) matrix and
+    real_labels holds one label code per row (UNLABELED where the truth is
+    unknown). Which rows a run has labeled is kept by the run, not here.
+    The row rules are checked here unless _checked says that
+    read_instance_file has just checked these very columns.
+    """
+
+    def __init__(self, ids: list[PairId], features: np.ndarray, real_labels: np.ndarray,
+                 *, _checked: bool = False):
+        features = np.asarray(features, dtype=np.float64)
+        real_labels = np.asarray(real_labels, dtype=np.int8)
+        if features.ndim != 2 or len(features) != len(ids) or real_labels.shape != (len(ids),):
+            raise IngestError("a pool needs one feature row and one label code per pair id")
+        fault = None if _checked else _check_columns(ids, features, real_labels)
+        if fault is not None:
+            raise IngestError(fault[1])
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids: list[PairId] = [ids[k] for k in order]
+        if any(map(operator.eq, self.ids, self.ids[1:])):
+            raise IngestError("duplicate pair ids in pool")
+        self.features = features[order]
+        self.real_labels = real_labels[order]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def n_features(self) -> int:
+        return self.features.shape[1]
+
+
 @dataclass
 class SyntheticConfig:
     n_matches: int
@@ -176,6 +255,116 @@ def save_gold(gold: GoldStandard, path: str | Path) -> None:
         csv.writer(fh).writerows(rows)
 
 
+def _write_tile(fh, ids_a: np.ndarray, ids_b: np.ndarray, feats: np.ndarray, labels) -> None:
+    """Write one tile of instance rows, calling repr once per distinct value.
+
+    Values are told apart by their bits, so each float is written as its
+    own repr.
+    """
+    bits, inverse = np.unique(feats.view(np.int64), return_inverse=True)
+    table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cols = [ids_a.tolist(), ids_b.tolist(), *table[inverse.reshape(feats.shape)].T.tolist()]
+    if labels is not None:
+        cols.append(labels.tolist())
+    fh.write("\n".join(map("\t".join, zip(*cols))) + "\n")
+
+
+def _chunked(stream: Iterator, size: int) -> Iterator[list]:
+    while True:
+        chunk = list(itertools.islice(stream, size))
+        if not chunk:
+            return
+        yield chunk
+
+
+def _write_instance_header(fh, schema: tuple[str, ...], q: int, labeled: bool) -> None:
+    fh.write(f"# instances v{INSTANCE_FORMAT_VERSION} q={q}\n")
+    cols = ["id_a", "id_b", *schema]
+    if labeled:
+        cols.append("label")
+    fh.write("\t".join(cols) + "\n")
+
+
+def write_instance_file(path: str | Path, pool: InstancePool) -> None:
+    """Write a pool's rows in row order, _FILE_TILE rows at a time, under
+    feature columns f0, f1, ... and the header's default q=2. The label
+    column is written only when some row has a real label; an unlabeled
+    row's cell is then empty."""
+    labeled = bool(np.any(pool.real_labels != UNLABELED))
+    schema = [f"f{k}" for k in range(pool.n_features)]
+    cells = np.where(pool.real_labels == UNLABELED, "", LABEL_NAMES[pool.real_labels])
+    with Path(path).open("w", encoding="utf-8") as fh:
+        _write_instance_header(fh, schema, 2, labeled)
+        for lo in range(0, len(pool), _FILE_TILE):
+            ids = np.array(pool.ids[lo : lo + _FILE_TILE], dtype=object)
+            _write_tile(fh, ids[:, 0], ids[:, 1], pool.features[lo : lo + _FILE_TILE],
+                        cells[lo : lo + _FILE_TILE] if labeled else None)
+
+
+def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.ndarray, dict]:
+    """Read an instance file as columns: (ids, features, labels, meta).
+
+    ids lists the pair ids in file order, features is a float64 (n, d)
+    matrix and labels an int8 column of label codes (UNLABELED where the
+    file gives none); meta is {'q': int, 'schema': tuple}. Rows are parsed
+    a chunk at a time, so only one chunk's cell strings are alive at once.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"missing file: {path}")
+    meta: dict = {}
+    ids: list[PairId] = []
+    label_cells: list[str] = []
+    blocks: list[np.ndarray] = []
+    with path.open(encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.startswith("# instances"):
+            raise IngestError(f"{path}: not an instance file (bad header)")
+        for token in first.split():
+            if "=" in token:
+                key, value = token.split("=", 1)
+                meta[key] = int(value) if value.isdigit() else value
+        header = fh.readline().rstrip("\n").split("\t")
+        if header[:2] != ["id_a", "id_b"]:
+            raise IngestError(f"{path}: malformed column header")
+        has_label = header[-1] == "label"
+        attr_cols = header[2 : -1 if has_label else len(header)]
+        meta["schema"] = tuple(attr_cols)
+        n_feats = len(attr_cols)
+        expected = 2 + n_feats + (1 if has_label else 0)
+        for chunk in _chunked(fh, 256):
+            rows = [line.rstrip("\n").split("\t") for line in chunk if line != "\n"]
+            for k, row in enumerate(rows):
+                if len(row) != expected:
+                    raise _row_fault(path, len(ids) + k, f"expected {expected} columns")
+            cells = itertools.chain.from_iterable(row[2 : 2 + n_feats] for row in rows)
+            try:
+                blocks.append(np.fromiter(map(float, cells), np.float64, len(rows) * n_feats))
+            except ValueError as exc:
+                raise IngestError(f"{path}: {exc}") from None
+            ids.extend((row[0], row[1]) for row in rows)
+            label_cells.extend(row[-1] if has_label else "" for row in rows)
+
+    features = np.concatenate(blocks or [np.empty(0)]).reshape(len(ids), n_feats)
+    codes = {**LABEL_CODES, "": UNLABELED}
+    for k, cell in enumerate(label_cells):
+        if cell not in codes:
+            raise _row_fault(path, k, f"unknown label {cell!r}")
+    labels = np.array([codes[cell] for cell in label_cells], dtype=np.int8)
+    fault = _check_columns(ids, features, labels)
+    if fault is not None:
+        raise _row_fault(path, *fault)
+    return ids, features, labels, meta
+
+
+def _row_fault(path: Path, row: int, message: str) -> IngestError:
+    """IngestError naming the file line of data row `row` (blank lines skipped)."""
+    with path.open(encoding="utf-8") as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if n > 2 and line != "\n")
+        lineno = next(itertools.islice(lines, row, None))
+    return IngestError(f"{path}:{lineno}: {message}")
+
+
 def class_feature_params(separation: float) -> tuple[tuple[float, float], tuple[float, float], float]:
     """Sampling intervals (lo, hi) for match / non-match features plus the
     non-match zero-inflation probability, all as a function of separation."""
@@ -187,7 +376,7 @@ def class_feature_params(separation: float) -> tuple[tuple[float, float], tuple[
     return match_range, nonmatch_range, _ZERO_MASS * separation
 
 
-def generate_synthetic(cfg: SyntheticConfig):
+def generate_synthetic(cfg: SyntheticConfig) -> tuple[InstancePool, GoldStandard]:
     """Deterministically generate a labeled instance pool plus a gold standard.
 
     Match feature vectors are drawn near 1, non-matches near 0 (with a
@@ -195,8 +384,6 @@ def generate_synthetic(cfg: SyntheticConfig):
     (InstancePool, GoldStandard) with class counts exactly n_matches and
     n_matches * imbalance_rate; the matches come first in pair-id order.
     """
-    from .features import LABEL_CODES, InstancePool
-
     rng = np.random.default_rng(cfg.seed)
     n_non = cfg.n_matches * cfg.imbalance_rate
     match_range, nonmatch_range, zero_prob = class_feature_params(cfg.separation)

@@ -5,8 +5,10 @@ values against per-feature medians. Minibatch selection maximizes the
 l2,1 norm of the per-subspace selection counts (sum of square roots),
 which for a binary selection vector spreads the budget across as many
 subspaces as possible. The objective is separable and concave, so greedy
-water-filling is exactly optimal. Training draws many minibatches at once,
-each a row of distinct picks (distinct_picks, uniform_subsets).
+water-filling is exactly optimal. Seed labels are one such draw
+(diverse_sample); a MinibatchSampler lays out one training round's
+water-filled subspaces once and draws many minibatches at a time, each a
+row of distinct picks (distinct_picks, uniform_subsets).
 """
 
 from __future__ import annotations
@@ -188,6 +190,47 @@ def uniform_subsets(rng: np.random.Generator, size: int, k: int, n: int) -> np.n
         keep[np.arange(n)[:, None], uniform_subsets(rng, size, size - k, n)] = False
         return np.nonzero(keep)[1].reshape(n, k)
     return distinct_picks(rng, np.zeros(k, dtype=np.intp), np.full(k, size), n)
+
+
+class MinibatchSampler:
+    """Per-round source of minibatches over fixed unlabeled rows, drawn a
+    chunk of iterations at a time.
+
+    Subspace populations do not change within a round, so the diversity
+    allocation (water-filling counts) is computed once, and so is a flat
+    array of the subspaces drawn from: a subspace whose count equals its
+    size is taken whole, the others are laid end to end in population.
+    Slot k of a minibatch picks population[lo[k] + i] with i uniform below
+    hi[k], where lo and hi are its subspace's offset and size, and no two
+    slots of a minibatch pick the same row (distinct_picks). Without
+    diversity a minibatch is a uniform subset of the rows.
+    """
+
+    def __init__(self, partition: SubspacePartition, u_rows: np.ndarray, size: int,
+                 diverse: bool):
+        self.u_rows = u_rows
+        self.size = size
+        self.diverse = diverse
+        if diverse:
+            pops = [p for p in partition.populations(u_rows) if len(p)]
+            counts = waterfill_counts([len(p) for p in pops], size)
+            none = np.empty(0, dtype=np.intp)
+            self.whole = np.concatenate([none, *(p for p, c in zip(pops, counts) if c == len(p))])
+            drawn = [(p, c) for p, c in zip(pops, counts) if 0 < c < len(p)]
+            sizes = np.array([len(p) for p, _ in drawn], dtype=np.intp)
+            slots = [c for _, c in drawn]
+            self.population = np.concatenate([none, *(p for p, _ in drawn)])
+            self.lo = np.repeat(np.cumsum(sizes) - sizes, slots)
+            self.hi = np.repeat(sizes, slots)
+
+    def chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n minibatches of pool rows, one per row of the result."""
+        if not self.diverse:
+            return self.u_rows[uniform_subsets(rng, len(self.u_rows), self.size, n)]
+        out = np.empty((n, self.size), dtype=np.intp)
+        out[:, : len(self.whole)] = self.whole
+        out[:, len(self.whole) :] = self.population[distinct_picks(rng, self.lo, self.hi, n)]
+        return out
 
 
 def save_partition(part: SubspacePartition, path: str | Path) -> None:

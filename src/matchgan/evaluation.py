@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import MATCH, NON_MATCH
+from .datasets import UNLABELED, InstancePool
 from .diversity import SubspacePartition
-from .features import UNLABELED, InstancePool
 from .training import RunResult, TrainConfig, run
 
 
@@ -41,24 +40,14 @@ def split_pool(pool_size: int, seed: int, train_fraction: float) -> tuple[list[i
     return sorted(int(i) for i in order[:n_train]), sorted(int(i) for i in order[n_train:])
 
 
-def _label_codes(labels) -> np.ndarray:
-    """Label codes of a sequence of label strings or of codes; any other
-    label maps to UNLABELED."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind in "USO":
-        return np.where(labels == MATCH, 1, np.where(labels == NON_MATCH, 0, UNLABELED))
-    return labels
-
-
 def compute_metrics(predicted, actual) -> MetricsReport:
     """Precision/recall/f-measure with zero-denominator conventions.
 
-    Labels are label strings or label codes; anything but a match or a
-    non-match raises ValueError. Empty denominators score 0 (so a run
-    predicting no matches reports precision = recall = f-measure = 0
-    rather than failing).
+    Labels are label codes; anything but a match (1) or a non-match (0)
+    raises ValueError. Empty denominators score 0 (so a run predicting no
+    matches reports precision = recall = f-measure = 0 rather than failing).
     """
-    pred, act = _label_codes(predicted), _label_codes(actual)
+    pred, act = np.asarray(predicted), np.asarray(actual)
     if len(pred) != len(act):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(act)}")
     for name, codes in (("predicted", pred), ("actual", act)):

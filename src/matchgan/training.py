@@ -12,10 +12,11 @@ absorbed into the labeled pool:
      discriminator's confidence in its pseudo label and move the
      top-scoring slice into the labeled pool.
 
-The run's state is a handful of arrays over pool rows (RunState). The
-labeled set only ever grows: real seed labels are never overwritten and
-pseudo-labeled rows are never relabeled. Ablation variants disable
-the diversity sampler, the propagation loop, or the adversarial pairing.
+The run's state is a handful of arrays over pool rows (RunState); the
+seed and minibatch draws come from diversity. The labeled set only ever
+grows: real seed labels are never overwritten and pseudo-labeled rows
+are never relabeled. Ablation variants disable the diversity sampler,
+the propagation loop, or the adversarial pairing.
 
 Training is transductive: the run's final label for each unlabeled pool
 instance is its propagated pseudo label. Instances outside the pool (held
@@ -31,15 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import MATCH, NON_MATCH, GoldStandard
-from .diversity import (
-    SubspacePartition,
-    distinct_picks,
-    diverse_sample,
-    uniform_subsets,
-    waterfill_counts,
-)
-from .features import LABEL_CODES, LABEL_NAMES, UNLABELED, InstancePool, PairId
+from .datasets import (LABEL_CODES, LABEL_NAMES, MATCH, NON_MATCH, UNLABELED, GoldStandard,
+                       InstancePool, PairId)
+from .diversity import MinibatchSampler, SubspacePartition, uniform_subsets
+# the benchmark traces these two here
+from .diversity import diverse_sample, waterfill_counts  # noqa: F401
 from . import nn
 
 VARIANTS = ("full", "no_diversity", "no_propagation", "no_adversary")
@@ -136,6 +133,7 @@ class RunResult:
     report: dict
 
 
+# the benchmark calls this to check a run's seed pick
 def select_seed_labels(
     pool: InstancePool,
     gold: GoldStandard,
@@ -179,46 +177,6 @@ def _labeled_arrays(pool: InstancePool, state: RunState):
 _CHUNK = 50  # iterations whose minibatches are drawn at once
 
 
-class _MinibatchSampler:
-    """Per-round source of unlabeled minibatches over the fixed unlabeled
-    index, drawn a chunk of iterations at a time.
-
-    Subspace populations do not change within a round, so the diversity
-    allocation (water-filling counts) is computed once, and so is a flat
-    array of the subspaces drawn from: a subspace whose count equals its
-    size is taken whole, the others are laid end to end in population.
-    Slot k of a minibatch picks population[lo[k] + i] with i uniform below
-    hi[k], where lo and hi are its subspace's offset and size, and no two
-    slots of a minibatch pick the same row (distinct_picks). Without
-    diversity a minibatch is a uniform subset of the index.
-    """
-
-    def __init__(self, pops, u_rows: np.ndarray, size: int, diverse: bool):
-        self.u_rows = u_rows
-        self.size = size
-        self.diverse = diverse
-        if diverse:
-            pops = [p for p in pops if len(p)]
-            counts = waterfill_counts([len(p) for p in pops], size)
-            none = np.empty(0, dtype=np.intp)
-            self.whole = np.concatenate([none, *(p for p, c in zip(pops, counts) if c == len(p))])
-            drawn = [(p, c) for p, c in zip(pops, counts) if 0 < c < len(p)]
-            sizes = np.array([len(p) for p, _ in drawn], dtype=np.intp)
-            slots = [c for _, c in drawn]
-            self.population = np.concatenate([none, *(p for p, _ in drawn)])
-            self.lo = np.repeat(np.cumsum(sizes) - sizes, slots)
-            self.hi = np.repeat(sizes, slots)
-
-    def chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n minibatches of pool rows, one per row of the result."""
-        if not self.diverse:
-            return self.u_rows[uniform_subsets(rng, len(self.u_rows), self.size, n)]
-        out = np.empty((n, self.size), dtype=np.intp)
-        out[:, : len(self.whole)] = self.whole
-        out[:, len(self.whole) :] = self.population[distinct_picks(rng, self.lo, self.hi, n)]
-        return out
-
-
 def inner_train(
     gen: nn.MlpModel,
     disc: nn.MlpModel,
@@ -227,8 +185,8 @@ def inner_train(
     cfg: TrainConfig,
     partition: SubspacePartition,
     rng: np.random.Generator,
-    opt_gen: nn.OptState | None = None,
-    opt_disc: nn.OptState | None = None,
+    opt_gen: nn.OptState,
+    opt_disc: nn.OptState,
     iters: int | None = None,
 ) -> tuple[nn.MlpModel, nn.MlpModel, dict]:
     """Run the alternating minibatch updates for one propagation round.
@@ -241,18 +199,12 @@ def inner_train(
     if len(state) == 0:
         raise ValueError("labeled pool is empty")
     n_iters = cfg.inner_iters if iters is None else iters
-    if opt_gen is None:
-        opt_gen = nn.OptState.for_model(gen, cfg.optimizer, cfg.learning_rate)
-    if opt_disc is None:
-        opt_disc = nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate)
-
     u_rows = np.flatnonzero(state.round_added != 0)
-    pops = partition.populations(u_rows)
     # the labeled [X | y | 1] matrix, so that a real minibatch is one gather
     real_all = np.column_stack((*_labeled_arrays(pool, state), np.ones(len(state))))
     fake_size = min(cfg.batch_size, len(u_rows))
     real_size = min(cfg.batch_size, len(real_all))
-    sampler = _MinibatchSampler(pops, u_rows, fake_size, cfg.variant != "no_diversity")
+    sampler = MinibatchSampler(partition, u_rows, fake_size, cfg.variant != "no_diversity")
     # fixed arrays for the round's passes: the generator on the fake rows
     # (gathered into Xf), the discriminator on the stacked
     # [fake; real] batch (d_buf.x) and on [X | soft] for the generator's

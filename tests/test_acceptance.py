@@ -21,14 +21,16 @@ import matchgan.nn as nn
 from matchgan.datasets import (
     MATCH,
     NON_MATCH,
+    InstancePool,
     SyntheticConfig,
     generate_synthetic,
     load_gold,
     load_records,
+    read_instance_file,
 )
 from matchgan.diversity import build_partition, waterfill_counts
 from matchgan.evaluation import compute_metrics, evaluate_run, run_cell
-from matchgan.features import InstancePool, featurize_to_file, read_instance_file
+from matchgan.features import featurize_to_file
 from matchgan.training import TrainConfig, run
 
 from helpers import DiscreteJointDistribution, optimal_discriminator_check
@@ -298,8 +300,8 @@ def test_criterion_8_metric_identities():
     rng = np.random.default_rng(2)
     for _ in range(500):
         n = int(rng.integers(1, 60))
-        predicted = [MATCH if x else NON_MATCH for x in rng.random(n) > 0.5]
-        actual = [MATCH if x else NON_MATCH for x in rng.random(n) > 0.7]
+        predicted = (rng.random(n) > 0.5).astype(np.int8)
+        actual = (rng.random(n) > 0.7).astype(np.int8)
         m = compute_metrics(predicted, actual)
         assert m.tp + m.fp + m.fn + m.tn == n
         p = m.tp / (m.tp + m.fp) if m.tp + m.fp else 0.0

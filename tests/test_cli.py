@@ -196,11 +196,11 @@ class TestBadInput:
         assert not (tmp_path / "p.json").exists()
 
     def test_rows_checked_once_per_load(self, tmp_path, capsys, monkeypatch):
-        import matchgan.features as features
+        import matchgan.datasets as datasets
 
         calls = []
-        check = features._check_columns
-        monkeypatch.setattr(features, "_check_columns",
+        check = datasets._check_columns
+        monkeypatch.setattr(datasets, "_check_columns",
                             lambda *cols: calls.append(1) or check(*cols))
         inst = tmp_path / "inst.tsv"
         rows = "a\tb\t0.5\t0.5\tM\nc\td\t0.1\t0.2\tN\n"
@@ -424,6 +424,26 @@ class TestBadInput:
         assert "--seeds must be at least 1" in self._single_error(capsys)
         assert not out.exists()
 
+    def test_ablate_variants_checked_before_any_cell_trains(self, tmp_path, capsys,
+                                                            monkeypatch):
+        import matchgan.evaluation as evaluation
+
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 3, "--imbalance", 10, "--seed", 1, "--out", data)
+        capsys.readouterr()
+        runs = []
+        monkeypatch.setattr(evaluation, "run", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "cells.tsv"
+        assert run_cli("ablate", "--instances", data / "instances.tsv", "--budgets", 4,
+                       "--variants", "full,bogus", "--seeds", 3, "--workers", 1,
+                       "-o", out) == 1
+        err = self._single_error(capsys)
+        assert "--variants" in err and "'bogus'" in err
+        # the names are listed as the flag spells them
+        assert "no-diversity" in err and "no_diversity" not in err
+        assert runs == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", [0, -2])
     def test_failed_train_leaves_no_output_directory(self, tmp_path, capsys, budget):
         data = tmp_path / "data"
@@ -642,6 +662,17 @@ class TestConfigFile:
         cfg.write_text("mystery_knob = 3\n")
         with pytest.raises(Exception, match="unknown config key"):
             read_config_file(cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", "x"), ("learning_rate", "fast"), ("gen_hidden", "32,x"),
+    ])
+    def test_unparsable_value_names_its_line_and_key(self, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\ninner_iters = 3\n{key} = {value}\n")
+        with pytest.raises(ValueError) as caught:
+            read_config_file(cfg)
+        assert str(caught.value).startswith(f"{cfg}:3: {key}: ")
+        assert repr(value.split(",")[-1]) in str(caught.value)
 
     def test_propagate_count_pool_keyword(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -91,6 +91,23 @@ class TestAssignSubspace:
         assert part.b == 4
 
 
+class TestBuildPartition:
+    def test_medians_of_a_sample_above_the_cap(self, rng, monkeypatch):
+        import matchgan.diversity as diversity
+
+        features = rng.random((40, 3))
+        monkeypatch.setattr(diversity, "MEDIAN_SAMPLE_CAP", 15)
+        part = build_partition(list(range(40)), features, (2, 0))
+        rows = np.sort(np.random.default_rng(0).choice(40, size=15, replace=False))
+        expected = compute_medians(features[rows][:, [2, 0]])
+        assert part.medians.tobytes() == expected.tobytes()
+        # the sample's medians are not the whole pool's
+        assert not np.array_equal(part.medians, compute_medians(features[:, [2, 0]]))
+        again = build_partition(list(range(40)), features, (2, 0))
+        assert again.medians.tobytes() == part.medians.tobytes()
+        np.testing.assert_array_equal(again.subspaces, part.subspaces)
+
+
 class TestL21Norm:
     def test_all_zero(self):
         assert l21_norm([0, 0, 0]) == 0.0

@@ -3,7 +3,13 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from matchgan.datasets import MATCH, NON_MATCH, SyntheticConfig, generate_synthetic
+from matchgan.datasets import (
+    LABEL_CODES,
+    MATCH,
+    NON_MATCH,
+    SyntheticConfig,
+    generate_synthetic,
+)
 from matchgan.diversity import build_partition
 import matchgan.evaluation as evaluation
 from matchgan.evaluation import (
@@ -13,6 +19,9 @@ from matchgan.evaluation import (
     split_pool,
 )
 from matchgan.training import TrainConfig
+
+# label codes of a match and a non-match
+M, N = LABEL_CODES[MATCH], LABEL_CODES[NON_MATCH]
 
 
 class TestSplit:
@@ -40,41 +49,41 @@ class TestSplit:
 class TestMetrics:
     def test_harmonic_mean_of_equal_values(self):
         # 1 TP, 1 FP, 1 FN: precision = recall = 0.5
-        m = compute_metrics([MATCH, MATCH, NON_MATCH], [MATCH, NON_MATCH, MATCH])
+        m = compute_metrics([M, M, N], [M, N, M])
         assert m.precision == 0.5 and m.recall == 0.5
         assert m.f_measure == pytest.approx(0.5)
 
     def test_derived_two_thirds(self):
         # precision 1, recall 0.5 -> FM = 2/(1/1 + 1/0.5) = 2/3
         m = compute_metrics(
-            [MATCH, NON_MATCH, NON_MATCH], [MATCH, MATCH, NON_MATCH]
+            [M, N, N], [M, M, N]
         )
         assert m.precision == 1.0 and m.recall == 0.5
         assert m.f_measure == pytest.approx(2 / 3)
 
     def test_zero_predictions_zero_conventions(self):
-        m = compute_metrics([NON_MATCH, NON_MATCH], [MATCH, MATCH])
+        m = compute_metrics([N, N], [M, M])
         assert m.precision == 0.0 and m.recall == 0.0 and m.f_measure == 0.0
 
     def test_objective_score(self):
         m = compute_metrics(
-            [MATCH, NON_MATCH, MATCH, NON_MATCH],
-            [MATCH, NON_MATCH, NON_MATCH, MATCH],
+            [M, N, M, N],
+            [M, N, N, M],
         )
         assert m.objective_score == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("predicted, actual", [(["X"], [MATCH]), ([1], [2]), ([0], [-1])])
+    @pytest.mark.parametrize("predicted, actual", [([-1], [M]), ([1], [2]), ([0], [-1])])
     def test_rejects_label_neither_match_nor_non_match(self, predicted, actual):
         with pytest.raises(ValueError, match="neither a match nor a non-match"):
             compute_metrics(predicted, actual)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            compute_metrics([MATCH], [MATCH, NON_MATCH])
+            compute_metrics([M], [M, N])
 
     @given(
         st.lists(
-            st.tuples(st.sampled_from([MATCH, NON_MATCH]), st.sampled_from([MATCH, NON_MATCH])),
+            st.tuples(st.sampled_from([M, N]), st.sampled_from([M, N])),
             min_size=1,
             max_size=200,
         )

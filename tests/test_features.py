@@ -6,19 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchgan import features
-from matchgan.datasets import GoldStandard, IngestError, Record, RecordSet
+from matchgan import datasets, features
+from matchgan.datasets import (
+    GoldStandard,
+    IngestError,
+    InstancePool,
+    Record,
+    RecordSet,
+    _write_instance_header,
+    read_instance_file,
+    write_instance_file,
+)
 from matchgan.features import (
     BlockingSpec,
-    InstancePool,
-    _write_instance_header,
     block_by_token,
     featurize_pair,
     featurize_to_file,
     generate_pairs,
     qgram_jaccard,
-    read_instance_file,
-    write_instance_file,
 )
 
 
@@ -290,7 +295,7 @@ class TestInstanceFile:
         pool = pool_of([((f"a{i}", f"b{i}"), rng.random(2), i % 3 - 1) for i in range(7)])
         whole, tiled = tmp_path / "whole.tsv", tmp_path / "tiled.tsv"
         write_instance_file(whole, pool)
-        monkeypatch.setattr(features, "PAIR_TILE", 3)
+        monkeypatch.setattr(datasets, "_FILE_TILE", 3)
         write_instance_file(tiled, pool)
         assert tiled.read_bytes() == whole.read_bytes()
         assert len(whole.read_text().splitlines()) == 2 + 7

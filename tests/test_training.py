@@ -12,15 +12,26 @@ from hypothesis import given, settings, strategies as st
 
 import matchgan.nn as nn
 import matchgan.training as training
-from matchgan.datasets import MATCH, NON_MATCH, SyntheticConfig, generate_synthetic
-from matchgan.diversity import build_partition, uniform_subsets, waterfill_counts
+from matchgan.datasets import (
+    LABEL_CODES,
+    MATCH,
+    NON_MATCH,
+    InstancePool,
+    SyntheticConfig,
+    generate_synthetic,
+)
+from matchgan.diversity import (
+    MinibatchSampler,
+    SubspacePartition,
+    build_partition,
+    uniform_subsets,
+    waterfill_counts,
+)
 from matchgan.evaluation import evaluate_run
-from matchgan.features import LABEL_NAMES, InstancePool
 from matchgan.training import (
     RunState,
     TrainConfig,
     _labeled_arrays,
-    _MinibatchSampler,
     inner_train,
     predict,
     propagate,
@@ -60,7 +71,7 @@ def twin_problem(n_per_class=10, data_seed=5):
     state = RunState(len(pool))
     seeds = sorted(labels)
     state.add(
-        [pool.row_of(pid) for pid in seeds],
+        [pool.ids.index(pid) for pid in seeds],
         [1 if labels[pid] == MATCH else 0 for pid in seeds],
         round_index=0,
     )
@@ -131,9 +142,8 @@ def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
     u_rows = np.flatnonzero(state.round_added != 0)
     lab_X, lab_y = _labeled_arrays(pool, state)
     real_size = min(cfg.batch_size, lab_X.shape[0])
-    sampler = _MinibatchSampler(
-        partition.populations(u_rows), u_rows, min(cfg.batch_size, len(u_rows)),
-        cfg.variant != "no_diversity",
+    sampler = MinibatchSampler(
+        partition, u_rows, min(cfg.batch_size, len(u_rows)), cfg.variant != "no_diversity"
     )
     d_sum = g_sum = 0.0
     for t in range(1, iters + 1):
@@ -164,6 +174,12 @@ def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
         g_grads, _ = _ref_backprop(G, g_acts, g_out * (1.0 - g_out) * dinput[:, -1])
         step[cfg.optimizer](G, g_grads, mg, t, cfg.learning_rate)
     return G, D, mg, md, d_sum / iters, g_sum / iters
+
+
+def _opt_states(gen, disc, cfg):
+    """Fresh optimizer states of both models, as run() makes them."""
+    return (nn.OptState.for_model(gen, cfg.optimizer, cfg.learning_rate),
+            nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate))
 
 
 def _flat(layers):
@@ -352,6 +368,14 @@ def _split_rows(sizes):
     return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _partition_of(sizes):
+    """A partition whose subspaces hold the _split_rows(sizes) ranges."""
+    k = max(len(sizes) - 1, 1).bit_length()
+    part = SubspacePartition(np.zeros(k), tuple(range(k)))
+    part.subspaces = np.repeat(np.arange(len(sizes)), sizes)
+    return part
+
+
 def _subset_frequencies(plan):
     """How often each row of plan holds each set of values."""
     return collections.Counter(tuple(sorted(row)) for row in plan.tolist())
@@ -362,8 +386,7 @@ class TestMinibatchSampler:
         # sizes (3, 4, 1) and a batch of 5 give counts (2, 2, 1): 3 * 6
         # subsets, each drawn with probability 1/18; two picks among 3 rows
         # repeat a third of the time, so the redraw path runs often
-        pops = _split_rows([3, 4, 1])
-        sampler = _MinibatchSampler(pops, np.arange(8), 5, diverse=True)
+        sampler = MinibatchSampler(_partition_of([3, 4, 1]), np.arange(8), 5, diverse=True)
         rng = np.random.default_rng(11)
         n_draws = 18_000
         freq = _subset_frequencies(
@@ -387,7 +410,8 @@ class TestMinibatchSampler:
         if size == 0:
             return
         counts = waterfill_counts(sizes, size)
-        sampler = _MinibatchSampler(pops, np.arange(sum(sizes)), size, diverse=True)
+        sampler = MinibatchSampler(_partition_of(sizes), np.arange(sum(sizes)), size,
+                                   diverse=True)
         plan = sampler.chunk(np.random.default_rng(seed), n)
         assert plan.shape == (n, size)
         for rows in plan:
@@ -402,13 +426,13 @@ class TestMinibatchSampler:
         # sizes (5, 1) and a batch of 5: the lone row is taken whole and 4
         # of the 5 others are drawn, so the redraw rule must find the last
         # free rows; each of the 5 subsets has probability 1/5
-        sampler = _MinibatchSampler(_split_rows([5, 1]), np.arange(6), 5, diverse=True)
+        sampler = MinibatchSampler(_partition_of([5, 1]), np.arange(6), 5, diverse=True)
         freq = _subset_frequencies(sampler.chunk(np.random.default_rng(2), 10_000))
         assert len(freq) == 5
         assert all(len(set(key)) == 5 and 5 in key for key in freq)
         assert all(abs(n - 2000) < 300 for n in freq.values()), freq
         # a larger dense subspace: 59 of 60 for every row of a chunk
-        plan = _MinibatchSampler(_split_rows([60]), np.arange(60), 59, diverse=True).chunk(
+        plan = MinibatchSampler(_partition_of([60]), np.arange(60), 59, diverse=True).chunk(
             np.random.default_rng(3), training._CHUNK
         )
         assert all(len(set(row)) == 59 for row in plan.tolist())
@@ -455,7 +479,8 @@ class TestInnerTrain:
         w_gen = [w.copy() for w in gen.weights]
         w_disc = [w.copy() for w in disc.weights]
         cfg = TrainConfig(seed=0)
-        inner_train(gen, disc, pool, labeled, cfg, partition, rng, iters=0)
+        inner_train(gen, disc, pool, labeled, cfg, partition, rng,
+                    *_opt_states(gen, disc, cfg), iters=0)
         for now, then in zip(gen.weights + disc.weights, w_gen + w_disc):
             np.testing.assert_array_equal(now, then)
 
@@ -477,16 +502,11 @@ class TestInnerTrain:
     def test_empty_labeled_pool_rejected(self):
         pool, partition, _ = small_problem()
         rng = np.random.default_rng(0)
+        gen, disc = nn.init_mlp((4, 4, 1), rng), nn.init_mlp((5, 4, 1), rng)
+        cfg = TrainConfig(seed=0)
         with pytest.raises(ValueError):
-            inner_train(
-                nn.init_mlp((4, 4, 1), rng),
-                nn.init_mlp((5, 4, 1), rng),
-                pool,
-                RunState(len(pool)),
-                TrainConfig(seed=0),
-                partition,
-                rng,
-            )
+            inner_train(gen, disc, pool, RunState(len(pool)), cfg, partition, rng,
+                        *_opt_states(gen, disc, cfg))
 
     def test_deterministic_under_seed(self):
         def train_once():
@@ -495,7 +515,8 @@ class TestInnerTrain:
             gen = nn.init_mlp((4, 8, 1), rng)
             disc = nn.init_mlp((5, 8, 1), rng)
             cfg = TrainConfig(seed=7, batch_size=10)
-            inner_train(gen, disc, pool, labeled, cfg, partition, rng, iters=50)
+            inner_train(gen, disc, pool, labeled, cfg, partition, rng,
+                        *_opt_states(gen, disc, cfg), iters=50)
             return gen.weights[0].copy()
 
         np.testing.assert_array_equal(train_once(), train_once())
@@ -547,8 +568,9 @@ class TestTracedNames:
         gen = nn.init_mlp((4, 8, 1), rng)
         disc = nn.init_mlp((5, 8, 1), rng)
         k = 7
-        inner_train(gen, disc, pool, state, TrainConfig(seed=0, batch_size=10), partition,
-                    rng, iters=k)
+        cfg = TrainConfig(seed=0, batch_size=10)
+        inner_train(gen, disc, pool, state, cfg, partition, rng, *_opt_states(gen, disc, cfg),
+                    iters=k)
         assert calls == {"discriminator_backward": k, "generator_backward": k, "opt_step": 2 * k}
         calls.clear()
         propagate(gen, disc, pool, np.flatnonzero(state.label == -1), 5)
@@ -632,7 +654,7 @@ class TestRun:
                           propagate_count=propagate_count, variant=variant)
         picked = select_seed_labels(pool, gold, budget, partition,
                                     np.random.default_rng(seed), variant)
-        seeds = np.array([pool.row_of(pid) for pid in picked])
+        seeds = np.array([pool.ids.index(pid) for pid in picked])
         rounds = []
 
         class CheckedState(RunState):
@@ -680,11 +702,10 @@ class TestRun:
         held_out, held_gold = generate_synthetic(
             SyntheticConfig(n_matches=5, imbalance_rate=20, separation=0.9, seed=77)
         )
-        labels = predict(result.generator, held_out.features)
-        truth = LABEL_NAMES[held_out.real_labels].tolist()
+        labels = [LABEL_CODES[label] for label in predict(result.generator, held_out.features)]
         from matchgan.evaluation import compute_metrics
 
-        assert compute_metrics(labels, truth).f_measure >= 0.9
+        assert compute_metrics(labels, held_out.real_labels).f_measure >= 0.9
 
     def test_predict_empty_list(self, rng):
         assert predict(nn.init_mlp((4, 2, 1), rng), []) == []
