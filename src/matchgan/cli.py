@@ -47,14 +47,28 @@ def _variant(text: str) -> str:
     return name
 
 
-def _listed(parse):
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"train fraction {text} must lie strictly between 0 and 1")
+    return value
+
+
+def _listed(parse, distinct: bool = False):
     """An argparse type for comma-separated values, each read by parse, so
-    that argparse names the flag whose value does not parse."""
+    that argparse names the flag whose value does not parse; when distinct,
+    a value that repeats an earlier one is rejected as well."""
     def read(text: str) -> list:
+        values: list = []
         try:
-            return [parse(tok) for tok in text.split(",")]
+            for tok in text.split(","):
+                value = parse(tok)
+                if distinct and value in values:
+                    raise ValueError(f"{tok!r} repeats an earlier value")
+                values.append(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+        return values
     return read
 
 
@@ -93,7 +107,7 @@ def read_config_file(path: str | Path) -> dict:
 
 def build_train_config(args) -> TrainConfig:
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(read_config_file(args.config))
     for name, parse in _CONFIG_KEYS.items():
         text = getattr(args, name)
@@ -121,7 +135,14 @@ def _partition_for(args, pool: InstancePool):
         part = load_partition(args.partition)
         part.assign_all(pool.ids, pool.features)
         return part
-    return build_partition(pool.ids, pool.features, getattr(args, "split_features", None))
+    return build_partition(pool.ids, pool.features, args.split_features)
+
+
+def _training_inputs(args):
+    """The (config, pool, partition) that train and ablate start from."""
+    cfg = build_train_config(args)
+    pool = _load_pool(args.instances, args.gold, args.gold_header)
+    return cfg, pool, _partition_for(args, pool)
 
 
 def _write_labels_file(path: Path, ids: list, labels: list[str]) -> None:
@@ -187,33 +208,15 @@ def cmd_synth(args) -> int:
 
 def cmd_featurize(args) -> int:
     schema = args.schema.split(",") if args.schema else None
-    left = load_records(
-        args.left,
-        schema=schema or _infer_schema(args.left, args.id_column, args.delimiter),
-        id_column=args.id_column,
-        delimiter=args.delimiter,
-    )
+    left = load_records(args.left, schema, args.id_column, args.delimiter)
     right = None
     if args.right:
-        right = load_records(
-            args.right,
-            schema=left.schema,
-            id_column=args.id_column,
-            delimiter=args.delimiter,
-        )
+        right = load_records(args.right, left.schema, args.id_column, args.delimiter)
     gold = load_gold(args.gold, has_header=args.gold_header) if args.gold else None
     blocking = BlockingSpec(args.block_on) if args.block_on else None
     count = featurize_to_file(args.out, left, right, gold=gold, q=args.q, blocking=blocking)
     print(f"wrote {count} instances to {args.out}")
     return 0
-
-
-def _infer_schema(path: str, id_column: str, delimiter: str) -> list[str]:
-    with Path(path).open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(delimiter)
-    if id_column not in header:
-        raise IngestError(f"missing column {id_column!r} in {path}")
-    return [col for col in header if col != id_column]
 
 
 def cmd_partition(args) -> int:
@@ -224,9 +227,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = build_train_config(args)
-    pool = _load_pool(args.instances, args.gold, args.gold_header)
-    partition = _partition_for(args, pool)
+    cfg, pool, partition = _training_inputs(args)
     out = Path(args.out)
     result = run(
         cfg,
@@ -299,9 +300,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = build_train_config(args)
-    pool = _load_pool(args.instances, args.gold, args.gold_header)
-    partition = _partition_for(args, pool)
+    cfg, pool, partition = _training_inputs(args)
     seeds = [cfg.seed + k for k in range(args.seeds)]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     table = run_ablation_suite(
@@ -322,14 +321,6 @@ def cmd_ablate(args) -> int:
                     f"{cell.metrics.f_measure!r}\n"
                 )
     return 0
-
-
-def _add_train_config_flags(sub) -> None:
-    """--config plus one flag per TrainConfig field, in field order; the
-    text of each is parsed by build_train_config."""
-    sub.add_argument("--config", help="flat key=value config file")
-    for name in _CONFIG_KEYS:
-        sub.add_argument("--" + name.replace("_", "-"), dest=name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,6 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # the flags train and ablate share: their inputs, --config, and one
+    # flag per TrainConfig field in field order, parsed by build_train_config
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--instances", required=True)
+    shared.add_argument("--partition", help="partition file (default: build from instances)")
+    shared.add_argument("--split-features", type=_listed(int))
+    shared.add_argument("--gold")
+    shared.add_argument("--gold-header", action="store_true")
+    shared.add_argument("--config", help="flat key=value config file")
+    for name in _CONFIG_KEYS:
+        shared.add_argument("--" + name.replace("_", "-"), dest=name)
 
     p = subs.add_parser("synth", help="generate a synthetic labeled workload")
     p.add_argument("--matches", type=int, required=True)
@@ -386,16 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_partition)
 
-    p = subs.add_parser("train", help="train on an instance file")
-    p.add_argument("--instances", required=True)
-    p.add_argument("--partition", help="partition file (default: build from instances)")
-    p.add_argument("--split-features", type=_listed(int), dest="split_features")
-    p.add_argument("--gold")
-    p.add_argument("--gold-header", action="store_true", dest="gold_header")
+    p = subs.add_parser("train", parents=[shared], help="train on an instance file")
     p.add_argument("--seed-budget", type=int, required=True, dest="seed_budget")
     p.add_argument("--checkpoints", action="store_true")
     p.add_argument("-o", "--out", required=True)
-    _add_train_config_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("predict", help="label held-out instances with a trained model")
@@ -410,19 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_evaluate)
 
-    p = subs.add_parser("ablate", help="variant x label-cost x seed experiment grid")
-    p.add_argument("--instances", required=True)
-    p.add_argument("--partition")
-    p.add_argument("--split-features", type=_listed(int), dest="split_features")
-    p.add_argument("--gold")
-    p.add_argument("--gold-header", action="store_true", dest="gold_header")
-    p.add_argument("--budgets", type=_listed(int), help="comma-separated label budgets")
-    p.add_argument("--fractions", type=_listed(float), help="comma-separated train fractions")
-    p.add_argument("--variants", type=_listed(_variant), default="full")
+    p = subs.add_parser("ablate", parents=[shared],
+                        help="variant x label-cost x seed experiment grid")
+    p.add_argument("--budgets", type=_listed(int, distinct=True),
+                   help="comma-separated label budgets")
+    p.add_argument("--fractions", type=_listed(_fraction, distinct=True),
+                   help="comma-separated train fractions")
+    p.add_argument("--variants", type=_listed(_variant, distinct=True), default="full")
     p.add_argument("--seeds", type=int, default=3, help="number of seeds (base --seed + k)")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("-o", "--out")
-    _add_train_config_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     return parser

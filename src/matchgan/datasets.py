@@ -198,20 +198,26 @@ class SyntheticConfig:
 
 def load_records(
     path: str | Path,
-    schema: list[str] | tuple[str, ...],
-    id_column: str,
+    schema: list[str] | tuple[str, ...] | None = None,
+    id_column: str = "id",
     delimiter: str = ",",
 ) -> RecordSet:
-    """Load one record per data row; missing cells become empty strings."""
+    """Load one record per data row; missing cells become empty strings.
+
+    The schema defaults to every header column but the id column, in
+    header order.
+    """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"missing file: {path}")
-    schema = tuple(schema)
     records: list[Record] = []
     seen: set[str] = set()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         header = reader.fieldnames or []
+        if schema is None:
+            schema = [col for col in header if col != id_column]
+        schema = tuple(schema)
         for col in (id_column, *schema):
             if col not in header:
                 raise MissingColumnError(f"missing column {col!r} in {path}")

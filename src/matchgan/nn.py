@@ -389,7 +389,7 @@ class OptState:
 
 
 def opt_step(model: MlpModel, grad: np.ndarray, state: OptState,
-             buffers: Buffers | None = None) -> tuple[MlpModel, OptState]:
+             buffers: Buffers | None = None) -> None:
     """One deterministic optimizer update of model.params in place.
 
     grad is laid out like params. Adam uses bias-corrected first/second
@@ -409,7 +409,7 @@ def opt_step(model: MlpModel, grad: np.ndarray, state: OptState,
     if state.kind == "sgd":
         np.multiply(grad, lr, out=s1)
         model.params -= s1
-        return model, state
+        return
     m, v = state.moment1, state.moment2
     m *= ADAM_BETA1
     np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)
@@ -425,7 +425,6 @@ def opt_step(model: MlpModel, grad: np.ndarray, state: OptState,
     s1 *= lr
     s1 /= s2
     model.params -= s1
-    return model, state
 
 
 def save_model(path: str | Path, model: MlpModel, seed: int | None = None,

@@ -140,13 +140,12 @@ def select_seed_labels(
     budget: int,
     partition: SubspacePartition,
     rng: np.random.Generator,
-    variant: str = "full",
 ) -> list[PairId]:
-    """Pair ids of the seed rows that run() labels (see _seed_rows).
+    """Pair ids of the seed rows that a full run labels (see _seed_rows).
 
     gold is never read: a seed's label is the pool's real label.
     """
-    return [pool.ids[r] for r in _seed_rows(len(pool), budget, partition, rng, variant)]
+    return [pool.ids[r] for r in _seed_rows(len(pool), budget, partition, rng, "full")]
 
 
 def _seed_rows(n: int, budget: int, partition: SubspacePartition,
@@ -187,7 +186,6 @@ def inner_train(
     rng: np.random.Generator,
     opt_gen: nn.OptState,
     opt_disc: nn.OptState,
-    iters: int | None = None,
 ) -> tuple[nn.MlpModel, nn.MlpModel, dict]:
     """Run the alternating minibatch updates for one propagation round.
 
@@ -198,7 +196,7 @@ def inner_train(
     """
     if len(state) == 0:
         raise ValueError("labeled pool is empty")
-    n_iters = cfg.inner_iters if iters is None else iters
+    n_iters = cfg.inner_iters
     u_rows = np.flatnonzero(state.round_added != 0)
     # the labeled [X | y | 1] matrix, so that a real minibatch is one gather
     real_all = np.column_stack((*_labeled_arrays(pool, state), np.ones(len(state))))
@@ -257,8 +255,8 @@ def inner_train(
         del d_rows, g_rows
     stats = {
         "iterations": n_iters,
-        "d_objective": d_sum / n_iters if n_iters else None,
-        "g_loss": g_sum / n_iters if n_iters else None,
+        "d_objective": d_sum / n_iters,
+        "g_loss": g_sum / n_iters,
     }
     return gen, disc, stats
 
@@ -296,23 +294,6 @@ def _inner_train_classifier(
     }
 
 
-def confidence_scores(
-    gen: nn.MlpModel, disc: nn.MlpModel | None, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo label codes plus the confidence used to rank propagation.
-
-    Adversarial mode scores (x, G(x)) with the discriminator. Classifier
-    mode uses the classifier's own output, folded so that confident
-    predictions of either class rank high.
-    """
-    labels, soft = _pseudo_labels_batch(gen, X)
-    if disc is not None:
-        conf = nn.forward_batch(disc, X, label=soft > 0.5)
-    else:
-        conf = np.maximum(soft, 1.0 - soft)
-    return labels, conf
-
-
 def select_top(scores: np.ndarray, count: int) -> np.ndarray:
     """Positions of the count highest scores; ties go to the lower position.
 
@@ -343,10 +324,19 @@ def propagate(
     count: int,
 ) -> np.ndarray:
     """The count most-confident of the ascending remaining rows, as
-    (row, pseudo label code) lines in confidence order."""
+    (row, pseudo label code) lines in confidence order.
+
+    A row's pseudo label is 1 iff G(x) > 1/2. Adversarial mode ranks
+    each row by the discriminator's score of (x, pseudo label).
+    Classifier mode uses the classifier's own output, folded so that
+    confident predictions of either class rank high.
+    """
     if len(remaining) == 0:
         raise ValueError("no remaining instances to propagate")
-    labels, conf = confidence_scores(gen, disc, pool.features[remaining])
+    X = pool.features[remaining]
+    labels, soft = _pseudo_labels_batch(gen, X)
+    conf = (np.maximum(soft, 1.0 - soft) if disc is None
+            else nn.forward_batch(disc, X, label=labels))
     chosen = select_top(conf, count)
     return np.column_stack([remaining[chosen], labels[chosen]])
 
@@ -412,13 +402,9 @@ def run(
             stats = _inner_train_classifier(gen, pool, state, cfg, rng, opt_gen)
         round_index += 1
 
-        if cfg.variant == "no_propagation":
-            # label everything directly; no confidence ranking, single round
-            rows = remaining
-            labels, _ = _pseudo_labels_batch(gen, pool.features[rows])
-        else:
-            gamma = cfg.propagate_count if cfg.propagate_count is not None else len(state)
-            rows, labels = propagate(gen, disc, pool, remaining, gamma).T
+        # no_propagation takes every remaining row, so it runs a single round
+        gamma = len(remaining) if cfg.variant == "no_propagation" else cfg.propagate_count
+        rows, labels = propagate(gen, disc, pool, remaining, gamma or len(state)).T
         state.add(rows, labels, round_index)
         remaining = remaining[state.label[remaining] == UNLABELED]
 
@@ -439,7 +425,7 @@ def run(
         if checkpoint_dir is not None:
             _save_round_checkpoints(checkpoint_dir, round_index, gen, disc, cfg)
 
-    report["final"] = _final_summary(pool, state, gen)
+    report["final"] = _final_summary(pool, state, gen, report["rounds"])
     return RunResult(state, gen, disc, report)
 
 
@@ -462,7 +448,8 @@ def _pseudo_label_fm(pool: InstancePool, state: RunState) -> float | None:
     return compute_metrics(state.label[rows], truth).f_measure
 
 
-def _final_summary(pool: InstancePool, state: RunState, gen: nn.MlpModel) -> dict:
+def _final_summary(pool: InstancePool, state: RunState, gen: nn.MlpModel,
+                   rounds: list[dict]) -> dict:
     rows = state.pseudo_rows()
     matches = int(np.count_nonzero(state.label[rows] == LABEL_CODES[MATCH]))
     summary = {
@@ -471,9 +458,8 @@ def _final_summary(pool: InstancePool, state: RunState, gen: nn.MlpModel) -> dic
         "pseudo_label_counts": {MATCH: matches, NON_MATCH: len(rows) - matches},
         "consistency": _prediction_consistency(pool, state, gen),
     }
-    fm = _pseudo_label_fm(pool, state)
-    if fm is not None:
-        summary["pseudo_fm"] = fm
+    if rounds and "pseudo_fm" in rounds[-1]:
+        summary["pseudo_fm"] = rounds[-1]["pseudo_fm"]
     return summary
 
 

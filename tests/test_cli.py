@@ -109,6 +109,14 @@ class TestFeaturizePartitionPredict:
         # only r1/r2 share title tokens
         assert len(lines) == 3  # meta + header + one pair
 
+    def test_featurize_infers_schema_from_quoted_header(self, tmp_path):
+        records = tmp_path / "quoted.csv"
+        records.write_text('"id","title"\nr1,deep nets\nr2,deep net\nr3,graphs\n')
+        inferred, named = tmp_path / "inferred.tsv", tmp_path / "named.tsv"
+        assert run_cli("featurize", "--left", records, "-o", inferred) == 0
+        assert run_cli("featurize", "--left", records, "--schema", "title", "-o", named) == 0
+        assert inferred.read_bytes() == named.read_bytes()
+
     def test_predict_roundtrip(self, tmp_path):
         data = tmp_path / "data"
         out = tmp_path / "run"
@@ -444,6 +452,50 @@ class TestBadInput:
         assert runs == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, values, repeated", [
+        ("--variants", "full,full", "'full'"),
+        ("--variants", "no-diversity,no_diversity", "'no_diversity'"),
+        ("--budgets", "4,04", "'04'"),
+        ("--fractions", "0.5,.5", "'.5'"),
+    ])
+    def test_ablate_repeated_value_rejected(self, tmp_path, capsys, monkeypatch,
+                                            flag, values, repeated):
+        # a repeat used to train each cell twice and pool the copies as one group
+        import matchgan.evaluation as evaluation
+
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 3, "--imbalance", 10, "--seed", 1, "--out", data)
+        capsys.readouterr()
+        runs = []
+        monkeypatch.setattr(evaluation, "run", lambda *args, **kwargs: runs.append(args))
+        costs = () if flag == "--budgets" else ("--budgets", 4)
+        out = tmp_path / "cells.tsv"
+        assert run_cli("ablate", "--instances", data / "instances.tsv", *costs, flag, values,
+                       "--seeds", 1, "--workers", 1, "-o", out) == 1
+        err = self._single_error(capsys)
+        assert flag in err and f"{repeated} repeats" in err
+        assert runs == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "1", "nan"])
+    def test_ablate_fraction_checked_before_any_cell_trains(self, tmp_path, capsys,
+                                                            monkeypatch, fraction):
+        import matchgan.evaluation as evaluation
+
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 3, "--imbalance", 10, "--seed", 1, "--out", data)
+        capsys.readouterr()
+        runs = []
+        monkeypatch.setattr(evaluation, "run", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "cells.tsv"
+        assert run_cli("ablate", "--instances", data / "instances.tsv", "--budgets", 4,
+                       "--fractions", f"0.5,{fraction}", "--seeds", 1, "--workers", 1,
+                       "-o", out) == 1
+        err = self._single_error(capsys)
+        assert "--fractions" in err and "strictly between 0 and 1" in err
+        assert runs == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", [0, -2])
     def test_failed_train_leaves_no_output_directory(self, tmp_path, capsys, budget):
         data = tmp_path / "data"
@@ -719,3 +771,18 @@ class TestConfigFile:
              "--variant", "no-diversity"]
         )
         assert build_train_config(args).variant == "no_diversity"
+
+    def test_train_and_ablate_build_the_same_config(self, tmp_path):
+        from matchgan.cli import build_parser, build_train_config
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("batch_size = 64\ngen_hidden = 8,4\nvariant = no-diversity\n")
+        flags = ["--instances", "x", "--config", str(cfg), "--inner-iters", "9",
+                 "--propagate-count", "pool", "--disc-learning-rate", "0.02", "--seed", "5"]
+        parser = build_parser()
+        train = parser.parse_args(["train", *flags, "--seed-budget", "1", "-o", "y"])
+        ablate = parser.parse_args(["ablate", *flags, "--budgets", "1"])
+        built = build_train_config(train)
+        assert built == build_train_config(ablate)
+        assert (built.batch_size, built.gen_hidden, built.variant, built.inner_iters,
+                built.disc_learning_rate, built.seed) == (64, (8, 4), "no_diversity", 9, 0.02, 5)

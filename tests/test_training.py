@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 import os
@@ -202,7 +203,8 @@ def inner_train_mismatches(iters_list=(1, 49, 50, 51, 73)):
         # at most half of each index: both draws redraw repeats
         TrainConfig(seed=6, batch_size=12, variant="no_diversity"),
     )
-    for iters, cfg in ((i, c) for i in iters_list for c in configs):
+    for iters, cfg in ((i, dataclasses.replace(c, inner_iters=i))
+                       for i in iters_list for c in configs):
         rng = np.random.default_rng(cfg.seed)
         gen = nn.init_mlp((pool.n_features, *cfg.gen_hidden, 1), rng)
         disc = nn.init_mlp((pool.n_features + 1, *cfg.disc_hidden, 1), rng)
@@ -211,7 +213,7 @@ def inner_train_mismatches(iters_list=(1, 49, 50, 51, 73)):
         opt_g = nn.OptState.for_model(gen, cfg.optimizer, cfg.learning_rate)
         opt_d = nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate)
         _, _, stats = inner_train(gen, disc, pool, state, cfg, partition,
-                                  np.random.default_rng(cfg.seed), opt_g, opt_d, iters=iters)
+                                  np.random.default_rng(cfg.seed), opt_g, opt_d)
         got = (gen.params, disc.params, opt_g.moment1, opt_g.moment2,
                opt_d.moment1, opt_d.moment2, stats["d_objective"], stats["g_loss"])
         want = (_flat(ref[0]), _flat(ref[1]), _flat(ref[2][0]), _flat(ref[2][1]),
@@ -273,10 +275,9 @@ class TestSelectSeedLabels:
         # imbalance; a uniform 50-instance draw almost surely misses it, and
         # a run trained on an all-non-match pool scores zero
         pool, partition, gold = small_problem(n_matches=1, rate=4202, data_seed=0)
-        ids = select_seed_labels(
-            pool, gold, 50, partition, np.random.default_rng(0), variant="no_diversity"
-        )
-        assert sum(1 for pid in ids if gold.is_match(*pid)) == 0
+        rows = training._seed_rows(len(pool), 50, partition, np.random.default_rng(0),
+                                   "no_diversity")
+        assert sum(1 for r in rows if gold.is_match(*pool.ids[r])) == 0
         cfg = TrainConfig(seed=0, variant="no_diversity", inner_iters=60)
         result = run(cfg, pool, partition, seed_budget=50)
         assert evaluate_run(pool, result).f_measure == 0.0
@@ -471,19 +472,6 @@ class TestMinibatchSampler:
 
 
 class TestInnerTrain:
-    def test_zero_iterations_leave_models(self):
-        pool, partition, labeled = twin_problem()
-        rng = np.random.default_rng(0)
-        gen = nn.init_mlp((4, 8, 1), rng)
-        disc = nn.init_mlp((5, 8, 1), rng)
-        w_gen = [w.copy() for w in gen.weights]
-        w_disc = [w.copy() for w in disc.weights]
-        cfg = TrainConfig(seed=0)
-        inner_train(gen, disc, pool, labeled, cfg, partition, rng,
-                    *_opt_states(gen, disc, cfg), iters=0)
-        for now, then in zip(gen.weights + disc.weights, w_gen + w_disc):
-            np.testing.assert_array_equal(now, then)
-
     def test_bitwise_equal_to_reference_loop(self):
         # on one BLAS thread, as the benchmark runs; several threads may
         # split a product where OpenBLAS chooses
@@ -514,9 +502,9 @@ class TestInnerTrain:
             rng = np.random.default_rng(7)
             gen = nn.init_mlp((4, 8, 1), rng)
             disc = nn.init_mlp((5, 8, 1), rng)
-            cfg = TrainConfig(seed=7, batch_size=10)
+            cfg = TrainConfig(seed=7, batch_size=10, inner_iters=50)
             inner_train(gen, disc, pool, labeled, cfg, partition, rng,
-                        *_opt_states(gen, disc, cfg), iters=50)
+                        *_opt_states(gen, disc, cfg))
             return gen.weights[0].copy()
 
         np.testing.assert_array_equal(train_once(), train_once())
@@ -528,10 +516,10 @@ class TestInnerTrain:
         rng = np.random.default_rng(0)
         gen = nn.init_mlp((4, 32, 16, 1), rng)
         disc = nn.init_mlp((5, 32, 16, 1), rng)
-        cfg = TrainConfig(seed=0, batch_size=20)
+        cfg = TrainConfig(seed=0, batch_size=20, inner_iters=1500)
         opt_g = nn.OptState.for_model(gen, cfg.optimizer, cfg.learning_rate)
         opt_d = nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate)
-        inner_train(gen, disc, pool, state, cfg, partition, rng, opt_g, opt_d, iters=1500)
+        inner_train(gen, disc, pool, state, cfg, partition, rng, opt_g, opt_d)
 
         u_rows = np.flatnonzero(state.label == -1)
         soft = nn.forward_batch(gen, pool.features[u_rows])
@@ -568,9 +556,8 @@ class TestTracedNames:
         gen = nn.init_mlp((4, 8, 1), rng)
         disc = nn.init_mlp((5, 8, 1), rng)
         k = 7
-        cfg = TrainConfig(seed=0, batch_size=10)
-        inner_train(gen, disc, pool, state, cfg, partition, rng, *_opt_states(gen, disc, cfg),
-                    iters=k)
+        cfg = TrainConfig(seed=0, batch_size=10, inner_iters=k)
+        inner_train(gen, disc, pool, state, cfg, partition, rng, *_opt_states(gen, disc, cfg))
         assert calls == {"discriminator_backward": k, "generator_backward": k, "opt_step": 2 * k}
         calls.clear()
         propagate(gen, disc, pool, np.flatnonzero(state.label == -1), 5)
@@ -652,9 +639,8 @@ class TestRun:
         budget = min(budget, len(pool))
         cfg = TrainConfig(seed=seed, batch_size=16, inner_iters=inner_iters,
                           propagate_count=propagate_count, variant=variant)
-        picked = select_seed_labels(pool, gold, budget, partition,
+        seeds = training._seed_rows(len(pool), budget, partition,
                                     np.random.default_rng(seed), variant)
-        seeds = np.array([pool.ids.index(pid) for pid in picked])
         rounds = []
 
         class CheckedState(RunState):
@@ -746,6 +732,16 @@ class TestVariants:
         assert result.report["final"]["rounds"] == 1
         assert len(result.state) == len(pool)
         assert len(result.state.pseudo_rows()) == len(pool) - 16
+
+    def test_no_propagation_labels_are_the_generators(self):
+        # the single round takes every remaining row with G's own label
+        pool, partition, gold = small_problem(n_matches=4, rate=15, data_seed=3)
+        cfg = TrainConfig(seed=1, inner_iters=50, variant="no_propagation")
+        result = run(cfg, pool, partition, seed_budget=16)
+        rows = result.state.pseudo_rows()
+        direct = predict(result.generator, pool.features[rows])
+        assert [LABEL_CODES[name] for name in direct] == result.state.label[rows].tolist()
+        assert result.report["final"]["consistency"] == 1.0
 
     def test_no_adversary_trains_classifier(self):
         pool, partition, gold = small_problem(n_matches=8, rate=20, data_seed=9)
