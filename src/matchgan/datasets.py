@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 import itertools
 import operator
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -155,19 +155,23 @@ class InstancePool:
 
     def __init__(self, ids: list[PairId], features: np.ndarray, real_labels: np.ndarray,
                  *, _checked: bool = False):
-        features = np.asarray(features, dtype=np.float64)
-        real_labels = np.asarray(real_labels, dtype=np.int8)
+        features = np.array(features, dtype=np.float64)
+        real_labels = np.array(real_labels, dtype=np.int8)
         if features.ndim != 2 or len(features) != len(ids) or real_labels.shape != (len(ids),):
             raise IngestError("a pool needs one feature row and one label code per pair id")
         fault = None if _checked else _check_columns(ids, features, real_labels)
         if fault is not None:
             raise IngestError(fault[1])
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.ids: list[PairId] = [ids[k] for k in order]
-        if any(map(operator.eq, self.ids, self.ids[1:])):
-            raise IngestError("duplicate pair ids in pool")
-        self.features = features[order]
-        self.real_labels = real_labels[order]
+        # ids that strictly ascend are already in order and hold no repeat
+        if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids = [ids[k] for k in order]
+            if any(map(operator.eq, ids, itertools.islice(ids, 1, None))):
+                raise IngestError("duplicate pair ids in pool")
+            features, real_labels = features[order], real_labels[order]
+        self.ids: list[PairId] = list(ids)
+        self.features = features
+        self.real_labels = real_labels
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -275,14 +279,6 @@ def _write_tile(fh, ids_a: np.ndarray, ids_b: np.ndarray, feats: np.ndarray, lab
     fh.write("\n".join(map("\t".join, zip(*cols))) + "\n")
 
 
-def _chunked(stream: Iterator, size: int) -> Iterator[list]:
-    while True:
-        chunk = list(itertools.islice(stream, size))
-        if not chunk:
-            return
-        yield chunk
-
-
 def _write_instance_header(fh, schema: tuple[str, ...], q: int, labeled: bool) -> None:
     fh.write(f"# instances v{INSTANCE_FORMAT_VERSION} q={q}\n")
     cols = ["id_a", "id_b", *schema]
@@ -312,16 +308,16 @@ def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.n
 
     ids lists the pair ids in file order, features is a float64 (n, d)
     matrix and labels an int8 column of label codes (UNLABELED where the
-    file gives none); meta is {'q': int, 'schema': tuple}. Rows are parsed
-    a chunk at a time, so only one chunk's cell strings are alive at once.
+    file gives none); meta is {'q': int, 'schema': tuple}. numpy's C text
+    reader parses every data row in one call into one structured array;
+    blank lines are skipped. features is a view into that array, not a
+    copy: InstancePool copies it, and a caller that only wants ids and
+    labels, as evaluate does, never pays for one.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"missing file: {path}")
     meta: dict = {}
-    ids: list[PairId] = []
-    label_cells: list[str] = []
-    blocks: list[np.ndarray] = []
     with path.open(encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("# instances"):
@@ -334,33 +330,76 @@ def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.n
         if header[:2] != ["id_a", "id_b"]:
             raise IngestError(f"{path}: malformed column header")
         has_label = header[-1] == "label"
-        attr_cols = header[2 : -1 if has_label else len(header)]
-        meta["schema"] = tuple(attr_cols)
-        n_feats = len(attr_cols)
-        expected = 2 + n_feats + (1 if has_label else 0)
-        for chunk in _chunked(fh, 256):
-            rows = [line.rstrip("\n").split("\t") for line in chunk if line != "\n"]
-            for k, row in enumerate(rows):
-                if len(row) != expected:
-                    raise _row_fault(path, len(ids) + k, f"expected {expected} columns")
-            cells = itertools.chain.from_iterable(row[2 : 2 + n_feats] for row in rows)
+        meta["schema"] = tuple(header[2 : -1 if has_label else len(header)])
+        fields = [("id_a", object), ("id_b", object), ("f", np.float64, (len(meta["schema"]),))]
+        dtype = np.dtype(fields + [("label", object)] if has_label else fields)
+        start = fh.tell()
+        # loadtxt warns on input without rows, so a file without any is not handed to it
+        rows = np.empty(0, dtype)
+        if any(line != "\n" for line in iter(fh.readline, "")):
+            fh.seek(start)
             try:
-                blocks.append(np.fromiter(map(float, cells), np.float64, len(rows) * n_feats))
-            except ValueError as exc:
-                raise IngestError(f"{path}: {exc}") from None
-            ids.extend((row[0], row[1]) for row in rows)
-            label_cells.extend(row[-1] if has_label else "" for row in rows)
+                rows = _load_rows(fh, dtype)
+            except ValueError:
+                fh.seek(start)
+                raise _first_rejected(path, fh, dtype) from None
 
-    features = np.concatenate(blocks or [np.empty(0)]).reshape(len(ids), n_feats)
-    codes = {**LABEL_CODES, "": UNLABELED}
-    for k, cell in enumerate(label_cells):
-        if cell not in codes:
-            raise _row_fault(path, k, f"unknown label {cell!r}")
-    labels = np.array([codes[cell] for cell in label_cells], dtype=np.int8)
+    ids = rows[["id_a", "id_b"]].tolist()
+    features = rows["f"]
+    labels = np.full(len(ids), UNLABELED, dtype=np.int8)
+    if has_label:
+        cells = rows["label"]
+        for name, code in LABEL_CODES.items():
+            labels[cells == name] = code
+        unknown = np.flatnonzero((labels == UNLABELED) & (cells != ""))
+        if len(unknown):
+            raise _row_fault(path, int(unknown[0]), f"unknown label {cells[unknown[0]]!r}")
     fault = _check_columns(ids, features, labels)
     if fault is not None:
         raise _row_fault(path, *fault)
     return ids, features, labels, meta
+
+
+def _load_rows(lines, dtype: np.dtype) -> np.ndarray:
+    """The rows of tab-separated lines (a text file or a list of lines) as
+    one structured array of dtype."""
+    return np.loadtxt(lines, dtype=dtype, delimiter="\t", comments=None, ndmin=1)
+
+
+def _rejection(lines, dtype: np.dtype) -> str | None:
+    """loadtxt's message for the first of lines that _load_rows rejects, or None."""
+    try:
+        _load_rows(lines, dtype)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _first_rejected(path: Path, fh, dtype: np.dtype) -> IngestError:
+    """IngestError naming the first of fh's data lines that _load_rows rejects.
+
+    fh stands at the first data line and some line ahead is rejected. Each
+    row is judged on its own, so a run of lines parses iff none of them is
+    rejected, and bisection finds the first line that is.
+    """
+    numbered = [(n, line) for n, line in enumerate(fh, start=3) if line != "\n"]
+    lo, hi = 0, len(numbered)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rejection([line for _, line in numbered[lo:mid]], dtype) is None:
+            lo = mid
+        else:
+            hi = mid
+    lineno, line = numbered[lo]
+    expected = 2 + dtype["f"].shape[0] + ("label" in dtype.names)
+    if line.count("\t") + 1 != expected:
+        return IngestError(f"{path}:{lineno}: expected {expected} columns")
+    # numpy ends its message with "at row R, column C."; R counts the lines
+    # it was given, so only the column carries over to the file
+    reason = _rejection([line], dtype)
+    found = re.fullmatch(r"(.*) at row \d+, (column \d+)\.", reason)
+    return IngestError(f"{path}:{lineno}: {found[2]}: {found[1]}" if found
+                       else f"{path}:{lineno}: {reason}")
 
 
 def _row_fault(path: Path, row: int, message: str) -> IngestError:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from matchgan.datasets import RecordSet
+from matchgan.datasets import LABEL_CODES, UNLABELED, IngestError, RecordSet
 from matchgan.nn import MlpModel
 
 
@@ -30,6 +30,62 @@ def save_records(recordset: RecordSet, path, id_column: str = "id", delimiter: s
         writer.writerow((id_column, *recordset.schema))
         for rec in recordset.records:
             writer.writerow((rec.id, *rec.attributes))
+
+
+def reference_read_instance_file(path):
+    """The oracle for datasets.read_instance_file: the file read one line at
+    a time, with Python's float() for every feature cell.
+
+    Faults are found in the same order: a data line with the wrong column
+    count or a cell that float() refuses, then the first unknown label,
+    then the first row with a feature outside [0, 1] or two equal ids. Each
+    names its file line. Unlike read_instance_file it accepts what only
+    float() reads, such as ``0.1_0`` and non-ASCII digits.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"missing file: {path}")
+    meta = {}
+    linenos, ids, rows, cells = [], [], [], []
+    with path.open(encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.startswith("# instances"):
+            raise IngestError(f"{path}: not an instance file (bad header)")
+        for token in first.split():
+            if "=" in token:
+                key, value = token.split("=", 1)
+                meta[key] = int(value) if value.isdigit() else value
+        header = fh.readline().rstrip("\n").split("\t")
+        if header[:2] != ["id_a", "id_b"]:
+            raise IngestError(f"{path}: malformed column header")
+        has_label = header[-1] == "label"
+        meta["schema"] = tuple(header[2 : -1 if has_label else len(header)])
+        n_feats = len(meta["schema"])
+        expected = 2 + n_feats + has_label
+        for lineno, line in enumerate(fh, start=3):
+            if line == "\n":
+                continue
+            row = line.rstrip("\n").split("\t")
+            if len(row) != expected:
+                raise IngestError(f"{path}:{lineno}: expected {expected} columns")
+            try:
+                rows.append([float(cell) for cell in row[2 : 2 + n_feats]])
+            except ValueError as exc:
+                raise IngestError(f"{path}:{lineno}: {exc}") from None
+            linenos.append(lineno)
+            ids.append((row[0], row[1]))
+            cells.append(row[-1] if has_label else "")
+    codes = {**LABEL_CODES, "": UNLABELED}
+    for lineno, cell in zip(linenos, cells):
+        if cell not in codes:
+            raise IngestError(f"{path}:{lineno}: unknown label {cell!r}")
+    for lineno, (id_a, id_b), row in zip(linenos, ids, rows):
+        if not all(0.0 <= value <= 1.0 for value in row):
+            raise IngestError(f"{path}:{lineno}: instance features must be finite and lie in [0, 1]")
+        if id_a == id_b:
+            raise IngestError(f"{path}:{lineno}: instance pair ids must be distinct")
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), n_feats)
+    return ids, features, np.array([codes[cell] for cell in cells], dtype=np.int8), meta
 
 
 def l21_norm(counts) -> float:

@@ -203,6 +203,19 @@ class TestBadInput:
         assert "finite" in self._single_error(capsys)
         assert not (tmp_path / "p.json").exists()
 
+    def test_truncated_instance_file_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        text = (data / "instances.tsv").read_text()
+        last = text.count("\n")
+        cut = tmp_path / "cut.tsv"
+        cut.write_text(text[:-5])
+        capsys.readouterr()
+        code = run_cli("partition", "--instances", cut, "-o", tmp_path / "cut.json")
+        assert code == 1
+        assert f"{cut}:{last}: expected 7 columns" in self._single_error(capsys)
+        assert not (tmp_path / "cut.json").exists()
+
     def test_rows_checked_once_per_load(self, tmp_path, capsys, monkeypatch):
         import matchgan.datasets as datasets
 

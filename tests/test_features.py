@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from matchgan import datasets, features
 from matchgan.datasets import (
     GoldStandard,
+    UNLABELED,
     IngestError,
     InstancePool,
     Record,
@@ -25,6 +26,8 @@ from matchgan.features import (
     generate_pairs,
     qgram_jaccard,
 )
+
+from helpers import reference_read_instance_file
 
 
 def write_reference(path, left, right=None, gold=None, q=2, blocking=None):
@@ -48,6 +51,57 @@ def pool_of(rows):
 # short strings over letters that case-fold together or expand (ß -> ss),
 # so empty and shorter-than-q values and repeated block tokens all occur
 _TEXT = st.text(alphabet="aAbß 1", max_size=6)
+
+
+# ids over a small alphabet, so that equal ids also occur by chance; "#"
+# and '"' are plain characters in the file, neither comment nor quote
+_ID = st.text(alphabet='ab#" ', min_size=1, max_size=3)
+_GOOD_CELL = st.floats(min_value=0.0, max_value=1.0).map(repr)
+# cells that both float() and numpy refuse, and cells both read outside [0, 1]
+_BAD_CELL = st.sampled_from(["x", "", " ", "1e", "--1", "1.2.3", "0x1p-1", "M"])
+_OUT_CELL = st.sampled_from(["1.5", "-0.25", "nan", "inf", "-inf", "1e999"])
+_ROW_KINDS = ["valid"] * 8 + ["blank", "short", "extra", "unparsable", "out_of_range",
+                              "bad_label", "same_ids", "repeat"]
+
+
+@st.composite
+def instance_texts(draw):
+    """The text of an instance file whose data lines are mostly valid, with
+    blank lines and rows of every fault mixed in."""
+    n_feats = draw(st.integers(0, 3))
+    has_label = draw(st.booleans())
+    header = ["id_a", "id_b", *(f"f{k}" for k in range(n_feats)), *(["label"] if has_label else [])]
+    lines, pairs = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(_ROW_KINDS))
+        pair = [draw(_ID), draw(_ID)]
+        if kind == "same_ids":
+            pair[1] = pair[0]
+        elif kind == "repeat" and pairs:
+            pair = list(draw(st.sampled_from(pairs)))
+        pairs.append(tuple(pair))
+        cells = [draw(_GOOD_CELL) for _ in range(n_feats)]
+        if kind in ("unparsable", "out_of_range") and n_feats:
+            cells[draw(st.integers(0, n_feats - 1))] = draw(
+                _BAD_CELL if kind == "unparsable" else _OUT_CELL)
+        row = pair + cells
+        if has_label:
+            row.append(draw(st.sampled_from(["X", "m", "MM", " M"] if kind == "bad_label"
+                                            else ["M", "N", ""])))
+        if kind == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif kind == "extra":
+            row.append(draw(st.sampled_from(["", "x", "0.5"])))
+        lines.append("" if kind == "blank" else "\t".join(row))
+    body = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+    return f"# instances v1 q={draw(st.integers(1, 4))}\n" + "\t".join(header) + "\n" + body
+
+
+def _fault(exc: IngestError, path) -> tuple[str, str]:
+    """(file line, kind of fault) that an instance-file error names."""
+    line, message = str(exc).removeprefix(f"{path}:").split(":", 1)
+    kinds = ("expected", "convert", "unknown label", "lie in", "distinct")
+    return line, next(kind for kind in kinds if kind in message)
 
 
 @st.composite
@@ -341,13 +395,47 @@ class TestInstanceFile:
             ("a\ta\t0.5\tN", "distinct"),
             ("a\tb\t0.5\tX", "unknown label"),
             ("a\tb\t0.5", "expected 4 columns"),
+            # numpy's own "at row R" counts rows of the lines it was handed,
+            # not file lines, so only its column is kept
+            ("a\tb\tx\tN", "column 3: could not convert"),
         ],
     )
     def test_rejects_bad_row_with_its_line(self, tmp_path, row, message):
         path = tmp_path / "inst.tsv"
         path.write_text(f"# instances v1 q=2\nid_a\tid_b\tf0\tlabel\nc\td\t0.1\tM\n\n{row}\n")
-        with pytest.raises(IngestError, match=f":5: .*{message}"):
+        with pytest.raises(IngestError, match=f":5: .*{message}") as info:
             read_instance_file(path)
+        assert "at row" not in str(info.value)
+
+    @pytest.mark.parametrize("cell, value", [("0.1_0", 0.1), ("\u0660.\u0665", 0.5)])
+    def test_rejects_cells_only_python_float_reads(self, tmp_path, cell, value):
+        # float() reads underscores and non-ASCII digits; the file holds
+        # ASCII decimal floats only, and numpy's reader refuses the rest
+        path = tmp_path / "inst.tsv"
+        path.write_text(f"# instances v1 q=2\nid_a\tid_b\tf0\na\tb\t{cell}\n", encoding="utf-8")
+        assert reference_read_instance_file(path)[1].tolist() == [[value]]
+        with pytest.raises(IngestError, match=":3: column 3: "):
+            read_instance_file(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance_texts())
+    def test_reader_matches_line_by_line_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.tsv"
+            path.write_text(text, encoding="utf-8")
+            try:
+                expected = reference_read_instance_file(path)
+            except IngestError as exc:
+                with pytest.raises(IngestError) as info:
+                    read_instance_file(path)
+                assert _fault(info.value, path) == _fault(exc, path)
+                return
+            ids, features, labels, meta = read_instance_file(path)
+        assert ids == expected[0]
+        assert features.shape == expected[1].shape
+        assert features.tobytes() == expected[1].tobytes()
+        assert labels.dtype == np.int8 and labels.tolist() == expected[2].tolist()
+        assert meta == expected[3]
 
     def test_unlabeled_file_has_no_label_column(self, tmp_path):
         path = tmp_path / "inst.tsv"
@@ -407,10 +495,37 @@ class TestInstanceFile:
 
 
 class TestInstancePool:
-    def test_rows_sorted_by_pair_id(self, rng):
-        pool = pool_of([(("z", "zz"), rng.random(2), -1), (("a", "aa"), rng.random(2), -1)])
-        assert pool.ids == [("a", "aa"), ("z", "zz")]
+    def test_rows_sorted_by_pair_id(self):
+        # descending ids: features and labels move with their ids
+        pool = pool_of([((f"a{k}", "b"), [0.1 * k], k % 2) for k in range(5, 0, -1)])
+        assert pool.ids == [(f"a{k}", "b") for k in range(1, 6)]
+        np.testing.assert_array_equal(pool.features[:, 0], [0.1 * k for k in range(1, 6)])
+        assert pool.real_labels.tolist() == [k % 2 for k in range(1, 6)]
 
     def test_duplicate_pairs_rejected(self):
-        with pytest.raises(IngestError, match="duplicate"):
-            pool_of([(("a", "b"), [0.1], -1), (("a", "b"), [0.2], -1)])
+        # next to each other, and apart so that only the sort brings them together
+        for ids in ([("a", "b"), ("a", "b")], [("c", "d"), ("a", "b"), ("c", "d")]):
+            with pytest.raises(IngestError, match="duplicate pair ids in pool"):
+                pool_of([(pid, [0.1 * k], -1) for k, pid in enumerate(ids)])
+
+    def test_ascending_ids_give_the_sorted_pool(self, rng):
+        ids = [(f"a{k:02d}", f"b{k:02d}") for k in range(20)]
+        features, labels = rng.random((20, 3)), rng.integers(-1, 2, 20)
+        order = rng.permutation(20)
+        ascending = InstancePool(ids, features, labels)
+        shuffled = InstancePool([ids[k] for k in order], features[order], labels[order])
+        assert ascending.ids == shuffled.ids == ids
+        assert ascending.features.tobytes() == shuffled.features.tobytes()
+        assert ascending.real_labels.tobytes() == shuffled.real_labels.tobytes()
+
+    @pytest.mark.parametrize("ids", [[("a", "b"), ("c", "d")], [("c", "d"), ("a", "b")]])
+    def test_pool_owns_its_columns(self, ids):
+        features, labels = np.array([[0.25], [0.75]]), np.array([1, 0], dtype=np.int8)
+        pool = InstancePool(ids, features, labels)
+        before = (list(pool.ids), pool.features.copy(), pool.real_labels.copy())
+        ids.append(("e", "f"))
+        features[:] = 0.5
+        labels[:] = UNLABELED
+        assert pool.ids == before[0]
+        np.testing.assert_array_equal(pool.features, before[1])
+        np.testing.assert_array_equal(pool.real_labels, before[2])
