@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .datasets import (INSTANCE_FORMAT_VERSION, LABEL_CODES, LABEL_NAMES, UNLABELED, IngestError,
                        InstancePool, SyntheticConfig, _row_fault, generate_synthetic, load_gold,
-                       load_records, read_instance_file, save_gold, write_instance_file)
+                       load_records, open_text, read_instance_file, save_gold,
+                       write_instance_file)
 from .diversity import PARTITION_FORMAT_VERSION, build_partition, load_partition, save_partition
 from .evaluation import compute_metrics, evaluate_run, format_table, run_ablation_suite
 from .features import BlockingSpec, featurize_to_file
@@ -89,19 +90,20 @@ _CONFIG_KEYS = {
 def read_config_file(path: str | Path) -> dict:
     """Flat key=value file; '#' starts a comment; unknown keys are rejected."""
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise IngestError(f"{path}:{lineno}: expected key=value")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _CONFIG_KEYS:
-            raise IngestError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {key}: {exc}") from None
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise IngestError(f"{path}:{lineno}: expected key=value")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _CONFIG_KEYS:
+                raise IngestError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise IngestError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -155,7 +157,7 @@ def _read_labels_file(path: str) -> tuple[list, np.ndarray]:
     """Pair ids and label codes in file order; every row must be id_a, id_b
     and M or N, so data row k is on line k + 2."""
     ids, codes = [], []
-    with Path(path).open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != ["id_a", "id_b", "label"]:
             raise IngestError(f"{path}: not a labels file")

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import operator
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +63,24 @@ class DuplicateIdError(IngestError):
 
 class SelfPairError(IngestError):
     pass
+
+
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None):
+    """path opened as UTF-8 text for a reader's with block. A missing file,
+    a byte that is not UTF-8 and text that the block cannot parse as JSON
+    each raise IngestError naming path."""
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"missing file: {path}")
+    try:
+        with path.open(encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        # not exc's position, which counts from the decoder's last chunk
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{path}:{exc.lineno}: column {exc.colno}: {exc.msg}") from None
 
 
 @dataclass(frozen=True)
@@ -211,12 +231,9 @@ def load_records(
     The schema defaults to every header column but the id column, in
     header order.
     """
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"missing file: {path}")
     records: list[Record] = []
     seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         header = reader.fieldnames or []
         if schema is None:
@@ -241,11 +258,8 @@ def load_records(
 
 def load_gold(path: str | Path, has_header: bool = False) -> GoldStandard:
     """Load a symmetric, deduplicated match set from a two-column file."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"missing file: {path}")
     gold = GoldStandard()
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if lineno == 1 and has_header:
                 continue
@@ -315,10 +329,8 @@ def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.n
     labels, as evaluate does, never pays for one.
     """
     path = Path(path)
-    if not path.exists():
-        raise IngestError(f"missing file: {path}")
     meta: dict = {}
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = fh.readline()
         if not first.startswith("# instances"):
             raise IngestError(f"{path}: not an instance file (bad header)")

@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .datasets import open_text
+
 PARTITION_FORMAT_VERSION = 1
 
 # Medians are estimated from a uniform sample when pools exceed this size.
@@ -243,7 +245,8 @@ def save_partition(part: SubspacePartition, path: str | Path) -> None:
 
 
 def load_partition(path: str | Path) -> SubspacePartition:
-    payload = json.loads(Path(path).read_text())
+    with open_text(path) as fh:
+        payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a partition file")
     version = payload.get("format_version")

@@ -19,19 +19,18 @@ adds its bias and its parameter gradient is one product delta.T @ [a | 1].
 Gradients and Adam moments are vectors with the same layout, so an
 optimizer update is one elementwise pass per model.
 
-The passes and the optimizer step write every intermediate into a
-Buffers of fixed arrays, which a training loop builds once and reuses;
-called without one they build their own. Either way the same products and
-elementwise operations run in the same order, so the bits do not depend on
-whether buffers were passed. The forward pass multiplies with np.matmul,
-the faster at scoring-block sizes; backprop uses np.dot, the faster at
-minibatch sizes, whose bits agree with @ there. Blocks stay
-fan_out x (fan_in + 1): products with a contiguous copy of their transpose
-round differently.
+Every pass and the optimizer step write their intermediates into a
+caller-owned Buffers of fixed arrays, which a training loop builds once
+per model and batch size and hands to each call, so a step allocates
+nothing. The forward pass multiplies with np.matmul, the faster at
+scoring-block sizes; backprop uses np.dot, the faster at minibatch sizes,
+whose bits agree with @ there. Blocks stay fan_out x (fan_in + 1):
+products with a contiguous copy of their transpose round differently.
 """
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,10 +74,6 @@ class MlpModel:
             self.weights[ell][...] = w
             self.biases[ell][...] = b
 
-    @property
-    def input_dim(self) -> int:
-        return self.layer_dims[0]
-
     def layer_blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-layer [W | b] views into a vector laid out like params."""
         blocks, lo = [], 0
@@ -113,19 +108,16 @@ def init_mlp(layer_dims, rng: np.random.Generator) -> MlpModel:
 
 
 class Buffers:
-    """Arrays that forward_pass and backprop of one model on n rows write to.
+    """Arrays that the passes of one model over n rows and its step write to.
 
-    A loop that runs many passes of the same size builds one Buffers per
-    model and size and hands it to each call as buffers=; the pass then
-    allocates nothing, and its results (the output, the gradient, the
-    input gradient) are these arrays, overwritten by the next call. acts
-    holds each layer's input with its ones column, filled here once; x is
-    the input columns of acts[0], which callers may gather or stack rows
-    into, and hidden the rectified columns of the others. dz receives the
-    loss derivative at the output logit before backprop. grad is laid out
-    like params, with per-layer block views; step is optimizer scratch. A
-    call made without buffers builds its own, so there is one copy of the
-    layer math.
+    The caller builds one Buffers per model and batch size and passes it
+    to each call; a pass's results (the output, the gradient, the input
+    gradient) are these arrays, overwritten by the next call. acts holds
+    each layer's input with its ones column, filled here once; x is the
+    input columns of acts[0], which callers gather or stack rows into, and
+    hidden the rectified columns of the others. dz receives the loss
+    derivative at the output logit before backprop. grad is laid out like
+    params, with per-layer block views; step is optimizer scratch.
     """
 
     def __init__(self, model: MlpModel, n: int):
@@ -148,26 +140,20 @@ class Buffers:
         self.step = (np.empty_like(model.params), np.empty_like(model.params))
 
 
-def _buffers_for(model: MlpModel, n: int, buffers: Buffers | None) -> Buffers:
-    if buffers is None:
-        return Buffers(model, n)
-    if buffers.model is not model or buffers.n != n:
-        raise ValueError(f"buffers hold {buffers.n} rows of another pass, not {n} of this one")
-    return buffers
+def _check(model: MlpModel, buf: Buffers, n: int) -> None:
+    """Every call's guard: buf must be model's Buffers over n rows."""
+    if buf.model is not model or buf.n != n:
+        raise ValueError(f"buffers hold {buf.n} rows of another pass, not {n} of this one")
 
 
-def forward_pass(model: MlpModel, X: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
-    """Batch forward pass in one piece. The returned output is buffers.out,
-    and buffers.acts then holds every layer input for backpropagation. X
-    is copied into buffers.x unless it is buffers.x."""
-    if buffers is None or X is not buffers.x:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != model.input_dim:
-            raise ValueError(
-                f"input shape {X.shape} incompatible with input dim {model.input_dim}"
-            )
-    buf = _buffers_for(model, len(X), buffers)
+def forward_pass(model: MlpModel, X: np.ndarray, buf: Buffers) -> np.ndarray:
+    """Batch forward pass in one piece. The returned output is buf.out, and
+    buf.acts then holds every layer input for backpropagation. X is copied
+    into buf.x unless it is buf.x."""
+    _check(model, buf, len(X))
     if X is not buf.x:
+        if np.shape(X) != buf.x.shape:
+            raise ValueError(f"input shape {np.shape(X)} is not that of buf.x, {buf.x.shape}")
         np.copyto(buf.x, X)
     acts, blocks_t = buf.acts, buf.blocks_t
     for ell, h in enumerate(buf.hidden):
@@ -204,38 +190,36 @@ def forward_batch(model: MlpModel, X: np.ndarray, label: np.ndarray | None = Non
     otherwise.
     """
     X = np.asarray(X, dtype=np.float64)
-    width = model.input_dim - (label is not None)
+    width = model.layer_dims[0] - (label is not None)
     if X.ndim != 2 or X.shape[1] != width:
         raise ValueError(f"input shape {X.shape} incompatible with input dim {width}")
     n = len(X)
     cuts = [0, n]
     if n >= 2 * SCORE_BLOCK:
         cuts = [*range(0, n // SCORE_BLOCK * SCORE_BLOCK, SCORE_BLOCK), n]
-    out = np.empty(n)
-    buf = None
+    out, buf = np.empty(n), Buffers(model, cuts[1])
     for lo, hi in zip(cuts, cuts[1:]):
-        if buf is None or buf.n != hi - lo:
+        if buf.n != hi - lo:
             buf = Buffers(model, hi - lo)
         x = X[lo:hi]
         if label is not None:
             buf.x[:, :-1] = x
             buf.x[:, -1] = label[lo:hi]
             x = buf.x
-        out[lo:hi] = forward_pass(model, x, buffers=buf)
+        out[lo:hi] = forward_pass(model, x, buf)
     return out
 
 
-def backprop(model: MlpModel, buffers: Buffers, want_params: bool = True,
+def backprop(model: MlpModel, buf: Buffers, want_params: bool = True,
              want_input: bool = False):
     """Gradients of a scalar loss w.r.t. the parameters and the input.
 
-    buffers holds a forward_pass of model, and buffers.dz the loss
-    derivative w.r.t. the output logit, one entry per row. Returns
-    (grad, dinput): grad is laid out like model.params, dinput has one row
-    per input row, and each is None, its work skipped, unless asked for.
-    They are buffers.grad and buffers.dinput.
+    buf holds a forward_pass of model, and buf.dz the loss derivative
+    w.r.t. the output logit, one entry per row. Returns (grad, dinput):
+    grad is laid out like model.params, dinput has one row per input row,
+    and each is None, its work skipped, unless asked for. They are
+    buf.grad and buf.dinput. The passes that call it have checked buf.
     """
-    buf = _buffers_for(model, buffers.n, buffers)
     delta = buf.deltas[-1]
     for ell in range(len(model.blocks) - 1, -1, -1):
         if want_params:
@@ -269,38 +253,29 @@ def add_in_order(total: float, values: np.ndarray) -> float:
 def generator_loss(d_on_fake: np.ndarray):
     """Mean of log(1 - d) over the discriminator's scores on generated
     pairs, along the last axis: one loss per row of a 2-D array."""
-    d = np.asarray(d_on_fake, dtype=np.float64)
-    return _mean(np.log(1.0 - d))
+    return _mean(np.log(1.0 - d_on_fake))
 
 
 def discriminator_loss(d_on_fake: np.ndarray, d_on_real: np.ndarray, real_weight: float):
     """Objective the discriminator maximizes: mean log(1 - d_fake) plus
     real_weight times mean log(d_real), along the last axis."""
-    fake = np.asarray(d_on_fake, dtype=np.float64)
-    real = np.asarray(d_on_real, dtype=np.float64)
-    return _mean(np.log(1.0 - fake)) + real_weight * _mean(np.log(real))
+    return _mean(np.log(1.0 - d_on_fake)) + real_weight * _mean(np.log(d_on_real))
 
 
-def generator_backward(gen: MlpModel, disc: MlpModel, X: np.ndarray, recorded: bool = False,
-                       buffers: tuple[Buffers, Buffers] | None = None) -> np.ndarray:
+def generator_backward(gen: MlpModel, disc: MlpModel,
+                       buffers: tuple[Buffers, Buffers]) -> np.ndarray:
     """Generator gradient of mean log(1 - D(x, G(x))).
 
     The gradient flows through the discriminator's label input channel
     with the discriminator's own parameters held fixed; only the
     generator's gradient is produced. buffers is a (generator,
-    discriminator) pair of Buffers over len(X) rows. recorded says that
-    they already hold a forward_pass of gen over X and, in the
-    discriminator's x, its input [X | G(X)], which are then not computed
-    again.
+    discriminator) pair of Buffers over the same rows: the first holds a
+    forward_pass of gen over X, and the second's x the discriminator's
+    input [X | G(X)].
     """
-    if buffers is None:
-        buffers = (Buffers(gen, len(X)), Buffers(disc, len(X)))
     g_buf, d_buf = buffers
-    if not recorded:
-        forward_pass(gen, X, buffers=g_buf)
-        d_buf.x[:, :-1] = g_buf.x
-        d_buf.x[:, -1] = g_buf.out
-    d_out = forward_pass(disc, d_buf.x, buffers=d_buf)
+    _check(gen, g_buf, d_buf.n)
+    d_out = forward_pass(disc, d_buf.x, d_buf)
     # d/dz of log(1 - d) / n
     np.divide(d_out, -len(d_out), out=d_buf.dz)
     _, dinput = backprop(disc, d_buf, want_params=False, want_input=True)
@@ -309,61 +284,45 @@ def generator_backward(gen: MlpModel, disc: MlpModel, X: np.ndarray, recorded: b
     np.subtract(1.0, g_out, out=dz)
     np.multiply(dz, g_out, out=dz)
     np.multiply(dz, dinput[:, -1], out=dz)
-    grad, _ = backprop(gen, g_buf)
-    return grad
+    return backprop(gen, g_buf)[0]
 
 
-def discriminator_backward(
-    disc: MlpModel,
-    fake_inputs: np.ndarray,
-    real_inputs: np.ndarray,
-    real_weight: float,
-    buffers: Buffers | None = None,
-) -> np.ndarray:
+def discriminator_backward(disc: MlpModel, n_f: int, n_r: int, real_weight: float,
+                           buf: Buffers) -> np.ndarray:
     """Descent gradient for the discriminator update.
 
-    fake_inputs carry the generator's labels as their last column, treated
-    as constants (the generator is frozen). Both batches go through one
-    forward pass and one backpropagation, stacked as [fake; real] in
-    buffers.x; inputs that are views of buffers.x are taken to sit there
-    already, fake rows first, and are not copied. The minimized loss is
-    -objective, whose derivative w.r.t. a row's logit is d / n_f on a fake
-    row and -real_weight (1 - d) / n_r on a real one. The returned
-    gradient is that of the negated objective, so an optimizer step
-    ascends it.
+    buf.x holds n_f generated rows, whose last column is the generator's
+    label, a constant (the generator is frozen), and then n_r real ones,
+    all run through one forward pass and one backpropagation. The
+    minimized loss is -objective, whose derivative w.r.t. a row's logit is
+    d / n_f on a fake row and -real_weight (1 - d) / n_r on a real one, so
+    an optimizer step on the returned gradient ascends the objective.
     """
-    n_f = len(fake_inputs)
-    buf = _buffers_for(disc, n_f + len(real_inputs), buffers)
-    x = buf.x
-    if fake_inputs.base is not x.base or real_inputs.base is not x.base:
-        np.concatenate((fake_inputs, real_inputs), out=x)
-    d_out = forward_pass(disc, x, buffers=buf)
+    _check(disc, buf, n_f + n_r)
+    d_out = forward_pass(disc, buf.x, buf)
     dz_fake, dz_real = buf.dz[:n_f], buf.dz[n_f:]
     np.divide(d_out[:n_f], n_f, out=dz_fake)
     np.subtract(d_out[n_f:], 1.0, out=dz_real)
-    np.multiply(dz_real, real_weight / len(dz_real), out=dz_real)
-    grad, _ = backprop(disc, buf)
-    return grad
+    np.multiply(dz_real, real_weight / n_r, out=dz_real)
+    return backprop(disc, buf)[0]
 
 
 def binary_log_loss(outputs: np.ndarray, targets: np.ndarray):
     """Mean binary cross-entropy of clamped outputs against 0/1 targets,
     along the last axis."""
-    s = np.asarray(outputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
+    s, y = outputs, targets
     return -_mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
 
 
-def classifier_backward(model: MlpModel, X: np.ndarray, targets: np.ndarray,
-                        buffers: Buffers | None = None) -> np.ndarray:
-    """Gradient of binary cross-entropy for the plain classifier, whose
-    derivative w.r.t. a row's logit is (out - y) / n."""
-    buf = _buffers_for(model, len(X), buffers)
-    out = forward_pass(model, X, buffers=buf)
+def classifier_backward(model: MlpModel, targets: np.ndarray, buf: Buffers) -> np.ndarray:
+    """Gradient of binary cross-entropy for the plain classifier on the
+    rows in buf.x, whose derivative w.r.t. a row's logit is
+    (out - y) / n."""
+    _check(model, buf, len(targets))
+    out = forward_pass(model, buf.x, buf)
     np.subtract(out, targets, out=buf.dz)
     np.divide(buf.dz, len(out), out=buf.dz)
-    grad, _ = backprop(model, buf)
-    return grad
+    return backprop(model, buf)[0]
 
 
 @dataclass
@@ -388,24 +347,21 @@ class OptState:
         return state
 
 
-def opt_step(model: MlpModel, grad: np.ndarray, state: OptState,
-             buffers: Buffers | None = None) -> None:
+def opt_step(model: MlpModel, grad: np.ndarray, state: OptState, buf: Buffers) -> None:
     """One deterministic optimizer update of model.params in place.
 
     grad is laid out like params. Adam uses bias-corrected first/second
     moments, with b1, b2 and eps the ADAM_ constants:
         m <- b1 m + (1-b1) g        v <- b2 v + (1-b2) g^2
         p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-    with the products evaluated left to right, as written. Intermediates
-    go to buffers.step when buffers are given.
+    with the products evaluated left to right, as written. buf is one of
+    the model's Buffers, whose step arrays take the intermediates.
     """
+    _check(model, buf, buf.n)
     state.step_count += 1
     t = state.step_count
     lr = state.learning_rate
-    if buffers is None:
-        s1, s2 = np.empty_like(model.params), np.empty_like(model.params)
-    else:
-        s1, s2 = buffers.step
+    s1, s2 = buf.step
     if state.kind == "sgd":
         np.multiply(grad, lr, out=s1)
         model.params -= s1
@@ -445,29 +401,31 @@ def load_model(path: str | Path):
     """Read a checkpoint; returns (model, meta). Arrays it does not read,
     such as optimizer moments, are ignored.
 
-    A missing array, or a float array holding a value that is not finite,
-    raises ValueError naming it.
+    A file that is not a whole .npz archive, a missing array, or a float
+    array holding a value that is not finite raises ValueError naming it.
     """
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        # the file is opened here, as np.load leaves open a file it fails to
+        # read; a .npy file loads as an array, which is no context manager
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+            data = dict(archive)
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile):
+        raise ValueError(f"{path}: not a checkpoint, or a damaged one") from None
 
-        def read(key: str) -> np.ndarray:
-            if key not in data:
-                raise ValueError(f"{path}: checkpoint has no {key!r} array")
-            value = data[key]
-            if value.dtype.kind == "f" and not np.isfinite(value).all():
-                raise ValueError(f"{path}: checkpoint array {key!r} is not finite")
-            return value
+    def read(key: str) -> np.ndarray:
+        if key not in data:
+            raise ValueError(f"{path}: checkpoint has no {key!r} array")
+        value = data[key]
+        if value.dtype.kind == "f" and not np.isfinite(value).all():
+            raise ValueError(f"{path}: checkpoint array {key!r} is not finite")
+        return value
 
-        version = int(read("format_version"))
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        dims = tuple(int(d) for d in read("layer_dims"))
-        # the constructor checks the count and shapes of the arrays
-        ells = range(len(dims) - 1)
-        model = MlpModel(dims, [read(f"W{i}") for i in ells], [read(f"b{i}") for i in ells])
-        meta = {
-            "kind": str(read("kind")),
-            "seed": int(read("seed")),
-            "format_version": version,
-        }
+    version = int(read("format_version"))
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format version {version}")
+    dims = tuple(int(d) for d in read("layer_dims"))
+    # the constructor checks the count and shapes of the arrays
+    ells = range(len(dims) - 1)
+    model = MlpModel(dims, [read(f"W{i}") for i in ells], [read(f"b{i}") for i in ells])
+    meta = {"kind": str(read("kind")), "seed": int(read("seed")), "format_version": version}
     return model, meta

@@ -204,21 +204,19 @@ def inner_train(
     real_size = min(cfg.batch_size, len(real_all))
     sampler = MinibatchSampler(partition, u_rows, fake_size, cfg.variant != "no_diversity")
     # fixed arrays for the round's passes: the generator on the fake rows
-    # (gathered into Xf), the discriminator on the stacked
-    # [fake; real] batch (d_buf.x) and on [X | soft] for the generator's
-    # update (s_buf.x)
+    # (gathered into Xf), the discriminator on the stacked [fake; real]
+    # batch (d_buf.x) and on [X | soft] for the generator's update (s_buf.x)
     g_buf = nn.Buffers(gen, fake_size)
     d_buf = nn.Buffers(disc, fake_size + real_size)
     s_buf = nn.Buffers(disc, fake_size)
-    Xf, soft_in = np.empty((fake_size, pool.n_features)), s_buf.x
-    hard_in, real_in = d_buf.x[:fake_size], d_buf.x[fake_size:]
+    Xf = np.empty((fake_size, pool.n_features))
     real_block = d_buf.acts[0][fake_size:]
     # the discriminator judges hard pseudo labels, so generated and real
     # pairs share the same label alphabet; the generator's own update keeps
     # the soft differentiable path
     d = pool.n_features
-    soft_x, soft_label = soft_in[:, :d], soft_in[:, d]
-    hard_x, hard_label = hard_in[:, :d], hard_in[:, d]
+    soft_x, soft_label = s_buf.x[:, :d], s_buf.x[:, d]
+    hard_x, hard_label = d_buf.x[:fake_size, :d], d_buf.x[:fake_size, d]
 
     d_sum = g_sum = 0.0
     for start in range(0, n_iters, _CHUNK):
@@ -232,23 +230,19 @@ def inner_train(
         for i, (fake, real) in enumerate(zip(fake_rows, real_rows)):
             # the rows are in range, and mode="clip" spares take a staging copy
             pool.features.take(fake, axis=0, out=Xf, mode="clip")
-            g_soft = nn.forward_pass(gen, Xf, buffers=g_buf)
+            g_soft = nn.forward_pass(gen, Xf, g_buf)
             np.copyto(soft_x, Xf)
             np.copyto(hard_x, Xf)
             np.copyto(soft_label, g_soft)
             np.greater(g_soft, 0.5, out=hard_label)
             real_all.take(real, axis=0, out=real_block, mode="clip")
-            d_grad = nn.discriminator_backward(
-                disc, hard_in, real_in, cfg.real_weight, buffers=d_buf
-            )
+            d_grad = nn.discriminator_backward(disc, fake_size, real_size, cfg.real_weight, d_buf)
             np.copyto(d_rows[i], d_buf.out)
-            nn.opt_step(disc, d_grad, opt_disc, buffers=d_buf)
+            nn.opt_step(disc, d_grad, opt_disc, d_buf)
             # the generator is unchanged since its pass above, so that pass is reused
-            g_grad = nn.generator_backward(
-                gen, disc, Xf, recorded=True, buffers=(g_buf, s_buf)
-            )
+            g_grad = nn.generator_backward(gen, disc, (g_buf, s_buf))
             np.copyto(g_rows[i], s_buf.out)
-            nn.opt_step(gen, g_grad, opt_gen, buffers=g_buf)
+            nn.opt_step(gen, g_grad, opt_gen, g_buf)
         d_sum = nn.add_in_order(d_sum, nn.discriminator_loss(
             d_rows[:, :fake_size], d_rows[:, fake_size:], cfg.real_weight))
         g_sum = nn.add_in_order(g_sum, nn.generator_loss(g_rows))
@@ -283,9 +277,9 @@ def _inner_train_classifier(
         y_rows = lab_y.take(idx)
         for i in range(n):
             lab_X.take(idx[i], axis=0, out=buf.acts[0], mode="clip")
-            grad = nn.classifier_backward(clf, buf.x, y_rows[i], buffers=buf)
+            grad = nn.classifier_backward(clf, y_rows[i], buf)
             np.copyto(out_rows[i], buf.out)
-            nn.opt_step(clf, grad, opt, buffers=buf)
+            nn.opt_step(clf, grad, opt, buf)
         loss_sum = nn.add_in_order(loss_sum, nn.binary_log_loss(out_rows[:n], y_rows))
     return {
         "iterations": cfg.inner_iters,

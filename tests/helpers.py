@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from matchgan.datasets import LABEL_CODES, UNLABELED, IngestError, RecordSet
-from matchgan.nn import MlpModel
+from matchgan.nn import (Buffers, MlpModel, classifier_backward, discriminator_backward,
+                         forward_pass, generator_backward)
 
 
 def zero_mlp(layer_dims) -> MlpModel:
@@ -21,6 +22,34 @@ def zero_mlp(layer_dims) -> MlpModel:
 def copy_model(model: MlpModel) -> MlpModel:
     """A model with the same parameters in storage of its own."""
     return MlpModel(model.layer_dims, model.weights, model.biases)
+
+
+# The three gradients as training computes them: each pass on Buffers
+# that hold its rows, built here once per call.
+
+
+def generator_grad(gen: MlpModel, disc: MlpModel, X) -> np.ndarray:
+    """generator_backward on rows X, after the recording pass of gen and
+    the [X | G(X)] input that inner_train fills in first."""
+    g_buf, s_buf = Buffers(gen, len(X)), Buffers(disc, len(X))
+    forward_pass(gen, X, g_buf)
+    s_buf.x[:, :-1] = X
+    s_buf.x[:, -1] = g_buf.out
+    return generator_backward(gen, disc, (g_buf, s_buf))
+
+
+def discriminator_grad(disc: MlpModel, fake, real, real_weight: float) -> np.ndarray:
+    """discriminator_backward on the rows of fake stacked above those of real."""
+    buf = Buffers(disc, len(fake) + len(real))
+    np.concatenate((fake, real), out=buf.x)
+    return discriminator_backward(disc, len(fake), len(real), real_weight, buf)
+
+
+def classifier_grad(clf: MlpModel, X, targets) -> np.ndarray:
+    """classifier_backward on rows X."""
+    buf = Buffers(clf, len(X))
+    buf.x[...] = X
+    return classifier_backward(clf, targets, buf)
 
 
 def save_records(recordset: RecordSet, path, id_column: str = "id", delimiter: str = ",") -> None:

@@ -33,7 +33,8 @@ from matchgan.evaluation import compute_metrics, evaluate_run, run_cell
 from matchgan.features import featurize_to_file
 from matchgan.training import TrainConfig, run
 
-from helpers import DiscreteJointDistribution, optimal_discriminator_check
+from helpers import (DiscreteJointDistribution, discriminator_grad, generator_grad,
+                     optimal_discriminator_check)
 
 DATA_SEED = 123
 RUN_SEEDS = tuple(range(61, 66))
@@ -111,7 +112,7 @@ def test_criterion_2_gradient_correctness():
             m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
         X = rng.random((5, 4))
 
-        analytic = nn.generator_backward(gen, disc, X)
+        analytic = generator_grad(gen, disc, X)
 
         def g_loss():
             g = nn.forward_batch(gen, X)
@@ -125,7 +126,7 @@ def test_criterion_2_gradient_correctness():
         fake = np.hstack([X, nn.forward_batch(gen, X)[:, None]])
         real = np.hstack([rng.random((4, 4)), (rng.random(4) > 0.5).astype(float)[:, None]])
         weight = float(rng.uniform(0.3, 2.0))
-        analytic_d = nn.discriminator_backward(disc, fake, real, weight)
+        analytic_d = discriminator_grad(disc, fake, real, weight)
 
         def d_loss():
             return -nn.discriminator_loss(

@@ -358,7 +358,11 @@ class TestBadInput:
         assert f"{predicted}:4: repeated pair id ('c', 'd')" in self._single_error(capsys)
 
     @pytest.mark.parametrize(
-        "damage, message", [("missing", "no 'W2' array"), ("nan", "'W1' is not finite")]
+        "damage, message", [
+            ("missing", "no 'W2' array"), ("nan", "'W1' is not finite"),
+            ("truncated", "not a checkpoint"), ("empty", "not a checkpoint"),
+            ("text", "not a checkpoint"),
+        ]
     )
     def test_bad_model_checkpoint_rejected(self, tmp_path, capsys, damage, message):
         import numpy as np
@@ -372,17 +376,57 @@ class TestBadInput:
         arrays = dict(np.load(model_path))
         if damage == "missing":
             del arrays["W2"]
-        else:
+        elif damage == "nan":
             arrays["W1"][0, 0] = np.nan
         np.savez(model_path, **arrays)
+        damaged = {"truncated": model_path.read_bytes()[:300], "empty": b"", "text": b"W0 = 1\n"}
+        if damage in damaged:
+            model_path.write_bytes(damaged[damage])
         capsys.readouterr()
         labels = tmp_path / "pred.tsv"
         code = run_cli(
             "predict", "--instances", data / "instances.tsv", "--model", model_path, "-o", labels
         )
         assert code == 1
-        assert message in self._single_error(capsys)
+        err = self._single_error(capsys)
+        assert message in err and str(model_path) in err
         assert not labels.exists()
+
+    @pytest.mark.parametrize("command", [
+        "partition", "evaluate --predicted", "train --gold", "featurize --left",
+        "train --config", "train --partition",
+    ])
+    def test_undecodable_input_named(self, tmp_path, capsys, command):
+        # each reader names the file it could not decode
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        instances, out = data / "instances.tsv", tmp_path / "out"
+        bad = tmp_path / "bad"
+        lines = {
+            "partition": instances.read_bytes().split(b"\n")[:4],
+            "evaluate --predicted": [b"id_a\tid_b\tlabel", b"s01a\ts01b\tM"],
+            "train --gold": [b"s01a,s01b", b"s02a,s02b"],
+            "featurize --left": [b"id,title", b"r1,deep"],
+            "train --config": [b"batch_size = 8", b"# note"],
+        }.get(command)
+        if lines is None:
+            bad.write_text('{format_version: 1}\n')
+            where = f"{bad}:1: column 2: "
+        else:
+            # a byte that no UTF-8 text holds, at the end of the last line
+            bad.write_bytes(b"\n".join(lines) + b"\xff\n")
+            where = f"{bad}: not UTF-8 text"
+        name, _, flag = command.partition(" ")
+        args = {
+            "partition": ["--instances", bad, "-o", out],
+            "evaluate": ["--predicted", bad, "--truth", instances, "-o", out],
+            "featurize": ["--left", bad, "-o", out],
+            "train": ["--instances", instances, flag, bad, "--seed-budget", 4, "-o", out],
+        }[name]
+        capsys.readouterr()
+        assert run_cli(name, *args) == 1
+        assert where in self._single_error(capsys)
+        assert not out.exists()
 
     def test_predict_rejects_repeated_pair_id(self, tmp_path, capsys):
         import numpy as np

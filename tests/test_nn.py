@@ -25,7 +25,8 @@ from matchgan.nn import (
     save_model,
 )
 
-from helpers import DiscreteJointDistribution, copy_model, optimal_discriminator_check, zero_mlp
+from helpers import (DiscreteJointDistribution, classifier_grad, copy_model, discriminator_grad,
+                     generator_grad, optimal_discriminator_check, zero_mlp)
 
 
 def hand_rolled_forward(x, weights, biases):
@@ -108,7 +109,7 @@ class TestForward:
             model.weights[-1][...] = rng.normal(size=model.weights[-1].shape)
             X = rng.normal(size=(64, dims[0]))
             buf = nn.Buffers(model, len(X))
-            recorded = nn.forward_pass(model, X, buffers=buf)
+            recorded = nn.forward_pass(model, X, buf)
             assert forward_batch(model, X).tobytes() == recorded.tobytes()
             acts = buf.acts
             # every layer input, as backpropagation reads them: each layer
@@ -137,7 +138,8 @@ class TestForward:
                 for n in (2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 37, 5 * block - 1):
                     X = rng.normal(size=(n, 5))
                     nn.SCORE_BLOCK = block
-                    if nn.forward_batch(model, X).tobytes() != nn.forward_pass(model, X).tobytes():
+                    one_pass = nn.forward_pass(model, X, nn.Buffers(model, n))
+                    if nn.forward_batch(model, X).tobytes() != one_pass.tobytes():
                         bad.append((block, n))
             print(bad)
         """)
@@ -284,7 +286,7 @@ class TestBackward:
                 m.weights[-1][...] = rng.uniform(-0.5, 0.5, size=m.weights[-1].shape)
                 m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
             X = rng.random((6, 4))
-            analytic = generator_backward(gen, disc, X)
+            analytic = generator_grad(gen, disc, X)
 
             def loss_fn():
                 g = forward_batch(gen, X)
@@ -302,7 +304,7 @@ class TestBackward:
             fake = rng.random((5, 4))
             real = rng.random((4, 4))
             weight = float(rng.uniform(0.2, 2.0))
-            analytic = discriminator_backward(disc, fake, real, weight)
+            analytic = discriminator_grad(disc, fake, real, weight)
 
             def loss_fn():
                 return -discriminator_loss(
@@ -317,7 +319,7 @@ class TestBackward:
         clf.weights[-1][...] = rng.uniform(-0.5, 0.5, size=(1, 4))
         X = rng.random((8, 3))
         y = (rng.random(8) > 0.5).astype(float)
-        analytic = classifier_backward(clf, X, y)
+        analytic = classifier_grad(clf, X, y)
         numeric = finite_diff_grads(lambda: binary_log_loss(forward_batch(clf, X), y), clf)
         assert relative_error(analytic, numeric) < 1e-4
 
@@ -326,73 +328,48 @@ class TestBackward:
         # generator's loss is locally flat
         gen = init_mlp((3, 4, 1), rng)
         disc = zero_mlp((4, 2, 1))
-        grad = generator_backward(gen, disc, rng.random((5, 3)))
+        grad = generator_grad(gen, disc, rng.random((5, 3)))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_generator_step_leaves_discriminator_untouched(self, rng):
         gen = init_mlp((3, 4, 1), rng)
         disc = init_mlp((4, 4, 1), rng)
         before_w = [w.copy() for w in disc.weights]
-        g_grad = generator_backward(gen, disc, rng.random((5, 3)))
-        opt_step(gen, g_grad, OptState.for_model(gen))
+        g_grad = generator_grad(gen, disc, rng.random((5, 3)))
+        opt_step(gen, g_grad, OptState.for_model(gen), nn.Buffers(gen, 5))
         for w_now, w_then in zip(disc.weights, before_w):
             np.testing.assert_array_equal(w_now, w_then)
 
 
 class TestBuffers:
-    """Calls that reuse one Buffers give the bits of calls that build their own."""
-
-    def test_reused_buffers_match_fresh_calls(self, rng):
-        gen = init_mlp((3, 8, 4, 1), rng)
-        disc = init_mlp((4, 8, 4, 1), rng)
-        n = 6
-        g_buf, s_buf, d_buf = nn.Buffers(gen, n), nn.Buffers(disc, n), nn.Buffers(disc, 2 * n)
-        for _ in range(3):
-            X, fake, real = rng.random((n, 3)), rng.random((n, 4)), rng.random((n, 4))
-            y = (rng.random(n) > 0.5).astype(np.float64)
-            calls = [
-                lambda **b: nn.forward_pass(gen, X, **b),
-                lambda **b: generator_backward(gen, disc, X, **b),
-                lambda **b: discriminator_backward(disc, fake, real, 0.7, **b),
-                lambda **b: classifier_backward(gen, X, y, **b),
-            ]
-            for call, buf in zip(calls, (g_buf, (g_buf, s_buf), d_buf, g_buf)):
-                # a buffered result is overwritten by the next call, so
-                # each is read at once
-                assert self._bits(call()) == self._bits(call(buffers=buf))
-
-    @staticmethod
-    def _bits(result):
-        values = result if isinstance(result, tuple) else (result,)
-        return [np.asarray(v).tobytes() for v in values]
-
-    @pytest.mark.parametrize("kind", ["adam", "sgd"])
-    def test_buffered_opt_step_matches_fresh(self, rng, kind):
-        models = [init_mlp((3, 5, 1), np.random.default_rng(4)) for _ in range(2)]
-        states = [OptState.for_model(m, kind, 0.01) for m in models]
-        buf = nn.Buffers(models[1], 2)
-        for _ in range(4):
-            grad = rng.standard_normal(models[0].params.size)
-            opt_step(models[0], grad, states[0])
-            opt_step(models[1], grad, states[1], buffers=buf)
-        assert models[0].params.tobytes() == models[1].params.tobytes()
-        if kind == "adam":
-            assert states[0].moment2.tobytes() == states[1].moment2.tobytes()
-
     def test_buffers_of_another_pass_rejected(self, rng):
-        gen = init_mlp((3, 4, 1), rng)
+        # a twin has its model's shapes, so only the guard tells them apart
+        gen, disc = init_mlp((3, 4, 1), rng), init_mlp((4, 4, 1), rng)
         X = rng.random((5, 3))
-        with pytest.raises(ValueError, match="rows"):
-            nn.forward_pass(gen, X, buffers=nn.Buffers(gen, 4))
-        with pytest.raises(ValueError, match="rows"):
-            nn.forward_pass(gen, X, buffers=nn.Buffers(init_mlp((3, 4, 1), rng), 5))
+        passes = [
+            (gen, lambda buf: nn.forward_pass(gen, X, buf)),
+            (gen, lambda buf: generator_backward(gen, disc, (buf, nn.Buffers(disc, 5)))),
+            (disc, lambda buf: generator_backward(gen, disc, (nn.Buffers(gen, 5), buf))),
+            (disc, lambda buf: discriminator_backward(disc, 3, 2, 0.7, buf)),
+            (gen, lambda buf: classifier_backward(gen, np.ones(5), buf)),
+        ]
+        for model, call in passes:
+            for buf in (nn.Buffers(copy_model(model), 5), nn.Buffers(model, 4)):
+                with pytest.raises(ValueError, match="rows of another pass"):
+                    call(buf)
+        # the step reads no rows, so only the model decides
+        state = OptState.for_model(gen)
+        with pytest.raises(ValueError, match="rows of another pass"):
+            opt_step(gen, np.zeros_like(gen.params), state, nn.Buffers(copy_model(gen), 5))
+        assert state.step_count == 0
 
 
 class TestOptStep:
     def test_zero_gradients_leave_parameters(self, rng):
         model = init_mlp((2, 3, 1), rng)
         before = model.params.copy()
-        opt_step(model, np.zeros_like(model.params), OptState.for_model(model))
+        opt_step(model, np.zeros_like(model.params), OptState.for_model(model),
+                 nn.Buffers(model, 1))
         np.testing.assert_array_equal(model.params, before)
 
     def test_single_adam_update_hand_computed(self):
@@ -402,13 +379,14 @@ class TestOptStep:
         g = 0.37
         grad = np.array([g, 0.0])  # W0[0, 0], b0[0]
         state = OptState.for_model(model, learning_rate=1e-3)
-        opt_step(model, grad, state)
+        opt_step(model, grad, state, nn.Buffers(model, 1))
         expected = 0.25 - 1e-3 * g / (math.sqrt(g * g) + 1e-8)
         assert model.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_sgd_update(self):
         model = MlpModel((1, 1), [np.array([[1.0]])], [np.array([0.5])])
-        opt_step(model, np.array([0.2, -0.4]), OptState(kind="sgd", learning_rate=0.1))
+        opt_step(model, np.array([0.2, -0.4]), OptState(kind="sgd", learning_rate=0.1),
+                 nn.Buffers(model, 1))
         assert model.weights[0][0, 0] == pytest.approx(0.98)
         assert model.biases[0][0] == pytest.approx(0.54)
 
@@ -417,9 +395,9 @@ class TestOptStep:
             r = np.random.default_rng(3)
             model = init_mlp((2, 3, 1), r)
             state = OptState.for_model(model)
-            grad = layer_filled(model, 0.1, -0.2)
+            grad, buf = layer_filled(model, 0.1, -0.2), nn.Buffers(model, 1)
             for _ in range(5):
-                opt_step(model, grad, state)
+                opt_step(model, grad, state, buf)
             return model.weights[0].copy()
 
         np.testing.assert_array_equal(run_once(), run_once())
@@ -480,7 +458,8 @@ class TestOptimalDiscriminatorCheck:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, rng):
         model = init_mlp((3, 4, 1), rng)
-        opt_step(model, layer_filled(model, 0.05, 0.02), OptState.for_model(model))
+        opt_step(model, layer_filled(model, 0.05, 0.02), OptState.for_model(model),
+                 nn.Buffers(model, 1))
         path = tmp_path / "model.npz"
         save_model(path, model, seed=11, kind="generator")
         back, meta = load_model(path)
