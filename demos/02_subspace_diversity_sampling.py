@@ -23,7 +23,7 @@ print(f"per-feature medians: {partition.medians.round(4)}")
 populations = partition.populations()  # pool rows per subspace
 sizes = [len(p) for p in populations]
 match_per_cell = [
-    sum(1 for r in pop if gold.is_match(*pool.ids[r])) for pop in populations
+    int(gold.label_codes([pool.ids[r] for r in pop]).sum()) for pop in populations
 ]
 print("\nsubspace populations (matches in parentheses):")
 for ix, (n, m) in enumerate(zip(sizes, match_per_cell)):
@@ -35,10 +35,10 @@ trials = 200
 rng = np.random.default_rng(0)
 diverse_hits = uniform_hits = 0
 for _ in range(trials):
-    if any(gold.is_match(*pool.ids[r]) for r in diverse_sample(populations, budget, rng)):
+    if gold.label_codes([pool.ids[r] for r in diverse_sample(populations, budget, rng)]).any():
         diverse_hits += 1
     rows = rng.choice(len(pool), size=budget, replace=False)
-    if any(gold.is_match(*pool.ids[r]) for r in rows):
+    if gold.label_codes([pool.ids[r] for r in rows]).any():
         uniform_hits += 1
 
 counts = waterfill_counts(sizes, budget)

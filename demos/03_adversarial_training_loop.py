@@ -13,7 +13,6 @@ from matchgan import (
     generate_synthetic,
     run,
 )
-from matchgan.datasets import LABEL_NAMES
 from matchgan.evaluation import evaluate_run
 from matchgan.training import predict
 
@@ -46,6 +45,5 @@ print(
 held_out, _ = generate_synthetic(
     SyntheticConfig(n_matches=10, imbalance_rate=50, n_features=4, separation=0.9, seed=999)
 )
-labels = predict(result.generator, held_out.features)
-correct = sum(1 for truth, lab in zip(LABEL_NAMES[held_out.real_labels], labels) if truth == lab)
+correct = int((predict(result.generator, held_out.features) == held_out.real_labels).sum())
 print(f"held-out accuracy via predict(): {correct}/{len(held_out)}")

@@ -20,8 +20,10 @@ from .datasets import (
     load_gold,
     load_records,
     read_instance_file,
+    read_labels_file,
     save_gold,
     write_instance_file,
+    write_labels_file,
 )
 from .diversity import (
     SubspacePartition,

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import (INSTANCE_FORMAT_VERSION, LABEL_CODES, LABEL_NAMES, UNLABELED, IngestError,
-                       InstancePool, SyntheticConfig, _row_fault, generate_synthetic, load_gold,
-                       load_records, open_text, read_instance_file, save_gold,
-                       write_instance_file)
+from .datasets import (INSTANCE_FORMAT_VERSION, UNLABELED, IngestError, InstancePool,
+                       SyntheticConfig, _row_fault, generate_synthetic, load_gold, load_records,
+                       open_text, read_instance_file, read_labels_file, save_gold,
+                       write_instance_file, write_labels_file)
 from .diversity import PARTITION_FORMAT_VERSION, build_partition, load_partition, save_partition
 from .evaluation import compute_metrics, evaluate_run, format_table, run_ablation_suite
 from .features import BlockingSpec, featurize_to_file
@@ -126,8 +126,7 @@ def _load_pool(path: str, gold_path: str | None = None, gold_header: bool = Fals
     every row, replacing the file's label column."""
     ids, features, labels, _ = read_instance_file(path)
     if gold_path:
-        gold = load_gold(gold_path, has_header=gold_header)
-        labels = np.array([LABEL_CODES[gold.label_of(*pid)] for pid in ids], dtype=np.int8)
+        labels = load_gold(gold_path, has_header=gold_header).label_codes(ids)
     # read_instance_file has checked the row rules and named the bad line
     return InstancePool(ids, features, labels, _checked=True)
 
@@ -145,31 +144,6 @@ def _training_inputs(args):
     cfg = build_train_config(args)
     pool = _load_pool(args.instances, args.gold, args.gold_header)
     return cfg, pool, _partition_for(args, pool)
-
-
-def _write_labels_file(path: Path, ids: list, labels: list[str]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("id_a\tid_b\tlabel\n")
-        fh.writelines(f"{a}\t{b}\t{label}\n" for (a, b), label in zip(ids, labels))
-
-
-def _read_labels_file(path: str) -> tuple[list, np.ndarray]:
-    """Pair ids and label codes in file order; every row must be id_a, id_b
-    and M or N, so data row k is on line k + 2."""
-    ids, codes = [], []
-    with open_text(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != ["id_a", "id_b", "label"]:
-            raise IngestError(f"{path}: not a labels file")
-        for lineno, line in enumerate(fh, start=2):
-            row = line.rstrip("\n").split("\t")
-            if len(row) != 3:
-                raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            if row[2] not in LABEL_CODES:
-                raise IngestError(f"{path}:{lineno}: unknown label {row[2]!r}")
-            ids.append((row[0], row[1]))
-            codes.append(LABEL_CODES[row[2]])
-    return ids, np.array(codes, dtype=np.int8)
 
 
 def _join_ids(left: list, right: list):
@@ -247,10 +221,7 @@ def cmd_train(args) -> int:
         save_model(out / "discriminator.npz", result.discriminator,
                    seed=cfg.seed, kind="discriminator")
     rows = result.state.pseudo_rows()
-    _write_labels_file(
-        out / "labels.tsv", [pool.ids[r] for r in rows],
-        LABEL_NAMES[result.state.label[rows]].tolist(),
-    )
+    write_labels_file(out / "labels.tsv", [pool.ids[r] for r in rows], result.state.label[rows])
     try:
         metrics = evaluate_run(pool, result)
         result.report["final"]["metrics"] = metrics.as_dict()
@@ -268,24 +239,20 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     pool = _load_pool(args.instances)
     model, _ = load_model(args.model)
-    labels = predict(model, pool.features)
-    _write_labels_file(Path(args.out), pool.ids, labels)
-    print(f"wrote {len(labels)} labels to {args.out}")
+    write_labels_file(args.out, pool.ids, predict(model, pool.features))
+    print(f"wrote {len(pool)} labels to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    pred_ids, pred_codes = _read_labels_file(args.predicted)
+    pred_ids, pred_codes = read_labels_file(args.predicted)
     ids, _, labels, _ = read_instance_file(args.truth)
     if np.any(labels == UNLABELED):
         raise IngestError(f"{args.truth}: truth file must carry labels")
-    rows, pred_rows, (truth_repeat, pred_repeat) = _join_ids(ids, pred_ids)
-    if pred_repeat is not None:
-        raise IngestError(
-            f"{args.predicted}:{pred_repeat + 2}: repeated pair id {pred_ids[pred_repeat]}"
-        )
-    if truth_repeat is not None:
-        raise _row_fault(Path(args.truth), truth_repeat, f"repeated pair id {ids[truth_repeat]}")
+    pred_rows, rows, repeats = _join_ids(pred_ids, ids)
+    for path, pairs, row in zip((args.predicted, args.truth), (pred_ids, ids), repeats):
+        if row is not None:
+            raise _row_fault(path, row, f"repeated pair id {pairs[row]}")
     if not len(rows):
         raise IngestError("no overlapping pairs between predictions and truth")
     metrics = compute_metrics(pred_codes[pred_rows], labels[rows])

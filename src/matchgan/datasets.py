@@ -5,6 +5,7 @@ matching id pairs, and every pair it does not list is a non-match. A pool
 of record-pair instances lives in memory only as InstancePool's columns
 (pair ids, a float64 feature matrix, an int8 label column), which the
 instance file is read into and written from; no object stands for a row.
+A labels file is the same table without the comment line or features.
 generate_synthetic builds such a pool directly, with class overlap set by
 one knob, so imbalanced workloads of any size are deterministic.
 """
@@ -32,8 +33,8 @@ INSTANCE_FORMAT_VERSION = 1
 # Label column codes; UNLABELED marks a row without a real label.
 UNLABELED = -1
 LABEL_CODES = {MATCH: 1, NON_MATCH: 0}
-# LABEL_NAMES[code] turns 0/1 codes back into label strings
-LABEL_NAMES = np.array([NON_MATCH, MATCH])
+# LABEL_NAMES[code] is a code's cell in a file; UNLABELED (-1) takes the empty last one
+LABEL_NAMES = np.array([NON_MATCH, MATCH, ""])
 
 _FEATURE_RULE = "instance features must be finite and lie in [0, 1]"
 
@@ -126,11 +127,9 @@ class GoldStandard:
             raise SelfPairError(f"self-pair ({id_a!r}, {id_a!r}) is not a valid match")
         self.matches.add(frozenset((id_a, id_b)))
 
-    def is_match(self, id_a: str, id_b: str) -> bool:
-        return frozenset((id_a, id_b)) in self.matches
-
-    def label_of(self, id_a: str, id_b: str) -> str:
-        return MATCH if self.is_match(id_a, id_b) else NON_MATCH
+    def label_codes(self, ids: list[PairId]) -> np.ndarray:
+        """The int8 label code of each pair id, its two ids in either order."""
+        return np.fromiter((frozenset(pid) in self.matches for pid in ids), np.int8, len(ids))
 
     def __len__(self) -> int:
         return len(self.matches)
@@ -279,17 +278,17 @@ def save_gold(gold: GoldStandard, path: str | Path) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _write_tile(fh, ids_a: np.ndarray, ids_b: np.ndarray, feats: np.ndarray, labels) -> None:
+def _write_tile(fh, ids_a: np.ndarray, ids_b: np.ndarray, feats: np.ndarray, codes) -> None:
     """Write one tile of instance rows, calling repr once per distinct value.
 
     Values are told apart by their bits, so each float is written as its
-    own repr.
+    own repr. codes become the label column, UNLABELED as an empty cell.
     """
     bits, inverse = np.unique(feats.view(np.int64), return_inverse=True)
     table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     cols = [ids_a.tolist(), ids_b.tolist(), *table[inverse.reshape(feats.shape)].T.tolist()]
-    if labels is not None:
-        cols.append(labels.tolist())
+    if codes is not None:
+        cols.append(LABEL_NAMES[codes].tolist())
     fh.write("\n".join(map("\t".join, zip(*cols))) + "\n")
 
 
@@ -308,13 +307,12 @@ def write_instance_file(path: str | Path, pool: InstancePool) -> None:
     row's cell is then empty."""
     labeled = bool(np.any(pool.real_labels != UNLABELED))
     schema = [f"f{k}" for k in range(pool.n_features)]
-    cells = np.where(pool.real_labels == UNLABELED, "", LABEL_NAMES[pool.real_labels])
     with Path(path).open("w", encoding="utf-8") as fh:
         _write_instance_header(fh, schema, 2, labeled)
         for lo in range(0, len(pool), _FILE_TILE):
             ids = np.array(pool.ids[lo : lo + _FILE_TILE], dtype=object)
             _write_tile(fh, ids[:, 0], ids[:, 1], pool.features[lo : lo + _FILE_TILE],
-                        cells[lo : lo + _FILE_TILE] if labeled else None)
+                        pool.real_labels[lo : lo + _FILE_TILE] if labeled else None)
 
 
 def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.ndarray, dict]:
@@ -322,11 +320,7 @@ def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.n
 
     ids lists the pair ids in file order, features is a float64 (n, d)
     matrix and labels an int8 column of label codes (UNLABELED where the
-    file gives none); meta is {'q': int, 'schema': tuple}. numpy's C text
-    reader parses every data row in one call into one structured array;
-    blank lines are skipped. features is a view into that array, not a
-    copy: InstancePool copies it, and a caller that only wants ids and
-    labels, as evaluate does, never pays for one.
+    file gives none); meta is {'q': int, 'schema': tuple}.
     """
     path = Path(path)
     meta: dict = {}
@@ -343,18 +337,53 @@ def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.n
             raise IngestError(f"{path}: malformed column header")
         has_label = header[-1] == "label"
         meta["schema"] = tuple(header[2 : -1 if has_label else len(header)])
-        fields = [("id_a", object), ("id_b", object), ("f", np.float64, (len(meta["schema"]),))]
-        dtype = np.dtype(fields + [("label", object)] if has_label else fields)
-        start = fh.tell()
-        # loadtxt warns on input without rows, so a file without any is not handed to it
-        rows = np.empty(0, dtype)
-        if any(line != "\n" for line in iter(fh.readline, "")):
+        ids, features, labels = _read_rows(path, fh, len(meta["schema"]), has_label)
+    return ids, features, labels, meta
+
+
+def read_labels_file(path: str | Path) -> tuple[list[PairId], np.ndarray]:
+    """(ids, label codes) of a labels file: an instance file's table with no
+    comment line and no feature columns, read by the same rules, in which
+    no label may be empty."""
+    path = Path(path)
+    with open_text(path) as fh:
+        if fh.readline().rstrip("\n") != "id_a\tid_b\tlabel":
+            raise IngestError(f"{path}: not a labels file")
+        ids, _, codes = _read_rows(path, fh, 0, True)
+    if UNLABELED in codes:
+        raise _row_fault(path, int(np.argmax(codes == UNLABELED)), "empty label")
+    return ids, codes
+
+
+def write_labels_file(path: str | Path, ids: list[PairId], codes: np.ndarray) -> None:
+    """Write pair ids and their label codes, named by LABEL_NAMES, as a labels file."""
+    names = LABEL_NAMES[codes].tolist()
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write("id_a\tid_b\tlabel\n")
+        fh.writelines(f"{a}\t{b}\t{name}\n" for (a, b), name in zip(ids, names))
+
+
+def _read_rows(path: Path, fh, n_features: int, has_label: bool):
+    """(ids, features, labels) of the rows after fh's column header; the
+    first row that breaks a rule raises IngestError naming its file line.
+
+    numpy's C text reader parses every row in one call into one structured
+    array; blank lines are skipped. features is a view into that array,
+    not a copy: InstancePool copies it, and a caller that only wants ids
+    and labels, as evaluate does, never pays for one.
+    """
+    fields = [("id_a", object), ("id_b", object), ("f", np.float64, (n_features,))]
+    dtype = np.dtype(fields + [("label", object)] if has_label else fields)
+    start = fh.tell()
+    # loadtxt warns on input without rows, so a file without any is not handed to it
+    rows = np.empty(0, dtype)
+    if any(line != "\n" for line in iter(fh.readline, "")):
+        fh.seek(start)
+        try:
+            rows = _load_rows(fh, dtype)
+        except ValueError:
             fh.seek(start)
-            try:
-                rows = _load_rows(fh, dtype)
-            except ValueError:
-                fh.seek(start)
-                raise _first_rejected(path, fh, dtype) from None
+            raise _first_rejected(path, fh, dtype) from None
 
     ids = rows[["id_a", "id_b"]].tolist()
     features = rows["f"]
@@ -369,7 +398,7 @@ def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.n
     fault = _check_columns(ids, features, labels)
     if fault is not None:
         raise _row_fault(path, *fault)
-    return ids, features, labels, meta
+    return ids, features, labels
 
 
 def _load_rows(lines, dtype: np.dtype) -> np.ndarray:
@@ -388,36 +417,37 @@ def _rejection(lines, dtype: np.dtype) -> str | None:
 
 
 def _first_rejected(path: Path, fh, dtype: np.dtype) -> IngestError:
-    """IngestError naming the first of fh's data lines that _load_rows rejects.
+    """IngestError naming the first of fh's data rows that _load_rows rejects.
 
-    fh stands at the first data line and some line ahead is rejected. Each
-    row is judged on its own, so a run of lines parses iff none of them is
-    rejected, and bisection finds the first line that is.
+    fh stands at the first data line and some row ahead is rejected. Each
+    row is judged on its own, so a run of rows parses iff none of them is
+    rejected, and bisection finds the first row that is.
     """
-    numbered = [(n, line) for n, line in enumerate(fh, start=3) if line != "\n"]
-    lo, hi = 0, len(numbered)
+    lines = [line for line in fh if line != "\n"]
+    lo, hi = 0, len(lines)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _rejection([line for _, line in numbered[lo:mid]], dtype) is None:
+        if _rejection(lines[lo:mid], dtype) is None:
             lo = mid
         else:
             hi = mid
-    lineno, line = numbered[lo]
     expected = 2 + dtype["f"].shape[0] + ("label" in dtype.names)
-    if line.count("\t") + 1 != expected:
-        return IngestError(f"{path}:{lineno}: expected {expected} columns")
+    got = lines[lo].count("\t") + 1
+    if got != expected:
+        return _row_fault(path, lo, f"expected {expected} columns, got {got}")
     # numpy ends its message with "at row R, column C."; R counts the lines
     # it was given, so only the column carries over to the file
-    reason = _rejection([line], dtype)
+    reason = _rejection(lines[lo : lo + 1], dtype)
     found = re.fullmatch(r"(.*) at row \d+, (column \d+)\.", reason)
-    return IngestError(f"{path}:{lineno}: {found[2]}: {found[1]}" if found
-                       else f"{path}:{lineno}: {reason}")
+    return _row_fault(path, lo, f"{found[2]}: {found[1]}" if found else reason)
 
 
-def _row_fault(path: Path, row: int, message: str) -> IngestError:
-    """IngestError naming the file line of data row `row` (blank lines skipped)."""
-    with path.open(encoding="utf-8") as fh:
-        lines = (n for n, line in enumerate(fh, start=1) if n > 2 and line != "\n")
+def _row_fault(path: str | Path, row: int, message: str) -> IngestError:
+    """IngestError naming the file line of data row `row` of an instance or
+    labels file (lines up to the column header and blank lines skipped)."""
+    with open(path, encoding="utf-8") as fh:
+        header = 1 + fh.readline().startswith("# instances")
+        lines = (n for n, line in enumerate(fh, start=2) if n > header and line != "\n")
         lineno = next(itertools.islice(lines, row, None))
     return IngestError(f"{path}:{lineno}: {message}")
 

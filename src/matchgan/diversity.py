@@ -251,7 +251,7 @@ def load_partition(path: str | Path) -> SubspacePartition:
         raise ValueError(f"{path}: not a partition file")
     version = payload.get("format_version")
     if version != PARTITION_FORMAT_VERSION:
-        raise ValueError(f"unsupported partition format version {version!r}")
+        raise ValueError(f"{path}: unsupported partition format version {version!r}")
     indices, medians = payload.get("feature_indices"), payload.get("medians")
     if (not isinstance(indices, list) or any(type(ix) is not int or ix < 0 for ix in indices)
             or len(set(indices)) != len(indices)):

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .datasets import (MATCH, NON_MATCH, GoldStandard, IngestError, PairId, Record, RecordSet,
+from .datasets import (GoldStandard, IngestError, PairId, Record, RecordSet,
                        _write_instance_header, _write_tile)
 # the benchmark imports and traces these two here
 from .datasets import InstancePool, write_instance_file  # noqa: F401
@@ -193,10 +193,10 @@ def featurize_to_file(
             if len(same):
                 pair = (ids_a[same[0]], ids_b[same[0]])
                 raise IngestError(f"instance pair ids must be distinct: {pair}")
-            labels = None
+            codes = None
             if match_keys is not None:
-                labels = np.where(np.isin(ia * n_right + ib, match_keys), MATCH, NON_MATCH)
-            _write_tile(fh, ids_a, ids_b, _tile_features(grams, ia, ib + offset), labels)
+                codes = np.isin(ia * n_right + ib, match_keys).astype(np.int8)
+            _write_tile(fh, ids_a, ids_b, _tile_features(grams, ia, ib + offset), codes)
             count += len(ia)
     return count
 

@@ -422,7 +422,7 @@ def load_model(path: str | Path):
 
     version = int(read("format_version"))
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version {version}")
+        raise ValueError(f"{path}: unsupported checkpoint format version {version}")
     dims = tuple(int(d) for d in read("layer_dims"))
     # the constructor checks the count and shapes of the arrays
     ells = range(len(dims) - 1)

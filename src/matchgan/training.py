@@ -32,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import (LABEL_CODES, LABEL_NAMES, MATCH, NON_MATCH, UNLABELED, GoldStandard,
-                       InstancePool, PairId)
+from .datasets import LABEL_CODES, MATCH, NON_MATCH, UNLABELED, GoldStandard, InstancePool, PairId
 from .diversity import MinibatchSampler, SubspacePartition, uniform_subsets
 # the benchmark traces these two here
 from .diversity import diverse_sample, waterfill_counts  # noqa: F401
@@ -423,12 +422,11 @@ def run(
     return RunResult(state, gen, disc, report)
 
 
-def predict(gen: nn.MlpModel, features: np.ndarray) -> list[str]:
-    """Label feature rows of instances that never entered the training pool."""
+def predict(gen: nn.MlpModel, features: np.ndarray) -> np.ndarray:
+    """Label codes of feature rows of instances that never entered the training pool."""
     if len(features) == 0:
-        return []
-    codes, _ = _pseudo_labels_batch(gen, np.asarray(features, dtype=np.float64))
-    return LABEL_NAMES[codes].tolist()
+        return np.zeros(0, np.int8)
+    return _pseudo_labels_batch(gen, np.asarray(features, dtype=np.float64))[0]
 
 
 def _pseudo_label_fm(pool: InstancePool, state: RunState) -> float | None:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from matchgan.datasets import LABEL_CODES, UNLABELED, IngestError, RecordSet
 from matchgan.nn import (Buffers, MlpModel, classifier_backward, discriminator_backward,
@@ -75,7 +76,6 @@ def reference_read_instance_file(path):
     if not path.exists():
         raise IngestError(f"missing file: {path}")
     meta = {}
-    linenos, ids, rows, cells = [], [], [], []
     with path.open(encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("# instances"):
@@ -89,21 +89,45 @@ def reference_read_instance_file(path):
             raise IngestError(f"{path}: malformed column header")
         has_label = header[-1] == "label"
         meta["schema"] = tuple(header[2 : -1 if has_label else len(header)])
-        n_feats = len(meta["schema"])
-        expected = 2 + n_feats + has_label
-        for lineno, line in enumerate(fh, start=3):
-            if line == "\n":
-                continue
-            row = line.rstrip("\n").split("\t")
-            if len(row) != expected:
-                raise IngestError(f"{path}:{lineno}: expected {expected} columns")
-            try:
-                rows.append([float(cell) for cell in row[2 : 2 + n_feats]])
-            except ValueError as exc:
-                raise IngestError(f"{path}:{lineno}: {exc}") from None
-            linenos.append(lineno)
-            ids.append((row[0], row[1]))
-            cells.append(row[-1] if has_label else "")
+        _, ids, features, codes = _reference_rows(path, fh, 3, len(meta["schema"]), has_label)
+    return ids, features, codes, meta
+
+
+def reference_read_labels_file(path):
+    """The oracle for datasets.read_labels_file: the header must be exactly
+    id_a, id_b, label; the rows are read as reference_read_instance_file
+    reads them, from line 2; and then the first empty label is a fault."""
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"missing file: {path}")
+    with path.open(encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != "id_a\tid_b\tlabel":
+            raise IngestError(f"{path}: not a labels file")
+        linenos, ids, _, codes = _reference_rows(path, fh, 2, 0, True)
+    for lineno, code in zip(linenos, codes.tolist()):
+        if code == UNLABELED:
+            raise IngestError(f"{path}:{lineno}: empty label")
+    return ids, codes
+
+
+def _reference_rows(path, fh, start, n_feats, has_label):
+    """(file lines, ids, features, label codes) of the data lines of fh,
+    the first of which is file line start; blank lines are skipped."""
+    expected = 2 + n_feats + has_label
+    linenos, ids, rows, cells = [], [], [], []
+    for lineno, line in enumerate(fh, start=start):
+        if line == "\n":
+            continue
+        row = line.rstrip("\n").split("\t")
+        if len(row) != expected:
+            raise IngestError(f"{path}:{lineno}: expected {expected} columns, got {len(row)}")
+        try:
+            rows.append([float(cell) for cell in row[2 : 2 + n_feats]])
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
+        ids.append((row[0], row[1]))
+        cells.append(row[-1] if has_label else "")
     codes = {**LABEL_CODES, "": UNLABELED}
     for lineno, cell in zip(linenos, cells):
         if cell not in codes:
@@ -114,7 +138,56 @@ def reference_read_instance_file(path):
         if id_a == id_b:
             raise IngestError(f"{path}:{lineno}: instance pair ids must be distinct")
     features = np.array(rows, dtype=np.float64).reshape(len(rows), n_feats)
-    return ids, features, np.array([codes[cell] for cell in cells], dtype=np.int8), meta
+    return linenos, ids, features, np.array([codes[cell] for cell in cells], dtype=np.int8)
+
+
+# ids over a small alphabet, so that equal ids also occur by chance
+_LABEL_ID = st.text(alphabet='ab#" ', min_size=1, max_size=3)
+_LABEL_ROW_KINDS = ["valid"] * 8 + ["blank", "short", "extra", "bad_label", "empty_label",
+                                    "same_ids", "repeat"]
+_FAULTS = ["short", "extra", "bad_label", "empty_label", "same_ids"]
+
+
+@st.composite
+def labels_texts(draw, malformed=False):
+    """The text of a labels file whose data lines are mostly valid, with
+    blank lines, repeated pairs and rows of every fault mixed in. When
+    malformed, the header or at least one row breaks a rule."""
+    kinds = draw(st.lists(st.sampled_from(_LABEL_ROW_KINDS), max_size=8))
+    header = "id_a\tid_b\tlabel"
+    if malformed and draw(st.booleans()):
+        header = draw(st.sampled_from(["id_a\tid_b", "id_a\tid_b\tlabel\tf0",
+                                       "id_a\tid_b\tLabel", "# instances v1 q=2", ""]))
+    elif malformed:
+        kinds.insert(draw(st.integers(0, len(kinds))), draw(st.sampled_from(_FAULTS)))
+    lines, pairs = [], []
+    for kind in kinds:
+        pair = [draw(_LABEL_ID), draw(_LABEL_ID)]
+        if kind == "same_ids":
+            pair[1] = pair[0]
+        elif kind == "repeat" and pairs:
+            pair = list(draw(st.sampled_from(pairs)))
+        pairs.append(tuple(pair))
+        label = {"bad_label": st.sampled_from(["X", "m", "MM", " M", "0"]),
+                 "empty_label": st.just("")}.get(kind, st.sampled_from(["M", "N"]))
+        row = pair + [draw(label)]
+        if kind == "short":
+            row = row[: draw(st.integers(1, 2))]
+        elif kind == "extra":
+            row.append(draw(st.sampled_from(["", "x", "0.5"])))
+        lines.append("" if kind == "blank" else "\t".join(row))
+    body = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+    return header + "\n" + body
+
+
+def fault_of(exc: IngestError, path) -> tuple[str, str]:
+    """(file line, kind of fault) that a reader's error names; the line is
+    empty for a fault of the whole file."""
+    text = str(exc).removeprefix(f"{path}:")
+    line, message = text.split(":", 1) if text[:1].isdigit() else ("", text)
+    kinds = ("expected", "convert", "unknown label", "empty label", "lie in", "distinct",
+             "not a labels file", "malformed column header", "bad header")
+    return line, next(kind for kind in kinds if kind in message)
 
 
 def l21_norm(counts) -> float:

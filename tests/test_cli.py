@@ -6,10 +6,14 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchgan.cli import main, read_config_file
+from matchgan.cli import _load_pool, main, read_config_file
+from matchgan.datasets import IngestError
+
+from helpers import fault_of, labels_texts, reference_read_labels_file
 
 
 def run_cli(*args):
@@ -213,7 +217,8 @@ class TestBadInput:
         capsys.readouterr()
         code = run_cli("partition", "--instances", cut, "-o", tmp_path / "cut.json")
         assert code == 1
-        assert f"{cut}:{last}: expected 7 columns" in self._single_error(capsys)
+        got = text[:-5].splitlines()[-1].count("\t") + 1
+        assert f"{cut}:{last}: expected 7 columns, got {got}" in self._single_error(capsys)
         assert not (tmp_path / "cut.json").exists()
 
     def test_rows_checked_once_per_load(self, tmp_path, capsys, monkeypatch):
@@ -261,6 +266,9 @@ class TestBadInput:
              "medians must be finite"),
             ({"format_version": 1, "medians": ["0.5"] * 4, "feature_indices": [0, 0, 1, 2]},
              "feature_indices must be a list of distinct"),
+            # the version error used to be the one that named no file
+            ({"format_version": 2, "medians": ["0.5"], "feature_indices": [0]},
+             "partition.json: unsupported partition format version 2"),
         ],
     )
     def test_bad_partition_file_rejected(self, tmp_path, capsys, payload, message):
@@ -362,6 +370,7 @@ class TestBadInput:
             ("missing", "no 'W2' array"), ("nan", "'W1' is not finite"),
             ("truncated", "not a checkpoint"), ("empty", "not a checkpoint"),
             ("text", "not a checkpoint"),
+            ("version", "generator.npz: unsupported checkpoint format version 9"),
         ]
     )
     def test_bad_model_checkpoint_rejected(self, tmp_path, capsys, damage, message):
@@ -378,6 +387,8 @@ class TestBadInput:
             del arrays["W2"]
         elif damage == "nan":
             arrays["W1"][0, 0] = np.nan
+        elif damage == "version":
+            arrays["format_version"] = np.array(9)
         np.savez(model_path, **arrays)
         damaged = {"truncated": model_path.read_bytes()[:300], "empty": b"", "text": b"W0 = 1\n"}
         if damage in damaged:
@@ -661,6 +672,58 @@ class TestSeedOracle:
         for name in ("report.json", "labels.tsv"):
             assert ((tmp_path / "gold_run" / name).read_bytes()
                     == (tmp_path / "labeled_run" / name).read_bytes())
+
+    def test_gold_pair_in_reverse_order_labels_the_row(self, data, tmp_path):
+        # each gold line names its pool pair as (id_b, id_a)
+        lines = (data / "instances.tsv").read_text().splitlines(keepends=True)
+        pairs = [line.split("\t")[:2] for line in lines[2:] if line.rstrip("\n").endswith("M")]
+        assert len(pairs) == 3
+        gold = tmp_path / "reversed.csv"
+        gold.write_text("".join(f"{b},{a}\n" for a, b in pairs))
+        inst = tmp_path / "unlabeled.tsv"
+        inst.write_text(lines[0] + "".join(line.rsplit("\t", 1)[0] + "\n" for line in lines[1:]))
+        common = ["--seed-budget", 12, "--inner-iters", 5, "--seed", 2]
+        assert run_cli("train", "--instances", inst, "--gold", gold, *common,
+                       "-o", tmp_path / "gold_run") == 0
+        assert run_cli("train", "--instances", data / "instances.tsv", *common,
+                       "-o", tmp_path / "labeled_run") == 0
+        for name in ("report.json", "labels.tsv"):
+            assert ((tmp_path / "gold_run" / name).read_bytes()
+                    == (tmp_path / "labeled_run" / name).read_bytes())
+        pool = _load_pool(str(inst), str(gold))
+        matched = [pool.ids[r] for r in np.flatnonzero(pool.real_labels == 1)]
+        assert matched == [tuple(pair) for pair in pairs]
+
+
+class TestMalformedLabelsFile:
+    """evaluate given a labels file that breaks a rule fails cleanly: exit
+    1, one error line naming the fault the line-by-line reference finds,
+    and no metrics file."""
+
+    @pytest.fixture(scope="class")
+    def truth(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("truth") / "truth.tsv"
+        path.write_text("# instances v1 q=2\nid_a\tid_b\tf0\tlabel\na\tb\t0.9\tM\n")
+        return path
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=labels_texts(malformed=True))
+    def test_evaluate_fails_with_one_error_line(self, truth, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            predicted, out = Path(tmp) / "pred.tsv", Path(tmp) / "m.json"
+            predicted.write_text(text, encoding="utf-8")
+            with pytest.raises(IngestError) as expected:
+                reference_read_labels_file(predicted)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("evaluate", "--predicted", predicted, "--truth", truth,
+                               "-o", out)
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            fault = fault_of(IngestError(lines[0].removeprefix("error: ")), predicted)
+            assert fault == fault_of(expected.value, predicted)
+            assert not out.exists()
 
 
 # per subcommand: its required options, and then a value that is not a

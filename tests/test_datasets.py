@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from matchgan.datasets import (
+    LABEL_CODES,
     MATCH,
     NON_MATCH,
     DuplicateIdError,
@@ -14,10 +19,12 @@ from matchgan.datasets import (
     generate_synthetic,
     load_gold,
     load_records,
+    read_labels_file,
     save_gold,
+    write_labels_file,
 )
 
-from helpers import save_records
+from helpers import fault_of, labels_texts, reference_read_labels_file, save_records
 
 
 class TestLoadRecords:
@@ -77,7 +84,7 @@ class TestLoadGold:
         path.write_text("a,b\nb,a\na,b\n")
         gold = load_gold(path)
         assert len(gold) == 1
-        assert gold.is_match("a", "b") and gold.is_match("b", "a")
+        assert gold.label_codes([("a", "b"), ("b", "a")]).tolist() == [1, 1]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "gold.csv"
@@ -105,8 +112,15 @@ class TestLoadGold:
     def test_universe_rule(self):
         gold = GoldStandard()
         gold.add("a", "b")
-        assert gold.label_of("a", "b") == MATCH
-        assert gold.label_of("a", "c") == NON_MATCH
+        codes = gold.label_codes([("a", "b"), ("b", "a"), ("a", "c")])
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [LABEL_CODES[MATCH], LABEL_CODES[MATCH], LABEL_CODES[NON_MATCH]]
+
+    def test_label_codes_of_no_pairs(self):
+        gold = GoldStandard()
+        gold.add("a", "b")
+        codes = gold.label_codes([])
+        assert codes.dtype == np.int8 and codes.shape == (0,)
 
     def test_save_load_roundtrip(self, tmp_path):
         gold = GoldStandard()
@@ -172,3 +186,78 @@ class TestGenerateSynthetic:
             SyntheticConfig(n_matches=1, imbalance_rate=0)
         with pytest.raises(IngestError):
             SyntheticConfig(n_matches=1, imbalance_rate=1, separation=1.5)
+
+
+class TestLabelsFile:
+    """A labels file is read by the instance-file table reader: the header
+    id_a, id_b, label from line 1, and no label may be empty."""
+
+    def test_roundtrip(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        ids = [("a", "b"), ("c", "d"), ("a", "c")]
+        write_labels_file(path, ids, np.array([1, 0, 1], dtype=np.int8))
+        assert path.read_text() == "id_a\tid_b\tlabel\na\tb\tM\nc\td\tN\na\tc\tM\n"
+        read_ids, codes = read_labels_file(path)
+        assert read_ids == ids
+        assert codes.dtype == np.int8 and codes.tolist() == [1, 0, 1]
+
+    def test_unlabeled_code_is_written_empty_and_read_back_as_a_fault(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        write_labels_file(path, [("a", "b"), ("c", "d")], np.array([1, -1], dtype=np.int8))
+        assert path.read_text() == "id_a\tid_b\tlabel\na\tb\tM\nc\td\t\n"
+        with pytest.raises(IngestError, match=":3: empty label"):
+            read_labels_file(path)
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        write_labels_file(path, [], np.zeros(0, np.int8))
+        assert path.read_text() == "id_a\tid_b\tlabel\n"
+        ids, codes = read_labels_file(path)
+        assert ids == [] and codes.dtype == np.int8 and codes.tolist() == []
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        # the labels file used to reject it as "expected 3 columns, got 1"
+        path = tmp_path / "labels.tsv"
+        path.write_text("id_a\tid_b\tlabel\na\tb\tM\n\nc\td\tN\n")
+        assert read_labels_file(path)[0] == [("a", "b"), ("c", "d")]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a\ta\tM", ":4: instance pair ids must be distinct"),  # used to be read
+            ("a\tb\t", ":4: empty label"),
+            ("a\tb\tX", ":4: unknown label 'X'"),
+            ("a\tb", ":4: expected 3 columns, got 2"),
+            ("a\tb\tM\t", ":4: expected 3 columns, got 4"),
+        ],
+    )
+    def test_rejects_bad_row_with_its_line(self, tmp_path, row, message):
+        path = tmp_path / "labels.tsv"
+        path.write_text(f"id_a\tid_b\tlabel\nc\td\tN\n\n{row}\n")
+        with pytest.raises(IngestError, match=message):
+            read_labels_file(path)
+
+    @pytest.mark.parametrize("header", ["id_a\tid_b", "id_a\tid_b\tf0\tlabel",
+                                        "# instances v1 q=2"])
+    def test_rejects_other_headers(self, tmp_path, header):
+        path = tmp_path / "labels.tsv"
+        path.write_text(f"{header}\na\tb\tM\n")
+        with pytest.raises(IngestError, match="not a labels file"):
+            read_labels_file(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels_texts())
+    def test_reader_matches_line_by_line_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.tsv"
+            path.write_text(text, encoding="utf-8")
+            try:
+                expected = reference_read_labels_file(path)
+            except IngestError as exc:
+                with pytest.raises(IngestError) as info:
+                    read_labels_file(path)
+                assert fault_of(info.value, path) == fault_of(exc, path)
+                return
+            ids, codes = read_labels_file(path)
+        assert ids == expected[0]
+        assert codes.dtype == np.int8 and codes.tolist() == expected[1].tolist()

@@ -27,7 +27,7 @@ from matchgan.features import (
     qgram_jaccard,
 )
 
-from helpers import reference_read_instance_file
+from helpers import fault_of, reference_read_instance_file
 
 
 def write_reference(path, left, right=None, gold=None, q=2, blocking=None):
@@ -38,7 +38,7 @@ def write_reference(path, left, right=None, gold=None, q=2, blocking=None):
         for r_i, r_j in generate_pairs(left, right, blocking):
             cells = [r_i.id, r_j.id, *map(repr, featurize_pair(r_i, r_j, q=q).tolist())]
             if gold is not None:
-                cells.append(gold.label_of(r_i.id, r_j.id))
+                cells.append("M" if gold.label_codes([(r_i.id, r_j.id)])[0] else "N")
             fh.write("\t".join(cells) + "\n")
 
 
@@ -95,13 +95,6 @@ def instance_texts(draw):
         lines.append("" if kind == "blank" else "\t".join(row))
     body = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
     return f"# instances v1 q={draw(st.integers(1, 4))}\n" + "\t".join(header) + "\n" + body
-
-
-def _fault(exc: IngestError, path) -> tuple[str, str]:
-    """(file line, kind of fault) that an instance-file error names."""
-    line, message = str(exc).removeprefix(f"{path}:").split(":", 1)
-    kinds = ("expected", "convert", "unknown label", "lie in", "distinct")
-    return line, next(kind for kind in kinds if kind in message)
 
 
 @st.composite
@@ -428,7 +421,7 @@ class TestInstanceFile:
             except IngestError as exc:
                 with pytest.raises(IngestError) as info:
                     read_instance_file(path)
-                assert _fault(info.value, path) == _fault(exc, path)
+                assert fault_of(info.value, path) == fault_of(exc, path)
                 return
             ids, features, labels, meta = read_instance_file(path)
         assert ids == expected[0]

@@ -267,7 +267,7 @@ class TestSelectSeedLabels:
         pool, partition, gold = small_problem(n_matches=5, rate=100, data_seed=3)
         for seed in range(20):
             ids = select_seed_labels(pool, gold, 50, partition, np.random.default_rng(seed))
-            matches = sum(1 for pid in ids if gold.is_match(*pid))
+            matches = int(gold.label_codes(ids).sum())
             assert matches >= 1
 
     def test_uniform_selection_misses_extreme_minority(self):
@@ -277,7 +277,7 @@ class TestSelectSeedLabels:
         pool, partition, gold = small_problem(n_matches=1, rate=4202, data_seed=0)
         rows = training._seed_rows(len(pool), 50, partition, np.random.default_rng(0),
                                    "no_diversity")
-        assert sum(1 for r in rows if gold.is_match(*pool.ids[r])) == 0
+        assert not gold.label_codes([pool.ids[r] for r in rows]).any()
         cfg = TrainConfig(seed=0, variant="no_diversity", inner_iters=60)
         result = run(cfg, pool, partition, seed_budget=50)
         assert evaluate_run(pool, result).f_measure == 0.0
@@ -288,19 +288,20 @@ class TestPseudoLabel:
         gen = nn.init_mlp((2, 4, 1), rng)
         gen.biases[-1][0] = 3.0  # output sigmoid(3) > 0.5
         x = np.array([[0.5, 0.5]])
-        assert predict(gen, x) == [MATCH] and nn.forward_batch(gen, x)[0] > 0.5
+        assert predict(gen, x).tolist() == [LABEL_CODES[MATCH]]
+        assert nn.forward_batch(gen, x)[0] > 0.5
 
     def test_tie_goes_to_non_match(self):
         gen = zero_mlp((2, 2, 1))
         x = np.array([[0.3, 0.4]])
         assert nn.forward_batch(gen, x)[0] == 0.5
-        assert predict(gen, x) == [NON_MATCH]
+        assert predict(gen, x).tolist() == [LABEL_CODES[NON_MATCH]]
 
     def test_zero_network_labels_everything_non_match(self, rng):
         gen = zero_mlp((3, 4, 1))
         X = np.random.default_rng(0).random((20, 3))
         labels = predict(gen, X)
-        assert labels == [NON_MATCH] * 20
+        assert labels.dtype == np.int8 and labels.tolist() == [LABEL_CODES[NON_MATCH]] * 20
 
 
 class TestSelectTop:
@@ -688,13 +689,14 @@ class TestRun:
         held_out, held_gold = generate_synthetic(
             SyntheticConfig(n_matches=5, imbalance_rate=20, separation=0.9, seed=77)
         )
-        labels = [LABEL_CODES[label] for label in predict(result.generator, held_out.features)]
+        labels = predict(result.generator, held_out.features)
         from matchgan.evaluation import compute_metrics
 
         assert compute_metrics(labels, held_out.real_labels).f_measure >= 0.9
 
     def test_predict_empty_list(self, rng):
-        assert predict(nn.init_mlp((4, 2, 1), rng), []) == []
+        labels = predict(nn.init_mlp((4, 2, 1), rng), [])
+        assert labels.dtype == np.int8 and labels.tolist() == []
 
     def test_consistency_reported(self):
         pool, partition, gold = small_problem(n_matches=3, rate=10, data_seed=4)
@@ -740,7 +742,7 @@ class TestVariants:
         result = run(cfg, pool, partition, seed_budget=16)
         rows = result.state.pseudo_rows()
         direct = predict(result.generator, pool.features[rows])
-        assert [LABEL_CODES[name] for name in direct] == result.state.label[rows].tolist()
+        assert direct.tolist() == result.state.label[rows].tolist()
         assert result.report["final"]["consistency"] == 1.0
 
     def test_no_adversary_trains_classifier(self):
