@@ -20,10 +20,11 @@ for m in (gen, disc):  # move off the zeroed output layer for a generic point
     m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
 X = rng.random((6, 4))
 
-# the calls a training step makes: the generator's recording pass, the
-# discriminator's input [X | G(X)], then the gradient, all on Buffers
+# the calls a training step makes, all on Buffers: the generator's rows,
+# its recording pass, the discriminator's input [X | G(X)], then the gradient
 g_buf, s_buf = nn.Buffers(gen, len(X)), nn.Buffers(disc, len(X))
-nn.forward_pass(gen, X, g_buf)
+g_buf.x[...] = X
+nn.forward_pass(gen, g_buf)
 s_buf.x[:, :-1] = X
 s_buf.x[:, -1] = g_buf.out
 grad = nn.generator_backward(gen, disc, (g_buf, s_buf))

@@ -238,7 +238,12 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     pool = _load_pool(args.instances)
-    model, _ = load_model(args.model)
+    model, meta = load_model(args.model)
+    if meta["kind"] == "discriminator":
+        raise IngestError(f"{args.model}: a discriminator checkpoint cannot label instances")
+    if model.layer_dims[0] != pool.n_features:
+        raise IngestError(f"{args.model}: model input width {model.layer_dims[0]}"
+                          f" is not the pool's {pool.n_features} features")
     write_labels_file(args.out, pool.ids, predict(model, pool.features))
     print(f"wrote {len(pool)} labels to {args.out}")
     return 0

@@ -6,7 +6,7 @@ l2,1 norm of the per-subspace selection counts (sum of square roots),
 which for a binary selection vector spreads the budget across as many
 subspaces as possible. The objective is separable and concave, so greedy
 water-filling is exactly optimal. Seed labels are one such draw
-(diverse_sample); a MinibatchSampler lays out one training round's
+(diverse_sample); a MinibatchSampler lays out one run's
 water-filled subspaces once and draws many minibatches at a time, each a
 row of distinct picks (distinct_picks, uniform_subsets).
 """
@@ -195,10 +195,10 @@ def uniform_subsets(rng: np.random.Generator, size: int, k: int, n: int) -> np.n
 
 
 class MinibatchSampler:
-    """Per-round source of minibatches over fixed unlabeled rows, drawn a
+    """A run's source of minibatches over its fixed unlabeled rows, drawn a
     chunk of iterations at a time.
 
-    Subspace populations do not change within a round, so the diversity
+    Subspace populations do not change within a run, so the diversity
     allocation (water-filling counts) is computed once, and so is a flat
     array of the subspaces drawn from: a subspace whose count equals its
     size is taken whole, the others are laid end to end in population.

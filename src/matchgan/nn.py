@@ -19,13 +19,14 @@ adds its bias and its parameter gradient is one product delta.T @ [a | 1].
 Gradients and Adam moments are vectors with the same layout, so an
 optimizer update is one elementwise pass per model.
 
-Every pass and the optimizer step write their intermediates into a
-caller-owned Buffers of fixed arrays, which a training loop builds once
-per model and batch size and hands to each call, so a step allocates
-nothing. The forward pass multiplies with np.matmul, the faster at
-scoring-block sizes; backprop uses np.dot, the faster at minibatch sizes,
-whose bits agree with @ there. Blocks stay fan_out x (fan_in + 1):
-products with a contiguous copy of their transpose round differently.
+Every pass reads the rows that its caller wrote into the x of a
+caller-owned Buffers of fixed arrays, and it and the optimizer step write
+their intermediates there. A training loop builds one Buffers per model
+and batch size and hands it to each call, so a step allocates nothing.
+The forward pass multiplies with np.matmul, the faster at scoring-block
+sizes; backprop uses np.dot, the faster at minibatch sizes, whose bits
+agree with @ there. Blocks stay fan_out x (fan_in + 1): products with a
+contiguous copy of their transpose round differently.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class Buffers:
     to each call; a pass's results (the output, the gradient, the input
     gradient) are these arrays, overwritten by the next call. acts holds
     each layer's input with its ones column, filled here once; x is the
-    input columns of acts[0], which callers gather or stack rows into, and
+    input columns of acts[0], which the caller fills before each pass, and
     hidden the rectified columns of the others. dz receives the loss
     derivative at the output logit before backprop. grad is laid out like
     params, with per-layer block views; step is optimizer scratch.
@@ -146,15 +147,11 @@ def _check(model: MlpModel, buf: Buffers, n: int) -> None:
         raise ValueError(f"buffers hold {buf.n} rows of another pass, not {n} of this one")
 
 
-def forward_pass(model: MlpModel, X: np.ndarray, buf: Buffers) -> np.ndarray:
-    """Batch forward pass in one piece. The returned output is buf.out, and
-    buf.acts then holds every layer input for backpropagation. X is copied
-    into buf.x unless it is buf.x."""
-    _check(model, buf, len(X))
-    if X is not buf.x:
-        if np.shape(X) != buf.x.shape:
-            raise ValueError(f"input shape {np.shape(X)} is not that of buf.x, {buf.x.shape}")
-        np.copyto(buf.x, X)
+def forward_pass(model: MlpModel, buf: Buffers) -> np.ndarray:
+    """Batch forward pass in one piece over the rows the caller wrote into
+    buf.x. The returned output is buf.out, and buf.acts then holds every
+    layer input for backpropagation."""
+    _check(model, buf, buf.n)
     acts, blocks_t = buf.acts, buf.blocks_t
     for ell, h in enumerate(buf.hidden):
         np.matmul(acts[ell], blocks_t[ell], out=h)
@@ -201,12 +198,10 @@ def forward_batch(model: MlpModel, X: np.ndarray, label: np.ndarray | None = Non
     for lo, hi in zip(cuts, cuts[1:]):
         if buf.n != hi - lo:
             buf = Buffers(model, hi - lo)
-        x = X[lo:hi]
+        buf.x[:, :width] = X[lo:hi]
         if label is not None:
-            buf.x[:, :-1] = x
             buf.x[:, -1] = label[lo:hi]
-            x = buf.x
-        out[lo:hi] = forward_pass(model, x, buf)
+        out[lo:hi] = forward_pass(model, buf)
     return out
 
 
@@ -275,7 +270,7 @@ def generator_backward(gen: MlpModel, disc: MlpModel,
     """
     g_buf, d_buf = buffers
     _check(gen, g_buf, d_buf.n)
-    d_out = forward_pass(disc, d_buf.x, d_buf)
+    d_out = forward_pass(disc, d_buf)
     # d/dz of log(1 - d) / n
     np.divide(d_out, -len(d_out), out=d_buf.dz)
     _, dinput = backprop(disc, d_buf, want_params=False, want_input=True)
@@ -299,7 +294,7 @@ def discriminator_backward(disc: MlpModel, n_f: int, n_r: int, real_weight: floa
     an optimizer step on the returned gradient ascends the objective.
     """
     _check(disc, buf, n_f + n_r)
-    d_out = forward_pass(disc, buf.x, buf)
+    d_out = forward_pass(disc, buf)
     dz_fake, dz_real = buf.dz[:n_f], buf.dz[n_f:]
     np.divide(d_out[:n_f], n_f, out=dz_fake)
     np.subtract(d_out[n_f:], 1.0, out=dz_real)
@@ -319,7 +314,7 @@ def classifier_backward(model: MlpModel, targets: np.ndarray, buf: Buffers) -> n
     rows in buf.x, whose derivative w.r.t. a row's logit is
     (out - y) / n."""
     _check(model, buf, len(targets))
-    out = forward_pass(model, buf.x, buf)
+    out = forward_pass(model, buf)
     np.subtract(out, targets, out=buf.dz)
     np.divide(buf.dz, len(out), out=buf.dz)
     return backprop(model, buf)[0]

@@ -181,34 +181,31 @@ def inner_train(
     pool: InstancePool,
     state: RunState,
     cfg: TrainConfig,
-    partition: SubspacePartition,
+    sampler: MinibatchSampler,
     rng: np.random.Generator,
     opt_gen: nn.OptState,
     opt_disc: nn.OptState,
 ) -> tuple[nn.MlpModel, nn.MlpModel, dict]:
     """Run the alternating minibatch updates for one propagation round.
 
-    Unlabeled minibatches come from every row without a real label,
-    regardless of propagation progress; labeled minibatches come uniformly
-    from the rows labeled so far. Returns the models plus mean losses for
-    reporting.
+    Unlabeled minibatches come from sampler, which belongs to the run: it
+    is built once over every row without a real label, regardless of
+    propagation progress. Labeled minibatches come uniformly from the rows
+    labeled so far. Returns the models plus mean losses for reporting.
     """
     if len(state) == 0:
         raise ValueError("labeled pool is empty")
     n_iters = cfg.inner_iters
-    u_rows = np.flatnonzero(state.round_added != 0)
     # the labeled [X | y | 1] matrix, so that a real minibatch is one gather
     real_all = np.column_stack((*_labeled_arrays(pool, state), np.ones(len(state))))
-    fake_size = min(cfg.batch_size, len(u_rows))
+    fake_size = sampler.size
     real_size = min(cfg.batch_size, len(real_all))
-    sampler = MinibatchSampler(partition, u_rows, fake_size, cfg.variant != "no_diversity")
     # fixed arrays for the round's passes: the generator on the fake rows
-    # (gathered into Xf), the discriminator on the stacked [fake; real]
-    # batch (d_buf.x) and on [X | soft] for the generator's update (s_buf.x)
+    # (g_buf.x), the discriminator on the stacked [fake; real] batch
+    # (d_buf.x) and on [X | soft] for the generator's update (s_buf.x)
     g_buf = nn.Buffers(gen, fake_size)
     d_buf = nn.Buffers(disc, fake_size + real_size)
     s_buf = nn.Buffers(disc, fake_size)
-    Xf = np.empty((fake_size, pool.n_features))
     real_block = d_buf.acts[0][fake_size:]
     # the discriminator judges hard pseudo labels, so generated and real
     # pairs share the same label alphabet; the generator's own update keeps
@@ -227,11 +224,11 @@ def inner_train(
         # the round's peak memory
         d_rows, g_rows = np.empty((n, fake_size + real_size)), np.empty((n, fake_size))
         for i, (fake, real) in enumerate(zip(fake_rows, real_rows)):
-            # the rows are in range, and mode="clip" spares take a staging copy
-            pool.features.take(fake, axis=0, out=Xf, mode="clip")
-            g_soft = nn.forward_pass(gen, Xf, g_buf)
-            np.copyto(soft_x, Xf)
-            np.copyto(hard_x, Xf)
+            # the rows are in range; take stages the strided g_buf.x in a copy
+            pool.features.take(fake, axis=0, out=g_buf.x, mode="clip")
+            g_soft = nn.forward_pass(gen, g_buf)
+            np.copyto(soft_x, g_buf.x)
+            np.copyto(hard_x, g_buf.x)
             np.copyto(soft_label, g_soft)
             np.greater(g_soft, 0.5, out=hard_label)
             real_all.take(real, axis=0, out=real_block, mode="clip")
@@ -385,11 +382,13 @@ def run(
         "rounds": [],
     }
     remaining = np.flatnonzero(state.label == UNLABELED)
+    sampler = (MinibatchSampler(partition, remaining, min(cfg.batch_size, len(remaining)),
+                                cfg.variant != "no_diversity") if adversarial else None)
     round_index = 0
     while len(remaining):
         if adversarial:
             _, _, stats = inner_train(
-                gen, disc, pool, state, cfg, partition, rng, opt_gen, opt_disc
+                gen, disc, pool, state, cfg, sampler, rng, opt_gen, opt_disc
             )
         else:
             stats = _inner_train_classifier(gen, pool, state, cfg, rng, opt_gen)

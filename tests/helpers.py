@@ -33,7 +33,8 @@ def generator_grad(gen: MlpModel, disc: MlpModel, X) -> np.ndarray:
     """generator_backward on rows X, after the recording pass of gen and
     the [X | G(X)] input that inner_train fills in first."""
     g_buf, s_buf = Buffers(gen, len(X)), Buffers(disc, len(X))
-    forward_pass(gen, X, g_buf)
+    g_buf.x[...] = X
+    forward_pass(gen, g_buf)
     s_buf.x[:, :-1] = X
     s_buf.x[:, -1] = g_buf.out
     return generator_backward(gen, disc, (g_buf, s_buf))
@@ -141,8 +142,50 @@ def _reference_rows(path, fh, start, n_feats, has_label):
     return linenos, ids, features, np.array([codes[cell] for cell in cells], dtype=np.int8)
 
 
-# ids over a small alphabet, so that equal ids also occur by chance
-_LABEL_ID = st.text(alphabet='ab#" ', min_size=1, max_size=3)
+# ids over a small alphabet, so that equal ids also occur by chance; "#"
+# and '"' are plain characters in the file, neither comment nor quote
+_ID = st.text(alphabet='ab#" ', min_size=1, max_size=3)
+_GOOD_CELL = st.floats(min_value=0.0, max_value=1.0).map(repr)
+# cells that both float() and numpy refuse, and cells both read outside [0, 1]
+_BAD_CELL = st.sampled_from(["x", "", " ", "1e", "--1", "1.2.3", "0x1p-1", "M"])
+_OUT_CELL = st.sampled_from(["1.5", "-0.25", "nan", "inf", "-inf", "1e999"])
+_ROW_KINDS = ["valid"] * 8 + ["blank", "short", "extra", "unparsable", "out_of_range",
+                              "bad_label", "same_ids", "repeat"]
+
+
+@st.composite
+def instance_texts(draw):
+    """The text of an instance file whose data lines are mostly valid, with
+    blank lines and rows of every fault mixed in."""
+    n_feats = draw(st.integers(0, 3))
+    has_label = draw(st.booleans())
+    header = ["id_a", "id_b", *(f"f{k}" for k in range(n_feats)), *(["label"] if has_label else [])]
+    lines, pairs = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(_ROW_KINDS))
+        pair = [draw(_ID), draw(_ID)]
+        if kind == "same_ids":
+            pair[1] = pair[0]
+        elif kind == "repeat" and pairs:
+            pair = list(draw(st.sampled_from(pairs)))
+        pairs.append(tuple(pair))
+        cells = [draw(_GOOD_CELL) for _ in range(n_feats)]
+        if kind in ("unparsable", "out_of_range") and n_feats:
+            cells[draw(st.integers(0, n_feats - 1))] = draw(
+                _BAD_CELL if kind == "unparsable" else _OUT_CELL)
+        row = pair + cells
+        if has_label:
+            row.append(draw(st.sampled_from(["X", "m", "MM", " M"] if kind == "bad_label"
+                                            else ["M", "N", ""])))
+        if kind == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif kind == "extra":
+            row.append(draw(st.sampled_from(["", "x", "0.5"])))
+        lines.append("" if kind == "blank" else "\t".join(row))
+    body = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+    return f"# instances v1 q={draw(st.integers(1, 4))}\n" + "\t".join(header) + "\n" + body
+
+
 _LABEL_ROW_KINDS = ["valid"] * 8 + ["blank", "short", "extra", "bad_label", "empty_label",
                                     "same_ids", "repeat"]
 _FAULTS = ["short", "extra", "bad_label", "empty_label", "same_ids"]
@@ -162,7 +205,7 @@ def labels_texts(draw, malformed=False):
         kinds.insert(draw(st.integers(0, len(kinds))), draw(st.sampled_from(_FAULTS)))
     lines, pairs = [], []
     for kind in kinds:
-        pair = [draw(_LABEL_ID), draw(_LABEL_ID)]
+        pair = [draw(_ID), draw(_ID)]
         if kind == "same_ids":
             pair[1] = pair[0]
         elif kind == "repeat" and pairs:
@@ -186,7 +229,7 @@ def fault_of(exc: IngestError, path) -> tuple[str, str]:
     text = str(exc).removeprefix(f"{path}:")
     line, message = text.split(":", 1) if text[:1].isdigit() else ("", text)
     kinds = ("expected", "convert", "unknown label", "empty label", "lie in", "distinct",
-             "not a labels file", "malformed column header", "bad header")
+             "not a labels file", "malformed column header", "bad header", "carry labels")
     return line, next(kind for kind in kinds if kind in message)
 
 

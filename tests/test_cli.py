@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matchgan.cli import _load_pool, main, read_config_file
-from matchgan.datasets import IngestError
+from matchgan.datasets import UNLABELED, IngestError
 
-from helpers import fault_of, labels_texts, reference_read_labels_file
+from helpers import (fault_of, instance_texts, labels_texts, reference_read_instance_file,
+                     reference_read_labels_file)
 
 
 def run_cli(*args):
@@ -371,6 +372,8 @@ class TestBadInput:
             ("truncated", "not a checkpoint"), ("empty", "not a checkpoint"),
             ("text", "not a checkpoint"),
             ("version", "generator.npz: unsupported checkpoint format version 9"),
+            ("discriminator", "generator.npz: a discriminator checkpoint cannot label"),
+            ("width", "generator.npz: model input width 5 is not the pool's 4 features"),
         ]
     )
     def test_bad_model_checkpoint_rejected(self, tmp_path, capsys, damage, message):
@@ -381,7 +384,8 @@ class TestBadInput:
         data = tmp_path / "data"
         run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
         model_path = tmp_path / "generator.npz"
-        save_model(model_path, init_mlp((4, 3, 2, 1), np.random.default_rng(0)))
+        dims = (5, 3, 2, 1) if damage == "width" else (4, 3, 2, 1)
+        save_model(model_path, init_mlp(dims, np.random.default_rng(0)))
         arrays = dict(np.load(model_path))
         if damage == "missing":
             del arrays["W2"]
@@ -389,6 +393,8 @@ class TestBadInput:
             arrays["W1"][0, 0] = np.nan
         elif damage == "version":
             arrays["format_version"] = np.array(9)
+        elif damage == "discriminator":
+            arrays["kind"] = np.array("discriminator")
         np.savez(model_path, **arrays)
         damaged = {"truncated": model_path.read_bytes()[:300], "empty": b"", "text": b"W0 = 1\n"}
         if damage in damaged:
@@ -710,20 +716,50 @@ class TestMalformedLabelsFile:
     @given(text=labels_texts(malformed=True))
     def test_evaluate_fails_with_one_error_line(self, truth, text):
         with tempfile.TemporaryDirectory() as tmp:
-            predicted, out = Path(tmp) / "pred.tsv", Path(tmp) / "m.json"
+            predicted = Path(tmp) / "pred.tsv"
             predicted.write_text(text, encoding="utf-8")
             with pytest.raises(IngestError) as expected:
                 reference_read_labels_file(predicted)
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run_cli("evaluate", "--predicted", predicted, "--truth", truth,
-                               "-o", out)
-            assert code == 1
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), lines
-            fault = fault_of(IngestError(lines[0].removeprefix("error: ")), predicted)
-            assert fault == fault_of(expected.value, predicted)
-            assert not out.exists()
+            _evaluate_fails(predicted, truth, predicted, fault_of(expected.value, predicted))
+
+
+class TestMalformedTruthFile:
+    """evaluate given a truth file that the line-by-line reference rejects,
+    or one with a row that has no label, fails as for a malformed labels
+    file."""
+
+    @pytest.fixture(scope="class")
+    def predicted(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("predicted") / "pred.tsv"
+        path.write_text("id_a\tid_b\tlabel\na\tb\tM\n")
+        return path
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=instance_texts())
+    def test_evaluate_fails_with_one_error_line(self, predicted, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            truth = Path(tmp) / "truth.tsv"
+            truth.write_text(text, encoding="utf-8")
+            try:
+                assume(np.any(reference_read_instance_file(truth)[2] == UNLABELED))
+                expected = ("", "carry labels")
+            except IngestError as exc:
+                expected = fault_of(exc, truth)
+            _evaluate_fails(predicted, truth, truth, expected)
+
+
+def _evaluate_fails(predicted, truth, bad, fault):
+    """evaluate -o m.json, beside bad, exits 1 with one error line naming
+    fault in bad, and writes no m.json."""
+    out = Path(bad).parent / "m.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli("evaluate", "--predicted", predicted, "--truth", truth, "-o", out)
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert fault_of(IngestError(lines[0].removeprefix("error: ")), bad) == fault
+    assert not out.exists()
 
 
 # per subcommand: its required options, and then a value that is not a

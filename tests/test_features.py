@@ -27,7 +27,7 @@ from matchgan.features import (
     qgram_jaccard,
 )
 
-from helpers import fault_of, reference_read_instance_file
+from helpers import fault_of, instance_texts, reference_read_instance_file
 
 
 def write_reference(path, left, right=None, gold=None, q=2, blocking=None):
@@ -51,50 +51,6 @@ def pool_of(rows):
 # short strings over letters that case-fold together or expand (ß -> ss),
 # so empty and shorter-than-q values and repeated block tokens all occur
 _TEXT = st.text(alphabet="aAbß 1", max_size=6)
-
-
-# ids over a small alphabet, so that equal ids also occur by chance; "#"
-# and '"' are plain characters in the file, neither comment nor quote
-_ID = st.text(alphabet='ab#" ', min_size=1, max_size=3)
-_GOOD_CELL = st.floats(min_value=0.0, max_value=1.0).map(repr)
-# cells that both float() and numpy refuse, and cells both read outside [0, 1]
-_BAD_CELL = st.sampled_from(["x", "", " ", "1e", "--1", "1.2.3", "0x1p-1", "M"])
-_OUT_CELL = st.sampled_from(["1.5", "-0.25", "nan", "inf", "-inf", "1e999"])
-_ROW_KINDS = ["valid"] * 8 + ["blank", "short", "extra", "unparsable", "out_of_range",
-                              "bad_label", "same_ids", "repeat"]
-
-
-@st.composite
-def instance_texts(draw):
-    """The text of an instance file whose data lines are mostly valid, with
-    blank lines and rows of every fault mixed in."""
-    n_feats = draw(st.integers(0, 3))
-    has_label = draw(st.booleans())
-    header = ["id_a", "id_b", *(f"f{k}" for k in range(n_feats)), *(["label"] if has_label else [])]
-    lines, pairs = [], []
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(_ROW_KINDS))
-        pair = [draw(_ID), draw(_ID)]
-        if kind == "same_ids":
-            pair[1] = pair[0]
-        elif kind == "repeat" and pairs:
-            pair = list(draw(st.sampled_from(pairs)))
-        pairs.append(tuple(pair))
-        cells = [draw(_GOOD_CELL) for _ in range(n_feats)]
-        if kind in ("unparsable", "out_of_range") and n_feats:
-            cells[draw(st.integers(0, n_feats - 1))] = draw(
-                _BAD_CELL if kind == "unparsable" else _OUT_CELL)
-        row = pair + cells
-        if has_label:
-            row.append(draw(st.sampled_from(["X", "m", "MM", " M"] if kind == "bad_label"
-                                            else ["M", "N", ""])))
-        if kind == "short":
-            row = row[: draw(st.integers(1, len(row) - 1))]
-        elif kind == "extra":
-            row.append(draw(st.sampled_from(["", "x", "0.5"])))
-        lines.append("" if kind == "blank" else "\t".join(row))
-    body = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
-    return f"# instances v1 q={draw(st.integers(1, 4))}\n" + "\t".join(header) + "\n" + body
 
 
 @st.composite

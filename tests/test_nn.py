@@ -109,7 +109,8 @@ class TestForward:
             model.weights[-1][...] = rng.normal(size=model.weights[-1].shape)
             X = rng.normal(size=(64, dims[0]))
             buf = nn.Buffers(model, len(X))
-            recorded = nn.forward_pass(model, X, buf)
+            buf.x[...] = X
+            recorded = nn.forward_pass(model, buf)
             assert forward_batch(model, X).tobytes() == recorded.tobytes()
             acts = buf.acts
             # every layer input, as backpropagation reads them: each layer
@@ -138,7 +139,9 @@ class TestForward:
                 for n in (2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 37, 5 * block - 1):
                     X = rng.normal(size=(n, 5))
                     nn.SCORE_BLOCK = block
-                    one_pass = nn.forward_pass(model, X, nn.Buffers(model, n))
+                    buf = nn.Buffers(model, n)
+                    buf.x[...] = X
+                    one_pass = nn.forward_pass(model, buf)
                     if nn.forward_batch(model, X).tobytes() != one_pass.tobytes():
                         bad.append((block, n))
             print(bad)
@@ -345,9 +348,7 @@ class TestBuffers:
     def test_buffers_of_another_pass_rejected(self, rng):
         # a twin has its model's shapes, so only the guard tells them apart
         gen, disc = init_mlp((3, 4, 1), rng), init_mlp((4, 4, 1), rng)
-        X = rng.random((5, 3))
         passes = [
-            (gen, lambda buf: nn.forward_pass(gen, X, buf)),
             (gen, lambda buf: generator_backward(gen, disc, (buf, nn.Buffers(disc, 5)))),
             (disc, lambda buf: generator_backward(gen, disc, (nn.Buffers(gen, 5), buf))),
             (disc, lambda buf: discriminator_backward(disc, 3, 2, 0.7, buf)),
@@ -357,7 +358,10 @@ class TestBuffers:
             for buf in (nn.Buffers(copy_model(model), 5), nn.Buffers(model, 4)):
                 with pytest.raises(ValueError, match="rows of another pass"):
                     call(buf)
-        # the step reads no rows, so only the model decides
+        # the forward pass and the step take their row count from buf, so
+        # only the model decides
+        with pytest.raises(ValueError, match="rows of another pass"):
+            nn.forward_pass(gen, nn.Buffers(copy_model(gen), 5))
         state = OptState.for_model(gen)
         with pytest.raises(ValueError, match="rows of another pass"):
             opt_step(gen, np.zeros_like(gen.params), state, nn.Buffers(copy_model(gen), 5))

@@ -132,6 +132,13 @@ def _ref_sgd(layers, grads, moments, t, lr):
         layers[ell] -= lr * grad
 
 
+def _sampler(partition, state, cfg):
+    """The sampler run() builds, over the rows of state without a real label."""
+    u_rows = np.flatnonzero(state.round_added != 0)
+    return MinibatchSampler(partition, u_rows, min(cfg.batch_size, len(u_rows)),
+                            cfg.variant != "no_diversity")
+
+
 def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
     """Layer blocks and Adam moments (lists of [W | b] arrays) of both
     models, plus the mean objective and loss, after iters reference
@@ -140,12 +147,9 @@ def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
     G = [np.column_stack([w, b]) for w, b in zip(gen.weights, gen.biases)]
     D = [np.column_stack([w, b]) for w, b in zip(disc.weights, disc.biases)]
     mg, md = ([[np.zeros_like(a) for a in m] for _ in range(2)] for m in (G, D))
-    u_rows = np.flatnonzero(state.round_added != 0)
     lab_X, lab_y = _labeled_arrays(pool, state)
     real_size = min(cfg.batch_size, lab_X.shape[0])
-    sampler = MinibatchSampler(
-        partition, u_rows, min(cfg.batch_size, len(u_rows)), cfg.variant != "no_diversity"
-    )
+    sampler = _sampler(partition, state, cfg)
     d_sum = g_sum = 0.0
     for t in range(1, iters + 1):
         # each chunk of iterations draws its fake, then its real minibatches
@@ -212,7 +216,7 @@ def inner_train_mismatches(iters_list=(1, 49, 50, 51, 73)):
                                np.random.default_rng(cfg.seed), iters)
         opt_g = nn.OptState.for_model(gen, cfg.optimizer, cfg.learning_rate)
         opt_d = nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate)
-        _, _, stats = inner_train(gen, disc, pool, state, cfg, partition,
+        _, _, stats = inner_train(gen, disc, pool, state, cfg, _sampler(partition, state, cfg),
                                   np.random.default_rng(cfg.seed), opt_g, opt_d)
         got = (gen.params, disc.params, opt_g.moment1, opt_g.moment2,
                opt_d.moment1, opt_d.moment2, stats["d_objective"], stats["g_loss"])
@@ -492,9 +496,9 @@ class TestInnerTrain:
         pool, partition, _ = small_problem()
         rng = np.random.default_rng(0)
         gen, disc = nn.init_mlp((4, 4, 1), rng), nn.init_mlp((5, 4, 1), rng)
-        cfg = TrainConfig(seed=0)
+        cfg, state = TrainConfig(seed=0), RunState(len(pool))
         with pytest.raises(ValueError):
-            inner_train(gen, disc, pool, RunState(len(pool)), cfg, partition, rng,
+            inner_train(gen, disc, pool, state, cfg, _sampler(partition, state, cfg), rng,
                         *_opt_states(gen, disc, cfg))
 
     def test_deterministic_under_seed(self):
@@ -504,7 +508,7 @@ class TestInnerTrain:
             gen = nn.init_mlp((4, 8, 1), rng)
             disc = nn.init_mlp((5, 8, 1), rng)
             cfg = TrainConfig(seed=7, batch_size=10, inner_iters=50)
-            inner_train(gen, disc, pool, labeled, cfg, partition, rng,
+            inner_train(gen, disc, pool, labeled, cfg, _sampler(partition, labeled, cfg), rng,
                         *_opt_states(gen, disc, cfg))
             return gen.weights[0].copy()
 
@@ -520,7 +524,8 @@ class TestInnerTrain:
         cfg = TrainConfig(seed=0, batch_size=20, inner_iters=1500)
         opt_g = nn.OptState.for_model(gen, cfg.optimizer, cfg.learning_rate)
         opt_d = nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate)
-        inner_train(gen, disc, pool, state, cfg, partition, rng, opt_g, opt_d)
+        inner_train(gen, disc, pool, state, cfg, _sampler(partition, state, cfg), rng,
+                    opt_g, opt_d)
 
         u_rows = np.flatnonzero(state.label == -1)
         soft = nn.forward_batch(gen, pool.features[u_rows])
@@ -558,7 +563,8 @@ class TestTracedNames:
         disc = nn.init_mlp((5, 8, 1), rng)
         k = 7
         cfg = TrainConfig(seed=0, batch_size=10, inner_iters=k)
-        inner_train(gen, disc, pool, state, cfg, partition, rng, *_opt_states(gen, disc, cfg))
+        inner_train(gen, disc, pool, state, cfg, _sampler(partition, state, cfg), rng,
+                    *_opt_states(gen, disc, cfg))
         assert calls == {"discriminator_backward": k, "generator_backward": k, "opt_step": 2 * k}
         calls.clear()
         propagate(gen, disc, pool, np.flatnonzero(state.label == -1), 5)
@@ -566,6 +572,25 @@ class TestTracedNames:
 
 
 class TestRun:
+    @pytest.mark.parametrize("variant, built", [("full", 1), ("no_diversity", 1),
+                                                ("no_adversary", 0)])
+    def test_sampler_built_once_per_run(self, monkeypatch, variant, built):
+        # the unlabeled rows are fixed once the seeds are drawn, so a run
+        # lays out its sampler once, and only when it trains adversarially
+        made = []
+
+        class Counted(MinibatchSampler):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(training, "MinibatchSampler", Counted)
+        pool, partition, gold = small_problem(n_matches=2, rate=6, data_seed=1)
+        cfg = TrainConfig(seed=0, inner_iters=2, propagate_count=3, variant=variant)
+        result = run(cfg, pool, partition, seed_rows=range(4))
+        assert len(result.report["rounds"]) >= 3
+        assert len(made) == built
+
     def test_empty_unlabeled_returns_seed_pool(self):
         pool, partition, gold = small_problem()
         result = run(TrainConfig(seed=0), pool, partition, seed_rows=range(len(pool)))
