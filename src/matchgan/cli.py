@@ -253,7 +253,8 @@ def cmd_evaluate(args) -> int:
     pred_ids, pred_codes = read_labels_file(args.predicted)
     ids, _, labels, _ = read_instance_file(args.truth)
     if np.any(labels == UNLABELED):
-        raise IngestError(f"{args.truth}: truth file must carry labels")
+        raise _row_fault(args.truth, int(np.argmax(labels == UNLABELED)),
+                         "empty label: a truth file must carry labels")
     pred_rows, rows, repeats = _join_ids(pred_ids, ids)
     for path, pairs, row in zip((args.predicted, args.truth), (pred_ids, ids), repeats):
         if row is not None:

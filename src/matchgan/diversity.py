@@ -25,9 +25,6 @@ from .datasets import open_text
 
 PARTITION_FORMAT_VERSION = 1
 
-# Medians are estimated from a uniform sample when pools exceed this size.
-MEDIAN_SAMPLE_CAP = 1_000_000
-
 
 def compute_medians(features: np.ndarray) -> np.ndarray:
     """Per-feature median; even-length columns use the lower-middle value."""
@@ -92,19 +89,15 @@ def build_partition(
     features: np.ndarray,
     feature_indices: Sequence[int] | None = None,
 ) -> SubspacePartition:
-    """Compute medians (on a capped uniform sample) and assign every instance."""
+    """Compute each selected feature's median over every row and assign
+    every instance."""
     features = np.asarray(features, dtype=np.float64)
     if feature_indices is None:
         feature_indices = tuple(range(features.shape[1]))
     else:
         feature_indices = tuple(feature_indices)
         _check_feature_indices(feature_indices, features.shape[1])
-    sample = features
-    if features.shape[0] > MEDIAN_SAMPLE_CAP:
-        rng = np.random.default_rng(0)
-        rows = rng.choice(features.shape[0], size=MEDIAN_SAMPLE_CAP, replace=False)
-        sample = features[np.sort(rows)]
-    medians = compute_medians(sample[:, list(feature_indices)])
+    medians = compute_medians(features[:, list(feature_indices)])
     part = SubspacePartition(medians=medians, feature_indices=feature_indices)
     part.assign_all(ids, features)
     return part

@@ -6,9 +6,12 @@ pair in sorted id order straight to a delimited instance file, one tile
 of pairs at a time in a single process: per attribute, each record's
 q-gram set becomes a row of gram ids, a tile's intersection counts come
 from one product of 0/1 indicator blocks, and Jaccard is
-I / (|A| + |B| - I). qgram_jaccard, featurize_pair and generate_pairs
-stay as the scalar reference that this kernel reproduces bit for bit.
-The instance file's format and the pool read from it belong to datasets.
+I / (|A| + |B| - I). Blocking tokens become rows of token ids the same
+way, and a tile's blocked candidates are its left records' tokens
+expanded into the right records that hold them. qgram_jaccard,
+featurize_pair and generate_pairs stay as the scalar reference that this
+kernel reproduces bit for bit. The instance file's format and the pool
+read from it belong to datasets.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .datasets import (GoldStandard, IngestError, PairId, Record, RecordSet,
-                       _write_instance_header, _write_tile)
+from .datasets import (GoldStandard, IngestError, Record, RecordSet, _write_instance_header,
+                       _write_tile)
 # the benchmark imports and traces these two here
 from .datasets import InstancePool, write_instance_file  # noqa: F401
 
@@ -74,33 +77,20 @@ def featurize_pair(
     )
 
 
+def _tokens(text: str) -> dict[str, None]:
+    """The case-folded whitespace tokens of text, each once, in order."""
+    return dict.fromkeys(text.casefold().split())
+
+
 def block_by_token(records: RecordSet, attr: str) -> dict[str, list[str]]:
     """Map each case-folded whitespace token of the attribute to record ids,
     each record listed once per block."""
     col = records.attribute_index(attr)
     blocks: dict[str, list[str]] = {}
     for rec in records.records:
-        for token in dict.fromkeys(rec.attributes[col].casefold().split()):
+        for token in _tokens(rec.attributes[col]):
             blocks.setdefault(token, []).append(rec.id)
     return blocks
-
-
-def _blocked_pair_ids(
-    left: RecordSet, right: RecordSet | None, blocking: BlockingSpec
-) -> list[PairId]:
-    left_blocks = block_by_token(left, blocking.attribute)
-    seen: set[PairId] = set()
-    if right is None:
-        for ids in left_blocks.values():
-            for a, b in itertools.combinations(sorted(ids), 2):
-                seen.add((a, b))
-    else:
-        right_blocks = block_by_token(right, blocking.attribute)
-        for token, left_ids in left_blocks.items():
-            for a in left_ids:
-                for b in right_blocks.get(token, ()):
-                    seen.add((a, b))
-    return sorted(seen)
 
 
 def generate_pairs(
@@ -111,24 +101,18 @@ def generate_pairs(
     """Stream candidate record pairs in sorted (id_i, id_j) order.
 
     One set yields all C(n, 2) unordered pairs; two sets yield the full
-    cross product. With blocking only same-block pairs appear, each once.
+    cross product. With blocking only the pairs whose blocking attributes
+    share a token appear.
     """
-    if blocking is not None:
-        by_id_left = {rec.id: rec for rec in set1.records}
-        by_id_right = by_id_left if set2 is None else {rec.id: rec for rec in set2.records}
-        for a, b in _blocked_pair_ids(set1, set2, blocking):
-            yield by_id_left[a], by_id_right[b]
-        return
-    if set2 is None:
-        ordered = sorted(set1.records, key=lambda rec: rec.id)
-        for r_i, r_j in itertools.combinations(ordered, 2):
+    by_id = operator.attrgetter("id")
+    left = sorted(set1.records, key=by_id)
+    pairs = (itertools.combinations(left, 2) if set2 is None
+             else itertools.product(left, sorted(set2.records, key=by_id)))
+    col = None if blocking is None else set1.attribute_index(blocking.attribute)
+    for r_i, r_j in pairs:
+        if col is None or not _tokens(r_i.attributes[col]).keys().isdisjoint(
+                _tokens(r_j.attributes[col])):
             yield r_i, r_j
-    else:
-        left = sorted(set1.records, key=lambda rec: rec.id)
-        right = sorted(set2.records, key=lambda rec: rec.id)
-        for r_i in left:
-            for r_j in right:
-                yield r_i, r_j
 
 
 # A tile takes as many left records as keep its left-by-right product
@@ -165,17 +149,16 @@ def featurize_to_file(
     # right records follow the left ones in the gram rows of a linkage
     offset = 0 if right is None else n_left
     records = lrecs if right is None else lrecs + rrecs
-    grams = [_gram_rows([rec.attributes[k] for rec in records], q)
+    grams = [_gram_rows([qgrams(rec.attributes[k], q) for rec in records])
              for k in range(len(left.schema))]
-    left_row = {rec.id: k for k, rec in enumerate(lrecs)}
-    right_row = left_row if right is None else {rec.id: k for k, rec in enumerate(rrecs)}
-    blocked = None
+    tokens = None
     if blocking is not None:
-        pairs = _blocked_pair_ids(left, right, blocking)
-        blocked = (np.array([left_row[a] for a, _ in pairs], dtype=np.int64),
-                   np.array([right_row[b] for _, b in pairs], dtype=np.int64))
+        col = left.attribute_index(blocking.attribute)
+        tokens = _gram_rows([_tokens(rec.attributes[col]) for rec in records])
     match_keys = None
     if gold is not None:
+        left_row = {rec.id: k for k, rec in enumerate(lrecs)}
+        right_row = left_row if right is None else {rec.id: k for k, rec in enumerate(rrecs)}
         match_keys = np.array([
             left_row[a] * n_right + right_row[b]
             for pair in gold.matches for a, b in itertools.permutations(pair)
@@ -186,49 +169,65 @@ def featurize_to_file(
 
     count = 0
     with Path(out_path).open("w", encoding="utf-8") as fh:
-        _write_instance_header(fh, left.schema, q, labeled=gold is not None)
-        for ia, ib in _pair_tiles(n_left, n_right, right is None, blocked):
-            ids_a, ids_b = left_ids[ia], right_ids[ib]
-            same = np.flatnonzero(ids_a == ids_b)
-            if len(same):
-                pair = (ids_a[same[0]], ids_b[same[0]])
-                raise IngestError(f"instance pair ids must be distinct: {pair}")
-            codes = None
-            if match_keys is not None:
-                codes = np.isin(ia * n_right + ib, match_keys).astype(np.int8)
-            _write_tile(fh, ids_a, ids_b, _tile_features(grams, ia, ib + offset), codes)
-            count += len(ia)
+        try:
+            _write_instance_header(fh, left.schema, q, labeled=gold is not None)
+            for ia, ib in _pair_tiles(n_left, n_right, right is None, tokens):
+                ids_a, ids_b = left_ids[ia], right_ids[ib]
+                same = np.flatnonzero(ids_a == ids_b)
+                if len(same):
+                    pair = (ids_a[same[0]], ids_b[same[0]])
+                    raise IngestError(f"instance pair ids must be distinct: {pair}")
+                codes = None
+                if match_keys is not None:
+                    codes = np.isin(ia * n_right + ib, match_keys).astype(np.int8)
+                _write_tile(fh, ids_a, ids_b, _tile_features(grams, ia, ib + offset), codes)
+                count += len(ia)
+        except BaseException:
+            # a failed run leaves no partial instance file behind
+            Path(out_path).unlink()
+            raise
     return count
 
 
-def _gram_rows(texts: list[str], q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(starts, gram ids, sizes): text k's q-grams get the ids
+def _gram_rows(sets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, ids, sizes) of member sets: set k's members get the ids
     ids[starts[k]:starts[k + 1]], and sizes[k] counts them."""
-    sets = [qgrams(text, q) for text in texts]
     sizes = np.fromiter(map(len, sets), np.int64, len(sets))
     starts = np.zeros(len(sets) + 1, dtype=np.int64)
     np.cumsum(sizes, out=starts[1:])
     vocab: dict[str, int] = {}
     ids = np.fromiter(
-        (vocab.setdefault(gram, len(vocab)) for grams in sets for gram in grams),
+        (vocab.setdefault(member, len(vocab)) for members in sets for member in members),
         np.int64, int(starts[-1]),
     )
     return starts, ids, sizes.astype(np.float64)
 
 
-def _pair_tiles(n_left: int, n_right: int, all_pairs: bool, blocked):
+def _pair_tiles(n_left: int, n_right: int, all_pairs: bool, tokens):
     """(left rows, right rows) of each tile's pairs, in generate_pairs order.
 
     all_pairs gives the upper triangle of the left records against
-    themselves; blocked, when given, holds the (left, right) rows of the
-    candidate pairs ordered by left row; otherwise left x right.
+    themselves, otherwise left x right. tokens, when given, are the
+    blocking attribute's token rows over the records (the right ones after
+    the left ones in a linkage), and only pairs that share a token remain.
     """
+    if tokens is not None:
+        starts, ids, _ = tokens
+        # each token's right rows, ascending, as rows of their own
+        at, token = _gather(starts, ids, np.arange(n_right) + (0 if all_pairs else n_left))
+        holders = at[np.argsort(token, kind="stable")]
+        held = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(token, minlength=len(ids)), out=held[1:])
     step = max(1, PAIR_TILE // max(n_right, 1))
     for lo in range(0, n_left, step):
         hi = min(lo + step, n_left)
-        if blocked is not None:
-            a, b = np.searchsorted(blocked[0], [lo, hi])
-            ia, ib = blocked[0][a:b], blocked[1][a:b]
+        if tokens is not None:
+            at, token = _gather(starts, ids, np.arange(lo, hi))
+            which, ib = _gather(held, holders, token)
+            ia, ib = np.divmod(np.unique((at[which] + lo) * n_right + ib), n_right)
+            if all_pairs:
+                keep = ib > ia
+                ia, ib = ia[keep], ib[keep]
         elif all_pairs:
             ia, ib = np.triu_indices(hi - lo, lo + 1, n_left)
             ia = ia + lo

@@ -73,6 +73,22 @@ def reference_read_instance_file(path):
     names its file line. Unlike read_instance_file it accepts what only
     float() reads, such as ``0.1_0`` and non-ASCII digits.
     """
+    return _reference_instance_file(path)[1:]
+
+
+def reference_read_truth_file(path):
+    """The oracle for evaluate's truth file: an instance file read as
+    reference_read_instance_file reads it, and then the first row without
+    a label is a fault."""
+    linenos, ids, features, codes, meta = _reference_instance_file(path)
+    for lineno, code in zip(linenos, codes.tolist()):
+        if code == UNLABELED:
+            raise IngestError(f"{path}:{lineno}: empty label")
+    return ids, features, codes, meta
+
+
+def _reference_instance_file(path):
+    """(file lines, ids, features, label codes, meta) of an instance file."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"missing file: {path}")
@@ -90,8 +106,8 @@ def reference_read_instance_file(path):
             raise IngestError(f"{path}: malformed column header")
         has_label = header[-1] == "label"
         meta["schema"] = tuple(header[2 : -1 if has_label else len(header)])
-        _, ids, features, codes = _reference_rows(path, fh, 3, len(meta["schema"]), has_label)
-    return ids, features, codes, meta
+        rows = _reference_rows(path, fh, 3, len(meta["schema"]), has_label)
+    return *rows, meta
 
 
 def reference_read_labels_file(path):
@@ -229,7 +245,7 @@ def fault_of(exc: IngestError, path) -> tuple[str, str]:
     text = str(exc).removeprefix(f"{path}:")
     line, message = text.split(":", 1) if text[:1].isdigit() else ("", text)
     kinds = ("expected", "convert", "unknown label", "empty label", "lie in", "distinct",
-             "not a labels file", "malformed column header", "bad header", "carry labels")
+             "not a labels file", "malformed column header", "bad header")
     return line, next(kind for kind in kinds if kind in message)
 
 

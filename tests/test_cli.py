@@ -5,16 +5,18 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from matchgan import features
 from matchgan.cli import _load_pool, main, read_config_file
-from matchgan.datasets import UNLABELED, IngestError
+from matchgan.datasets import IngestError
 
-from helpers import (fault_of, instance_texts, labels_texts, reference_read_instance_file,
-                     reference_read_labels_file)
+from helpers import (fault_of, instance_texts, labels_texts, reference_read_labels_file,
+                     reference_read_truth_file)
 
 
 def run_cli(*args):
@@ -726,7 +728,7 @@ class TestMalformedLabelsFile:
 class TestMalformedTruthFile:
     """evaluate given a truth file that the line-by-line reference rejects,
     or one with a row that has no label, fails as for a malformed labels
-    file."""
+    file, naming the first such row's line."""
 
     @pytest.fixture(scope="class")
     def predicted(self, tmp_path_factory):
@@ -741,11 +743,95 @@ class TestMalformedTruthFile:
             truth = Path(tmp) / "truth.tsv"
             truth.write_text(text, encoding="utf-8")
             try:
-                assume(np.any(reference_read_instance_file(truth)[2] == UNLABELED))
-                expected = ("", "carry labels")
+                reference_read_truth_file(truth)
             except IngestError as exc:
-                expected = fault_of(exc, truth)
-            _evaluate_fails(predicted, truth, truth, expected)
+                _evaluate_fails(predicted, truth, truth, fault_of(exc, truth))
+            else:
+                assume(False)
+
+
+# each fault a featurize run's file inputs can hold, and a word its error
+# line carries
+_FEATURIZE_FAULTS = {
+    "shared id": "distinct",
+    "duplicate id": "duplicate id",
+    "missing column": "missing column",
+    "unknown block attribute": "unknown attribute",
+    "gold self-pair": "self-pair",
+    "gold width": "expected two columns",
+}
+
+
+@st.composite
+def featurize_inputs(draw):
+    """(fault, CSV rows by file name, options) of a featurize run on
+    records of the schema t, u whose inputs break exactly one rule."""
+    fault = draw(st.sampled_from(list(_FEATURIZE_FAULTS)))
+    words = st.text(alphabet="ab ", max_size=5)
+
+    def records(prefix):
+        return [[f"{prefix}{k}", draw(words), draw(words)] for k in range(draw(st.integers(1, 4)))]
+
+    files = {"left": records("l")}
+    if fault == "shared id" or draw(st.booleans()):
+        files["right"] = records("r")
+    block_on = draw(st.sampled_from([None, "t", "u"]))
+    if fault == "shared id":
+        # one token in both records, so the pair is a candidate blocked or not
+        shared = draw(st.sampled_from(files["left"]))
+        shared[1:] = ["x", "x"]
+        files["right"].append(list(shared))
+    elif fault == "duplicate id":
+        rows = files[draw(st.sampled_from(sorted(files)))]
+        rows.append([draw(st.sampled_from(rows))[0], draw(words), draw(words)])
+    elif fault == "unknown block attribute":
+        block_on = "v"
+    ids = [row[0] for rows in files.values() for row in rows]
+    some_id = st.sampled_from(ids)
+    gold = draw(st.lists(st.tuples(some_id, some_id).filter(lambda p: p[0] != p[1]).map(list),
+                         max_size=3 if len(set(ids)) > 1 else 0))
+    if fault == "gold self-pair":
+        gold.append([draw(some_id)] * 2)
+    elif fault == "gold width":
+        gold.append([draw(some_id), draw(some_id), "c"])
+    for name, rows in files.items():
+        files[name] = [["id", "t", "u"], *rows]
+    if fault == "missing column":
+        name = draw(st.sampled_from(sorted(files)))
+        col = draw(st.integers(0, 2))
+        files[name] = [row[:col] + row[col + 1 :] for row in files[name]]
+    if gold:
+        files["gold"] = gold
+    options = {"--schema": "t,u", **({"--block-on": block_on} if block_on else {})}
+    return fault, files, options
+
+
+class TestMalformedFeaturizeInputs:
+    """featurize given record, gold and --block-on inputs that break a rule
+    fails cleanly: exit 1, one error line naming the fault and no instance
+    file, even when the fault shows only after rows were written (a tile
+    takes one left record here)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(featurize_inputs())
+    def test_featurize_fails_with_one_error_line(self, case):
+        fault, files, options = case
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(features, "PAIR_TILE", 1):
+            argv = [arg for pair in options.items() for arg in pair]
+            for name, rows in files.items():
+                path = Path(tmp) / f"{name}.csv"
+                with path.open("w", newline="", encoding="utf-8") as fh:
+                    csv.writer(fh).writerows(rows)
+                argv += [f"--{name}", path]
+            out = Path(tmp) / "inst.tsv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("featurize", *argv, "-o", out)
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert _FEATURIZE_FAULTS[fault] in lines[0]
+            assert not out.exists()
 
 
 def _evaluate_fails(predicted, truth, bad, fault):

@@ -92,17 +92,17 @@ class TestAssignSubspace:
 
 
 class TestBuildPartition:
-    def test_medians_of_a_sample_above_the_cap(self, rng, monkeypatch):
-        import matchgan.diversity as diversity
-
+    def test_medians_of_the_whole_pool(self, rng, monkeypatch):
         features = rng.random((40, 3))
-        monkeypatch.setattr(diversity, "MEDIAN_SAMPLE_CAP", 15)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("building a partition draws nothing")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         part = build_partition(list(range(40)), features, (2, 0))
-        rows = np.sort(np.random.default_rng(0).choice(40, size=15, replace=False))
-        expected = compute_medians(features[rows][:, [2, 0]])
+        # the lower-middle of the 40 values of each selected column
+        expected = np.sort(features[:, [2, 0]], axis=0)[19]
         assert part.medians.tobytes() == expected.tobytes()
-        # the sample's medians are not the whole pool's
-        assert not np.array_equal(part.medians, compute_medians(features[:, [2, 0]]))
         again = build_partition(list(range(40)), features, (2, 0))
         assert again.medians.tobytes() == part.medians.tobytes()
         np.testing.assert_array_equal(again.subspaces, part.subspaces)

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -436,11 +437,48 @@ class TestInstanceFile:
             assert tiled.read_bytes() == reference.read_bytes()
             assert count == len(reference.read_text().splitlines()) - 2
 
-    def test_featurize_rejects_shared_linkage_id(self, tmp_path):
-        left = RecordSet(("t",), [Record("a", ("x",)), Record("b", ("y",))])
+    def test_featurize_rejects_shared_linkage_id(self, tmp_path, monkeypatch):
+        # the shared id pairs up in the second tile, after the first was
+        # written; no partial file is left either way
+        monkeypatch.setattr(features, "PAIR_TILE", 1)
+        left = RecordSet(("t",), [Record("a", ("y",)), Record("b", ("y",))])
         right = RecordSet(("t",), [Record("b", ("y",))])
-        with pytest.raises(IngestError, match="distinct: \\('b', 'b'\\)"):
-            featurize_to_file(tmp_path / "inst.tsv", left, right)
+        out = tmp_path / "inst.tsv"
+        for blocking in (None, BlockingSpec("t")):
+            with pytest.raises(IngestError, match="distinct: \\('b', 'b'\\)"):
+                featurize_to_file(out, left, right, blocking=blocking)
+            assert not out.exists()
+
+    def test_blocked_linkage_hand_enumerated(self, tmp_path):
+        # every record holds a token; l1 and r1 share two ("deep", "nets"),
+        # and l2 repeats its one token
+        left = RecordSet(("t",), [Record("l1", ("deep nets",)), Record("l2", ("graph graph",)),
+                                  Record("l3", ("nets",))])
+        right = RecordSet(("t",), [Record("r1", ("Nets deep",)), Record("r2", ("search",))])
+        out, reference = tmp_path / "inst.tsv", tmp_path / "reference.tsv"
+        assert featurize_to_file(out, left, right, blocking=BlockingSpec("t")) == 2
+        assert read_instance_file(out)[0] == [("l1", "r1"), ("l3", "r1")]
+        write_reference(reference, left, right, blocking=BlockingSpec("t"))
+        assert out.read_bytes() == reference.read_bytes()
+        # an empty right set leaves no candidate, blocked or not
+        empty = RecordSet(("t",), [])
+        for blocking in (None, BlockingSpec("t")):
+            assert featurize_to_file(out, left, empty, blocking=blocking) == 0
+            assert read_instance_file(out)[0] == []
+
+    def test_blocked_memory_bounded_by_the_record_count(self, tmp_path):
+        # 600 records that all share one token: blocking keeps every one of
+        # the 179,700 pairs, and must hold no more than the unblocked walk
+        rs = RecordSet(("t",), [Record(f"r{k:03d}", (f"common w{k}",)) for k in range(600)])
+        peaks = []
+        for blocking in (None, BlockingSpec("t")):
+            tracemalloc.start()
+            try:
+                assert featurize_to_file(tmp_path / "inst.tsv", rs, blocking=blocking) == 179_700
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestInstancePool:
