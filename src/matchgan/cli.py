@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import os
 import sys
 from pathlib import Path
@@ -87,6 +86,14 @@ _CONFIG_KEYS = {
 }
 
 
+def _config_value(key: str, text: str):
+    """key's value read from text and held to TrainConfig's rule for it;
+    each rule concerns one field, so the other fields keep their defaults."""
+    value = _CONFIG_KEYS[key](text)
+    TrainConfig(**{key: value})
+    return value
+
+
 def read_config_file(path: str | Path) -> dict:
     """Flat key=value file; '#' starts a comment; unknown keys are rejected."""
     values: dict = {}
@@ -101,7 +108,7 @@ def read_config_file(path: str | Path) -> dict:
             if key not in _CONFIG_KEYS:
                 raise IngestError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _CONFIG_KEYS[key](value)
+                values[key] = _config_value(key, value)
             except ValueError as exc:
                 raise IngestError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
@@ -111,11 +118,11 @@ def build_train_config(args) -> TrainConfig:
     values: dict = {}
     if args.config:
         values.update(read_config_file(args.config))
-    for name, parse in _CONFIG_KEYS.items():
+    for name in _CONFIG_KEYS:
         text = getattr(args, name)
         if text is not None:
             try:
-                values[name] = parse(text)
+                values[name] = _config_value(name, text)
             except ValueError as exc:
                 raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
     return TrainConfig(**values)
@@ -132,11 +139,20 @@ def _load_pool(path: str, gold_path: str | None = None, gold_header: bool = Fals
 
 
 def _partition_for(args, pool: InstancePool):
-    if getattr(args, "partition", None):
-        part = load_partition(args.partition)
+    """The --partition file's partition, or one built from pool on
+    --split-features (default: every feature), assigned over pool; a
+    feature index that pool lacks is named with the file or the flag."""
+    path = getattr(args, "partition", None)
+    part = load_partition(path) if path else None
+    try:
+        if part is None:
+            return build_partition(pool.ids, pool.features, args.split_features)
         part.assign_all(pool.ids, pool.features)
         return part
-    return build_partition(pool.ids, pool.features, args.split_features)
+    except ValueError as exc:
+        if part is None and args.split_features is None:
+            raise  # an empty pool, which has no medians
+        raise ValueError(f"{path or '--split-features'}: {exc}") from None
 
 
 def _training_inputs(args):
@@ -202,24 +218,29 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _save_models(directory: Path, models: tuple, cfg: TrainConfig, suffix: str = "") -> None:
+    """A run's (generator, discriminator) as generator{suffix}.npz and,
+    unless it is None, discriminator{suffix}.npz; the generator of a
+    no_adversary run is a classifier."""
+    names = ("generator", "discriminator")
+    kinds = ("classifier" if cfg.variant == "no_adversary" else "generator", "discriminator")
+    for name, kind, model in zip(names, kinds, models):
+        if model is not None:
+            save_model(directory / f"{name}{suffix}.npz", model, seed=cfg.seed, kind=kind)
+
+
 def cmd_train(args) -> int:
     cfg, pool, partition = _training_inputs(args)
-    out = Path(args.out)
-    result = run(
-        cfg,
-        pool,
-        partition,
-        seed_budget=args.seed_budget,
-        checkpoint_dir=out / "checkpoints" if args.checkpoints else None,
-    )
+    result = run(cfg, pool, partition, seed_budget=args.seed_budget)
     # made only now, so that a run that fails leaves no directory behind
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_partition(partition, out / "partition.json")
-    save_model(out / "generator.npz", result.generator, seed=cfg.seed,
-               kind="classifier" if cfg.variant == "no_adversary" else "generator")
-    if result.discriminator is not None:
-        save_model(out / "discriminator.npz", result.discriminator,
-                   seed=cfg.seed, kind="discriminator")
+    _save_models(out, (result.generator, result.discriminator), cfg)
+    if args.checkpoints:
+        (out / "checkpoints").mkdir(exist_ok=True)
+        for k, models in enumerate(result.round_models, start=1):
+            _save_models(out / "checkpoints", models, cfg, f"_round{k}")
     rows = result.state.pseudo_rows()
     write_labels_file(out / "labels.tsv", [pool.ids[r] for r in rows], result.state.label[rows])
     try:
@@ -268,9 +289,7 @@ def cmd_evaluate(args) -> int:
         f"tp={metrics.tp} fp={metrics.fp} fn={metrics.fn} tn={metrics.tn}"
     )
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(metrics.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_report(metrics.as_dict(), args.out)
     return 0
 
 

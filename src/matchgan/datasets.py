@@ -248,7 +248,7 @@ def load_records(
                     f"{path}:{reader.line_num}: record id {rid!r} contains a tab or line break"
                 )
             if rid in seen:
-                raise DuplicateIdError(f"duplicate id {rid!r} in {path}")
+                raise DuplicateIdError(f"{path}:{reader.line_num}: duplicate id {rid!r}")
             seen.add(rid)
             values = tuple((row.get(col) or "") for col in schema)
             records.append(Record(id=rid, attributes=values))
@@ -268,7 +268,10 @@ def load_gold(path: str | Path, has_header: bool = False) -> GoldStandard:
                 raise IngestError(
                     f"{path}:{lineno}: expected two columns, got {len(row)}"
                 )
-            gold.add(row[0], row[1])
+            try:
+                gold.add(row[0], row[1])
+            except SelfPairError as exc:
+                raise SelfPairError(f"{path}:{lineno}: {exc}") from None
     return gold
 
 

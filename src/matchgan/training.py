@@ -124,12 +124,15 @@ class TrainConfig:
 @dataclass
 class RunResult:
     """A finished run; its transductive labels are state.label at the
-    pseudo rows."""
+    pseudo rows. round_models[k] holds copies of the (generator,
+    discriminator) pair as round k + 1 left them; the discriminator is
+    None for no_adversary."""
 
     state: RunState
     generator: nn.MlpModel
     discriminator: nn.MlpModel | None
     report: dict
+    round_models: list[tuple[nn.MlpModel, nn.MlpModel | None]]
 
 
 # the benchmark calls this to check a run's seed pick
@@ -337,7 +340,6 @@ def run(
     partition: SubspacePartition,
     seed_budget: int | None = None,
     seed_rows: np.ndarray | None = None,
-    checkpoint_dir: str | Path | None = None,
 ) -> RunResult:
     """Full training run: seed labeling, alternating training, propagation.
 
@@ -384,6 +386,7 @@ def run(
     remaining = np.flatnonzero(state.label == UNLABELED)
     sampler = (MinibatchSampler(partition, remaining, min(cfg.batch_size, len(remaining)),
                                 cfg.variant != "no_diversity") if adversarial else None)
+    round_models: list = []
     round_index = 0
     while len(remaining):
         if adversarial:
@@ -413,12 +416,12 @@ def run(
         if fm is not None:
             round_record["pseudo_fm"] = fm
         report["rounds"].append(round_record)
-
-        if checkpoint_dir is not None:
-            _save_round_checkpoints(checkpoint_dir, round_index, gen, disc, cfg)
+        round_models.append(tuple(
+            None if m is None else nn.MlpModel(m.layer_dims, m.weights, m.biases)
+            for m in (gen, disc)))
 
     report["final"] = _final_summary(pool, state, gen, report["rounds"])
-    return RunResult(state, gen, disc, report)
+    return RunResult(state, gen, disc, report, round_models)
 
 
 def predict(gen: nn.MlpModel, features: np.ndarray) -> np.ndarray:
@@ -464,20 +467,6 @@ def _prediction_consistency(pool: InstancePool, state: RunState, gen: nn.MlpMode
         return None
     fresh, _ = _pseudo_labels_batch(gen, pool.features[rows])
     return int(np.count_nonzero(fresh == state.label[rows])) / len(rows)
-
-
-def _save_round_checkpoints(directory, round_index, gen, disc, cfg):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    nn.save_model(
-        directory / f"generator_round{round_index}.npz", gen, seed=cfg.seed,
-        kind="classifier" if cfg.variant == "no_adversary" else "generator",
-    )
-    if disc is not None:
-        nn.save_model(
-            directory / f"discriminator_round{round_index}.npz", disc,
-            seed=cfg.seed, kind="discriminator",
-        )
 
 
 def write_report(report: dict, path: str | Path) -> None:

@@ -165,7 +165,13 @@ class TestMoreCliPaths:
             "--checkpoints", "-o", out,
         ) == 0
         assert json.loads((out / "partition.json").read_text())["feature_indices"] == [0, 1]
-        assert list((out / "checkpoints").glob("generator_round*.npz"))
+        rounds = json.loads((out / "report.json").read_text())["final"]["rounds"]
+        assert rounds >= 2
+        for name in ("generator", "discriminator"):
+            assert len(list((out / "checkpoints").glob(f"{name}_round*.npz"))) == rounds
+            # the last round's models are the final ones, byte for byte
+            last = out / "checkpoints" / f"{name}_round{rounds}.npz"
+            assert last.read_bytes() == (out / f"{name}.npz").read_bytes()
 
     def test_no_adversary_checkpoint_kind(self, tmp_path):
         from matchgan.nn import load_model
@@ -175,11 +181,16 @@ class TestMoreCliPaths:
         run_cli("synth", "--matches", 4, "--imbalance", 8, "--seed", 3, "--out", data)
         assert run_cli(
             "train", "--instances", data / "instances.tsv", "--seed-budget", 8,
-            "--seed", 1, "--inner-iters", 30, "--variant", "no-adversary", "-o", out,
+            "--seed", 1, "--inner-iters", 30, "--variant", "no-adversary", "--checkpoints",
+            "-o", out,
         ) == 0
-        _, meta = load_model(out / "generator.npz")
-        assert meta["kind"] == "classifier"
+        rounds = sorted((out / "checkpoints").glob("generator_round*.npz"))
+        assert len(rounds) == json.loads((out / "report.json").read_text())["final"]["rounds"]
+        for path in [out / "generator.npz", *rounds]:
+            _, meta = load_model(path)
+            assert meta["kind"] == "classifier"
         assert not (out / "discriminator.npz").exists()
+        assert not list((out / "checkpoints").glob("discriminator*"))
 
     def test_budget_exceeding_pool_is_reported(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -301,6 +312,29 @@ class TestBadInput:
         assert "repeat an index" in self._single_error(capsys)
         assert not out.exists()
 
+    def test_run_failing_after_a_round_leaves_no_checkpoints(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import matchgan.training as training
+
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 4, "--imbalance", 8, "--seed", 3, "--out", data)
+        capsys.readouterr()
+        propagate, calls = training.propagate, []
+
+        def failing_second_round(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("propagation failed")
+            return propagate(*args)
+
+        monkeypatch.setattr(training, "propagate", failing_second_round)
+        out = tmp_path / "run"
+        assert run_cli("train", "--instances", data / "instances.tsv", "--seed-budget", 8,
+                       "--inner-iters", 5, "--checkpoints", "-o", out) == 1
+        assert "propagation failed" in self._single_error(capsys)
+        assert len(calls) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("learning_rate", "nan"), ("learning_rate", "-1"), ("disc_learning_rate", "0"),
@@ -323,7 +357,10 @@ class TestBadInput:
         code = run_cli("train", "--instances", data / "instances.tsv", "--seed-budget", 4,
                        *setting, "-o", out)
         assert code == 1
-        assert f"{key} must be finite" in self._single_error(capsys)
+        err = self._single_error(capsys)
+        assert f"{key} must be finite" in err
+        # the value's source: the flag, or the config file and its line
+        assert err.startswith(f"error: {setting[0] if source == 'flag' else f'{config}:1'}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -630,6 +667,8 @@ class TestTrainFlagProperty:
             assert code == 1
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            if flag != "--seed-budget":  # a TrainConfig field's flag is named
+                assert lines[0].startswith(f"error: {flag}: "), lines
             assert not out.exists()
 
 
@@ -764,9 +803,11 @@ _FEATURIZE_FAULTS = {
 
 @st.composite
 def featurize_inputs(draw):
-    """(fault, CSV rows by file name, options) of a featurize run on
-    records of the schema t, u whose inputs break exactly one rule."""
+    """(fault, CSV rows by file name, options, file:line of the fault or
+    None) of a featurize run on records of the schema t, u whose inputs
+    break exactly one rule."""
     fault = draw(st.sampled_from(list(_FEATURIZE_FAULTS)))
+    where = None
     words = st.text(alphabet="ab ", max_size=5)
 
     def records(prefix):
@@ -782,8 +823,10 @@ def featurize_inputs(draw):
         shared[1:] = ["x", "x"]
         files["right"].append(list(shared))
     elif fault == "duplicate id":
-        rows = files[draw(st.sampled_from(sorted(files)))]
+        name = draw(st.sampled_from(sorted(files)))
+        rows = files[name]
         rows.append([draw(st.sampled_from(rows))[0], draw(words), draw(words)])
+        where = f"{name}.csv:{len(rows) + 1}"  # below the header
     elif fault == "unknown block attribute":
         block_on = "v"
     ids = [row[0] for rows in files.values() for row in rows]
@@ -792,6 +835,7 @@ def featurize_inputs(draw):
                          max_size=3 if len(set(ids)) > 1 else 0))
     if fault == "gold self-pair":
         gold.append([draw(some_id)] * 2)
+        where = f"gold.csv:{len(gold)}"
     elif fault == "gold width":
         gold.append([draw(some_id), draw(some_id), "c"])
     for name, rows in files.items():
@@ -803,7 +847,7 @@ def featurize_inputs(draw):
     if gold:
         files["gold"] = gold
     options = {"--schema": "t,u", **({"--block-on": block_on} if block_on else {})}
-    return fault, files, options
+    return fault, files, options, where
 
 
 class TestMalformedFeaturizeInputs:
@@ -815,7 +859,7 @@ class TestMalformedFeaturizeInputs:
     @settings(max_examples=100, deadline=None)
     @given(featurize_inputs())
     def test_featurize_fails_with_one_error_line(self, case):
-        fault, files, options = case
+        fault, files, options, where = case
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(features, "PAIR_TILE", 1):
             argv = [arg for pair in options.items() for arg in pair]
             for name, rows in files.items():
@@ -831,6 +875,111 @@ class TestMalformedFeaturizeInputs:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             assert _FEATURIZE_FAULTS[fault] in lines[0]
+            if where is not None:
+                assert lines[0].startswith(f"error: {tmp}/{where}: "), lines
+            assert not out.exists()
+
+
+# valid config lines that a bad one sits among
+_CONFIG_FILLER = ["# a comment", "", "seed = 3", "batch_size = 8  # per side", "variant = full"]
+
+
+def _config_line(key, value):
+    return f"{key} = {value}"
+
+
+_BAD_CONFIG_LINES = st.one_of(
+    st.sampled_from(["bogus = 1", "seeds = 2", "batchsize = 8"]),  # unknown key
+    st.sampled_from(["inner_iters 2", "seed", "learning_rate: 0.1"]),  # no '='
+    st.sampled_from([("inner_iters", "x"), ("learning_rate", "fast"), ("propagate_count", "all"),
+                     ("gen_hidden", "8,x"), ("variant", "best")]).map(lambda kv: _config_line(*kv)),
+    # values that parse but lie out of range
+    st.builds(_config_line, st.sampled_from(["batch_size", "inner_iters", "propagate_count"]),
+              st.integers(max_value=0)),
+    st.builds(_config_line, st.sampled_from(["learning_rate", "disc_learning_rate"]),
+              st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))),
+    st.builds(_config_line, st.just("real_weight"),
+              st.one_of(st.floats(max_value=-1e-300), st.sampled_from([math.inf, math.nan]))),
+    st.builds(_config_line, st.sampled_from(["gen_hidden", "disc_hidden"]),
+              st.lists(st.integers(-5, 8), min_size=1, max_size=3)
+              .filter(lambda widths: min(widths) < 1).map(lambda ws: ",".join(map(str, ws)))),
+)
+
+
+@st.composite
+def training_inputs(draw):
+    """(file kind, its text, the line of its fault or None, extra flags) of
+    a --config, --partition or --gold file, for a pool of 4 features, that
+    breaks exactly one rule."""
+    kind = draw(st.sampled_from(["config", "partition", "gold"]))
+    if kind == "config":
+        before = draw(st.lists(st.sampled_from(_CONFIG_FILLER), max_size=3))
+        after = draw(st.lists(st.sampled_from(_CONFIG_FILLER), max_size=2))
+        lines = [*before, draw(_BAD_CONFIG_LINES), *after]
+        return kind, "\n".join(lines) + "\n", len(before) + 1, []
+    if kind == "partition":
+        indices = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        payload = {"format_version": 1, "feature_indices": indices,
+                   "medians": [repr(draw(st.floats(0, 1))) for _ in indices]}
+        fault = draw(st.sampled_from(["not json", "version", "repeat", "beyond", "medians"]))
+        if fault == "version":
+            payload["format_version"] = draw(st.one_of(
+                st.integers().filter(lambda v: v != 1), st.text(max_size=3), st.none()))
+        elif fault == "repeat":
+            indices.append(draw(st.sampled_from(indices)))
+            payload["medians"].append("0.5")
+        elif fault == "beyond":
+            indices[draw(st.integers(0, len(indices) - 1))] = draw(st.integers(4, 50))
+        elif fault == "medians":
+            payload["medians"] = ["0.5"] * draw(st.integers(0, 5).filter(
+                lambda k: k != len(indices)))
+        text = json.dumps(payload)
+        if fault == "not json":
+            text = text[: draw(st.integers(0, len(text) - 1))]  # an unclosed object
+        return kind, text, None, []
+    ids = st.sampled_from(["a0", "a1", "b0", "b1"])
+    rows = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]).map(list),
+                         max_size=4))
+    some = draw(ids)
+    bad = [some, some] if draw(st.booleans()) else [some, draw(ids), draw(ids)]
+    at = draw(st.integers(0, len(rows)))
+    rows.insert(at, bad)
+    header = draw(st.booleans())
+    text = "".join(",".join(row) + "\n" for row in [["id_a", "id_b"]] * header + rows)
+    return kind, text, at + 1 + header, ["--gold-header"] * header
+
+
+class TestMalformedTrainingInputs:
+    """train and ablate given a --config, --partition or --gold file that
+    breaks one rule fail cleanly: exit 1, one error line naming the file,
+    and its line for a config or gold file, and no run directory or cells
+    file."""
+
+    @pytest.fixture(scope="class")
+    def instances(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("data")
+        assert run_cli("synth", "--matches", 3, "--imbalance", 10, "--seed", 1, "--out", data) == 0
+        return data / "instances.tsv"  # 33 rows of 4 features
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["train", "ablate"]), case=training_inputs())
+    def test_fails_with_one_error_line(self, instances, command, case):
+        kind, text, line, flags = case
+        names = {"config": "train.cfg", "partition": "partition.json", "gold": "gold.csv"}
+        costs = (["--seed-budget", "4"] if command == "train"
+                 else ["--budgets", "4", "--seeds", "1", "--workers", "1"])
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / names[kind]
+            bad.write_text(text, encoding="utf-8")
+            out = Path(tmp) / ("run" if command == "train" else "cells.tsv")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli(command, "--instances", instances, *costs, f"--{kind}", bad,
+                               *flags, "-o", out)
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            named = f"{bad}:" if line is None else f"{bad}:{line}: "
+            assert len(lines) == 1 and lines[0].startswith(f"error: {named}"), lines
             assert not out.exists()
 
 

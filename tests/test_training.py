@@ -742,13 +742,20 @@ class TestRun:
         assert pool.real_labels.tobytes() == before[2].tobytes()
         assert reports[0] == reports[1]
 
-    def test_checkpoints_written_per_round(self, tmp_path):
+    @pytest.mark.parametrize("variant", ["full", "no_adversary"])
+    def test_round_models_copied_per_round(self, variant):
         pool, partition, gold = small_problem(n_matches=2, rate=6, data_seed=1)
-        cfg = TrainConfig(seed=0, inner_iters=2, propagate_count=5)
-        run(cfg, pool, partition, seed_budget=4, checkpoint_dir=tmp_path)
-        rounds = len(list(tmp_path.glob("generator_round*.npz")))
-        assert rounds >= 2
-        assert len(list(tmp_path.glob("discriminator_round*.npz"))) == rounds
+        cfg = TrainConfig(seed=0, inner_iters=2, propagate_count=5, variant=variant)
+        result = run(cfg, pool, partition, seed_budget=4)
+        assert len(result.round_models) == len(result.report["rounds"]) >= 2
+        final = (result.generator, result.discriminator)
+        for models in result.round_models:
+            assert (models[1] is None) == (variant == "no_adversary")
+        for copy, model in zip(result.round_models[-1], final):
+            if model is not None:
+                assert copy.params.tobytes() == model.params.tobytes()
+                assert not np.shares_memory(copy.params, model.params)
+        assert result.round_models[0][0].params.tobytes() != result.generator.params.tobytes()
 
 
 class TestVariants:
