@@ -24,6 +24,7 @@ partition = build_partition(pool.ids, pool.features)
 cfg = TrainConfig(seed=61)
 print(f"pool {len(pool)} instances; seed budget 50; growing the pool by its own size each round\n")
 result = run(cfg, pool, partition, seed_budget=50)
+metrics = evaluate_run(pool, result)  # records each round's pseudo FM in the report
 
 print(f"{'round':>5} {'propagated':>10} {'pool after':>10} {'pseudo FM':>9} {'d_objective':>12} {'g_loss':>8}")
 for r in result.report["rounds"]:
@@ -32,7 +33,6 @@ for r in result.report["rounds"]:
         f"{r.get('pseudo_fm', float('nan')):>9.3f} {r['d_objective']:>12.4f} {r['g_loss']:>8.4f}"
     )
 
-metrics = evaluate_run(pool, result)
 final = result.report["final"]
 print(f"\npropagated label counts: {final['pseudo_label_counts']}")
 print(f"generator/propagation agreement: {final['consistency']:.3f}")

@@ -140,8 +140,11 @@ def _load_pool(path: str, gold_path: str | None = None, gold_header: bool = Fals
 
 def _partition_for(args, pool: InstancePool):
     """The --partition file's partition, or one built from pool on
-    --split-features (default: every feature), assigned over pool; a
-    feature index that pool lacks is named with the file or the flag."""
+    --split-features (default: every feature), assigned over pool; an
+    empty pool is named with --instances, and a feature index that pool
+    lacks with the file or the flag."""
+    if not len(pool):
+        raise IngestError(f"{args.instances}: no instance rows")
     path = getattr(args, "partition", None)
     part = load_partition(path) if path else None
     try:
@@ -150,8 +153,6 @@ def _partition_for(args, pool: InstancePool):
         part.assign_all(pool.ids, pool.features)
         return part
     except ValueError as exc:
-        if part is None and args.split_features is None:
-            raise  # an empty pool, which has no medians
         raise ValueError(f"{path or '--split-features'}: {exc}") from None
 
 
@@ -182,13 +183,8 @@ def _join_ids(left: list, right: list):
 
 
 def cmd_synth(args) -> int:
-    cfg = SyntheticConfig(
-        n_matches=args.matches,
-        imbalance_rate=args.imbalance,
-        n_features=args.features,
-        separation=args.separation,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    cfg = SyntheticConfig(n_matches=args.matches, imbalance_rate=args.imbalance,
+                          n_features=args.features, separation=args.separation, seed=args.seed)
     pool, gold = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -245,13 +241,12 @@ def cmd_train(args) -> int:
     write_labels_file(out / "labels.tsv", [pool.ids[r] for r in rows], result.state.label[rows])
     try:
         metrics = evaluate_run(pool, result)
-        result.report["final"]["metrics"] = metrics.as_dict()
         print(
             f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
             f"f_measure={metrics.f_measure:.4f}"
         )
     except ValueError:
-        pass  # pool carries no ground truth beyond the seeds
+        pass  # a propagated row has no real label, so the run is not scored
     write_report(result.report, out / "report.json")
     print(f"rounds={result.report['final']['rounds']} pool={len(result.state)}")
     return 0
@@ -343,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     # flag per TrainConfig field in field order, parsed by build_train_config
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--instances", required=True)
-    shared.add_argument("--partition", help="partition file (default: build from instances)")
-    shared.add_argument("--split-features", type=_listed(int))
+    source = shared.add_mutually_exclusive_group()
+    source.add_argument("--partition", help="partition file (default: build from instances)")
+    source.add_argument("--split-features", type=_listed(int))
     shared.add_argument("--gold")
     shared.add_argument("--gold-header", action="store_true")
     shared.add_argument("--config", help="flat key=value config file")
@@ -354,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synth", help="generate a synthetic labeled workload")
     p.add_argument("--matches", type=int, required=True)
     p.add_argument("--imbalance", type=int, required=True)
-    p.add_argument("--features", type=int, default=4)
-    p.add_argument("--separation", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--features", type=int, default=SyntheticConfig.n_features)
+    p.add_argument("--separation", type=float, default=SyntheticConfig.separation)
+    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

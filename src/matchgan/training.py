@@ -345,7 +345,8 @@ def run(
 
     The seed rows are given, or seed_budget of them are chosen by
     diversity-aware selection; each takes its label from pool.real_labels,
-    the run's only oracle, and an unlabeled seed row is an error. Ends
+    the run's only oracle, and an unlabeled seed row is an error. No other
+    row's real label is read: evaluation.evaluate_run scores the run. Ends
     when every other instance has been propagated; the final prediction
     for each is its propagated pseudo label. The pool is left unchanged.
     """
@@ -360,11 +361,12 @@ def run(
     seed_rows = np.sort(np.asarray(seed_rows, dtype=np.intp))
     if not len(seed_rows):
         raise ValueError("cannot train without any seed labels")
-    unlabeled = seed_rows[pool.real_labels[seed_rows] == UNLABELED]
+    seed_labels = pool.real_labels[seed_rows]
+    unlabeled = seed_rows[seed_labels == UNLABELED]
     if len(unlabeled):
         raise ValueError(f"seed pair {pool.ids[unlabeled[0]]} has no real label")
     state = RunState(len(pool))
-    state.add(seed_rows, pool.real_labels[seed_rows], round_index=0)
+    state.add(seed_rows, seed_labels, round_index=0)
 
     d = pool.n_features
     gen = nn.init_mlp((d, *cfg.gen_hidden, 1), rng)
@@ -403,7 +405,7 @@ def run(
         state.add(rows, labels, round_index)
         remaining = remaining[state.label[remaining] == UNLABELED]
 
-        round_record = {
+        report["rounds"].append({
             "round": round_index,
             "gamma": len(rows),
             "propagated": len(rows),
@@ -411,16 +413,12 @@ def run(
             "remaining_after": len(remaining),
             "d_objective": stats["d_objective"],
             "g_loss": stats["g_loss"],
-        }
-        fm = _pseudo_label_fm(pool, state)
-        if fm is not None:
-            round_record["pseudo_fm"] = fm
-        report["rounds"].append(round_record)
+        })
         round_models.append(tuple(
             None if m is None else nn.MlpModel(m.layer_dims, m.weights, m.biases)
             for m in (gen, disc)))
 
-    report["final"] = _final_summary(pool, state, gen, report["rounds"])
+    report["final"] = _final_summary(pool, state, gen)
     return RunResult(state, gen, disc, report, round_models)
 
 
@@ -431,30 +429,15 @@ def predict(gen: nn.MlpModel, features: np.ndarray) -> np.ndarray:
     return _pseudo_labels_batch(gen, np.asarray(features, dtype=np.float64))[0]
 
 
-def _pseudo_label_fm(pool: InstancePool, state: RunState) -> float | None:
-    """F-measure of pseudo labels propagated so far against known real labels."""
-    from .evaluation import compute_metrics
-
-    rows = state.pseudo_rows()
-    truth = pool.real_labels[rows]
-    if len(rows) == 0 or np.any(truth == UNLABELED):
-        return None
-    return compute_metrics(state.label[rows], truth).f_measure
-
-
-def _final_summary(pool: InstancePool, state: RunState, gen: nn.MlpModel,
-                   rounds: list[dict]) -> dict:
+def _final_summary(pool: InstancePool, state: RunState, gen: nn.MlpModel) -> dict:
     rows = state.pseudo_rows()
     matches = int(np.count_nonzero(state.label[rows] == LABEL_CODES[MATCH]))
-    summary = {
+    return {
         "pool_size": len(state),
         "rounds": int(state.round_added.max(initial=0)),
         "pseudo_label_counts": {MATCH: matches, NON_MATCH: len(rows) - matches},
         "consistency": _prediction_consistency(pool, state, gen),
     }
-    if rounds and "pseudo_fm" in rounds[-1]:
-        summary["pseudo_fm"] = rounds[-1]["pseudo_fm"]
-    return summary
 
 
 def _prediction_consistency(pool: InstancePool, state: RunState, gen: nn.MlpModel):

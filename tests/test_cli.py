@@ -15,8 +15,8 @@ from matchgan import features
 from matchgan.cli import _load_pool, main, read_config_file
 from matchgan.datasets import IngestError
 
-from helpers import (fault_of, instance_texts, labels_texts, reference_read_labels_file,
-                     reference_read_truth_file)
+from helpers import (fault_of, instance_texts, labels_texts, reference_read_instance_file,
+                     reference_read_labels_file, reference_read_truth_file)
 
 
 def run_cli(*args):
@@ -86,6 +86,15 @@ class TestSynthTrainEvaluate:
             outs.append(out)
         for fname in ("report.json", "labels.tsv", "generator.npz", "discriminator.npz", "partition.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
+
+    def test_synth_defaults_are_the_configs(self, tmp_path):
+        from matchgan.datasets import SyntheticConfig, generate_synthetic, write_instance_file
+
+        run_cli("synth", "--matches", 5, "--imbalance", 10, "--out", tmp_path)
+        pool, _ = generate_synthetic(SyntheticConfig(n_matches=5, imbalance_rate=10))
+        write_instance_file(tmp_path / "expected.tsv", pool)
+        assert ((tmp_path / "instances.tsv").read_bytes()
+                == (tmp_path / "expected.tsv").read_bytes())
 
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -310,6 +319,28 @@ class TestBadInput:
                        "--split-features", "0,0", *extra, "-o", out)
         assert code == 1
         assert "repeat an index" in self._single_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_partition_file_and_split_features_exclusive(self, tmp_path, capsys, command):
+        # neither file exists: the command line is refused before any is read
+        out = tmp_path / "out"
+        costs = ("--seed-budget", 4) if command == "train" else ("--budgets", 4)
+        code = run_cli(command, "--instances", tmp_path / "missing.tsv",
+                       "--partition", tmp_path / "missing.json", "--split-features", 0,
+                       *costs, "-o", out)
+        assert code == 1
+        assert "not allowed with argument" in self._single_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["partition", "train", "ablate"])
+    def test_instance_file_without_rows_rejected(self, tmp_path, capsys, command):
+        inst = tmp_path / "inst.tsv"
+        inst.write_text("# instances v1 q=2\nid_a\tid_b\tf0\tlabel\n")
+        out = tmp_path / "out"
+        costs = {"partition": (), "train": ("--seed-budget", 1), "ablate": ("--budgets", 1)}
+        assert run_cli(command, "--instances", inst, *costs[command], "-o", out) == 1
+        assert self._single_error(capsys) == f"error: {inst}: no instance rows\n"
         assert not out.exists()
 
     def test_run_failing_after_a_round_leaves_no_checkpoints(self, tmp_path, capsys,
@@ -787,6 +818,43 @@ class TestMalformedTruthFile:
                 _evaluate_fails(predicted, truth, truth, fault_of(exc, truth))
             else:
                 assume(False)
+
+
+class TestMalformedInstanceFile:
+    """partition, train and ablate given an instance file that the
+    line-by-line reference rejects, or one with no rows, fail cleanly: exit
+    1, one error line naming the file, and the reference's line and fault
+    when it names them, and no partition, run directory or cells file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["partition", "train", "ablate"]), text=instance_texts())
+    def test_fails_with_one_error_line(self, command, text):
+        costs = {"partition": [], "train": ["--seed-budget", "1"],
+                 "ablate": ["--budgets", "1", "--seeds", "1", "--workers", "1"]}
+        names = {"partition": "p.json", "train": "run", "ablate": "cells.tsv"}
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = Path(tmp) / "inst.tsv"
+            inst.write_text(text, encoding="utf-8")
+            try:
+                ids = reference_read_instance_file(inst)[0]
+            except IngestError as exc:
+                fault = fault_of(exc, inst)
+            else:
+                assume(not ids)
+                fault = None
+            out = Path(tmp) / names[command]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli(command, "--instances", inst, *costs[command], "-o", out)
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {inst}:"), lines
+            message = lines[0].removeprefix("error: ")
+            if fault is None:
+                assert message == f"{inst}: no instance rows"
+            else:
+                assert fault_of(IngestError(message), inst) == fault
+            assert not out.exists()
 
 
 # each fault a featurize run's file inputs can hold, and a word its error

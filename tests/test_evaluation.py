@@ -1,5 +1,7 @@
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,8 @@ from matchgan.datasets import (
     LABEL_CODES,
     MATCH,
     NON_MATCH,
+    UNLABELED,
+    InstancePool,
     SyntheticConfig,
     generate_synthetic,
 )
@@ -14,11 +18,12 @@ from matchgan.diversity import build_partition
 import matchgan.evaluation as evaluation
 from matchgan.evaluation import (
     compute_metrics,
+    evaluate_run,
     format_table,
     run_ablation_suite,
     split_pool,
 )
-from matchgan.training import TrainConfig
+from matchgan.training import TrainConfig, run
 
 # label codes of a match and a non-match
 M, N = LABEL_CODES[MATCH], LABEL_CODES[NON_MATCH]
@@ -108,6 +113,55 @@ def tiny_problem():
     )
     partition = build_partition(pool.ids, pool.features)
     return pool, partition
+
+
+class TestEvaluateRun:
+    """evaluate_run scores a run and records the scores in its report."""
+
+    def run_of(self, pool, partition):
+        cfg = TrainConfig(seed=3, inner_iters=5, propagate_count=15)
+        result = run(cfg, pool, partition, seed_budget=12)
+        assert len(result.report["rounds"]) >= 4
+        return result
+
+    def test_round_scores_cover_the_rows_propagated_so_far(self):
+        pool, partition = tiny_problem()
+        result = self.run_of(pool, partition)
+        assert "pseudo_fm" not in json.dumps(result.report)
+        metrics = evaluate_run(pool, result)
+        added = result.state.round_added
+        for record in result.report["rounds"]:
+            rows = np.flatnonzero((added > 0) & (added <= record["round"]))
+            expected = compute_metrics(result.state.label[rows], pool.real_labels[rows])
+            assert record["pseudo_fm"] == expected.f_measure
+        rows = result.state.pseudo_rows()
+        assert metrics == compute_metrics(result.state.label[rows], pool.real_labels[rows])
+        final = result.report["final"]
+        assert final["pseudo_fm"] == result.report["rounds"][-1]["pseudo_fm"]
+        assert final["metrics"] == metrics.as_dict()
+
+    @pytest.mark.parametrize("unscored", [1, 3])
+    def test_rounds_before_a_row_without_truth_keep_their_scores(self, unscored):
+        pool, partition = tiny_problem()
+        result = self.run_of(pool, partition)
+        # the run never reads that row's truth, so blanking it after the run
+        # scores the run that the blanked pool gives
+        truth = pool.real_labels.copy()
+        truth[np.flatnonzero(result.state.round_added == unscored)[0]] = UNLABELED
+        with pytest.raises(ValueError, match="lack real labels"):
+            evaluate_run(InstancePool(pool.ids, pool.features, truth), result)
+        assert [record["round"] for record in result.report["rounds"]
+                if "pseudo_fm" in record] == list(range(1, unscored))
+        assert not {"pseudo_fm", "metrics"} & set(result.report["final"])
+
+    def test_run_without_rounds_gets_final_metrics_only(self):
+        pool, partition = tiny_problem()
+        result = run(TrainConfig(seed=0), pool, partition, seed_rows=range(len(pool)))
+        metrics = evaluate_run(pool, result)
+        assert result.report["rounds"] == []
+        assert metrics == compute_metrics([], [])
+        assert result.report["final"]["metrics"] == metrics.as_dict()
+        assert "pseudo_fm" not in result.report["final"]
 
 
 class TestAblationSuite:

@@ -17,6 +17,7 @@ from matchgan.datasets import (
     LABEL_CODES,
     MATCH,
     NON_MATCH,
+    UNLABELED,
     InstancePool,
     SyntheticConfig,
     generate_synthetic,
@@ -741,6 +742,28 @@ class TestRun:
         assert pool.features.tobytes() == before[1].tobytes()
         assert pool.real_labels.tobytes() == before[2].tobytes()
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("variant", training.VARIANTS)
+    def test_run_reads_no_truth_beyond_its_seeds(self, variant):
+        # the same run on a pool whose non-seed rows carry no truth
+        pool, partition, gold = small_problem(n_matches=3, rate=10, data_seed=4)
+        cfg = TrainConfig(seed=2, inner_iters=5, propagate_count=9, variant=variant)
+        seen = run(cfg, pool, partition, seed_budget=8)
+        seeds = np.flatnonzero(seen.state.round_added == 0)
+        truth = np.full(len(pool), UNLABELED)
+        truth[seeds] = pool.real_labels[seeds]
+        blind = run(cfg, InstancePool(pool.ids, pool.features, truth), partition, seed_budget=8)
+        assert len(seen.report["rounds"]) >= (1 if variant == "no_propagation" else 2)
+        for name in ("label", "round_added", "order"):
+            assert np.array_equal(getattr(seen.state, name), getattr(blind.state, name))
+        assert json.dumps(seen.report, sort_keys=True) == json.dumps(blind.report, sort_keys=True)
+        models = [(seen.generator, seen.discriminator), *seen.round_models]
+        for pair, blind_pair in zip(models, [(blind.generator, blind.discriminator),
+                                             *blind.round_models], strict=True):
+            for model, blind_model in zip(pair, blind_pair):
+                assert (model is None) == (blind_model is None)
+                if model is not None:
+                    assert model.params.tobytes() == blind_model.params.tobytes()
 
     @pytest.mark.parametrize("variant", ["full", "no_adversary"])
     def test_round_models_copied_per_round(self, variant):
