@@ -9,7 +9,6 @@ import tempfile
 from pathlib import Path
 
 from matchgan import (
-    BlockingSpec,
     Record,
     RecordSet,
     featurize_pair,
@@ -49,7 +48,7 @@ for r_i, r_j in generate_pairs(papers):
 # --- token blocking shrinks the candidate set ------------------------------
 blocks = block_by_token(papers, "title")
 print(f"\ntitle token blocks: { {t: ids for t, ids in sorted(blocks.items())} }")
-blocked = list(generate_pairs(papers, blocking=BlockingSpec("title")))
+blocked = list(generate_pairs(papers, block_on="title"))
 print(f"blocked candidate pairs: {[(a.id, b.id) for a, b in blocked]}")
 
 # --- streaming to an instance file -----------------------------------------

@@ -9,6 +9,7 @@ uniform label budget misses the minority class entirely.
 from matchgan import (
     SyntheticConfig,
     TrainConfig,
+    aggregate,
     build_partition,
     generate_synthetic,
     run_ablation_suite,
@@ -20,7 +21,7 @@ pool, _ = generate_synthetic(
 )
 partition = build_partition(pool.ids, pool.features)
 
-table = run_ablation_suite(
+cells = run_ablation_suite(
     pool,
     partition,
     TrainConfig(),
@@ -29,9 +30,9 @@ table = run_ablation_suite(
     seeds=(61, 62, 63),
 )
 
-print(format_table(table.aggregate()))
+print(format_table(aggregate(cells)))
 print("\nper-cell f-measures:")
-for cell in table.cells:
+for cell in cells:
     print(
         f"  {cell.variant:<15} budget {cell.budget:>3} seed {cell.seed}: "
         f"FM {cell.metrics.f_measure:.4f}"

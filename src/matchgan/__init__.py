@@ -35,13 +35,13 @@ from .diversity import (
 )
 from .evaluation import (
     MetricsReport,
+    aggregate,
     compute_metrics,
     evaluate_run,
     run_ablation_suite,
     split_pool,
 )
 from .features import (
-    BlockingSpec,
     block_by_token,
     featurize_pair,
     featurize_to_file,

@@ -24,10 +24,11 @@ from .datasets import (INSTANCE_FORMAT_VERSION, UNLABELED, IngestError, Instance
                        open_text, read_instance_file, read_labels_file, save_gold,
                        write_instance_file, write_labels_file)
 from .diversity import PARTITION_FORMAT_VERSION, build_partition, load_partition, save_partition
-from .evaluation import compute_metrics, evaluate_run, format_table, run_ablation_suite
-from .features import BlockingSpec, featurize_to_file
+from .evaluation import (aggregate, compute_metrics, evaluate_run, format_table,
+                         run_ablation_suite)
+from .features import featurize_to_file
 from .nn import CHECKPOINT_FORMAT_VERSION, load_model, save_model
-from .training import VARIANTS, TrainConfig, predict, run, write_report
+from .training import VARIANTS, TrainConfig, _check_budget, predict, run, write_report
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -156,11 +157,23 @@ def _partition_for(args, pool: InstancePool):
         raise ValueError(f"{path or '--split-features'}: {exc}") from None
 
 
-def _training_inputs(args):
-    """The (config, pool, partition) that train and ablate start from."""
+def _training_inputs(args, budget_flag: str, budgets: list):
+    """The (config, pool, partition) that train and ablate start from, once
+    each of the label budgets given with budget_flag fits the pool."""
     cfg = build_train_config(args)
     pool = _load_pool(args.instances, args.gold, args.gold_header)
-    return cfg, pool, _partition_for(args, pool)
+    partition = _partition_for(args, pool)
+    try:
+        for budget in budgets:
+            _check_budget(budget, len(pool))
+    except ValueError as exc:
+        raise ValueError(f"{budget_flag}: {exc}") from None
+    return cfg, pool, partition
+
+
+# the synth flag that sets each SyntheticConfig field
+_SYNTH_FLAGS = {"n_matches": "matches", "imbalance_rate": "imbalance",
+                "n_features": "features", "separation": "separation", "seed": "seed"}
 
 
 def _join_ids(left: list, right: list):
@@ -183,8 +196,11 @@ def _join_ids(left: list, right: list):
 
 
 def cmd_synth(args) -> int:
-    cfg = SyntheticConfig(n_matches=args.matches, imbalance_rate=args.imbalance,
-                          n_features=args.features, separation=args.separation, seed=args.seed)
+    try:
+        cfg = SyntheticConfig(**{name: getattr(args, flag) for name, flag in _SYNTH_FLAGS.items()})
+    except ValueError as exc:
+        # each of SyntheticConfig's messages starts with the field it rejects
+        raise ValueError(f"--{_SYNTH_FLAGS[str(exc).split()[0]]}: {exc}") from None
     pool, gold = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -201,8 +217,7 @@ def cmd_featurize(args) -> int:
     if args.right:
         right = load_records(args.right, left.schema, args.id_column, args.delimiter)
     gold = load_gold(args.gold, has_header=args.gold_header) if args.gold else None
-    blocking = BlockingSpec(args.block_on) if args.block_on else None
-    count = featurize_to_file(args.out, left, right, gold=gold, q=args.q, blocking=blocking)
+    count = featurize_to_file(args.out, left, right, gold=gold, q=args.q, block_on=args.block_on)
     print(f"wrote {count} instances to {args.out}")
     return 0
 
@@ -226,7 +241,7 @@ def _save_models(directory: Path, models: tuple, cfg: TrainConfig, suffix: str =
 
 
 def cmd_train(args) -> int:
-    cfg, pool, partition = _training_inputs(args)
+    cfg, pool, partition = _training_inputs(args, "--seed-budget", [args.seed_budget])
     result = run(cfg, pool, partition, seed_budget=args.seed_budget)
     # made only now, so that a run that fails leaves no directory behind
     out = Path(args.out)
@@ -289,20 +304,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, pool, partition = _training_inputs(args)
+    cfg, pool, partition = _training_inputs(args, "--budgets", args.budgets or [])
     seeds = [cfg.seed + k for k in range(args.seeds)]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    table = run_ablation_suite(
+    cells = run_ablation_suite(
         pool, partition, cfg,
         variants=args.variants, budgets=args.budgets or [], fractions=args.fractions or [],
         seeds=seeds, workers=workers,
     )
-    rows = table.aggregate()
-    print(format_table(rows))
+    print(format_table(aggregate(cells)))
     if args.out:
         with Path(args.out).open("w", encoding="utf-8") as fh:
             fh.write("variant\tbudget\tfraction\tseed\tprecision\trecall\tf_measure\n")
-            for cell in table.cells:
+            for cell in cells:
                 fh.write(
                     f"{cell.variant}\t{cell.budget if cell.budget is not None else ''}\t"
                     f"{cell.fraction if cell.fraction is not None else ''}\t{cell.seed}\t"
@@ -420,7 +434,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except (IngestError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

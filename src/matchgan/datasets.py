@@ -38,6 +38,8 @@ LABEL_NAMES = np.array([NON_MATCH, MATCH, ""])
 
 _FEATURE_RULE = "instance features must be finite and lie in [0, 1]"
 
+_BREAK = re.compile("[\t\n\r]")
+
 _FILE_TILE = 1 << 15  # rows that write_instance_file writes at a time
 
 # Fixed sampling width of each class's feature distribution; class centres
@@ -52,18 +54,6 @@ _ZERO_MASS = 0.9
 
 class IngestError(ValueError):
     """Malformed or inconsistent input data."""
-
-
-class MissingColumnError(IngestError):
-    pass
-
-
-class DuplicateIdError(IngestError):
-    pass
-
-
-class SelfPairError(IngestError):
-    pass
 
 
 @contextmanager
@@ -113,7 +103,7 @@ class RecordSet:
         try:
             return self.schema.index(name)
         except ValueError:
-            raise MissingColumnError(f"unknown attribute {name!r}") from None
+            raise IngestError(f"unknown attribute {name!r}") from None
 
 
 @dataclass
@@ -124,7 +114,7 @@ class GoldStandard:
 
     def add(self, id_a: str, id_b: str) -> None:
         if id_a == id_b:
-            raise SelfPairError(f"self-pair ({id_a!r}, {id_a!r}) is not a valid match")
+            raise IngestError(f"self-pair ({id_a!r}, {id_a!r}) is not a valid match")
         self.matches.add(frozenset((id_a, id_b)))
 
     def label_codes(self, ids: list[PairId]) -> np.ndarray:
@@ -135,12 +125,6 @@ class GoldStandard:
         return len(self.matches)
 
 
-def _valid_rows(features: np.ndarray) -> np.ndarray:
-    """Per row of features: True iff every value is finite and in [0, 1]."""
-    ok = np.isfinite(features) & (features >= 0.0) & (features <= 1.0)
-    return ok.all(axis=-1)
-
-
 def _check_columns(ids: list[PairId], features: np.ndarray,
                    labels: np.ndarray) -> tuple[int, str] | None:
     """(row, message) of the first row that breaks an instance rule, or None.
@@ -149,7 +133,7 @@ def _check_columns(ids: list[PairId], features: np.ndarray,
     differ and a label code must be UNLABELED, 0 or 1.
     """
     faults = []
-    valid = _valid_rows(features)
+    valid = (np.isfinite(features) & (features >= 0.0) & (features <= 1.0)).all(axis=-1)
     if not valid.all():
         faults.append((int(np.argmin(valid)), _FEATURE_RULE))
     row = next(itertools.compress(itertools.count(), itertools.starmap(operator.eq, ids)), None)
@@ -168,7 +152,8 @@ class InstancePool:
     id-ascending. features is a float64 (rows, attributes) matrix and
     real_labels holds one label code per row (UNLABELED where the truth is
     unknown). Which rows a run has labeled is kept by the run, not here.
-    The row rules are checked here unless _checked says that
+    The row rules, and that no id holds a tab or line break (which a file
+    read never yields), are checked here unless _checked says that
     read_instance_file has just checked these very columns.
     """
 
@@ -178,9 +163,14 @@ class InstancePool:
         real_labels = np.array(real_labels, dtype=np.int8)
         if features.ndim != 2 or len(features) != len(ids) or real_labels.shape != (len(ids),):
             raise IngestError("a pool needs one feature row and one label code per pair id")
-        fault = None if _checked else _check_columns(ids, features, real_labels)
-        if fault is not None:
-            raise IngestError(fault[1])
+        if not _checked:
+            fault = _check_columns(ids, features, real_labels)
+            if fault is not None:
+                raise IngestError(fault[1])
+            # a tab or line break in an id would break its row in a file
+            if _BREAK.search("".join(itertools.chain.from_iterable(ids))):
+                pair = next(pair for pair in ids if _BREAK.search("".join(pair)))
+                raise IngestError(f"instance pair id {pair} contains a tab or line break")
         # ids that strictly ascend are already in order and hold no repeat
         if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))):
             order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -217,6 +207,8 @@ class SyntheticConfig:
             raise IngestError("n_features must be at least 1")
         if not 0.0 <= self.separation <= 1.0:
             raise IngestError("separation must lie in [0, 1]")
+        if self.seed < 0:
+            raise IngestError("seed must be non-negative")
 
 
 def load_records(
@@ -240,15 +232,15 @@ def load_records(
         schema = tuple(schema)
         for col in (id_column, *schema):
             if col not in header:
-                raise MissingColumnError(f"missing column {col!r} in {path}")
+                raise IngestError(f"missing column {col!r} in {path}")
         for row in reader:
             rid = row[id_column]
-            if rid and any(c in rid for c in "\t\n\r"):
+            if _BREAK.search(rid):
                 raise IngestError(
                     f"{path}:{reader.line_num}: record id {rid!r} contains a tab or line break"
                 )
             if rid in seen:
-                raise DuplicateIdError(f"{path}:{reader.line_num}: duplicate id {rid!r}")
+                raise IngestError(f"{path}:{reader.line_num}: duplicate id {rid!r}")
             seen.add(rid)
             values = tuple((row.get(col) or "") for col in schema)
             records.append(Record(id=rid, attributes=values))
@@ -270,8 +262,8 @@ def load_gold(path: str | Path, has_header: bool = False) -> GoldStandard:
                 )
             try:
                 gold.add(row[0], row[1])
-            except SelfPairError as exc:
-                raise SelfPairError(f"{path}:{lineno}: {exc}") from None
+            except IngestError as exc:
+                raise IngestError(f"{path}:{lineno}: {exc}") from None
     return gold
 
 

@@ -78,31 +78,27 @@ class AblationCell:
     metrics: MetricsReport
 
 
-@dataclass
-class AblationTable:
-    cells: list[AblationCell]
-
-    def aggregate(self) -> list[dict]:
-        """Mean and standard deviation of f-measure per (variant, cost)."""
-        groups: dict[tuple, list[AblationCell]] = {}
-        for cell in self.cells:
-            groups.setdefault((cell.variant, cell.budget, cell.fraction), []).append(cell)
-        rows = []
-        for (variant, budget, fraction), cells in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), str(kv[0][2]))
-        ):
-            fms = [c.metrics.f_measure for c in cells]
-            rows.append(
-                {
-                    "variant": variant,
-                    "budget": budget,
-                    "fraction": fraction,
-                    "seeds": len(cells),
-                    "fm_mean": statistics.fmean(fms),
-                    "fm_std": statistics.stdev(fms) if len(fms) > 1 else 0.0,
-                }
-            )
-        return rows
+def aggregate(cells: list[AblationCell]) -> list[dict]:
+    """Mean and standard deviation of f-measure per (variant, cost)."""
+    groups: dict[tuple, list[AblationCell]] = {}
+    for cell in cells:
+        groups.setdefault((cell.variant, cell.budget, cell.fraction), []).append(cell)
+    rows = []
+    for (variant, budget, fraction), group in sorted(
+        groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), str(kv[0][2]))
+    ):
+        fms = [c.metrics.f_measure for c in group]
+        rows.append(
+            {
+                "variant": variant,
+                "budget": budget,
+                "fraction": fraction,
+                "seeds": len(group),
+                "fm_mean": statistics.fmean(fms),
+                "fm_std": statistics.stdev(fms) if len(fms) > 1 else 0.0,
+            }
+        )
+    return rows
 
 
 def evaluate_run(pool: InstancePool, result: RunResult) -> MetricsReport:
@@ -181,7 +177,7 @@ def run_ablation_suite(
     fractions=(),
     seeds=(0, 1, 2),
     workers: int = 1,
-) -> AblationTable:
+) -> list[AblationCell]:
     """Cross-product of variants x label costs x seeds, each trained and scored.
 
     Cells are independent and internally deterministic, so they may run in
@@ -199,10 +195,8 @@ def run_ablation_suite(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=shared) as ex:
-            cells = list(ex.map(_run_cell_task, tasks))
-    else:
-        cells = [run_cell(*shared, v, s, budget=b, fraction=f) for v, s, b, f in tasks]
-    return AblationTable(cells)
+            return list(ex.map(_run_cell_task, tasks))
+    return [run_cell(*shared, v, s, budget=b, fraction=f) for v, s, b, f in tasks]
 
 
 def format_table(rows: list[dict]) -> str:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -28,13 +27,6 @@ from .datasets import (GoldStandard, IngestError, Record, RecordSet, _write_inst
                        _write_tile)
 # the benchmark imports and traces these two here
 from .datasets import InstancePool, write_instance_file  # noqa: F401
-
-
-@dataclass(frozen=True)
-class BlockingSpec:
-    """Token blocking on one attribute: only same-block pairs are compared."""
-
-    attribute: str
 
 
 def qgrams(text: str, q: int) -> frozenset[str]:
@@ -59,20 +51,15 @@ def qgram_jaccard(s1: str, s2: str, q: int = 2) -> float:
     return len(grams1 & grams2) / len(grams1 | grams2)
 
 
-def featurize_pair(
-    r_i: Record,
-    r_j: Record,
-    sim: Callable[[str, str, int], float] = qgram_jaccard,
-    q: int = 2,
-) -> np.ndarray:
-    """Feature vector whose k-th value is sim applied to attribute k of both
-    records."""
+def featurize_pair(r_i: Record, r_j: Record, q: int = 2) -> np.ndarray:
+    """Feature vector whose k-th value is the q-gram Jaccard of attribute k
+    of both records."""
     if len(r_i.attributes) != len(r_j.attributes):
         raise IngestError(
             f"schema mismatch: {len(r_i.attributes)} vs {len(r_j.attributes)} attributes"
         )
     return np.array(
-        [sim(a, b, q) for a, b in zip(r_i.attributes, r_j.attributes)],
+        [qgram_jaccard(a, b, q) for a, b in zip(r_i.attributes, r_j.attributes)],
         dtype=np.float64,
     )
 
@@ -96,19 +83,19 @@ def block_by_token(records: RecordSet, attr: str) -> dict[str, list[str]]:
 def generate_pairs(
     set1: RecordSet,
     set2: RecordSet | None = None,
-    blocking: BlockingSpec | None = None,
+    block_on: str | None = None,
 ) -> Iterator[tuple[Record, Record]]:
     """Stream candidate record pairs in sorted (id_i, id_j) order.
 
     One set yields all C(n, 2) unordered pairs; two sets yield the full
-    cross product. With blocking only the pairs whose blocking attributes
+    cross product. With block_on only the pairs whose block_on attributes
     share a token appear.
     """
     by_id = operator.attrgetter("id")
     left = sorted(set1.records, key=by_id)
     pairs = (itertools.combinations(left, 2) if set2 is None
              else itertools.product(left, sorted(set2.records, key=by_id)))
-    col = None if blocking is None else set1.attribute_index(blocking.attribute)
+    col = None if block_on is None else set1.attribute_index(block_on)
     for r_i, r_j in pairs:
         if col is None or not _tokens(r_i.attributes[col]).keys().isdisjoint(
                 _tokens(r_j.attributes[col])):
@@ -127,7 +114,7 @@ def featurize_to_file(
     right: RecordSet | None = None,
     gold: GoldStandard | None = None,
     q: int = 2,
-    blocking: BlockingSpec | None = None,
+    block_on: str | None = None,
 ) -> int:
     """Featurize all candidate pairs straight to an instance file.
 
@@ -152,8 +139,8 @@ def featurize_to_file(
     grams = [_gram_rows([qgrams(rec.attributes[k], q) for rec in records])
              for k in range(len(left.schema))]
     tokens = None
-    if blocking is not None:
-        col = left.attribute_index(blocking.attribute)
+    if block_on is not None:
+        col = left.attribute_index(block_on)
         tokens = _gram_rows([_tokens(rec.attributes[col]) for rec in records])
     match_keys = None
     if gold is not None:

@@ -205,22 +205,21 @@ def forward_batch(model: MlpModel, X: np.ndarray, label: np.ndarray | None = Non
     return out
 
 
-def backprop(model: MlpModel, buf: Buffers, want_params: bool = True,
-             want_input: bool = False):
-    """Gradients of a scalar loss w.r.t. the parameters and the input.
+def backprop(model: MlpModel, buf: Buffers, want_input: bool = False) -> np.ndarray:
+    """Gradient of a scalar loss w.r.t. the parameters, or w.r.t. the input
+    when want_input, the other's work skipped.
 
     buf holds a forward_pass of model, and buf.dz the loss derivative
-    w.r.t. the output logit, one entry per row. Returns (grad, dinput):
-    grad is laid out like model.params, dinput has one row per input row,
-    and each is None, its work skipped, unless asked for. They are
-    buf.grad and buf.dinput. The passes that call it have checked buf.
+    w.r.t. the output logit, one entry per row. Returns buf.grad, laid out
+    like model.params, or buf.dinput, which has one row per input row.
+    The passes that call it have checked buf.
     """
     delta = buf.deltas[-1]
     for ell in range(len(model.blocks) - 1, -1, -1):
-        if want_params:
+        if not want_input:
             np.dot(delta.T, buf.acts[ell], out=buf.grad_blocks[ell])
-        if ell == 0 and not want_input:
-            break
+            if ell == 0:
+                break
         prev = buf.deltas[ell - 1] if ell > 0 else buf.dinput
         np.dot(delta, model.weights[ell], out=prev)
         if ell > 0:
@@ -228,7 +227,7 @@ def backprop(model: MlpModel, buf: Buffers, want_params: bool = True,
             np.greater(buf.hidden[ell - 1], 0.0, out=buf.masks[ell - 1])
             np.multiply(prev, buf.masks[ell - 1], out=prev)
         delta = prev
-    return (buf.grad if want_params else None), (buf.dinput if want_input else None)
+    return buf.dinput if want_input else buf.grad
 
 
 def _mean(x: np.ndarray):
@@ -273,13 +272,13 @@ def generator_backward(gen: MlpModel, disc: MlpModel,
     d_out = forward_pass(disc, d_buf)
     # d/dz of log(1 - d) / n
     np.divide(d_out, -len(d_out), out=d_buf.dz)
-    _, dinput = backprop(disc, d_buf, want_params=False, want_input=True)
+    dinput = backprop(disc, d_buf, want_input=True)
     # through the generator's logistic to its logit: g (1 - g) dL/dg
     g_out, dz = g_buf.out, g_buf.dz
     np.subtract(1.0, g_out, out=dz)
     np.multiply(dz, g_out, out=dz)
     np.multiply(dz, dinput[:, -1], out=dz)
-    return backprop(gen, g_buf)[0]
+    return backprop(gen, g_buf)
 
 
 def discriminator_backward(disc: MlpModel, n_f: int, n_r: int, real_weight: float,
@@ -299,7 +298,7 @@ def discriminator_backward(disc: MlpModel, n_f: int, n_r: int, real_weight: floa
     np.divide(d_out[:n_f], n_f, out=dz_fake)
     np.subtract(d_out[n_f:], 1.0, out=dz_real)
     np.multiply(dz_real, real_weight / n_r, out=dz_real)
-    return backprop(disc, buf)[0]
+    return backprop(disc, buf)
 
 
 def binary_log_loss(outputs: np.ndarray, targets: np.ndarray):
@@ -317,7 +316,7 @@ def classifier_backward(model: MlpModel, targets: np.ndarray, buf: Buffers) -> n
     out = forward_pass(model, buf)
     np.subtract(out, targets, out=buf.dz)
     np.divide(buf.dz, len(out), out=buf.dz)
-    return backprop(model, buf)[0]
+    return backprop(model, buf)
 
 
 @dataclass

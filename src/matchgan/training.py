@@ -103,6 +103,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 <= self.real_weight < math.inf:
             raise ValueError("real_weight must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.inner_iters < 1:
             raise ValueError("inner_iters must be at least 1")
         if self.propagate_count is not None and self.propagate_count < 1:
@@ -150,6 +152,11 @@ def select_seed_labels(
     return [pool.ids[r] for r in _seed_rows(len(pool), budget, partition, rng, "full")]
 
 
+def _check_budget(budget: int, n: int) -> None:
+    if not 1 <= budget <= n:
+        raise ValueError(f"budget {budget} is not between 1 and the pool size {n}")
+
+
 def _seed_rows(n: int, budget: int, partition: SubspacePartition,
                rng: np.random.Generator, variant: str) -> np.ndarray:
     """Ascending rows of an n-row pool that receive real labels.
@@ -157,8 +164,7 @@ def _seed_rows(n: int, budget: int, partition: SubspacePartition,
     Diversity-aware selection spreads the budget across subspaces; the
     no_diversity variant draws uniformly instead.
     """
-    if budget > n:
-        raise ValueError(f"budget {budget} exceeds pool size {n}")
+    _check_budget(budget, n)
     if variant == "no_diversity":
         return np.sort(rng.choice(n, size=budget, replace=False))
     return np.sort(diverse_sample(partition.populations(), budget, rng))
@@ -361,6 +367,9 @@ def run(
     seed_rows = np.sort(np.asarray(seed_rows, dtype=np.intp))
     if not len(seed_rows):
         raise ValueError("cannot train without any seed labels")
+    outside = seed_rows[(seed_rows < 0) | (seed_rows >= len(pool))]
+    if len(outside):
+        raise ValueError(f"seed row {outside[0]} is outside the pool's rows 0..{len(pool) - 1}")
     seed_labels = pool.real_labels[seed_rows]
     unlabeled = seed_rows[seed_labels == UNLABELED]
     if len(unlabeled):

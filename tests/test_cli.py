@@ -209,7 +209,8 @@ class TestMoreCliPaths:
             "-o", tmp_path / "out",
         )
         assert code != 0
-        assert "exceeds pool size" in capsys.readouterr().err
+        assert ("--seed-budget: budget 99 is not between 1 and the pool size 10"
+                in capsys.readouterr().err)
 
 
 class TestBadInput:
@@ -648,7 +649,27 @@ class TestBadInput:
         out = tmp_path / "run"
         assert run_cli("train", "--instances", data / "instances.tsv",
                        f"--seed-budget={budget}", "--checkpoints", "-o", out) == 1
-        assert "without any seed labels" in self._single_error(capsys)
+        assert f"--seed-budget: budget {budget} is not between 1" in self._single_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed-budget", 0],
+        ["train", "--seed-budget", -5],
+        ["train", "--seed-budget", 100000],
+        ["train", "--variant", "no-diversity", "--seed-budget", -5],
+        ["ablate", "--budgets", -3, "--variants", "no-diversity"],
+    ], ids=["zero", "negative", "above-pool", "no-diversity-negative", "ablate-negative"])
+    def test_bad_budget_names_its_flag(self, tmp_path, capsys, argv):
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 5, "--imbalance", 10, "--seed", 3, "--out", data)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(argv[0], "--instances", data / "instances.tsv", *argv[1:],
+                       "--inner-iters", 2, "-o", out) == 1
+        flag = "--budgets" if argv[0] == "ablate" else "--seed-budget"
+        budget = argv[argv.index(flag) + 1]
+        assert (f"error: {flag}: budget {budget} is not between 1 and the pool size 55"
+                in self._single_error(capsys))
         assert not out.exists()
 
 
@@ -671,6 +692,7 @@ _BAD_TRAIN_FLAGS = st.one_of(
               .map(repr)),
     st.tuples(st.just("--seed-budget"),
               st.one_of(_nonpositive_ints(), st.integers(min_value=34).map(str))),
+    st.tuples(st.just("--seed"), st.integers(max_value=-1).map(str)),
 )
 
 
@@ -697,9 +719,38 @@ class TestTrainFlagProperty:
                                *(f"{k}={v}" for k, v in argv.items()), "-o", out)
             assert code == 1
             lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), lines
-            if flag != "--seed-budget":  # a TrainConfig field's flag is named
-                assert lines[0].startswith(f"error: {flag}: "), lines
+            assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: "), lines
+            assert not out.exists()
+
+
+# (flag, bad value) of each synth flag, as it is typed
+_BAD_SYNTH_FLAGS = st.one_of(
+    st.tuples(st.sampled_from(["--matches", "--imbalance", "--features"]),
+              st.one_of(_nonpositive_ints(), st.sampled_from(["x", "1.5", ""]))),
+    st.tuples(st.just("--separation"),
+              st.one_of(st.floats(max_value=-1e-300), st.floats(min_value=1.0, exclude_min=True),
+                        st.just(math.nan)).map(repr)),
+    st.tuples(st.just("--seed"), st.one_of(st.integers(max_value=-1).map(str), st.just("1e3"))),
+)
+
+
+class TestSynthFlagProperty:
+    """synth with some flags out of range or unparseable fails cleanly:
+    exit 1, one error line naming one of those flags, no output directory."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bad=st.lists(_BAD_SYNTH_FLAGS, min_size=1, unique_by=lambda b: b[0]))
+    def test_bad_flags(self, bad):
+        argv = {"--matches": "2", "--imbalance": "2", **dict(bad)}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "data"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("synth", *(f"{k}={v}" for k, v in argv.items()), "--out", out)
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert any(f"{flag}: " in lines[0] for flag, _ in bad), lines
             assert not out.exists()
 
 

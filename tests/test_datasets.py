@@ -9,11 +9,8 @@ from matchgan.datasets import (
     LABEL_CODES,
     MATCH,
     NON_MATCH,
-    DuplicateIdError,
     GoldStandard,
     IngestError,
-    MissingColumnError,
-    SelfPairError,
     SyntheticConfig,
     class_feature_params,
     generate_synthetic,
@@ -44,11 +41,11 @@ class TestLoadRecords:
     def test_missing_id_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("key,title\nr1,x\n")
-        with pytest.raises(MissingColumnError):
+        with pytest.raises(IngestError, match="missing column 'id' in "):
             load_records(path, schema=["title"], id_column="id")
 
     def test_missing_schema_column(self, records_csv):
-        with pytest.raises(MissingColumnError):
+        with pytest.raises(IngestError, match="missing column 'venue' in "):
             load_records(records_csv, schema=["title", "venue"], id_column="id")
 
     def test_missing_file(self, tmp_path):
@@ -58,7 +55,7 @@ class TestLoadRecords:
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("id,title\nr1,x\nr1,y\n")
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(IngestError, match="dup.csv:3: duplicate id 'r1'"):
             load_records(path, schema=["title"], id_column="id")
 
     def test_missing_cells_become_empty(self, tmp_path):
@@ -94,7 +91,8 @@ class TestLoadGold:
     def test_self_pair_rejected(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("a,a\n")
-        with pytest.raises(SelfPairError):
+        with pytest.raises(IngestError,
+                           match=r"gold.csv:1: self-pair \('a', 'a'\) is not a valid match"):
             load_gold(path)
 
     def test_wrong_column_count(self, tmp_path):
@@ -186,6 +184,8 @@ class TestGenerateSynthetic:
             SyntheticConfig(n_matches=1, imbalance_rate=0)
         with pytest.raises(IngestError):
             SyntheticConfig(n_matches=1, imbalance_rate=1, separation=1.5)
+        with pytest.raises(IngestError, match="seed must be non-negative"):
+            SyntheticConfig(n_matches=1, imbalance_rate=1, seed=-1)
 
 
 class TestLabelsFile:

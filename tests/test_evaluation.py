@@ -17,6 +17,7 @@ from matchgan.datasets import (
 from matchgan.diversity import build_partition
 import matchgan.evaluation as evaluation
 from matchgan.evaluation import (
+    aggregate,
     compute_metrics,
     evaluate_run,
     format_table,
@@ -168,33 +169,33 @@ class TestAblationSuite:
     def test_single_cell(self):
         pool, partition = tiny_problem()
         cfg = TrainConfig(inner_iters=50)
-        table = run_ablation_suite(
+        cells = run_ablation_suite(
             pool, partition, cfg, variants=("full",), budgets=(12,), seeds=(0,)
         )
-        assert len(table.cells) == 1
-        rows = table.aggregate()
+        assert len(cells) == 1
+        rows = aggregate(cells)
         assert rows[0]["seeds"] == 1
         assert rows[0]["fm_std"] == 0.0
 
     def test_grid_shape_and_aggregation(self):
         pool, partition = tiny_problem()
         cfg = TrainConfig(inner_iters=20)
-        table = run_ablation_suite(
+        cells = run_ablation_suite(
             pool, partition, cfg,
             variants=("full", "no_adversary"), budgets=(10, 16), seeds=(0, 1),
         )
-        assert len(table.cells) == 8
-        rows = table.aggregate()
+        assert len(cells) == 8
+        rows = aggregate(cells)
         assert len(rows) == 4
         assert all(r["seeds"] == 2 for r in rows)
 
     def test_fraction_mode(self):
         pool, partition = tiny_problem()
         cfg = TrainConfig(inner_iters=50)
-        table = run_ablation_suite(
+        cells = run_ablation_suite(
             pool, partition, cfg, variants=("full",), fractions=(0.6,), seeds=(0,)
         )
-        cell = table.cells[0]
+        cell = cells[0]
         assert cell.fraction == 0.6
         # 60% of the pool labeled, the remaining 40% scored
         expected_test = len(pool) - int(len(pool) * 0.6)
@@ -212,8 +213,8 @@ class TestAblationSuite:
         serial = run_ablation_suite(pool, partition, cfg, workers=1, **kwargs)
         parallel = run_ablation_suite(pool, partition, cfg, workers=2, **kwargs)
         assert [
-            (c.variant, c.seed, c.metrics.f_measure) for c in serial.cells
-        ] == [(c.variant, c.seed, c.metrics.f_measure) for c in parallel.cells]
+            (c.variant, c.seed, c.metrics.f_measure) for c in serial
+        ] == [(c.variant, c.seed, c.metrics.f_measure) for c in parallel]
 
     def test_workers_get_inputs_once_and_pool_is_capped(self, monkeypatch):
         import concurrent.futures
@@ -240,7 +241,7 @@ class TestAblationSuite:
         assert all(a is b for a, b in zip(seen["initargs"], (pool, partition, cfg)))
         assert seen["tasks"] == [("full", 0, 10, None), ("full", 0, None, 0.5),
                                  ("no_adversary", 0, 10, None), ("no_adversary", 0, None, 0.5)]
-        assert parallel.cells == serial.cells
+        assert parallel == serial
 
     def test_cell_keeps_every_base_config_knob(self, monkeypatch):
         seen = []

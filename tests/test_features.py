@@ -1,3 +1,4 @@
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -20,7 +21,6 @@ from matchgan.datasets import (
     write_instance_file,
 )
 from matchgan.features import (
-    BlockingSpec,
     block_by_token,
     featurize_pair,
     featurize_to_file,
@@ -31,12 +31,12 @@ from matchgan.features import (
 from helpers import fault_of, instance_texts, reference_read_instance_file
 
 
-def write_reference(path, left, right=None, gold=None, q=2, blocking=None):
+def write_reference(path, left, right=None, gold=None, q=2, block_on=None):
     """The instance file written pair by pair through the scalar kernel,
     one repr call per feature value."""
     with Path(path).open("w", encoding="utf-8") as fh:
         _write_instance_header(fh, left.schema, q, labeled=gold is not None)
-        for r_i, r_j in generate_pairs(left, right, blocking):
+        for r_i, r_j in generate_pairs(left, right, block_on):
             cells = [r_i.id, r_j.id, *map(repr, featurize_pair(r_i, r_j, q=q).tolist())]
             if gold is not None:
                 cells.append("M" if gold.label_codes([(r_i.id, r_j.id)])[0] else "N")
@@ -70,10 +70,10 @@ def featurize_cases(draw):
         if len(ids) >= 2:
             for a, b in draw(st.lists(st.permutations(ids).map(lambda p: p[:2]), max_size=6)):
                 gold.add(a, b)
-    blocking = BlockingSpec("t") if draw(st.booleans()) else None
+    block_on = "t" if draw(st.booleans()) else None
     q = draw(st.integers(1, 3))
     tile = draw(st.sampled_from([1, 2, 5, features.PAIR_TILE]))
-    return left, right, gold, q, blocking, tile
+    return left, right, gold, q, block_on, tile
 
 
 class TestQgramJaccard:
@@ -182,6 +182,13 @@ class TestInstance:
         with pytest.raises(IngestError, match="unknown label code 5"):
             InstancePool([("a", "b"), ("c", "c")], [[0.5], [0.5]], [5, 0])
 
+    @pytest.mark.parametrize("bad", ["c\td", "c\nd", "c\rd"])
+    def test_rejects_id_with_tab_or_line_break(self, bad):
+        # such an id would give the instance and labels files an extra
+        # column or row that their readers reject
+        with pytest.raises(IngestError, match=re.escape(f"pair id {('a', bad)} contains a tab")):
+            pool_of([(("a", "b"), [0.5], 1), (("a", bad), [0.5], 0)])
+
     def test_rejects_ragged_columns(self):
         with pytest.raises(IngestError, match="one feature row"):
             InstancePool([("a", "b"), ("c", "d")], [[0.5]], [1, 0])
@@ -222,7 +229,7 @@ class TestGeneratePairs:
     def test_blocked_subset_of_unblocked(self, three_records):
         blocked = {
             (a.id, b.id)
-            for a, b in generate_pairs(three_records, blocking=BlockingSpec("title"))
+            for a, b in generate_pairs(three_records, block_on="title")
         }
         unblocked = {(a.id, b.id) for a, b in generate_pairs(three_records)}
         assert blocked <= unblocked
@@ -237,7 +244,7 @@ class TestGeneratePairs:
                 Record("r3", ("x",)),
             ],
         )
-        pairs = [(a.id, b.id) for a, b in generate_pairs(rs, blocking=BlockingSpec("title"))]
+        pairs = [(a.id, b.id) for a, b in generate_pairs(rs, block_on="title")]
         assert pairs == [("r1", "r2")]
 
 
@@ -260,7 +267,7 @@ class TestBlockByToken:
             schema=("title",),
             records=[Record(f"r{i}", (f"tok{i}",)) for i in range(4)],
         )
-        assert list(generate_pairs(rs, blocking=BlockingSpec("title"))) == []
+        assert list(generate_pairs(rs, block_on="title")) == []
 
     def test_repeated_token_blocks_record_once(self):
         rs = RecordSet(
@@ -268,7 +275,7 @@ class TestBlockByToken:
             records=[Record("r1", ("deep deep",)), Record("r2", ("nets",))],
         )
         assert block_by_token(rs, "title")["deep"] == ["r1"]
-        assert list(generate_pairs(rs, blocking=BlockingSpec("title"))) == []
+        assert list(generate_pairs(rs, block_on="title")) == []
 
     def test_unknown_attribute(self, three_records):
         with pytest.raises(IngestError):
@@ -429,11 +436,11 @@ class TestInstanceFile:
     @settings(max_examples=300, deadline=None)
     @given(featurize_cases())
     def test_featurize_matches_scalar_reference(self, case):
-        left, right, gold, q, blocking, tile = case
+        left, right, gold, q, block_on, tile = case
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(features, "PAIR_TILE", tile):
             tiled, reference = Path(tmp) / "tiled.tsv", Path(tmp) / "reference.tsv"
-            count = featurize_to_file(tiled, left, right, gold=gold, q=q, blocking=blocking)
-            write_reference(reference, left, right, gold, q, blocking)
+            count = featurize_to_file(tiled, left, right, gold=gold, q=q, block_on=block_on)
+            write_reference(reference, left, right, gold, q, block_on)
             assert tiled.read_bytes() == reference.read_bytes()
             assert count == len(reference.read_text().splitlines()) - 2
 
@@ -444,9 +451,9 @@ class TestInstanceFile:
         left = RecordSet(("t",), [Record("a", ("y",)), Record("b", ("y",))])
         right = RecordSet(("t",), [Record("b", ("y",))])
         out = tmp_path / "inst.tsv"
-        for blocking in (None, BlockingSpec("t")):
+        for block_on in (None, "t"):
             with pytest.raises(IngestError, match="distinct: \\('b', 'b'\\)"):
-                featurize_to_file(out, left, right, blocking=blocking)
+                featurize_to_file(out, left, right, block_on=block_on)
             assert not out.exists()
 
     def test_blocked_linkage_hand_enumerated(self, tmp_path):
@@ -456,14 +463,14 @@ class TestInstanceFile:
                                   Record("l3", ("nets",))])
         right = RecordSet(("t",), [Record("r1", ("Nets deep",)), Record("r2", ("search",))])
         out, reference = tmp_path / "inst.tsv", tmp_path / "reference.tsv"
-        assert featurize_to_file(out, left, right, blocking=BlockingSpec("t")) == 2
+        assert featurize_to_file(out, left, right, block_on="t") == 2
         assert read_instance_file(out)[0] == [("l1", "r1"), ("l3", "r1")]
-        write_reference(reference, left, right, blocking=BlockingSpec("t"))
+        write_reference(reference, left, right, block_on="t")
         assert out.read_bytes() == reference.read_bytes()
         # an empty right set leaves no candidate, blocked or not
         empty = RecordSet(("t",), [])
-        for blocking in (None, BlockingSpec("t")):
-            assert featurize_to_file(out, left, empty, blocking=blocking) == 0
+        for block_on in (None, "t"):
+            assert featurize_to_file(out, left, empty, block_on=block_on) == 0
             assert read_instance_file(out)[0] == []
 
     def test_blocked_memory_bounded_by_the_record_count(self, tmp_path):
@@ -471,10 +478,10 @@ class TestInstanceFile:
         # the 179,700 pairs, and must hold no more than the unblocked walk
         rs = RecordSet(("t",), [Record(f"r{k:03d}", (f"common w{k}",)) for k in range(600)])
         peaks = []
-        for blocking in (None, BlockingSpec("t")):
+        for block_on in (None, "t"):
             tracemalloc.start()
             try:
-                assert featurize_to_file(tmp_path / "inst.tsv", rs, blocking=blocking) == 179_700
+                assert featurize_to_file(tmp_path / "inst.tsv", rs, block_on=block_on) == 179_700
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

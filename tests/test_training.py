@@ -827,6 +827,8 @@ class TestVariants:
             TrainConfig(inner_iters=0)
         with pytest.raises(ValueError):
             TrainConfig(propagate_count=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            TrainConfig(seed=-1)
         with pytest.raises(ValueError):
             TrainConfig(optimizer="lbfgs")
         for hidden in ((0,), (8, 0), (-3,), (4, -1, 4)):
@@ -851,3 +853,11 @@ class TestVariants:
             run(TrainConfig(seed=0), pool, partition)
         with pytest.raises(ValueError, match="without any seed labels"):
             run(TrainConfig(seed=0), pool, partition, seed_rows=[])
+        n = len(pool)
+        with pytest.raises(ValueError, match=f"seed row -1 is outside the pool's rows 0..{n - 1}"):
+            run(TrainConfig(seed=0), pool, partition, seed_rows=[0, -1])
+        with pytest.raises(ValueError, match=f"seed row {n} is outside"):
+            run(TrainConfig(seed=0), pool, partition, seed_rows=[n, 0])
+        for budget in (0, n + 1):
+            with pytest.raises(ValueError, match=f"budget {budget} is not between 1 and the pool"):
+                run(TrainConfig(seed=0), pool, partition, seed_budget=budget)
