@@ -35,7 +35,6 @@ for r in result.report["rounds"]:
 
 final = result.report["final"]
 print(f"\npropagated label counts: {final['pseudo_label_counts']}")
-print(f"generator/propagation agreement: {final['consistency']:.3f}")
 print(
     f"transductive quality: precision {metrics.precision:.3f}, "
     f"recall {metrics.recall:.3f}, f-measure {metrics.f_measure:.3f}"

@@ -213,11 +213,17 @@ def cmd_synth(args) -> int:
 def cmd_featurize(args) -> int:
     schema = args.schema.split(",") if args.schema else None
     left = load_records(args.left, schema, args.id_column, args.delimiter)
+    if args.block_on is not None and args.block_on not in left.schema:
+        raise IngestError(f"--block-on: {args.left} has no attribute {args.block_on!r}")
     right = None
     if args.right:
         right = load_records(args.right, left.schema, args.id_column, args.delimiter)
     gold = load_gold(args.gold, has_header=args.gold_header) if args.gold else None
-    count = featurize_to_file(args.out, left, right, gold=gold, q=args.q, block_on=args.block_on)
+    try:
+        count = featurize_to_file(args.out, left, right, gold, args.q, args.block_on)
+    except IngestError as exc:
+        # right has left's schema and --block-on is checked: an id both files hold
+        raise IngestError(f"{args.left}, {args.right}: {exc}") from None
     print(f"wrote {count} instances to {args.out}")
     return 0
 
@@ -263,7 +269,7 @@ def cmd_train(args) -> int:
     except ValueError:
         pass  # a propagated row has no real label, so the run is not scored
     write_report(result.report, out / "report.json")
-    print(f"rounds={result.report['final']['rounds']} pool={len(result.state)}")
+    print(f"rounds={len(result.report['rounds'])} pool={len(result.state)}")
     return 0
 
 

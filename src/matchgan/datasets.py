@@ -225,25 +225,28 @@ def load_records(
     records: list[Record] = []
     seen: set[str] = set()
     with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
-        if schema is None:
-            schema = [col for col in header if col != id_column]
-        schema = tuple(schema)
-        for col in (id_column, *schema):
-            if col not in header:
-                raise IngestError(f"missing column {col!r} in {path}")
-        for row in reader:
-            rid = row[id_column]
-            if _BREAK.search(rid):
-                raise IngestError(
-                    f"{path}:{reader.line_num}: record id {rid!r} contains a tab or line break"
-                )
-            if rid in seen:
-                raise IngestError(f"{path}:{reader.line_num}: duplicate id {rid!r}")
-            seen.add(rid)
-            values = tuple((row.get(col) or "") for col in schema)
-            records.append(Record(id=rid, attributes=values))
+        reader = csv.DictReader(fh, delimiter=delimiter, strict=True)
+        try:
+            header = reader.fieldnames or []
+            if schema is None:
+                schema = [col for col in header if col != id_column]
+            schema = tuple(schema)
+            for col in (id_column, *schema):
+                if col not in header:
+                    raise IngestError(f"missing column {col!r} in {path}")
+            for row in reader:
+                rid = row[id_column]
+                if _BREAK.search(rid):
+                    raise IngestError(f"{path}:{reader.line_num}: record id {rid!r}"
+                                      " contains a tab or line break")
+                if rid in seen:
+                    raise IngestError(f"{path}:{reader.line_num}: duplicate id {rid!r}")
+                seen.add(rid)
+                values = tuple((row.get(col) or "") for col in schema)
+                records.append(Record(id=rid, attributes=values))
+        except csv.Error as exc:
+            # the line at which strict CSV parsing failed
+            raise IngestError(f"{path}:{reader.reader.line_num}: {exc}") from None
     return RecordSet(schema=schema, records=records)
 
 
@@ -251,19 +254,22 @@ def load_gold(path: str | Path, has_header: bool = False) -> GoldStandard:
     """Load a symmetric, deduplicated match set from a two-column file."""
     gold = GoldStandard()
     with open_text(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno == 1 and has_header:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise IngestError(
-                    f"{path}:{lineno}: expected two columns, got {len(row)}"
-                )
-            try:
-                gold.add(row[0], row[1])
-            except IngestError as exc:
-                raise IngestError(f"{path}:{lineno}: {exc}") from None
+        reader = csv.reader(fh, strict=True)
+        try:
+            if has_header:
+                next(reader, None)
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise IngestError(
+                        f"{path}:{reader.line_num}: expected two columns, got {len(row)}")
+                try:
+                    gold.add(row[0], row[1])
+                except IngestError as exc:
+                    raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
     return gold
 
 

@@ -162,8 +162,8 @@ def featurize_to_file(
                 ids_a, ids_b = left_ids[ia], right_ids[ib]
                 same = np.flatnonzero(ids_a == ids_b)
                 if len(same):
-                    pair = (ids_a[same[0]], ids_b[same[0]])
-                    raise IngestError(f"instance pair ids must be distinct: {pair}")
+                    raise IngestError(f"both record sets hold id {ids_a[same[0]]!r},"
+                                      " on a candidate pair")
                 codes = None
                 if match_keys is not None:
                     codes = np.isin(ia * n_right + ib, match_keys).astype(np.int8)

@@ -321,28 +321,21 @@ def classifier_backward(model: MlpModel, targets: np.ndarray, buf: Buffers) -> n
 
 @dataclass
 class OptState:
-    """Optimizer state: adaptive-moment accumulators, laid out like the
-    model's params, or plain SGD (no moments)."""
+    """Adam's state: the step count and the moment accumulators, laid out
+    like the model's params."""
 
-    kind: str = "adam"
-    learning_rate: float = 1e-3
+    learning_rate: float
+    moment1: np.ndarray
+    moment2: np.ndarray
     step_count: int = 0
-    moment1: np.ndarray | None = None
-    moment2: np.ndarray | None = None
 
     @classmethod
-    def for_model(cls, model: MlpModel, kind: str = "adam", learning_rate: float = 1e-3):
-        if kind not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer kind {kind!r}")
-        state = cls(kind=kind, learning_rate=learning_rate)
-        if kind == "adam":
-            state.moment1 = np.zeros_like(model.params)
-            state.moment2 = np.zeros_like(model.params)
-        return state
+    def for_model(cls, model: MlpModel, learning_rate: float):
+        return cls(learning_rate, np.zeros_like(model.params), np.zeros_like(model.params))
 
 
 def opt_step(model: MlpModel, grad: np.ndarray, state: OptState, buf: Buffers) -> None:
-    """One deterministic optimizer update of model.params in place.
+    """One deterministic Adam update of model.params in place.
 
     grad is laid out like params. Adam uses bias-corrected first/second
     moments, with b1, b2 and eps the ADAM_ constants:
@@ -356,10 +349,6 @@ def opt_step(model: MlpModel, grad: np.ndarray, state: OptState, buf: Buffers) -
     t = state.step_count
     lr = state.learning_rate
     s1, s2 = buf.step
-    if state.kind == "sgd":
-        np.multiply(grad, lr, out=s1)
-        model.params -= s1
-        return
     m, v = state.moment1, state.moment2
     m *= ADAM_BETA1
     np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)

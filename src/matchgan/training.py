@@ -80,10 +80,11 @@ class RunState:
 
 @dataclass
 class TrainConfig:
-    """Training knobs. The generator's default learning rate is half the
-    discriminator's: the generator must commit to hard labels more slowly
-    than the discriminator can correct mislabeled regions, otherwise the
-    pair chases each other into a single-label collapse."""
+    """Training knobs; both models step with Adam. The generator's default
+    learning rate is half the discriminator's: the generator must commit to
+    hard labels more slowly than the discriminator can correct mislabeled
+    regions, otherwise the pair chases each other into a single-label
+    collapse."""
 
     batch_size: int = 100
     real_weight: float = 1.0
@@ -92,9 +93,7 @@ class TrainConfig:
     seed: int = 0
     gen_hidden: tuple[int, ...] = (32, 16)
     disc_hidden: tuple[int, ...] = (32, 16)
-    optimizer: str = "adam"
     learning_rate: float = 5e-4
-    disc_optimizer: str = "adam"
     disc_learning_rate: float = 1e-3
     variant: str = "full"
 
@@ -111,9 +110,6 @@ class TrainConfig:
             raise ValueError("propagate_count must be at least 1 when fixed")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        for opt in (self.optimizer, self.disc_optimizer):
-            if opt not in ("adam", "sgd"):
-                raise ValueError("optimizer must be 'adam' or 'sgd'")
         for name in ("learning_rate", "disc_learning_rate"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -381,12 +377,8 @@ def run(
     gen = nn.init_mlp((d, *cfg.gen_hidden, 1), rng)
     adversarial = cfg.variant != "no_adversary"
     disc = nn.init_mlp((d + 1, *cfg.disc_hidden, 1), rng) if adversarial else None
-    opt_gen = nn.OptState.for_model(gen, cfg.optimizer, cfg.learning_rate)
-    opt_disc = (
-        nn.OptState.for_model(disc, cfg.disc_optimizer, cfg.disc_learning_rate)
-        if adversarial
-        else None
-    )
+    opt_gen = nn.OptState.for_model(gen, cfg.learning_rate)
+    opt_disc = nn.OptState.for_model(disc, cfg.disc_learning_rate) if adversarial else None
 
     report: dict = {
         "config": asdict(cfg),  # the hidden widths are written as JSON lists
@@ -416,10 +408,8 @@ def run(
 
         report["rounds"].append({
             "round": round_index,
-            "gamma": len(rows),
             "propagated": len(rows),
             "pool_size_after": len(state),
-            "remaining_after": len(remaining),
             "d_objective": stats["d_objective"],
             "g_loss": stats["g_loss"],
         })
@@ -427,7 +417,9 @@ def run(
             None if m is None else nn.MlpModel(m.layer_dims, m.weights, m.biases)
             for m in (gen, disc)))
 
-    report["final"] = _final_summary(pool, state, gen)
+    pseudo = state.label[state.pseudo_rows()]
+    matches = int(np.count_nonzero(pseudo == LABEL_CODES[MATCH]))
+    report["final"] = {"pseudo_label_counts": {MATCH: matches, NON_MATCH: len(pseudo) - matches}}
     return RunResult(state, gen, disc, report, round_models)
 
 
@@ -436,29 +428,6 @@ def predict(gen: nn.MlpModel, features: np.ndarray) -> np.ndarray:
     if len(features) == 0:
         return np.zeros(0, np.int8)
     return _pseudo_labels_batch(gen, np.asarray(features, dtype=np.float64))[0]
-
-
-def _final_summary(pool: InstancePool, state: RunState, gen: nn.MlpModel) -> dict:
-    rows = state.pseudo_rows()
-    matches = int(np.count_nonzero(state.label[rows] == LABEL_CODES[MATCH]))
-    return {
-        "pool_size": len(state),
-        "rounds": int(state.round_added.max(initial=0)),
-        "pseudo_label_counts": {MATCH: matches, NON_MATCH: len(rows) - matches},
-        "consistency": _prediction_consistency(pool, state, gen),
-    }
-
-
-def _prediction_consistency(pool: InstancePool, state: RunState, gen: nn.MlpModel):
-    """Agreement between the generator's direct labels and propagated labels.
-
-    Reported only; propagation is authoritative for pool instances.
-    """
-    rows = state.pseudo_rows()
-    if len(rows) == 0:
-        return None
-    fresh, _ = _pseudo_labels_batch(gen, pool.features[rows])
-    return int(np.count_nonzero(fresh == state.label[rows])) / len(rows)
 
 
 def write_report(report: dict, path: str | Path) -> None:

@@ -186,7 +186,7 @@ def test_criterion_4_algorithm_structure():
 
     cfg = TrainConfig(seed=0, inner_iters=5, propagate_count=3)
     result = run(cfg, pool, partition, seed_rows=seed_rows)
-    rounds_fixed = result.report["final"]["rounds"]
+    rounds_fixed = len(result.report["rounds"])
     assert rounds_fixed == math.ceil(10 / 3) == 4
 
     # (b) monotone chain: seed rows at round 0, pseudo rows added in
@@ -211,7 +211,7 @@ def test_criterion_4_algorithm_structure():
     cfg2 = TrainConfig(seed=0, inner_iters=5)
     result2 = run(cfg2, pool2, partition2, seed_budget=budget)
     bound = math.ceil(math.log2(len(pool2) / budget)) + 1
-    rounds_pool = result2.report["final"]["rounds"]
+    rounds_pool = len(result2.report["rounds"])
     assert rounds_pool <= bound
     _report(
         "criterion 4: propagation structure",

@@ -174,7 +174,7 @@ class TestMoreCliPaths:
             "--checkpoints", "-o", out,
         ) == 0
         assert json.loads((out / "partition.json").read_text())["feature_indices"] == [0, 1]
-        rounds = json.loads((out / "report.json").read_text())["final"]["rounds"]
+        rounds = len(json.loads((out / "report.json").read_text())["rounds"])
         assert rounds >= 2
         for name in ("generator", "discriminator"):
             assert len(list((out / "checkpoints").glob(f"{name}_round*.npz"))) == rounds
@@ -194,7 +194,7 @@ class TestMoreCliPaths:
             "-o", out,
         ) == 0
         rounds = sorted((out / "checkpoints").glob("generator_round*.npz"))
-        assert len(rounds) == json.loads((out / "report.json").read_text())["final"]["rounds"]
+        assert len(rounds) == len(json.loads((out / "report.json").read_text())["rounds"])
         for path in [out / "generator.npz", *rounds]:
             _, meta = load_model(path)
             assert meta["kind"] == "classifier"
@@ -543,6 +543,48 @@ class TestBadInput:
         code = run_cli("featurize", "--left", records, "-o", inst)
         assert code == 1
         assert "contains a tab or line break" in self._single_error(capsys)
+        assert not inst.exists()
+
+    def test_unknown_block_attribute_names_flag_and_file(self, tmp_path, capsys):
+        left = tmp_path / "l.csv"
+        left.write_text("id,title\nl1,deep nets\nl2,deep net\n")
+        inst = tmp_path / "x.tsv"
+        assert run_cli("featurize", "--left", left, "--block-on", "venue", "-o", inst) == 1
+        assert self._single_error(capsys) == f"error: --block-on: {left} has no attribute 'venue'\n"
+        assert not inst.exists()
+
+    @pytest.mark.parametrize("block_on", [[], ["--block-on", "venue"]])
+    def test_shared_linkage_id_names_both_files(self, tmp_path, capsys, block_on):
+        left, right = tmp_path / "left.csv", tmp_path / "right.csv"
+        left.write_text("id,title,venue\nl1,deep nets,icml\nl2,graph search,kdd\n")
+        right.write_text("id,title,venue\nr1,deep net,icml\nl2,graph search,kdd\n")
+        inst = tmp_path / "inst.tsv"
+        assert run_cli("featurize", "--left", left, "--right", right, *block_on,
+                       "-o", inst) == 1
+        assert self._single_error(capsys) == (
+            f"error: {left}, {right}: both record sets hold id 'l2', on a candidate pair\n")
+        assert not inst.exists()
+        if block_on:
+            # blocking keeps an id that both files hold from pairing with itself
+            right.write_text("id,title,venue\nr1,deep net,icml\nl2,graph search,vldb\n")
+            assert run_cli("featurize", "--left", left, "--right", right, *block_on,
+                           "-o", inst) == 0
+
+    @pytest.mark.parametrize("name, text, line", [
+        ("left", 'id,title\nl1,deep nets\nl2,"deep lea', 3),
+        ("gold", 'l1,"l2', 1),
+    ])
+    def test_file_cut_inside_a_quoted_field_rejected(self, tmp_path, capsys, name, text, line):
+        files = {"left": "id,title\nl1,deep nets\nl2,deep net\n", "gold": "l1,l2\n"}
+        files[name] = text
+        argv = []
+        for key, body in files.items():
+            (tmp_path / f"{key}.csv").write_text(body)
+            argv += [f"--{key}", tmp_path / f"{key}.csv"]
+        inst = tmp_path / "inst.tsv"
+        assert run_cli("featurize", *argv, "-o", inst) == 1
+        assert self._single_error(capsys).startswith(
+            f"error: {tmp_path / name}.csv:{line}: unexpected end of data")
         assert not inst.exists()
 
     @pytest.mark.parametrize("flag", [
@@ -911,20 +953,22 @@ class TestMalformedInstanceFile:
 # each fault a featurize run's file inputs can hold, and a word its error
 # line carries
 _FEATURIZE_FAULTS = {
-    "shared id": "distinct",
+    "shared id": "hold id",
     "duplicate id": "duplicate id",
     "missing column": "missing column",
-    "unknown block attribute": "unknown attribute",
+    "unknown block attribute": "has no attribute 'v'",
     "gold self-pair": "self-pair",
     "gold width": "expected two columns",
+    "open quote": "unexpected end of data",
 }
 
 
 @st.composite
 def featurize_inputs(draw):
-    """(fault, CSV rows by file name, options, file:line of the fault or
-    None) of a featurize run on records of the schema t, u whose inputs
-    break exactly one rule."""
+    """(fault, CSV text by file name, options, the start of the error
+    line's message or None) of a featurize run on records of the schema
+    t, u whose inputs break exactly one rule; {tmp} in the message stands
+    for the files' directory."""
     fault = draw(st.sampled_from(list(_FEATURIZE_FAULTS)))
     where = None
     words = st.text(alphabet="ab ", max_size=5)
@@ -941,20 +985,22 @@ def featurize_inputs(draw):
         shared = draw(st.sampled_from(files["left"]))
         shared[1:] = ["x", "x"]
         files["right"].append(list(shared))
+        where = "{tmp}/left.csv, {tmp}/right.csv: "
     elif fault == "duplicate id":
         name = draw(st.sampled_from(sorted(files)))
         rows = files[name]
         rows.append([draw(st.sampled_from(rows))[0], draw(words), draw(words)])
-        where = f"{name}.csv:{len(rows) + 1}"  # below the header
+        where = f"{{tmp}}/{name}.csv:{len(rows) + 1}: "  # below the header
     elif fault == "unknown block attribute":
         block_on = "v"
+        where = "--block-on: {tmp}/left.csv "
     ids = [row[0] for rows in files.values() for row in rows]
     some_id = st.sampled_from(ids)
     gold = draw(st.lists(st.tuples(some_id, some_id).filter(lambda p: p[0] != p[1]).map(list),
                          max_size=3 if len(set(ids)) > 1 else 0))
     if fault == "gold self-pair":
         gold.append([draw(some_id)] * 2)
-        where = f"gold.csv:{len(gold)}"
+        where = f"{{tmp}}/gold.csv:{len(gold)}: "
     elif fault == "gold width":
         gold.append([draw(some_id), draw(some_id), "c"])
     for name, rows in files.items():
@@ -965,8 +1011,19 @@ def featurize_inputs(draw):
         files[name] = [row[:col] + row[col + 1 :] for row in files[name]]
     if gold:
         files["gold"] = gold
+    texts = {}
+    for name, rows in files.items():
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        texts[name] = text.getvalue()
+    if fault == "open quote":
+        # a last record cut inside its quoted field
+        name = draw(st.sampled_from(sorted(texts)))
+        line = texts[name].count("\n") + 1
+        texts[name] += f'{draw(some_id)},"{draw(words)}'
+        where = f"{{tmp}}/{name}.csv:{line}: "
     options = {"--schema": "t,u", **({"--block-on": block_on} if block_on else {})}
-    return fault, files, options, where
+    return fault, texts, options, where
 
 
 class TestMalformedFeaturizeInputs:
@@ -978,13 +1035,12 @@ class TestMalformedFeaturizeInputs:
     @settings(max_examples=100, deadline=None)
     @given(featurize_inputs())
     def test_featurize_fails_with_one_error_line(self, case):
-        fault, files, options, where = case
+        fault, texts, options, where = case
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(features, "PAIR_TILE", 1):
             argv = [arg for pair in options.items() for arg in pair]
-            for name, rows in files.items():
+            for name, text in texts.items():
                 path = Path(tmp) / f"{name}.csv"
-                with path.open("w", newline="", encoding="utf-8") as fh:
-                    csv.writer(fh).writerows(rows)
+                path.write_bytes(text.encode())
                 argv += [f"--{name}", path]
             out = Path(tmp) / "inst.tsv"
             err = io.StringIO()
@@ -995,8 +1051,53 @@ class TestMalformedFeaturizeInputs:
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             assert _FEATURIZE_FAULTS[fault] in lines[0]
             if where is not None:
-                assert lines[0].startswith(f"error: {tmp}/{where}: "), lines
+                assert lines[0].startswith(f"error: {where.format(tmp=tmp)}"), lines
             assert not out.exists()
+
+
+@st.composite
+def featurize_files(draw):
+    """CSV rows by file name of a valid featurize run: a records file of
+    the schema t, u, maybe a second one, and a gold file."""
+    words = st.text(alphabet="ab ", max_size=5)
+
+    def records(prefix):
+        return [[f"{prefix}{k}", draw(words), draw(words)] for k in range(draw(st.integers(1, 5)))]
+
+    files = {"left": records("l")}
+    if draw(st.booleans()):
+        files["right"] = records("r")
+    some_id = st.sampled_from([row[0] for rows in files.values() for row in rows])
+    files["gold"] = draw(st.lists(st.tuples(some_id, some_id).filter(lambda p: p[0] != p[1])
+                                  .map(list), max_size=4))
+    return files
+
+
+class TestFeaturizeRowOrder:
+    """The instance file does not depend on the order of the rows of the
+    records and gold files, nor on the order of a gold pair's two ids."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(files=featurize_files(), block_on=st.sampled_from([None, "t", "u"]), data=st.data())
+    def test_shuffled_rows_give_the_same_bytes(self, files, block_on, data):
+        shuffled = {name: data.draw(st.permutations(rows)) for name, rows in files.items()}
+        shuffled["gold"] = [row[::-1] if data.draw(st.booleans()) else row
+                            for row in shuffled["gold"]]
+        written = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, rows_by_name in enumerate((files, shuffled)):
+                argv = ["--schema", "t,u", *(["--block-on", block_on] if block_on else [])]
+                for name, rows in rows_by_name.items():
+                    path = Path(tmp) / f"{name}{k}.csv"
+                    header = [] if name == "gold" else [["id", "t", "u"]]
+                    with path.open("w", newline="", encoding="utf-8") as fh:
+                        csv.writer(fh).writerows(header + rows)
+                    argv += [f"--{name}", path]
+                out = Path(tmp) / f"inst{k}.tsv"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert run_cli("featurize", *argv, "-o", out) == 0
+                written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 # valid config lines that a bad one sits among
@@ -1008,7 +1109,9 @@ def _config_line(key, value):
 
 
 _BAD_CONFIG_LINES = st.one_of(
-    st.sampled_from(["bogus = 1", "seeds = 2", "batchsize = 8"]),  # unknown key
+    # unknown keys, among them the optimizer choice: both models step with Adam
+    st.sampled_from(["bogus = 1", "seeds = 2", "batchsize = 8", "optimizer = adam",
+                     "disc_optimizer = sgd"]),
     st.sampled_from(["inner_iters 2", "seed", "learning_rate: 0.1"]),  # no '='
     st.sampled_from([("inner_iters", "x"), ("learning_rate", "fast"), ("propagate_count", "all"),
                      ("gen_hidden", "8,x"), ("variant", "best")]).map(lambda kv: _config_line(*kv)),
@@ -1059,8 +1162,9 @@ def training_inputs(draw):
     ids = st.sampled_from(["a0", "a1", "b0", "b1"])
     rows = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]).map(list),
                          max_size=4))
-    some = draw(ids)
-    bad = [some, some] if draw(st.booleans()) else [some, draw(ids), draw(ids)]
+    some, other, third = draw(ids), draw(ids), draw(ids)
+    # a self-pair, a third column, or a quote closed mid-cell
+    bad = draw(st.sampled_from([[some, some], [some, other, third], [f'"{some}"x', other]]))
     at = draw(st.integers(0, len(rows)))
     rows.insert(at, bad)
     header = draw(st.booleans())
@@ -1256,8 +1360,7 @@ class TestConfigFile:
         text = {
             "batch_size": ("7", 7), "real_weight": ("0.25", 0.25), "inner_iters": ("3", 3),
             "propagate_count": ("11", 11), "seed": ("9", 9), "gen_hidden": ("8,4", (8, 4)),
-            "disc_hidden": ("6", (6,)), "optimizer": ("sgd", "sgd"),
-            "learning_rate": ("0.01", 0.01), "disc_optimizer": ("sgd", "sgd"),
+            "disc_hidden": ("6", (6,)), "learning_rate": ("0.01", 0.01),
             "disc_learning_rate": ("0.02", 0.02), "variant": ("no-adversary", "no_adversary"),
         }
         fields = {field.name: field.default for field in dataclasses.fields(TrainConfig)}

@@ -64,6 +64,21 @@ class TestLoadRecords:
         rs = load_records(path, schema=["title", "author"], id_column="id")
         assert rs.records[0].attributes == ("only title", "")
 
+    @pytest.mark.parametrize("text, line, reason", [
+        ('id,title\nl1,deep nets\nl2,"deep lea', 3, "unexpected end of data"),
+        ('id,"tit', 1, "unexpected end of data"),
+        ('id,title\nl1,"a\nb"\n\nl2,"c"d\nl3,e\n', 5, "',' expected after '\"'"),
+        ('id,title\nl1,"a\nb\nc', 4, "unexpected end of data"),
+    ])
+    def test_malformed_quoting_names_its_line(self, tmp_path, text, line, reason):
+        # a file cut inside a quoted field, or a quote closed mid-cell, is
+        # named at the line where parsing fails
+        path = tmp_path / "cut.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError) as caught:
+            load_records(path)
+        assert str(caught.value) == f"{path}:{line}: {reason}"
+
     def test_roundtrip_lossless(self, records_csv, tmp_path):
         rs = load_records(records_csv, schema=["title", "author"], id_column="id")
         out = tmp_path / "again.csv"
@@ -99,6 +114,19 @@ class TestLoadGold:
         path = tmp_path / "gold.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(IngestError, match="two columns"):
+            load_gold(path)
+
+    @pytest.mark.parametrize("text, line", [('l1,"l2', 1), ('a,b\n"c"d,e\n', 2)])
+    def test_malformed_quoting_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "gold.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError, match=f"^{path}:{line}: "):
+            load_gold(path)
+
+    def test_fault_after_a_multi_line_field_names_its_file_line(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_text('a,"b\nc"\nd,d\n')
+        with pytest.raises(IngestError, match=f"^{path}:3: self-pair"):
             load_gold(path)
 
     def test_header_skipped_when_flagged(self, tmp_path):

@@ -253,10 +253,10 @@ class TestAblationSuite:
 
         monkeypatch.setattr(evaluation, "run", spy)
         pool, partition = tiny_problem()
-        base = TrainConfig(inner_iters=5, disc_learning_rate=3e-3, disc_optimizer="sgd")
+        base = TrainConfig(inner_iters=5, disc_learning_rate=3e-3, real_weight=0.5)
         evaluation.run_cell(pool, partition, base, "no_diversity", seed=4, budget=10)
         assert seen[0] == dataclasses.replace(base, seed=4, variant="no_diversity")
-        assert seen[0].disc_learning_rate == 3e-3 and seen[0].disc_optimizer == "sgd"
+        assert seen[0].disc_learning_rate == 3e-3 and seen[0].real_weight == 0.5
 
     def test_table_formatting(self):
         rows = [

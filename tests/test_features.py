@@ -452,7 +452,7 @@ class TestInstanceFile:
         right = RecordSet(("t",), [Record("b", ("y",))])
         out = tmp_path / "inst.tsv"
         for block_on in (None, "t"):
-            with pytest.raises(IngestError, match="distinct: \\('b', 'b'\\)"):
+            with pytest.raises(IngestError, match="both record sets hold id 'b'"):
                 featurize_to_file(out, left, right, block_on=block_on)
             assert not out.exists()
 

@@ -339,7 +339,7 @@ class TestBackward:
         disc = init_mlp((4, 4, 1), rng)
         before_w = [w.copy() for w in disc.weights]
         g_grad = generator_grad(gen, disc, rng.random((5, 3)))
-        opt_step(gen, g_grad, OptState.for_model(gen), nn.Buffers(gen, 5))
+        opt_step(gen, g_grad, OptState.for_model(gen, 1e-3), nn.Buffers(gen, 5))
         for w_now, w_then in zip(disc.weights, before_w):
             np.testing.assert_array_equal(w_now, w_then)
 
@@ -362,7 +362,7 @@ class TestBuffers:
         # only the model decides
         with pytest.raises(ValueError, match="rows of another pass"):
             nn.forward_pass(gen, nn.Buffers(copy_model(gen), 5))
-        state = OptState.for_model(gen)
+        state = OptState.for_model(gen, 1e-3)
         with pytest.raises(ValueError, match="rows of another pass"):
             opt_step(gen, np.zeros_like(gen.params), state, nn.Buffers(copy_model(gen), 5))
         assert state.step_count == 0
@@ -372,7 +372,7 @@ class TestOptStep:
     def test_zero_gradients_leave_parameters(self, rng):
         model = init_mlp((2, 3, 1), rng)
         before = model.params.copy()
-        opt_step(model, np.zeros_like(model.params), OptState.for_model(model),
+        opt_step(model, np.zeros_like(model.params), OptState.for_model(model, 1e-3),
                  nn.Buffers(model, 1))
         np.testing.assert_array_equal(model.params, before)
 
@@ -387,18 +387,11 @@ class TestOptStep:
         expected = 0.25 - 1e-3 * g / (math.sqrt(g * g) + 1e-8)
         assert model.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
-    def test_sgd_update(self):
-        model = MlpModel((1, 1), [np.array([[1.0]])], [np.array([0.5])])
-        opt_step(model, np.array([0.2, -0.4]), OptState(kind="sgd", learning_rate=0.1),
-                 nn.Buffers(model, 1))
-        assert model.weights[0][0, 0] == pytest.approx(0.98)
-        assert model.biases[0][0] == pytest.approx(0.54)
-
     def test_deterministic(self, rng):
         def run_once():
             r = np.random.default_rng(3)
             model = init_mlp((2, 3, 1), r)
-            state = OptState.for_model(model)
+            state = OptState.for_model(model, 1e-3)
             grad, buf = layer_filled(model, 0.1, -0.2), nn.Buffers(model, 1)
             for _ in range(5):
                 opt_step(model, grad, state, buf)
@@ -462,7 +455,7 @@ class TestOptimalDiscriminatorCheck:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, rng):
         model = init_mlp((3, 4, 1), rng)
-        opt_step(model, layer_filled(model, 0.05, 0.02), OptState.for_model(model),
+        opt_step(model, layer_filled(model, 0.05, 0.02), OptState.for_model(model, 1e-3),
                  nn.Buffers(model, 1))
         path = tmp_path / "model.npz"
         save_model(path, model, seed=11, kind="generator")
