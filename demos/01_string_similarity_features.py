@@ -12,9 +12,6 @@ from matchgan import (
     Record,
     RecordSet,
     featurize_pair,
-    generate_pairs,
-    qgram_jaccard,
-    block_by_token,
     featurize_to_file,
     read_instance_file,
 )
@@ -28,7 +25,8 @@ for a, b in [
     ("database systems", "deep learning"),
     ("", ""),
 ]:
-    print(f"  {a!r:>24} vs {b!r:<24} -> {qgram_jaccard(a, b, q=2):.3f}")
+    value = featurize_pair(Record("a", (a,)), Record("b", (b,)), q=2)[0]
+    print(f"  {a!r:>24} vs {b!r:<24} -> {value:.3f}")
 
 # --- record pairs to instances --------------------------------------------
 papers = RecordSet(
@@ -40,22 +38,28 @@ papers = RecordSet(
         Record("p4", ("deep databases", "jones a")),
     ],
 )
+by_id = {rec.id: rec for rec in papers.records}
 
-print("\nall candidate pairs (C(4,2) = 6):")
-for r_i, r_j in generate_pairs(papers):
-    print(f"  ({r_i.id},{r_j.id}) features {featurize_pair(r_i, r_j).round(3)}")
-
-# --- token blocking shrinks the candidate set ------------------------------
-blocks = block_by_token(papers, "title")
-print(f"\ntitle token blocks: { {t: ids for t, ids in sorted(blocks.items())} }")
-blocked = list(generate_pairs(papers, block_on="title"))
-print(f"blocked candidate pairs: {[(a.id, b.id) for a, b in blocked]}")
-
-# --- streaming to an instance file -----------------------------------------
-gold = GoldStandard()
-gold.add("p1", "p2")
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "instances.tsv"
+
+    print("\nall candidate pairs (C(4,2) = 6):")
+    featurize_to_file(path, papers)
+    ids, features, _, _ = read_instance_file(path)
+    for (id_a, id_b), row in zip(ids, features):
+        print(f"  ({id_a},{id_b}) features {row.round(3)}")
+    # each row holds what featurize_pair gives for its two records
+    assert all((featurize_pair(by_id[a], by_id[b]) == row).all()
+               for (a, b), row in zip(ids, features))
+
+    # --- token blocking shrinks the candidate set --------------------------
+    n = featurize_to_file(path, papers, block_on="title")
+    blocked, _, _, _ = read_instance_file(path)
+    print(f"\npairs sharing a title token: {n} of 6, {blocked}")
+
+    # --- streaming a labeled instance file ---------------------------------
+    gold = GoldStandard()
+    gold.add("p1", "p2")
     n = featurize_to_file(path, papers, gold=gold)
     print(f"\nwrote {n} labeled instances; file starts with:")
     for line in path.read_text().splitlines()[:4]:

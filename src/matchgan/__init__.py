@@ -41,13 +41,7 @@ from .evaluation import (
     run_ablation_suite,
     split_pool,
 )
-from .features import (
-    block_by_token,
-    featurize_pair,
-    featurize_to_file,
-    generate_pairs,
-    qgram_jaccard,
-)
+from .features import featurize_pair, featurize_to_file
 from .nn import (
     MlpModel,
     OptState,

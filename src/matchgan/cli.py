@@ -211,6 +211,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    if len(args.delimiter) != 1:
+        raise ValueError(f"--delimiter: {args.delimiter!r} is not one character")
     schema = args.schema.split(",") if args.schema else None
     left = load_records(args.left, schema, args.id_column, args.delimiter)
     if args.block_on is not None and args.block_on not in left.schema:
@@ -310,6 +312,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    # each cell trains the variant --variants names for it, so a variant set
+    # by flag or config file would be dropped
+    if args.variant is not None:
+        raise ValueError("--variant: ablate takes its variants from --variants")
+    if args.config and "variant" in read_config_file(args.config):
+        raise IngestError(f"{args.config}: variant: ablate takes its variants from --variants")
     cfg, pool, partition = _training_inputs(args, "--budgets", args.budgets or [])
     seeds = [cfg.seed + k for k in range(args.seeds)]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
@@ -434,9 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for flag in ("workers", "seeds"):
-            if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
-                raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+        for flag in ("--workers", "--seeds", "-q"):
+            value = getattr(args, flag.lstrip("-"), None)
+            if value is not None and value < 1:
+                raise ValueError(f"{flag} must be at least 1, got {value}")
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)

@@ -99,12 +99,6 @@ class RecordSet:
     def __len__(self) -> int:
         return len(self.records)
 
-    def attribute_index(self, name: str) -> int:
-        try:
-            return self.schema.index(name)
-        except ValueError:
-            raise IngestError(f"unknown attribute {name!r}") from None
-
 
 @dataclass
 class GoldStandard:

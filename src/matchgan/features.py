@@ -8,9 +8,10 @@ q-gram set becomes a row of gram ids, a tile's intersection counts come
 from one product of 0/1 indicator blocks, and Jaccard is
 I / (|A| + |B| - I). Blocking tokens become rows of token ids the same
 way, and a tile's blocked candidates are its left records' tokens
-expanded into the right records that hold them. qgram_jaccard,
-featurize_pair and generate_pairs stay as the scalar reference that this
-kernel reproduces bit for bit. The instance file's format and the pool
+expanded into the right records that hold them. featurize_pair runs
+the same kernel on a tile of one pair, so there is one Jaccard in the
+library; the test suite checks it bit for bit against a scalar
+reference that works set by set. The instance file's format and the pool
 read from it belong to datasets.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 import operator
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -35,71 +35,23 @@ def qgrams(text: str, q: int) -> frozenset[str]:
     return frozenset(folded[i : i + q] for i in range(len(folded) - q + 1))
 
 
-def qgram_jaccard(s1: str, s2: str, q: int = 2) -> float:
-    """Jaccard overlap of the two strings' q-gram sets, in [0, 1].
-
-    Two empty gram sets score 1.0 (agreement on absence); exactly one
-    empty scores 0.0. Total function, symmetric in its string arguments.
-    """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    grams1, grams2 = qgrams(s1, q), qgrams(s2, q)
-    if not grams1 and not grams2:
-        return 1.0
-    if not grams1 or not grams2:
-        return 0.0
-    return len(grams1 & grams2) / len(grams1 | grams2)
-
-
 def featurize_pair(r_i: Record, r_j: Record, q: int = 2) -> np.ndarray:
     """Feature vector whose k-th value is the q-gram Jaccard of attribute k
-    of both records."""
+    of both records: the kernel run on a tile of one pair."""
+    if q < 1:
+        raise ValueError("q must be at least 1")
     if len(r_i.attributes) != len(r_j.attributes):
         raise IngestError(
             f"schema mismatch: {len(r_i.attributes)} vs {len(r_j.attributes)} attributes"
         )
-    return np.array(
-        [qgram_jaccard(a, b, q) for a, b in zip(r_i.attributes, r_j.attributes)],
-        dtype=np.float64,
-    )
+    grams = [_gram_rows([qgrams(a, q), qgrams(b, q)])
+             for a, b in zip(r_i.attributes, r_j.attributes)]
+    return _tile_features(grams, np.array([0]), np.array([1]))[0]
 
 
 def _tokens(text: str) -> dict[str, None]:
     """The case-folded whitespace tokens of text, each once, in order."""
     return dict.fromkeys(text.casefold().split())
-
-
-def block_by_token(records: RecordSet, attr: str) -> dict[str, list[str]]:
-    """Map each case-folded whitespace token of the attribute to record ids,
-    each record listed once per block."""
-    col = records.attribute_index(attr)
-    blocks: dict[str, list[str]] = {}
-    for rec in records.records:
-        for token in _tokens(rec.attributes[col]):
-            blocks.setdefault(token, []).append(rec.id)
-    return blocks
-
-
-def generate_pairs(
-    set1: RecordSet,
-    set2: RecordSet | None = None,
-    block_on: str | None = None,
-) -> Iterator[tuple[Record, Record]]:
-    """Stream candidate record pairs in sorted (id_i, id_j) order.
-
-    One set yields all C(n, 2) unordered pairs; two sets yield the full
-    cross product. With block_on only the pairs whose block_on attributes
-    share a token appear.
-    """
-    by_id = operator.attrgetter("id")
-    left = sorted(set1.records, key=by_id)
-    pairs = (itertools.combinations(left, 2) if set2 is None
-             else itertools.product(left, sorted(set2.records, key=by_id)))
-    col = None if block_on is None else set1.attribute_index(block_on)
-    for r_i, r_j in pairs:
-        if col is None or not _tokens(r_i.attributes[col]).keys().isdisjoint(
-                _tokens(r_j.attributes[col])):
-            yield r_i, r_j
 
 
 # A tile takes as many left records as keep its left-by-right product
@@ -118,11 +70,13 @@ def featurize_to_file(
 ) -> int:
     """Featurize all candidate pairs straight to an instance file.
 
-    Rows come in generate_pairs order and hold the features featurize_pair
-    gives, bit for bit: for each tile of pairs and each attribute, the
-    gram-set intersections come from one indicator-matrix product and the
-    Jaccard values from one divide. Returns the number of instances
-    written.
+    One record set gives all C(n, 2) unordered pairs, two sets the full
+    cross product; with block_on only the pairs whose block_on attributes
+    share a case-folded whitespace token remain. Rows come in sorted
+    (id_i, id_j) order and hold the features featurize_pair gives: for
+    each tile of pairs and each attribute, the gram-set intersections come
+    from one indicator-matrix product and the Jaccard values from one
+    divide. Returns the number of instances written.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -140,7 +94,9 @@ def featurize_to_file(
              for k in range(len(left.schema))]
     tokens = None
     if block_on is not None:
-        col = left.attribute_index(block_on)
+        if block_on not in left.schema:
+            raise IngestError(f"unknown attribute {block_on!r}")
+        col = left.schema.index(block_on)
         tokens = _gram_rows([_tokens(rec.attributes[col]) for rec in records])
     match_keys = None
     if gold is not None:
@@ -191,7 +147,7 @@ def _gram_rows(sets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _pair_tiles(n_left: int, n_right: int, all_pairs: bool, tokens):
-    """(left rows, right rows) of each tile's pairs, in generate_pairs order.
+    """(left rows, right rows) of each tile's pairs, in ascending pair order.
 
     all_pairs gives the upper triangle of the left records against
     themselves, otherwise left x right. tokens, when given, are the
@@ -230,7 +186,8 @@ def _tile_features(grams, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
 
     Intersection counts are exact integers in float32 (they stay far below
     2**24), and a float64 divide of exact integers rounds as Python's
-    int / int does, so the values equal qgram_jaccard's.
+    int / int does, so each value is |A & B| / |A | B| exactly as Python
+    computes it from the two gram sets.
     """
     rows_a, at_a = np.unique(ia, return_inverse=True)
     rows_b, at_b = np.unique(ib, return_inverse=True)

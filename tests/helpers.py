@@ -1,7 +1,9 @@
 """Test oracles and conveniences that the library itself has no use for."""
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -9,8 +11,58 @@ import numpy as np
 from hypothesis import strategies as st
 
 from matchgan.datasets import LABEL_CODES, UNLABELED, IngestError, RecordSet
+from matchgan.features import _tokens, qgrams
 from matchgan.nn import (Buffers, MlpModel, classifier_backward, discriminator_backward,
                          forward_pass, generator_backward)
+
+
+# The scalar reference for the q-gram kernel: one pair and one pair of
+# gram sets at a time, with Python's set operations and int / int.
+
+
+def qgram_jaccard(s1: str, s2: str, q: int = 2) -> float:
+    """Jaccard overlap of the two strings' q-gram sets, in [0, 1].
+
+    Two empty gram sets score 1.0 (agreement on absence); exactly one
+    empty scores 0.0. Total function, symmetric in its string arguments.
+    """
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    grams1, grams2 = qgrams(s1, q), qgrams(s2, q)
+    if not grams1 and not grams2:
+        return 1.0
+    if not grams1 or not grams2:
+        return 0.0
+    return len(grams1 & grams2) / len(grams1 | grams2)
+
+
+def block_by_token(records: RecordSet, attr: str) -> dict[str, list[str]]:
+    """Map each case-folded whitespace token of the attribute to record ids,
+    each record listed once per block."""
+    col = records.schema.index(attr)
+    blocks: dict[str, list[str]] = {}
+    for rec in records.records:
+        for token in _tokens(rec.attributes[col]):
+            blocks.setdefault(token, []).append(rec.id)
+    return blocks
+
+
+def generate_pairs(set1: RecordSet, set2: RecordSet | None = None, block_on: str | None = None):
+    """Stream candidate record pairs in sorted (id_i, id_j) order.
+
+    One set yields all C(n, 2) unordered pairs; two sets yield the full
+    cross product. With block_on only the pairs whose block_on attributes
+    share a token appear.
+    """
+    by_id = operator.attrgetter("id")
+    left = sorted(set1.records, key=by_id)
+    pairs = (itertools.combinations(left, 2) if set2 is None
+             else itertools.product(left, sorted(set2.records, key=by_id)))
+    col = None if block_on is None else set1.schema.index(block_on)
+    for r_i, r_j in pairs:
+        if col is None or not _tokens(r_i.attributes[col]).keys().isdisjoint(
+                _tokens(r_j.attributes[col])):
+            yield r_i, r_j
 
 
 def zero_mlp(layer_dims) -> MlpModel:

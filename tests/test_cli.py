@@ -683,6 +683,45 @@ class TestBadInput:
         assert runs == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_ablate_rejects_a_variant_it_would_drop(self, tmp_path, capsys, monkeypatch,
+                                                    source):
+        # each cell's variant comes from --variants; a --variant flag or a
+        # config file's variant line used to be dropped and every cell ran full
+        import matchgan.evaluation as evaluation
+
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 3, "--imbalance", 10, "--seed", 1, "--out", data)
+        capsys.readouterr()
+        runs = []
+        monkeypatch.setattr(evaluation, "run", lambda *args, **kwargs: runs.append(args))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nvariant = no-adversary\n")
+        extra = ["--variant", "no-adversary"] if source == "flag" else ["--config", cfg]
+        out = tmp_path / "cells.tsv"
+        assert run_cli("ablate", "--instances", data / "instances.tsv", "--budgets", 4,
+                       *extra, "--seeds", 1, "--workers", 1, "-o", out) == 1
+        named = "--variant: " if source == "flag" else f"{cfg}: variant: "
+        err = self._single_error(capsys)
+        assert err.startswith(f"error: {named}") and "--variants" in err, err
+        assert runs == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        # csv used to raise a TypeError, printed as a traceback
+        ("--delimiter", "ab", "--delimiter: 'ab' is not one character"),
+        ("--delimiter", "", "--delimiter: '' is not one character"),
+        # these used to print "q must be at least 1" without the flag
+        ("-q", "0", "-q must be at least 1, got 0"),
+        ("-q", "-1", "-q must be at least 1, got -1"),
+    ])
+    def test_featurize_flag_value_named(self, tmp_path, capsys, records_csv, flag, value,
+                                        named):
+        out = tmp_path / "inst.tsv"
+        assert run_cli("featurize", "--left", records_csv, flag, value, "-o", out) == 1
+        assert self._single_error(capsys) == f"error: {named}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", [0, -2])
     def test_failed_train_leaves_no_output_directory(self, tmp_path, capsys, budget):
         data = tmp_path / "data"

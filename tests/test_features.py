@@ -20,24 +20,20 @@ from matchgan.datasets import (
     read_instance_file,
     write_instance_file,
 )
-from matchgan.features import (
-    block_by_token,
-    featurize_pair,
-    featurize_to_file,
-    generate_pairs,
-    qgram_jaccard,
-)
+from matchgan.features import featurize_pair, featurize_to_file
 
-from helpers import fault_of, instance_texts, reference_read_instance_file
+from helpers import (block_by_token, fault_of, generate_pairs, instance_texts, qgram_jaccard,
+                     reference_read_instance_file)
 
 
 def write_reference(path, left, right=None, gold=None, q=2, block_on=None):
-    """The instance file written pair by pair through the scalar kernel,
+    """The instance file written pair by pair through the scalar reference,
     one repr call per feature value."""
     with Path(path).open("w", encoding="utf-8") as fh:
         _write_instance_header(fh, left.schema, q, labeled=gold is not None)
         for r_i, r_j in generate_pairs(left, right, block_on):
-            cells = [r_i.id, r_j.id, *map(repr, featurize_pair(r_i, r_j, q=q).tolist())]
+            values = (qgram_jaccard(a, b, q) for a, b in zip(r_i.attributes, r_j.attributes))
+            cells = [r_i.id, r_j.id, *map(repr, values)]
             if gold is not None:
                 cells.append("M" if gold.label_codes([(r_i.id, r_j.id)])[0] else "N")
             fh.write("\t".join(cells) + "\n")
@@ -76,37 +72,45 @@ def featurize_cases(draw):
     return left, right, gold, q, block_on, tile
 
 
+def pair_jaccard(s1: str, s2: str, q: int) -> float:
+    """The library's q-gram Jaccard of two strings: featurize_pair on two
+    one-attribute records."""
+    return float(featurize_pair(Record("x", (s1,)), Record("y", (s2,)), q)[0])
+
+
 class TestQgramJaccard:
+    """The kernel's conventions, through featurize_pair."""
+
     def test_identical_strings(self):
-        assert qgram_jaccard("abc", "abc", 2) == 1.0
+        assert pair_jaccard("abc", "abc", 2) == 1.0
 
     def test_hand_enumerated_bigrams(self):
         # {ab, bc} vs {ab, bd}: intersection 1, union 3
-        assert qgram_jaccard("abc", "abd", 2) == pytest.approx(1 / 3)
+        assert pair_jaccard("abc", "abd", 2) == pytest.approx(1 / 3)
 
     def test_one_empty_gram_set(self):
-        assert qgram_jaccard("", "xy", 2) == 0.0
+        assert pair_jaccard("", "xy", 2) == 0.0
 
     def test_both_empty_gram_sets(self):
-        assert qgram_jaccard("", "", 2) == 1.0
-        assert qgram_jaccard("a", "b", 2) == 1.0  # both too short for bigrams
+        assert pair_jaccard("", "", 2) == 1.0
+        assert pair_jaccard("a", "b", 2) == 1.0  # both too short for bigrams
 
     def test_case_folded(self):
-        assert qgram_jaccard("ABC", "abc", 2) == 1.0
+        assert pair_jaccard("ABC", "abc", 2) == 1.0
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):
-            qgram_jaccard("abc", "abd", 0)
+            pair_jaccard("abc", "abd", 0)
 
     @given(st.text(max_size=20), st.text(max_size=20), st.integers(1, 4))
     def test_symmetric_and_bounded(self, s1, s2, q):
-        val = qgram_jaccard(s1, s2, q)
+        val = pair_jaccard(s1, s2, q)
         assert 0.0 <= val <= 1.0
-        assert val == qgram_jaccard(s2, s1, q)
+        assert val == pair_jaccard(s2, s1, q)
 
     @given(st.text(min_size=2, max_size=20))
     def test_reflexive(self, s):
-        assert qgram_jaccard(s, s, 2) == 1.0
+        assert pair_jaccard(s, s, 2) == 1.0
 
     def test_oracle_against_manual_sets(self, rng):
         # brute-force recomputation from scratch for random letter strings
@@ -123,7 +127,7 @@ class TestQgramJaccard:
                 expected = 0.0
             else:
                 expected = len(g1 & g2) / len(g1 | g2)
-            assert qgram_jaccard(s1, s2, 2) == pytest.approx(expected)
+            assert pair_jaccard(s1, s2, 2) == expected
 
 
 class TestFeaturizePair:
@@ -145,6 +149,13 @@ class TestFeaturizePair:
     def test_schema_mismatch(self):
         with pytest.raises(IngestError, match="schema mismatch"):
             featurize_pair(Record("x", ("a",)), Record("y", ("a", "b")))
+
+    @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+        *[st.lists(_TEXT, min_size=width, max_size=width)] * 2)), st.integers(1, 4))
+    def test_matches_scalar_reference(self, values, q):
+        a, b = (Record(rid, tuple(attrs)) for rid, attrs in zip("xy", values))
+        expected = [qgram_jaccard(s1, s2, q) for s1, s2 in zip(*values)]
+        assert featurize_pair(a, b, q).tolist() == expected
 
     def test_pair_identity(self, tmp_path):
         # the row featurized from records x and y is named by the pair (x, y)
@@ -277,9 +288,11 @@ class TestBlockByToken:
         assert block_by_token(rs, "title")["deep"] == ["r1"]
         assert list(generate_pairs(rs, block_on="title")) == []
 
-    def test_unknown_attribute(self, three_records):
-        with pytest.raises(IngestError):
-            block_by_token(three_records, "venue")
+    def test_unknown_attribute(self, tmp_path, three_records):
+        out = tmp_path / "inst.tsv"
+        with pytest.raises(IngestError, match="unknown attribute 'venue'"):
+            featurize_to_file(out, three_records, block_on="venue")
+        assert not out.exists()
 
     def test_case_folding(self):
         rs = RecordSet(
