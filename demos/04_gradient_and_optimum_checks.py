@@ -20,17 +20,18 @@ for m in (gen, disc):  # move off the zeroed output layer for a generic point
     m.biases[-1][...] = rng.uniform(-0.5, 0.5, size=m.biases[-1].shape)
 X = rng.random((6, 4))
 
-# the calls a training step makes, all on Buffers: the generator's rows,
-# its recording pass, the discriminator's input [X | G(X)], then the gradient
+# the calls a training step makes, each on the Buffers of its model: the
+# generator's rows, its recording pass, the discriminator's input
+# [X | G(X)], then the gradient
 g_buf, s_buf = nn.Buffers(gen, len(X)), nn.Buffers(disc, len(X))
 g_buf.x[...] = X
-nn.forward_pass(gen, g_buf)
+nn.forward_pass(g_buf)
 s_buf.x[:, :-1] = X
 s_buf.x[:, -1] = g_buf.out
-grad = nn.generator_backward(gen, disc, (g_buf, s_buf))
+grad = nn.generator_backward(g_buf, s_buf)
 h = 1e-5
 w = gen.weights[0]
-analytic = gen.split(grad)[0][0][0, 0]  # the gradient entry of w[0, 0]
+analytic = gen.layer_blocks(grad)[0][0, 0]  # the gradient entry of w[0, 0]
 w[0, 0] += h
 up = nn.generator_loss(nn.forward_batch(disc, np.hstack([X, nn.forward_batch(gen, X)[:, None]])))
 w[0, 0] -= 2 * h

@@ -32,7 +32,8 @@ from .training import VARIANTS, TrainConfig, _check_budget, predict, run, write_
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    # an empty value is no hidden layer; an empty item does not parse
+    return tuple(int(tok) for tok in text.split(",")) if text.strip() else ()
 
 
 def _parse_propagate(text: str) -> int | None:
@@ -312,6 +313,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if not (args.budgets or args.fractions):
+        raise ValueError("ablate needs --budgets or --fractions")
     # each cell trains the variant --variants names for it, so a variant set
     # by flag or config file would be dropped
     if args.variant is not None:

@@ -315,7 +315,8 @@ def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.n
 
     ids lists the pair ids in file order, features is a float64 (n, d)
     matrix and labels an int8 column of label codes (UNLABELED where the
-    file gives none); meta is {'q': int, 'schema': tuple}.
+    file gives none); meta is {'q': int, 'schema': tuple}. The first line
+    must be "# instances v1" and then only key=value tokens.
     """
     path = Path(path)
     meta: dict = {}
@@ -323,10 +324,14 @@ def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.n
         first = fh.readline()
         if not first.startswith("# instances"):
             raise IngestError(f"{path}: not an instance file (bad header)")
-        for token in first.split():
-            if "=" in token:
-                key, value = token.split("=", 1)
-                meta[key] = int(value) if value.isdigit() else value
+        tokens = first.split()
+        if tokens[1:3] != ["instances", f"v{INSTANCE_FORMAT_VERSION}"]:
+            raise IngestError(f"{path}: bad header: not instance format v{INSTANCE_FORMAT_VERSION}")
+        for token in tokens[3:]:
+            key, _, value = token.partition("=")
+            if not (key and value):
+                raise IngestError(f"{path}: bad header: {token!r} is not key=value")
+            meta[key] = int(value) if value.isdecimal() else value
         header = fh.readline().rstrip("\n").split("\t")
         if header[:2] != ["id_a", "id_b"]:
             raise IngestError(f"{path}: malformed column header")

@@ -252,8 +252,12 @@ def load_partition(path: str | Path) -> SubspacePartition:
             f"{path}: feature_indices must be a list of distinct non-negative integers"
         )
     try:
+        # numbers, or strings of them as save_partition writes; json gives
+        # booleans a type of their own
+        if not isinstance(medians, list) or any(type(v) not in (int, float, str) for v in medians):
+            raise ValueError
         medians = np.array([float(v) for v in medians], dtype=np.float64)
-    except (TypeError, ValueError):
+    except (OverflowError, ValueError):
         raise ValueError(f"{path}: medians must be a list of numbers") from None
     if not np.isfinite(medians).all():
         raise ValueError(f"{path}: medians must be finite")

@@ -19,10 +19,11 @@ adds its bias and its parameter gradient is one product delta.T @ [a | 1].
 Gradients and Adam moments are vectors with the same layout, so an
 optimizer update is one elementwise pass per model.
 
-Every pass reads the rows that its caller wrote into the x of a
-caller-owned Buffers of fixed arrays, and it and the optimizer step write
-their intermediates there. A training loop builds one Buffers per model
-and batch size and hands it to each call, so a step allocates nothing.
+Every pass takes a caller-owned Buffers of fixed arrays, which names its
+model: the pass reads the rows that the caller wrote into its x and
+writes its intermediates there. A training loop builds one Buffers per
+model and batch size and hands it to each call, and Adam keeps its own
+scratch next to its moments, so a step allocates nothing.
 The forward pass multiplies with np.matmul, the faster at scoring-block
 sizes; backprop uses np.dot, the faster at minibatch sizes, whose bits
 agree with @ there. Blocks stay fan_out x (fan_in + 1): products with a
@@ -39,6 +40,14 @@ import numpy as np
 
 OUTPUT_EPS = 1e-7
 CHECKPOINT_FORMAT_VERSION = 1
+# the dtype kinds, ndim and description of each checkpoint array that is
+# not a parameter; parameters are float arrays
+_CHECKPOINT_TYPES = {
+    "format_version": ("iu", 0, "0-d integer"),
+    "seed": ("iu", 0, "0-d integer"),
+    "kind": ("U", 0, "0-d string"),
+    "layer_dims": ("iu", 1, "1-D integer"),
+}
 # Rows per forward_batch block. A pool-sized hidden layer (101k rows x 32
 # units is 25 MiB) that the allocator maps and unmaps raises glibc's
 # dynamic mmap and trim thresholds, after which tens of MiB of freed heap
@@ -66,14 +75,15 @@ class MlpModel:
         n_layers = len(dims) - 1
         if n_layers < 1 or len(weights) != n_layers or len(biases) != n_layers:
             raise ValueError(f"layer_dims {dims} need {n_layers} weight and bias arrays")
-        self.params = np.empty(sum((i + 1) * o for i, o in zip(dims[:-1], dims[1:])))
-        self.blocks = self.layer_blocks(self.params)
-        self.weights, self.biases = self.split(self.params)
-        for ell, (w, b) in enumerate(zip(weights, biases)):
-            if np.shape(w) != self.weights[ell].shape or np.shape(b) != self.biases[ell].shape:
+        # checked first: the blocks of arrays that disagree could still join
+        for ell, (w, b, fan_in, fan_out) in enumerate(zip(weights, biases, dims, dims[1:])):
+            if np.shape(w) != (fan_out, fan_in) or np.shape(b) != (fan_out,):
                 raise ValueError(f"layer {ell} parameter shapes disagree with layer_dims")
-            self.weights[ell][...] = w
-            self.biases[ell][...] = b
+        self.params = np.concatenate(
+            [np.column_stack((w, b)).ravel() for w, b in zip(weights, biases)], dtype=np.float64)
+        self.blocks = self.layer_blocks(self.params)
+        self.weights = tuple(b[:, :-1] for b in self.blocks)
+        self.biases = tuple(b[:, -1] for b in self.blocks)
 
     def layer_blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-layer [W | b] views into a vector laid out like params."""
@@ -82,11 +92,6 @@ class MlpModel:
             blocks.append(flat[lo : lo + fan_out * (fan_in + 1)].reshape(fan_out, fan_in + 1))
             lo += fan_out * (fan_in + 1)
         return tuple(blocks)
-
-    def split(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Per-layer (weights, biases) views into a vector laid out like params."""
-        blocks = self.layer_blocks(flat)
-        return tuple(b[:, :-1] for b in blocks), tuple(b[:, -1] for b in blocks)
 
 
 def init_mlp(layer_dims, rng: np.random.Generator) -> MlpModel:
@@ -105,11 +110,11 @@ def init_mlp(layer_dims, rng: np.random.Generator) -> MlpModel:
         biases.append(rng.uniform(-bound, bound, size=fan_out))
     weights[-1][:] = 0.0
     biases[-1][:] = 0.0
-    return MlpModel(layer_dims=tuple(layer_dims), weights=weights, biases=biases)
+    return MlpModel(layer_dims, weights, biases)
 
 
 class Buffers:
-    """Arrays that the passes of one model over n rows and its step write to.
+    """Arrays that the passes of one model over n rows write to.
 
     The caller builds one Buffers per model and batch size and passes it
     to each call; a pass's results (the output, the gradient, the input
@@ -118,7 +123,7 @@ class Buffers:
     input columns of acts[0], which the caller fills before each pass, and
     hidden the rectified columns of the others. dz receives the loss
     derivative at the output logit before backprop. grad is laid out like
-    params, with per-layer block views; step is optimizer scratch.
+    params, with per-layer block views.
     """
 
     def __init__(self, model: MlpModel, n: int):
@@ -138,20 +143,12 @@ class Buffers:
         self.dinput = np.empty((n, dims[0]))
         self.grad = np.empty_like(model.params)
         self.grad_blocks = model.layer_blocks(self.grad)
-        self.step = (np.empty_like(model.params), np.empty_like(model.params))
 
 
-def _check(model: MlpModel, buf: Buffers, n: int) -> None:
-    """Every call's guard: buf must be model's Buffers over n rows."""
-    if buf.model is not model or buf.n != n:
-        raise ValueError(f"buffers hold {buf.n} rows of another pass, not {n} of this one")
-
-
-def forward_pass(model: MlpModel, buf: Buffers) -> np.ndarray:
-    """Batch forward pass in one piece over the rows the caller wrote into
-    buf.x. The returned output is buf.out, and buf.acts then holds every
-    layer input for backpropagation."""
-    _check(model, buf, buf.n)
+def forward_pass(buf: Buffers) -> np.ndarray:
+    """Batch forward pass of buf.model in one piece over the rows the
+    caller wrote into buf.x. The returned output is buf.out, and buf.acts
+    then holds every layer input for backpropagation."""
     acts, blocks_t = buf.acts, buf.blocks_t
     for ell, h in enumerate(buf.hidden):
         np.matmul(acts[ell], blocks_t[ell], out=h)
@@ -201,27 +198,26 @@ def forward_batch(model: MlpModel, X: np.ndarray, label: np.ndarray | None = Non
         buf.x[:, :width] = X[lo:hi]
         if label is not None:
             buf.x[:, -1] = label[lo:hi]
-        out[lo:hi] = forward_pass(model, buf)
+        out[lo:hi] = forward_pass(buf)
     return out
 
 
-def backprop(model: MlpModel, buf: Buffers, want_input: bool = False) -> np.ndarray:
+def backprop(buf: Buffers, want_input: bool = False) -> np.ndarray:
     """Gradient of a scalar loss w.r.t. the parameters, or w.r.t. the input
     when want_input, the other's work skipped.
 
-    buf holds a forward_pass of model, and buf.dz the loss derivative
-    w.r.t. the output logit, one entry per row. Returns buf.grad, laid out
-    like model.params, or buf.dinput, which has one row per input row.
-    The passes that call it have checked buf.
+    buf holds a forward_pass, and buf.dz the loss derivative w.r.t. the
+    output logit, one entry per row. Returns buf.grad, laid out like
+    buf.model.params, or buf.dinput, which has one row per input row.
     """
-    delta = buf.deltas[-1]
-    for ell in range(len(model.blocks) - 1, -1, -1):
+    delta, weights = buf.deltas[-1], buf.model.weights
+    for ell in range(len(weights) - 1, -1, -1):
         if not want_input:
             np.dot(delta.T, buf.acts[ell], out=buf.grad_blocks[ell])
             if ell == 0:
                 break
         prev = buf.deltas[ell - 1] if ell > 0 else buf.dinput
-        np.dot(delta, model.weights[ell], out=prev)
+        np.dot(delta, weights[ell], out=prev)
         if ell > 0:
             # rectifier mask
             np.greater(buf.hidden[ell - 1], 0.0, out=buf.masks[ell - 1])
@@ -256,99 +252,98 @@ def discriminator_loss(d_on_fake: np.ndarray, d_on_real: np.ndarray, real_weight
     return _mean(np.log(1.0 - d_on_fake)) + real_weight * _mean(np.log(d_on_real))
 
 
-def generator_backward(gen: MlpModel, disc: MlpModel,
-                       buffers: tuple[Buffers, Buffers]) -> np.ndarray:
+def generator_backward(g_buf: Buffers, d_buf: Buffers) -> np.ndarray:
     """Generator gradient of mean log(1 - D(x, G(x))).
 
     The gradient flows through the discriminator's label input channel
     with the discriminator's own parameters held fixed; only the
-    generator's gradient is produced. buffers is a (generator,
-    discriminator) pair of Buffers over the same rows: the first holds a
-    forward_pass of gen over X, and the second's x the discriminator's
-    input [X | G(X)].
+    generator's gradient is produced. g_buf and d_buf are the generator's
+    and the discriminator's Buffers over the same rows: g_buf holds a
+    forward_pass over X, and d_buf.x the discriminator's input [X | G(X)].
     """
-    g_buf, d_buf = buffers
-    _check(gen, g_buf, d_buf.n)
-    d_out = forward_pass(disc, d_buf)
+    if g_buf.n != d_buf.n:
+        raise ValueError(f"generator buffers hold {g_buf.n} rows, discriminator's {d_buf.n}")
+    d_out = forward_pass(d_buf)
     # d/dz of log(1 - d) / n
     np.divide(d_out, -len(d_out), out=d_buf.dz)
-    dinput = backprop(disc, d_buf, want_input=True)
+    dinput = backprop(d_buf, want_input=True)
     # through the generator's logistic to its logit: g (1 - g) dL/dg
     g_out, dz = g_buf.out, g_buf.dz
     np.subtract(1.0, g_out, out=dz)
     np.multiply(dz, g_out, out=dz)
     np.multiply(dz, dinput[:, -1], out=dz)
-    return backprop(gen, g_buf)
+    return backprop(g_buf)
 
 
-def discriminator_backward(disc: MlpModel, n_f: int, n_r: int, real_weight: float,
-                           buf: Buffers) -> np.ndarray:
+def discriminator_backward(buf: Buffers, n_f: int, real_weight: float) -> np.ndarray:
     """Descent gradient for the discriminator update.
 
     buf.x holds n_f generated rows, whose last column is the generator's
-    label, a constant (the generator is frozen), and then n_r real ones,
-    all run through one forward pass and one backpropagation. The
-    minimized loss is -objective, whose derivative w.r.t. a row's logit is
-    d / n_f on a fake row and -real_weight (1 - d) / n_r on a real one, so
-    an optimizer step on the returned gradient ascends the objective.
+    label, a constant (the generator is frozen), and then n_r = buf.n - n_f
+    real ones, all run through one forward pass and one backpropagation.
+    The minimized loss is -objective, whose derivative w.r.t. a row's logit
+    is d / n_f on a fake row and -real_weight (1 - d) / n_r on a real one,
+    so an optimizer step on the returned gradient ascends the objective.
     """
-    _check(disc, buf, n_f + n_r)
-    d_out = forward_pass(disc, buf)
+    n_r = buf.n - n_f
+    d_out = forward_pass(buf)
     dz_fake, dz_real = buf.dz[:n_f], buf.dz[n_f:]
     np.divide(d_out[:n_f], n_f, out=dz_fake)
     np.subtract(d_out[n_f:], 1.0, out=dz_real)
     np.multiply(dz_real, real_weight / n_r, out=dz_real)
-    return backprop(disc, buf)
+    return backprop(buf)
 
 
 def binary_log_loss(outputs: np.ndarray, targets: np.ndarray):
     """Mean binary cross-entropy of clamped outputs against 0/1 targets,
     along the last axis."""
-    s, y = outputs, targets
-    return -_mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
+    return -_mean(targets * np.log(outputs) + (1.0 - targets) * np.log(1.0 - outputs))
 
 
-def classifier_backward(model: MlpModel, targets: np.ndarray, buf: Buffers) -> np.ndarray:
+def classifier_backward(buf: Buffers, targets: np.ndarray) -> np.ndarray:
     """Gradient of binary cross-entropy for the plain classifier on the
     rows in buf.x, whose derivative w.r.t. a row's logit is
     (out - y) / n."""
-    _check(model, buf, len(targets))
-    out = forward_pass(model, buf)
+    if buf.n != len(targets):
+        raise ValueError(f"{len(targets)} targets for buffers of {buf.n} rows")
+    out = forward_pass(buf)
     np.subtract(out, targets, out=buf.dz)
     np.divide(buf.dz, len(out), out=buf.dz)
-    return backprop(model, buf)
+    return backprop(buf)
 
 
 @dataclass
 class OptState:
-    """Adam's state: the step count and the moment accumulators, laid out
-    like the model's params."""
+    """Adam's state: the step count, the moment accumulators and two
+    scratch vectors for the update's intermediates, all laid out like the
+    model's params."""
 
     learning_rate: float
     moment1: np.ndarray
     moment2: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     step_count: int = 0
 
     @classmethod
     def for_model(cls, model: MlpModel, learning_rate: float):
-        return cls(learning_rate, np.zeros_like(model.params), np.zeros_like(model.params))
+        p = model.params
+        return cls(learning_rate, np.zeros_like(p), np.zeros_like(p),
+                   (np.empty_like(p), np.empty_like(p)))
 
 
-def opt_step(model: MlpModel, grad: np.ndarray, state: OptState, buf: Buffers) -> None:
+def opt_step(model: MlpModel, grad: np.ndarray, state: OptState) -> None:
     """One deterministic Adam update of model.params in place.
 
     grad is laid out like params. Adam uses bias-corrected first/second
     moments, with b1, b2 and eps the ADAM_ constants:
         m <- b1 m + (1-b1) g        v <- b2 v + (1-b2) g^2
         p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-    with the products evaluated left to right, as written. buf is one of
-    the model's Buffers, whose step arrays take the intermediates.
+    with the products evaluated left to right, as written.
     """
-    _check(model, buf, buf.n)
     state.step_count += 1
     t = state.step_count
     lr = state.learning_rate
-    s1, s2 = buf.step
+    s1, s2 = state.scratch
     m, v = state.moment1, state.moment2
     m *= ADAM_BETA1
     np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)
@@ -384,8 +379,11 @@ def load_model(path: str | Path):
     """Read a checkpoint; returns (model, meta). Arrays it does not read,
     such as optimizer moments, are ignored.
 
-    A file that is not a whole .npz archive, a missing array, or a float
-    array holding a value that is not finite raises ValueError naming it.
+    A file that is not a whole .npz archive, a missing array, an array
+    that is not of its _CHECKPOINT_TYPES entry (a float array, if it has
+    none), a float array holding a value that is not finite, a kind that
+    no command writes ("" is save_model's default), or parameters that
+    disagree with layer_dims raises ValueError naming the file.
     """
     try:
         # the file is opened here, as np.load leaves open a file it fails to
@@ -397,18 +395,27 @@ def load_model(path: str | Path):
 
     def read(key: str) -> np.ndarray:
         if key not in data:
-            raise ValueError(f"{path}: checkpoint has no {key!r} array")
+            raise ValueError(f"checkpoint has no {key!r} array")
         value = data[key]
-        if value.dtype.kind == "f" and not np.isfinite(value).all():
-            raise ValueError(f"{path}: checkpoint array {key!r} is not finite")
+        kinds, ndim, want = _CHECKPOINT_TYPES.get(key, ("f", None, "float"))
+        if value.dtype.kind not in kinds or ndim not in (None, value.ndim):
+            raise ValueError(f"checkpoint array {key!r} is not a {want} array")
+        if kinds == "f" and not np.isfinite(value).all():
+            raise ValueError(f"checkpoint array {key!r} is not finite")
         return value
 
-    version = int(read("format_version"))
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint format version {version}")
-    dims = tuple(int(d) for d in read("layer_dims"))
-    # the constructor checks the count and shapes of the arrays
-    ells = range(len(dims) - 1)
-    model = MlpModel(dims, [read(f"W{i}") for i in ells], [read(f"b{i}") for i in ells])
-    meta = {"kind": str(read("kind")), "seed": int(read("seed")), "format_version": version}
+    # every fault below, the constructor's too, is named with the file
+    try:
+        version = int(read("format_version"))
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format version {version}")
+        kind = str(read("kind"))
+        if kind not in ("", "generator", "classifier", "discriminator"):
+            raise ValueError(f"unknown checkpoint kind {kind!r}")
+        dims = read("layer_dims").tolist()
+        ells = range(len(dims) - 1)
+        model = MlpModel(dims, [read(f"W{i}") for i in ells], [read(f"b{i}") for i in ells])
+        meta = {"kind": kind, "seed": int(read("seed")), "format_version": version}
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model, meta

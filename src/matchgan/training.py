@@ -231,19 +231,19 @@ def inner_train(
         for i, (fake, real) in enumerate(zip(fake_rows, real_rows)):
             # the rows are in range; take stages the strided g_buf.x in a copy
             pool.features.take(fake, axis=0, out=g_buf.x, mode="clip")
-            g_soft = nn.forward_pass(gen, g_buf)
+            g_soft = nn.forward_pass(g_buf)
             np.copyto(soft_x, g_buf.x)
             np.copyto(hard_x, g_buf.x)
             np.copyto(soft_label, g_soft)
             np.greater(g_soft, 0.5, out=hard_label)
             real_all.take(real, axis=0, out=real_block, mode="clip")
-            d_grad = nn.discriminator_backward(disc, fake_size, real_size, cfg.real_weight, d_buf)
+            d_grad = nn.discriminator_backward(d_buf, fake_size, cfg.real_weight)
             np.copyto(d_rows[i], d_buf.out)
-            nn.opt_step(disc, d_grad, opt_disc, d_buf)
+            nn.opt_step(disc, d_grad, opt_disc)
             # the generator is unchanged since its pass above, so that pass is reused
-            g_grad = nn.generator_backward(gen, disc, (g_buf, s_buf))
+            g_grad = nn.generator_backward(g_buf, s_buf)
             np.copyto(g_rows[i], s_buf.out)
-            nn.opt_step(gen, g_grad, opt_gen, g_buf)
+            nn.opt_step(gen, g_grad, opt_gen)
         d_sum = nn.add_in_order(d_sum, nn.discriminator_loss(
             d_rows[:, :fake_size], d_rows[:, fake_size:], cfg.real_weight))
         g_sum = nn.add_in_order(g_sum, nn.generator_loss(g_rows))
@@ -278,9 +278,9 @@ def _inner_train_classifier(
         y_rows = lab_y.take(idx)
         for i in range(n):
             lab_X.take(idx[i], axis=0, out=buf.acts[0], mode="clip")
-            grad = nn.classifier_backward(clf, y_rows[i], buf)
+            grad = nn.classifier_backward(buf, y_rows[i])
             np.copyto(out_rows[i], buf.out)
-            nn.opt_step(clf, grad, opt, buf)
+            nn.opt_step(clf, grad, opt)
         loss_sum = nn.add_in_order(loss_sum, nn.binary_log_loss(out_rows[:n], y_rows))
     return {
         "iterations": cfg.inner_iters,

@@ -4,6 +4,7 @@ import csv
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,24 +87,24 @@ def generator_grad(gen: MlpModel, disc: MlpModel, X) -> np.ndarray:
     the [X | G(X)] input that inner_train fills in first."""
     g_buf, s_buf = Buffers(gen, len(X)), Buffers(disc, len(X))
     g_buf.x[...] = X
-    forward_pass(gen, g_buf)
+    forward_pass(g_buf)
     s_buf.x[:, :-1] = X
     s_buf.x[:, -1] = g_buf.out
-    return generator_backward(gen, disc, (g_buf, s_buf))
+    return generator_backward(g_buf, s_buf)
 
 
 def discriminator_grad(disc: MlpModel, fake, real, real_weight: float) -> np.ndarray:
     """discriminator_backward on the rows of fake stacked above those of real."""
     buf = Buffers(disc, len(fake) + len(real))
     np.concatenate((fake, real), out=buf.x)
-    return discriminator_backward(disc, len(fake), len(real), real_weight, buf)
+    return discriminator_backward(buf, len(fake), real_weight)
 
 
 def classifier_grad(clf: MlpModel, X, targets) -> np.ndarray:
     """classifier_backward on rows X."""
     buf = Buffers(clf, len(X))
     buf.x[...] = X
-    return classifier_backward(clf, targets, buf)
+    return classifier_backward(buf, targets)
 
 
 def save_records(recordset: RecordSet, path, id_column: str = "id", delimiter: str = ",") -> None:
@@ -147,12 +148,13 @@ def _reference_instance_file(path):
     meta = {}
     with path.open(encoding="utf-8") as fh:
         first = fh.readline()
-        if not first.startswith("# instances"):
+        words = first.split()
+        if not first.startswith("# instances") or words[1:3] != ["instances", "v1"] or not all(
+                re.fullmatch(r"[^=]+=.+", word) for word in words[3:]):
             raise IngestError(f"{path}: not an instance file (bad header)")
-        for token in first.split():
-            if "=" in token:
-                key, value = token.split("=", 1)
-                meta[key] = int(value) if value.isdigit() else value
+        for word in words[3:]:
+            key, value = word.split("=", 1)
+            meta[key] = int(value) if value.isdecimal() else value
         header = fh.readline().rstrip("\n").split("\t")
         if header[:2] != ["id_a", "id_b"]:
             raise IngestError(f"{path}: malformed column header")
@@ -217,6 +219,12 @@ _GOOD_CELL = st.floats(min_value=0.0, max_value=1.0).map(repr)
 # cells that both float() and numpy refuse, and cells both read outside [0, 1]
 _BAD_CELL = st.sampled_from(["x", "", " ", "1e", "--1", "1.2.3", "0x1p-1", "M"])
 _OUT_CELL = st.sampled_from(["1.5", "-0.25", "nan", "inf", "-inf", "1e999"])
+# first lines other than the writer's: valid ones, then one of another
+# format version, with no version and with a token that is not key=value
+_HEADS = ["# instances v1", "# instances v1 q=2 note=a=b", "# instances v1 q=\u00b2",
+          "# instances\tv1 q=3", "# instances v9 q=2", "# instances banana",
+          "# instancesXYZ q=abc", "# instances", "# instances q=2 v1", "# instances v1 q=2 junk",
+          "# instances v1 =2", "# instances v1 q=", "#instances v1 q=2", "#  instances v1", ""]
 _ROW_KINDS = ["valid"] * 8 + ["blank", "short", "extra", "unparsable", "out_of_range",
                               "bad_label", "same_ids", "repeat"]
 
@@ -251,7 +259,9 @@ def instance_texts(draw):
             row.append(draw(st.sampled_from(["", "x", "0.5"])))
         lines.append("" if kind == "blank" else "\t".join(row))
     body = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
-    return f"# instances v1 q={draw(st.integers(1, 4))}\n" + "\t".join(header) + "\n" + body
+    # the writer's first line in three draws of four
+    first = draw(st.sampled_from([f"# instances v1 q={draw(st.integers(1, 4))}"] * 45 + _HEADS))
+    return first + "\n" + "\t".join(header) + "\n" + body
 
 
 _LABEL_ROW_KINDS = ["valid"] * 8 + ["blank", "short", "extra", "bad_label", "empty_label",

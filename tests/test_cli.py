@@ -293,6 +293,13 @@ class TestBadInput:
             # the version error used to be the one that named no file
             ({"format_version": 2, "medians": ["0.5"], "feature_indices": [0]},
              "partition.json: unsupported partition format version 2"),
+            # these used to train on medians [0.0, 5.0], [1.0] and the keys
+            ({"format_version": 1, "medians": "05", "feature_indices": [0, 1]},
+             "partition.json: medians must be a list of numbers"),
+            ({"format_version": 1, "medians": [True], "feature_indices": [0]},
+             "partition.json: medians must be a list of numbers"),
+            ({"format_version": 1, "medians": {"0.5": 1}, "feature_indices": [0]},
+             "partition.json: medians must be a list of numbers"),
         ],
     )
     def test_bad_partition_file_rejected(self, tmp_path, capsys, payload, message):
@@ -445,6 +452,9 @@ class TestBadInput:
             ("version", "generator.npz: unsupported checkpoint format version 9"),
             ("discriminator", "generator.npz: a discriminator checkpoint cannot label"),
             ("width", "generator.npz: model input width 5 is not the pool's 4 features"),
+            # these used to name no file, and the kind was accepted
+            ("shape", "generator.npz: layer 0 parameter shapes disagree with layer_dims"),
+            ("kind", "generator.npz: unknown checkpoint kind 'banana'"),
         ]
     )
     def test_bad_model_checkpoint_rejected(self, tmp_path, capsys, damage, message):
@@ -466,6 +476,10 @@ class TestBadInput:
             arrays["format_version"] = np.array(9)
         elif damage == "discriminator":
             arrays["kind"] = np.array("discriminator")
+        elif damage == "shape":
+            arrays["W0"] = arrays["W0"][:, :2]
+        elif damage == "kind":
+            arrays["kind"] = np.array("banana")
         np.savez(model_path, **arrays)
         damaged = {"truncated": model_path.read_bytes()[:300], "empty": b"", "text": b"W0 = 1\n"}
         if damage in damaged:
@@ -606,6 +620,34 @@ class TestBadInput:
                            *extra, "-o", out) == 1
             assert "hidden layer widths must be at least 1" in self._single_error(capsys)
             assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["8,,4", ",8", "8,"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_hidden_empty_item_rejected(self, tmp_path, capsys, command, value):
+        # "8,,4" used to train an (8, 4) network
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"gen_hidden = {value}\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        budget = "--seed-budget" if command == "train" else "--budgets"
+        for extra, named in (([f"--gen-hidden={value}"], "--gen-hidden: "),
+                             (["--config", cfg], f"{cfg}:1: gen_hidden: ")):
+            assert run_cli(command, "--instances", data / "instances.tsv", budget, 4,
+                           *extra, "-o", out) == 1
+            err = self._single_error(capsys)
+            assert err.startswith(f"error: {named}") and "''" in err, err
+            assert not out.exists()
+
+    def test_ablate_without_costs_names_both_flags_before_reading(self, tmp_path, capsys):
+        # this used to be found only after the instance file was read and
+        # the partition built, and the message named no flag
+        out = tmp_path / "cells.tsv"
+        assert run_cli("ablate", "--instances", tmp_path / "missing.tsv",
+                       "--config", tmp_path / "missing.cfg", "-o", out) == 1
+        assert self._single_error(capsys).strip() == "error: ablate needs --budgets or --fractions"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", [0, -2])
     def test_ablate_seeds_below_one_rejected(self, tmp_path, capsys, seeds):
@@ -1245,6 +1287,67 @@ class TestMalformedTrainingInputs:
             assert not out.exists()
 
 
+@st.composite
+def malformed_arrays(draw, key: str, original: np.ndarray):
+    """An array to stand in for the checkpoint array key: of another
+    shape, ndim or dtype, or, for a parameter, one not finite. A layer_dims
+    of another value disagrees with the parameters."""
+    how = draw(st.sampled_from(["shape", "dtype", "value"]))
+    if how == "shape":
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        assume(shape != original.shape)
+        return np.zeros(shape, dtype=original.dtype)
+    if how == "dtype":
+        wrong = {"f": ["i8", "?", "c16", "U3"], "i": ["f8", "?", "U3"], "U": ["i8", "f8"]}
+        return np.zeros(original.shape, dtype=draw(st.sampled_from(wrong[original.dtype.kind])))
+    if key == "layer_dims":
+        dims = draw(st.lists(st.integers(-2, 40), max_size=5))
+        assume(dims != original.tolist())
+        return np.array(dims, dtype=np.int64)
+    if key == "kind":
+        kind = draw(st.text(alphabet="abginorst-", max_size=12))
+        assume(kind not in ("", "generator", "classifier"))
+        return np.array(kind)
+    if key == "format_version":
+        return np.array(draw(st.integers(-5, 5).filter(lambda v: v != 1)))
+    assume(key != "seed")  # any integer seed is valid
+    bad = original.copy()
+    bad.flat[draw(st.integers(0, bad.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return bad
+
+
+class TestMalformedCheckpoint:
+    """predict given a train checkpoint with one array replaced by one of
+    the wrong shape, ndim or dtype, or not finite, fails cleanly: exit 1,
+    one error line naming the checkpoint, and no labels file."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("run")
+        assert run_cli("synth", "--matches", 2, "--imbalance", 4, "--seed", 3, "--out", d) == 0
+        assert run_cli("train", "--instances", d / "instances.tsv", "--seed-budget", 4,
+                       "--inner-iters", 2, "-o", d / "run") == 0
+        with np.load(d / "run" / "generator.npz") as archive:
+            return d / "instances.tsv", dict(archive)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_predict_fails_with_one_error_line(self, run, data):
+        instances, arrays = run
+        key = data.draw(st.sampled_from(sorted(arrays)))
+        arrays = {**arrays, key: data.draw(malformed_arrays(key, arrays[key]))}
+        with tempfile.TemporaryDirectory() as tmp:
+            model, out = Path(tmp) / "generator.npz", Path(tmp) / "pred.tsv"
+            np.savez(model, **arrays)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("predict", "--instances", instances, "--model", model, "-o", out)
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {model}: "), lines
+            assert not out.exists()
+
+
 def _evaluate_fails(predicted, truth, bad, fault):
     """evaluate -o m.json, beside bad, exits 1 with one error line naming
     fault in bad, and writes no m.json."""
@@ -1378,6 +1481,15 @@ class TestConfigFile:
             read_config_file(cfg)
         assert str(caught.value).startswith(f"{cfg}:3: {key}: ")
         assert repr(value.split(",")[-1]) in str(caught.value)
+
+    def test_hidden_items_must_not_be_empty(self, tmp_path):
+        # an empty value is no hidden layer, but an empty item used to be skipped
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gen_hidden =\ndisc_hidden = 8, 4\n")
+        assert read_config_file(cfg) == {"gen_hidden": (), "disc_hidden": (8, 4)}
+        cfg.write_text("disc_hidden = 8,,4\n")
+        with pytest.raises(ValueError, match=f"{cfg}:1: disc_hidden: .*''"):
+            read_config_file(cfg)
 
     def test_propagate_count_pool_keyword(self, tmp_path):
         cfg = tmp_path / "run.cfg"

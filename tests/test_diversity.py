@@ -199,6 +199,19 @@ class TestPartitionPersistence:
         with pytest.raises(ValueError, match=f"{path}: medians must be finite"):
             load_partition(path)
 
+    @pytest.mark.parametrize("medians", ['"05"', "[true, 0.5]", '{"0": 1, "5": 2}',
+                                         "[1" + "0" * 400 + ", 1]"])
+    def test_medians_must_be_a_list_of_numbers_or_their_strings(self, tmp_path, medians):
+        # a string or an object used to be iterated, true read as 1.0 and
+        # an integer too large for a float raised OverflowError
+        path = tmp_path / "partition.json"
+        path.write_text('{"format_version": 1, "medians": [0.25, 1, "0.5"], '
+                        '"feature_indices": [0, 1, 2]}')
+        assert load_partition(path).medians.tolist() == [0.25, 1.0, 0.5]
+        path.write_text(f'{{"format_version": 1, "medians": {medians}, "feature_indices": [0, 1]}}')
+        with pytest.raises(ValueError, match=f"{path}: medians must be a list of numbers"):
+            load_partition(path)
+
     def test_repeated_feature_index_rejected(self, tmp_path):
         path = tmp_path / "partition.json"
         path.write_text(

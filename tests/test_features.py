@@ -421,6 +421,21 @@ class TestInstanceFile:
         with pytest.raises(IngestError):
             read_instance_file(path)
 
+    @pytest.mark.parametrize("first, message", [
+        # each of these used to be read as format v1
+        ("# instances v9 q=2", "bad header: not instance format v1"),
+        ("# instances banana", "bad header: not instance format v1"),
+        ("# instances", "bad header: not instance format v1"),
+        ("# instancesXYZ q=abc", "bad header: not instance format v1"),
+        ("# instances v1 q=2 junk", "bad header: 'junk' is not key=value"),
+        ("# instances v1 =2", "bad header: '=2' is not key=value"),
+    ])
+    def test_rejects_another_format_version_or_token(self, tmp_path, first, message):
+        path = tmp_path / "inst.tsv"
+        path.write_text(f"{first}\nid_a\tid_b\tf0\na\tb\t0.5\n")
+        with pytest.raises(IngestError, match=f"{path}: {message}"):
+            read_instance_file(path)
+
     def test_featurize_to_file_end_to_end(self, tmp_path, three_records, gold_csv):
         from matchgan.datasets import load_gold
 

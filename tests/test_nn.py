@@ -14,7 +14,6 @@ from matchgan.nn import (
     OptState,
     binary_log_loss,
     classifier_backward,
-    discriminator_backward,
     discriminator_loss,
     forward_batch,
     generator_backward,
@@ -67,10 +66,9 @@ def layer_filled(model, w_value, b_value):
     """A vector laid out like model.params, w_value in every weight and
     b_value in every bias."""
     flat = np.empty_like(model.params)
-    weights, biases = model.split(flat)
-    for w, b in zip(weights, biases):
-        w[...] = w_value
-        b[...] = b_value
+    for block in model.layer_blocks(flat):
+        block[:, :-1] = w_value
+        block[:, -1] = b_value
     return flat
 
 
@@ -110,7 +108,7 @@ class TestForward:
             X = rng.normal(size=(64, dims[0]))
             buf = nn.Buffers(model, len(X))
             buf.x[...] = X
-            recorded = nn.forward_pass(model, buf)
+            recorded = nn.forward_pass(buf)
             assert forward_batch(model, X).tobytes() == recorded.tobytes()
             acts = buf.acts
             # every layer input, as backpropagation reads them: each layer
@@ -141,7 +139,7 @@ class TestForward:
                     nn.SCORE_BLOCK = block
                     buf = nn.Buffers(model, n)
                     buf.x[...] = X
-                    one_pass = nn.forward_pass(model, buf)
+                    one_pass = nn.forward_pass(buf)
                     if nn.forward_batch(model, X).tobytes() != one_pass.tobytes():
                         bad.append((block, n))
             print(bad)
@@ -339,41 +337,28 @@ class TestBackward:
         disc = init_mlp((4, 4, 1), rng)
         before_w = [w.copy() for w in disc.weights]
         g_grad = generator_grad(gen, disc, rng.random((5, 3)))
-        opt_step(gen, g_grad, OptState.for_model(gen, 1e-3), nn.Buffers(gen, 5))
+        opt_step(gen, g_grad, OptState.for_model(gen, 1e-3))
         for w_now, w_then in zip(disc.weights, before_w):
             np.testing.assert_array_equal(w_now, w_then)
 
 
 class TestBuffers:
     def test_buffers_of_another_pass_rejected(self, rng):
-        # a twin has its model's shapes, so only the guard tells them apart
+        # where two row counts meet, a one-row mismatch would broadcast
         gen, disc = init_mlp((3, 4, 1), rng), init_mlp((4, 4, 1), rng)
-        passes = [
-            (gen, lambda buf: generator_backward(gen, disc, (buf, nn.Buffers(disc, 5)))),
-            (disc, lambda buf: generator_backward(gen, disc, (nn.Buffers(gen, 5), buf))),
-            (disc, lambda buf: discriminator_backward(disc, 3, 2, 0.7, buf)),
-            (gen, lambda buf: classifier_backward(gen, np.ones(5), buf)),
-        ]
-        for model, call in passes:
-            for buf in (nn.Buffers(copy_model(model), 5), nn.Buffers(model, 4)):
-                with pytest.raises(ValueError, match="rows of another pass"):
-                    call(buf)
-        # the forward pass and the step take their row count from buf, so
-        # only the model decides
-        with pytest.raises(ValueError, match="rows of another pass"):
-            nn.forward_pass(gen, nn.Buffers(copy_model(gen), 5))
-        state = OptState.for_model(gen, 1e-3)
-        with pytest.raises(ValueError, match="rows of another pass"):
-            opt_step(gen, np.zeros_like(gen.params), state, nn.Buffers(copy_model(gen), 5))
-        assert state.step_count == 0
+        with pytest.raises(ValueError, match="generator buffers hold 4 rows, discriminator's 5"):
+            generator_backward(nn.Buffers(gen, 4), nn.Buffers(disc, 5))
+        with pytest.raises(ValueError, match="generator buffers hold 5 rows, discriminator's 4"):
+            generator_backward(nn.Buffers(gen, 5), nn.Buffers(disc, 4))
+        with pytest.raises(ValueError, match="5 targets for buffers of 4 rows"):
+            classifier_backward(nn.Buffers(gen, 4), np.ones(5))
 
 
 class TestOptStep:
     def test_zero_gradients_leave_parameters(self, rng):
         model = init_mlp((2, 3, 1), rng)
         before = model.params.copy()
-        opt_step(model, np.zeros_like(model.params), OptState.for_model(model, 1e-3),
-                 nn.Buffers(model, 1))
+        opt_step(model, np.zeros_like(model.params), OptState.for_model(model, 1e-3))
         np.testing.assert_array_equal(model.params, before)
 
     def test_single_adam_update_hand_computed(self):
@@ -383,7 +368,7 @@ class TestOptStep:
         g = 0.37
         grad = np.array([g, 0.0])  # W0[0, 0], b0[0]
         state = OptState.for_model(model, learning_rate=1e-3)
-        opt_step(model, grad, state, nn.Buffers(model, 1))
+        opt_step(model, grad, state)
         expected = 0.25 - 1e-3 * g / (math.sqrt(g * g) + 1e-8)
         assert model.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -392,9 +377,9 @@ class TestOptStep:
             r = np.random.default_rng(3)
             model = init_mlp((2, 3, 1), r)
             state = OptState.for_model(model, 1e-3)
-            grad, buf = layer_filled(model, 0.1, -0.2), nn.Buffers(model, 1)
+            grad = layer_filled(model, 0.1, -0.2)
             for _ in range(5):
-                opt_step(model, grad, state, buf)
+                opt_step(model, grad, state)
             return model.weights[0].copy()
 
         np.testing.assert_array_equal(run_once(), run_once())
@@ -455,8 +440,7 @@ class TestOptimalDiscriminatorCheck:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, rng):
         model = init_mlp((3, 4, 1), rng)
-        opt_step(model, layer_filled(model, 0.05, 0.02), OptState.for_model(model, 1e-3),
-                 nn.Buffers(model, 1))
+        opt_step(model, layer_filled(model, 0.05, 0.02), OptState.for_model(model, 1e-3))
         path = tmp_path / "model.npz"
         save_model(path, model, seed=11, kind="generator")
         back, meta = load_model(path)
@@ -502,6 +486,31 @@ class TestCheckpoint:
         np.savez(path, **data)
         with pytest.raises(ValueError, match=f"no '{key}' array"):
             load_model(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        # these used to name no file, end in a TypeError, truncate a width
+        # or pass a kind that no command writes
+        ("W0", np.zeros((4, 2)), "layer 0 parameter shapes disagree with layer_dims"),
+        ("W0", np.zeros((4, 3), dtype=np.int64), "checkpoint array 'W0' is not a float array"),
+        ("layer_dims", np.array([3, 4, 2]), "output dimension must be 1"),
+        ("layer_dims", np.array([[3, 4, 1]]), "'layer_dims' is not a 1-D integer array"),
+        ("layer_dims", np.array([3.5, 4, 1]), "'layer_dims' is not a 1-D integer array"),
+        ("format_version", np.array([1, 1]), "'format_version' is not a 0-d integer array"),
+        ("seed", np.array([1, 2]), "'seed' is not a 0-d integer array"),
+        ("seed", np.array(True), "'seed' is not a 0-d integer array"),
+        ("kind", np.array([1, 2]), "'kind' is not a 0-d string array"),
+        ("kind", np.array(["generator"]), "'kind' is not a 0-d string array"),
+        ("kind", np.array("banana"), "unknown checkpoint kind 'banana'"),
+    ])
+    def test_malformed_array_rejected_with_the_path(self, tmp_path, rng, key, value, message):
+        path = tmp_path / "model.npz"
+        save_model(path, init_mlp((3, 4, 1), rng), seed=2, kind="generator")
+        data = dict(np.load(path, allow_pickle=False))
+        data[key] = value
+        np.savez(path, **data)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
     @pytest.mark.parametrize("key, value", [("W0", np.nan), ("b1", np.inf)])
     def test_non_finite_array_rejected(self, tmp_path, rng, key, value):
