@@ -20,15 +20,15 @@ partition = build_partition(pool.ids, pool.features)
 print(f"pool: {len(pool)} instances, {len(gold)} matches, {partition.b} subspaces")
 print(f"per-feature medians: {partition.medians.round(4)}")
 
-populations = partition.populations()  # pool rows per subspace
+populations = partition.populations()  # pool rows per occupied subspace
 sizes = [len(p) for p in populations]
 match_per_cell = [
     int(gold.label_codes([pool.ids[r] for r in pop]).sum()) for pop in populations
 ]
 print("\nsubspace populations (matches in parentheses):")
-for ix, (n, m) in enumerate(zip(sizes, match_per_cell)):
+for pop, n, m in zip(populations, sizes, match_per_cell):
     tag = " <- all matches live here" if m == max(match_per_cell) and m else ""
-    print(f"  cell {ix:2d}: {n:4d} ({m}){tag}")
+    print(f"  cell {partition.subspaces[pop[0]]:2d}: {n:4d} ({m}){tag}")
 
 budget = 50
 trials = 200

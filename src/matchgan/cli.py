@@ -158,9 +158,10 @@ def _partition_for(args, pool: InstancePool):
         raise ValueError(f"{path or '--split-features'}: {exc}") from None
 
 
-def _training_inputs(args, budget_flag: str, budgets: list):
+def _training_inputs(args, budget_flag: str, budgets: list, fractions: list = ()):
     """The (config, pool, partition) that train and ablate start from, once
-    each of the label budgets given with budget_flag fits the pool."""
+    each of the label budgets given with budget_flag fits the pool and
+    each --fractions value labels at least one of its rows."""
     cfg = build_train_config(args)
     pool = _load_pool(args.instances, args.gold, args.gold_header)
     partition = _partition_for(args, pool)
@@ -169,6 +170,10 @@ def _training_inputs(args, budget_flag: str, budgets: list):
             _check_budget(budget, len(pool))
     except ValueError as exc:
         raise ValueError(f"{budget_flag}: {exc}") from None
+    for fraction in fractions:
+        # split_pool labels floor(fraction * n) rows
+        if fraction * len(pool) < 1:
+            raise ValueError(f"--fractions: {fraction} of the {len(pool)}-row pool labels no row")
     return cfg, pool, partition
 
 
@@ -321,7 +326,8 @@ def cmd_ablate(args) -> int:
         raise ValueError("--variant: ablate takes its variants from --variants")
     if args.config and "variant" in read_config_file(args.config):
         raise IngestError(f"{args.config}: variant: ablate takes its variants from --variants")
-    cfg, pool, partition = _training_inputs(args, "--budgets", args.budgets or [])
+    cfg, pool, partition = _training_inputs(args, "--budgets", args.budgets or [],
+                                            args.fractions or [])
     seeds = [cfg.seed + k for k in range(args.seeds)]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     cells = run_ablation_suite(

@@ -8,7 +8,8 @@ subspaces as possible. The objective is separable and concave, so greedy
 water-filling is exactly optimal. Seed labels are one such draw
 (diverse_sample); a MinibatchSampler lays out one run's
 water-filled subspaces once and draws many minibatches at a time, each a
-row of distinct picks (distinct_picks, uniform_subsets).
+row of distinct picks (distinct_picks). Over a partition that splits on
+no feature there is one subspace, and both draws are uniform.
 """
 
 from __future__ import annotations
@@ -67,16 +68,21 @@ class SubspacePartition:
         self.subspaces = bits @ (1 << np.arange(bits.shape[1]))
 
     def populations(self, rows: np.ndarray | None = None) -> list[np.ndarray]:
-        """Per-subspace arrays of the given rows (default: every assigned
-        row), ascending within each subspace."""
+        """The given rows (default: every assigned row) of each occupied
+        subspace, in ascending subspace order; each keeps the rows' order.
+        An empty subspace has no entry, so 2^k is never allocated."""
         if rows is None:
             rows = np.arange(len(self.subspaces))
         subs = self.subspaces[rows]
-        grouped = rows[np.argsort(subs, kind="stable")]
-        return np.split(grouped, np.cumsum(np.bincount(subs, minlength=self.b))[:-1])
+        order = np.argsort(subs, kind="stable")
+        # a subspace starts where the sorted id changes (ids are never -1)
+        return np.split(rows[order], np.flatnonzero(np.diff(subs[order], prepend=-1)))[1:]
 
 
 def _check_feature_indices(feature_indices: Sequence[int], n_features: int) -> None:
+    if len(feature_indices) > 63:
+        # bit k of an int64 subspace id weighs 1 << k
+        raise ValueError(f"{len(feature_indices)} split features exceed the limit of 63")
     for ix in feature_indices:
         if not 0 <= ix < n_features:
             raise ValueError(f"feature index {ix} outside the {n_features} features")
@@ -197,31 +203,25 @@ class MinibatchSampler:
     size is taken whole, the others are laid end to end in population.
     Slot k of a minibatch picks population[lo[k] + i] with i uniform below
     hi[k], where lo and hi are its subspace's offset and size, and no two
-    slots of a minibatch pick the same row (distinct_picks). Without
-    diversity a minibatch is a uniform subset of the rows.
+    slots of a minibatch pick the same row (distinct_picks). Over a
+    one-subspace partition every minibatch is a uniform subset of the rows.
     """
 
-    def __init__(self, partition: SubspacePartition, u_rows: np.ndarray, size: int,
-                 diverse: bool):
-        self.u_rows = u_rows
+    def __init__(self, partition: SubspacePartition, u_rows: np.ndarray, size: int):
         self.size = size
-        self.diverse = diverse
-        if diverse:
-            pops = [p for p in partition.populations(u_rows) if len(p)]
-            counts = waterfill_counts([len(p) for p in pops], size)
-            none = np.empty(0, dtype=np.intp)
-            self.whole = np.concatenate([none, *(p for p, c in zip(pops, counts) if c == len(p))])
-            drawn = [(p, c) for p, c in zip(pops, counts) if 0 < c < len(p)]
-            sizes = np.array([len(p) for p, _ in drawn], dtype=np.intp)
-            slots = [c for _, c in drawn]
-            self.population = np.concatenate([none, *(p for p, _ in drawn)])
-            self.lo = np.repeat(np.cumsum(sizes) - sizes, slots)
-            self.hi = np.repeat(sizes, slots)
+        pops = partition.populations(u_rows)
+        counts = waterfill_counts([len(p) for p in pops], size)
+        none = np.empty(0, dtype=np.intp)
+        self.whole = np.concatenate([none, *(p for p, c in zip(pops, counts) if c == len(p))])
+        drawn = [(p, c) for p, c in zip(pops, counts) if 0 < c < len(p)]
+        sizes = np.array([len(p) for p, _ in drawn], dtype=np.intp)
+        slots = [c for _, c in drawn]
+        self.population = np.concatenate([none, *(p for p, _ in drawn)])
+        self.lo = np.repeat(np.cumsum(sizes) - sizes, slots)
+        self.hi = np.repeat(sizes, slots)
 
     def chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n minibatches of pool rows, one per row of the result."""
-        if not self.diverse:
-            return self.u_rows[uniform_subsets(rng, len(self.u_rows), self.size, n)]
         out = np.empty((n, self.size), dtype=np.intp)
         out[:, : len(self.whole)] = self.whole
         out[:, len(self.whole) :] = self.population[distinct_picks(rng, self.lo, self.hi, n)]

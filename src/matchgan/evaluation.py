@@ -204,7 +204,7 @@ def format_table(rows: list[dict]) -> str:
     header = f"{'variant':<16} {'cost':>8} {'seeds':>5} {'fm_mean':>8} {'fm_std':>7}"
     lines = [header, "-" * len(header)]
     for row in rows:
-        cost = row["budget"] if row["budget"] is not None else f"{row['fraction']:.0%}"
+        cost = row["budget"] if row["budget"] is not None else f"{100 * row['fraction']:g}%"
         lines.append(
             f"{row['variant']:<16} {cost!s:>8} {row['seeds']:>5} "
             f"{row['fm_mean']:>8.4f} {row['fm_std']:>7.4f}"

@@ -15,8 +15,9 @@ absorbed into the labeled pool:
 The run's state is a handful of arrays over pool rows (RunState); the
 seed and minibatch draws come from diversity. The labeled set only ever
 grows: real seed labels are never overwritten and pseudo-labeled rows
-are never relabeled. Ablation variants disable the diversity sampler,
-the propagation loop, or the adversarial pairing.
+are never relabeled. Ablation variants disable the diversity sampler
+(no_diversity draws the same way over a one-subspace partition, where
+every draw is uniform), the propagation loop, or the adversarial pairing.
 
 Training is transductive: the run's final label for each unlabeled pool
 instance is its propagated pseudo label. Instances outside the pool (held
@@ -145,7 +146,7 @@ def select_seed_labels(
 
     gold is never read: a seed's label is the pool's real label.
     """
-    return [pool.ids[r] for r in _seed_rows(len(pool), budget, partition, rng, "full")]
+    return [pool.ids[r] for r in _seed_rows(len(pool), budget, partition, rng)]
 
 
 def _check_budget(budget: int, n: int) -> None:
@@ -154,15 +155,12 @@ def _check_budget(budget: int, n: int) -> None:
 
 
 def _seed_rows(n: int, budget: int, partition: SubspacePartition,
-               rng: np.random.Generator, variant: str) -> np.ndarray:
-    """Ascending rows of an n-row pool that receive real labels.
-
-    Diversity-aware selection spreads the budget across subspaces; the
-    no_diversity variant draws uniformly instead.
+               rng: np.random.Generator) -> np.ndarray:
+    """Ascending rows of an n-row pool that receive real labels: the
+    budget spread across the partition's subspaces, a uniform draw when
+    it has one subspace.
     """
     _check_budget(budget, n)
-    if variant == "no_diversity":
-        return np.sort(rng.choice(n, size=budget, replace=False))
     return np.sort(diverse_sample(partition.populations(), budget, rng))
 
 
@@ -354,12 +352,15 @@ def run(
     """
     if len(partition.subspaces) != len(pool):
         raise ValueError("partition is not assigned over this pool")
+    if cfg.variant == "no_diversity":
+        # split on no feature: every row is in subspace 0, so every draw is uniform
+        partition = SubspacePartition(np.empty(0), (), np.zeros(len(pool), dtype=np.intp))
     rng = np.random.default_rng(cfg.seed)
 
     if seed_rows is None:
         if seed_budget is None:
             raise ValueError("need either seed_rows or seed_budget")
-        seed_rows = _seed_rows(len(pool), seed_budget, partition, rng, cfg.variant)
+        seed_rows = _seed_rows(len(pool), seed_budget, partition, rng)
     seed_rows = np.sort(np.asarray(seed_rows, dtype=np.intp))
     if not len(seed_rows):
         raise ValueError("cannot train without any seed labels")
@@ -387,8 +388,8 @@ def run(
         "rounds": [],
     }
     remaining = np.flatnonzero(state.label == UNLABELED)
-    sampler = (MinibatchSampler(partition, remaining, min(cfg.batch_size, len(remaining)),
-                                cfg.variant != "no_diversity") if adversarial else None)
+    sampler = (MinibatchSampler(partition, remaining, min(cfg.batch_size, len(remaining)))
+               if adversarial else None)
     round_models: list = []
     round_index = 0
     while len(remaining):

@@ -329,6 +329,22 @@ class TestBadInput:
         assert "repeat an index" in self._single_error(capsys)
         assert not out.exists()
 
+    def test_split_features_up_to_63(self, tmp_path, capsys):
+        # a pool occupies at most one subspace per row of the 2^40, and
+        # subspace ids are int64, so 64 split features are refused
+        for n_features, code in ((40, 0), (64, 1)):
+            data = tmp_path / f"data{n_features}"
+            run_cli("synth", "--matches", 10, "--imbalance", 20, "--features", n_features,
+                    "--seed", 1, "--out", data)
+            capsys.readouterr()
+            out = tmp_path / f"run{n_features}"
+            assert run_cli("train", "--instances", data / "instances.tsv", "--seed-budget", 20,
+                           "--inner-iters", 20, "-o", out) == code
+        assert (tmp_path / "run40" / "labels.tsv").exists()
+        err = self._single_error(capsys)
+        assert err.startswith("error: --split-features: 64 split features")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_partition_file_and_split_features_exclusive(self, tmp_path, capsys, command):
         # neither file exists: the command line is refused before any is read
@@ -706,9 +722,13 @@ class TestBadInput:
         assert runs == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("fraction", ["1.5", "0", "1", "nan"])
+    @pytest.mark.parametrize("fraction, message", [
+        *(pytest.param(f, "strictly between 0 and 1", id=f) for f in ("1.5", "0", "1", "nan")),
+        # 0.001 of 33 rows is no row: the pool is read, but no cell trains
+        pytest.param("0.001", "0.001 of the 33-row pool labels no row", id="0.001"),
+    ])
     def test_ablate_fraction_checked_before_any_cell_trains(self, tmp_path, capsys,
-                                                            monkeypatch, fraction):
+                                                            monkeypatch, fraction, message):
         import matchgan.evaluation as evaluation
 
         data = tmp_path / "data"
@@ -721,7 +741,7 @@ class TestBadInput:
                        "--fractions", f"0.5,{fraction}", "--seeds", 1, "--workers", 1,
                        "-o", out) == 1
         err = self._single_error(capsys)
-        assert "--fractions" in err and "strictly between 0 and 1" in err
+        assert "--fractions" in err and message in err
         assert runs == []
         assert not out.exists()
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchgan.diversity import (
     SubspacePartition,
@@ -237,3 +238,32 @@ class TestRepeatedFeatureIndex:
         part = SubspacePartition(medians=np.full(2, 0.5), feature_indices=(1, 1))
         with pytest.raises(ValueError, match="repeat an index"):
             part.assign_all(list(range(10)), rng.random((10, 3)))
+
+
+class TestManySplitFeatures:
+    @settings(deadline=None)
+    @given(st.integers(1, 63), st.integers(0, 80), st.integers(0, 2**32 - 1), st.booleans())
+    def test_populations_are_the_occupied_subspaces_in_id_order(self, k, n, seed, subset):
+        # 2^63 subspaces would never fit in memory: only occupied ones are grouped
+        rng = np.random.default_rng(seed)
+        features = rng.random((n, k))
+        part = SubspacePartition(np.full(k, 0.5), tuple(range(k)))
+        part.assign_all(list(range(n)), features)
+        rows = rng.permutation(n)[: n // 2] if subset else np.arange(n)
+        groups = {}
+        for r in rows.tolist():
+            sub = sum(1 << j for j in range(k) if features[r, j] > 0.5)
+            groups.setdefault(sub, []).append(r)
+        pops = part.populations(rows if subset else None)
+        assert [int(part.subspaces[p[0]]) for p in pops] == sorted(groups)
+        assert [p.tolist() for p in pops] == [groups[sub] for sub in sorted(groups)]
+
+    def test_more_than_63_features_rejected(self, rng):
+        # bit 63 of an int64 id is its sign, and later bits are lost
+        features = rng.random((10, 64))
+        with pytest.raises(ValueError, match="64 split features exceed the limit of 63"):
+            build_partition(list(range(10)), features)
+        part = SubspacePartition(np.full(64, 0.5), tuple(range(64)))
+        with pytest.raises(ValueError, match="64 split features"):
+            part.assign_all(list(range(10)), features)
+        assert len(set(build_partition(list(range(10)), features[:, :63]).subspaces)) == 10

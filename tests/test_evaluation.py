@@ -261,6 +261,10 @@ class TestAblationSuite:
     def test_table_formatting(self):
         rows = [
             {"variant": "full", "budget": 50, "fraction": None, "seeds": 3, "fm_mean": 0.91234, "fm_std": 0.0123},
+            *({"variant": "full", "budget": None, "fraction": f, "seeds": 3, "fm_mean": 0.5,
+               "fm_std": 0.0} for f in (0.6, 0.12, 0.125)),
         ]
         text = format_table(rows)
         assert "full" in text and "0.9123" in text
+        # a fraction is printed with every digit that tells it apart
+        assert [line.split()[1] for line in text.splitlines()[3:]] == ["60%", "12%", "12.5%"]

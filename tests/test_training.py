@@ -129,10 +129,12 @@ def _ref_adam(layers, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def _sampler(partition, state, cfg):
-    """The sampler run() builds, over the rows of state without a real label."""
+    """The sampler run() builds, over the rows of state without a real
+    label; no_diversity's partition has one subspace."""
     u_rows = np.flatnonzero(state.round_added != 0)
-    return MinibatchSampler(partition, u_rows, min(cfg.batch_size, len(u_rows)),
-                            cfg.variant != "no_diversity")
+    if cfg.variant == "no_diversity":
+        partition = _partition_of([len(state.label)])
+    return MinibatchSampler(partition, u_rows, min(cfg.batch_size, len(u_rows)))
 
 
 def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
@@ -269,8 +271,8 @@ class TestSelectSeedLabels:
         # imbalance; a uniform 50-instance draw almost surely misses it, and
         # a run trained on an all-non-match pool scores zero
         pool, partition, gold = small_problem(n_matches=1, rate=4202, data_seed=0)
-        rows = training._seed_rows(len(pool), 50, partition, np.random.default_rng(0),
-                                   "no_diversity")
+        rows = training._seed_rows(len(pool), 50, _partition_of([len(pool)]),
+                                   np.random.default_rng(0))
         assert not gold.label_codes([pool.ids[r] for r in rows]).any()
         cfg = TrainConfig(seed=0, variant="no_diversity", inner_iters=60)
         result = run(cfg, pool, partition, seed_budget=50)
@@ -377,12 +379,44 @@ def _subset_frequencies(plan):
     return collections.Counter(tuple(sorted(row)) for row in plan.tolist())
 
 
+class TestOneSubspace:
+    """Over one subspace the diversity draws make the uniform draws' calls,
+    so no_diversity seeds and minibatches keep their bytes."""
+
+    @given(st.integers(2, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           st.integers(0, 2**32 - 1))
+    def test_seed_rows_are_a_uniform_draw(self, n_budget, seed):
+        n, budget = n_budget
+        rows = training._seed_rows(n, budget, _partition_of([n]), np.random.default_rng(seed))
+        want = np.sort(np.random.default_rng(seed).choice(n, budget, replace=False))
+        assert rows.tolist() == want.tolist()
+
+    @given(
+        st.integers(1, 120),
+        st.integers(0, 200),
+        st.booleans(),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_minibatches_are_uniform_subsets(self, size, extra, whole, m, seed):
+        # a batch of every row draws nothing on either side; a batch of at
+        # most half the rows is the same distinct_picks call on both
+        n_u = size if whole else 2 * size + extra
+        # the rows without a real label, ascending, in a pool of n_u + extra
+        u_rows = np.sort(np.random.default_rng(seed).choice(n_u + extra, n_u, replace=False))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = MinibatchSampler(_partition_of([n_u + extra]), u_rows, size).chunk(got_rng, m)
+        want = u_rows[uniform_subsets(want_rng, n_u, size, m)]
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestMinibatchSampler:
     def test_draw_is_uniform_without_replacement(self):
         # sizes (3, 4, 1) and a batch of 5 give counts (2, 2, 1): 3 * 6
         # subsets, each drawn with probability 1/18; two picks among 3 rows
         # repeat a third of the time, so the redraw path runs often
-        sampler = MinibatchSampler(_partition_of([3, 4, 1]), np.arange(8), 5, diverse=True)
+        sampler = MinibatchSampler(_partition_of([3, 4, 1]), np.arange(8), 5)
         rng = np.random.default_rng(11)
         n_draws = 18_000
         freq = _subset_frequencies(
@@ -406,8 +440,7 @@ class TestMinibatchSampler:
         if size == 0:
             return
         counts = waterfill_counts(sizes, size)
-        sampler = MinibatchSampler(_partition_of(sizes), np.arange(sum(sizes)), size,
-                                   diverse=True)
+        sampler = MinibatchSampler(_partition_of(sizes), np.arange(sum(sizes)), size)
         plan = sampler.chunk(np.random.default_rng(seed), n)
         assert plan.shape == (n, size)
         for rows in plan:
@@ -422,13 +455,13 @@ class TestMinibatchSampler:
         # sizes (5, 1) and a batch of 5: the lone row is taken whole and 4
         # of the 5 others are drawn, so the redraw rule must find the last
         # free rows; each of the 5 subsets has probability 1/5
-        sampler = MinibatchSampler(_partition_of([5, 1]), np.arange(6), 5, diverse=True)
+        sampler = MinibatchSampler(_partition_of([5, 1]), np.arange(6), 5)
         freq = _subset_frequencies(sampler.chunk(np.random.default_rng(2), 10_000))
         assert len(freq) == 5
         assert all(len(set(key)) == 5 and 5 in key for key in freq)
         assert all(abs(n - 2000) < 300 for n in freq.values()), freq
         # a larger dense subspace: 59 of 60 for every row of a chunk
-        plan = MinibatchSampler(_partition_of([60]), np.arange(60), 59, diverse=True).chunk(
+        plan = MinibatchSampler(_partition_of([60]), np.arange(60), 59).chunk(
             np.random.default_rng(3), training._CHUNK
         )
         assert all(len(set(row)) == 59 for row in plan.tolist())
@@ -654,8 +687,8 @@ class TestRun:
         budget = min(budget, len(pool))
         cfg = TrainConfig(seed=seed, batch_size=16, inner_iters=inner_iters,
                           propagate_count=propagate_count, variant=variant)
-        seeds = training._seed_rows(len(pool), budget, partition,
-                                    np.random.default_rng(seed), variant)
+        drawn_on = _partition_of([len(pool)]) if variant == "no_diversity" else partition
+        seeds = training._seed_rows(len(pool), budget, drawn_on, np.random.default_rng(seed))
         rounds = []
 
         class CheckedState(RunState):
