@@ -39,6 +39,7 @@ from .evaluation import (
     compute_metrics,
     evaluate_run,
     run_ablation_suite,
+    score_labels,
     split_pool,
 )
 from .features import featurize_pair, featurize_to_file

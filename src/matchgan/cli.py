@@ -11,24 +11,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .datasets import (INSTANCE_FORMAT_VERSION, UNLABELED, IngestError, InstancePool,
-                       SyntheticConfig, _row_fault, generate_synthetic, load_gold, load_records,
-                       open_text, read_instance_file, read_labels_file, save_gold,
-                       write_instance_file, write_labels_file)
+from .datasets import (INSTANCE_FORMAT_VERSION, IngestError, InstancePool, SyntheticConfig,
+                       generate_synthetic, load_gold, load_records, open_text,
+                       read_instance_file, read_labels_file, save_gold, write_instance_file,
+                       write_labels_file)
 from .diversity import PARTITION_FORMAT_VERSION, build_partition, load_partition, save_partition
-from .evaluation import (aggregate, compute_metrics, evaluate_run, format_table,
-                         run_ablation_suite)
+# not called here: bench/layers.py wraps compute_metrics on this module
+from .evaluation import (aggregate, cells_text, compute_metrics, evaluate_run, format_table,
+                         run_ablation_suite, score_labels)
 from .features import featurize_to_file
 from .nn import CHECKPOINT_FORMAT_VERSION, load_model, save_model
-from .training import VARIANTS, TrainConfig, _check_budget, predict, run, write_report
+from .training import VARIANTS, TrainConfig, check_budget, predict, run, write_report
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -167,7 +165,7 @@ def _training_inputs(args, budget_flag: str, budgets: list, fractions: list = ()
     partition = _partition_for(args, pool)
     try:
         for budget in budgets:
-            _check_budget(budget, len(pool))
+            check_budget(budget, len(pool))
     except ValueError as exc:
         raise ValueError(f"{budget_flag}: {exc}") from None
     for fraction in fractions:
@@ -180,25 +178,6 @@ def _training_inputs(args, budget_flag: str, budgets: list, fractions: list = ()
 # the synth flag that sets each SyntheticConfig field
 _SYNTH_FLAGS = {"n_matches": "matches", "imbalance_rate": "imbalance",
                 "n_features": "features", "separation": "separation", "seed": "seed"}
-
-
-def _join_ids(left: list, right: list):
-    """Rows of left and right that name the same pair id, as two aligned
-    arrays, plus the first row of each list that repeats an id named
-    earlier in the same list (None if there is none)."""
-    n = len(left)
-    keys = np.fromiter(itertools.chain(left, right), dtype=object, count=n + len(right))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    same = np.flatnonzero(keys[1:] == keys[:-1])
-    del keys  # evaluate's peak memory is reached here
-    # the sort is stable: equal ids keep left before right, each in file order
-    first, later = order[same], order[same + 1]
-    in_left, in_right = later < n, first >= n
-    repeats = [int(rows.min()) if len(rows) else None
-               for rows in (later[in_left], later[in_right] - n)]
-    joined = ~in_left & ~in_right
-    return first[joined], later[joined] - n, repeats
 
 
 def cmd_synth(args) -> int:
@@ -295,18 +274,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    pred_ids, pred_codes = read_labels_file(args.predicted)
+    pred = read_labels_file(args.predicted)
     ids, _, labels, _ = read_instance_file(args.truth)
-    if np.any(labels == UNLABELED):
-        raise _row_fault(args.truth, int(np.argmax(labels == UNLABELED)),
-                         "empty label: a truth file must carry labels")
-    pred_rows, rows, repeats = _join_ids(pred_ids, ids)
-    for path, pairs, row in zip((args.predicted, args.truth), (pred_ids, ids), repeats):
-        if row is not None:
-            raise _row_fault(path, row, f"repeated pair id {pairs[row]}")
-    if not len(rows):
-        raise IngestError("no overlapping pairs between predictions and truth")
-    metrics = compute_metrics(pred_codes[pred_rows], labels[rows])
+    metrics = score_labels(args.predicted, pred, args.truth, (ids, labels))
     print(
         f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
         f"f_measure={metrics.f_measure:.4f} objective={metrics.objective_score:.4f} "
@@ -328,6 +298,9 @@ def cmd_ablate(args) -> int:
         raise IngestError(f"{args.config}: variant: ablate takes its variants from --variants")
     cfg, pool, partition = _training_inputs(args, "--budgets", args.budgets or [],
                                             args.fractions or [])
+    out = Path(args.out) if args.out else None
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        raise ValueError(f"-o: {out} is not a file path in an existing directory")
     seeds = [cfg.seed + k for k in range(args.seeds)]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     cells = run_ablation_suite(
@@ -336,16 +309,8 @@ def cmd_ablate(args) -> int:
         seeds=seeds, workers=workers,
     )
     print(format_table(aggregate(cells)))
-    if args.out:
-        with Path(args.out).open("w", encoding="utf-8") as fh:
-            fh.write("variant\tbudget\tfraction\tseed\tprecision\trecall\tf_measure\n")
-            for cell in cells:
-                fh.write(
-                    f"{cell.variant}\t{cell.budget if cell.budget is not None else ''}\t"
-                    f"{cell.fraction if cell.fraction is not None else ''}\t{cell.seed}\t"
-                    f"{cell.metrics.precision!r}\t{cell.metrics.recall!r}\t"
-                    f"{cell.metrics.f_measure!r}\n"
-                )
+    if out:
+        out.write_text(cells_text(cells), encoding="utf-8")
     return 0
 
 
@@ -382,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--gold-header", action="store_true")
     shared.add_argument("--config", help="flat key=value config file")
     for name in _CONFIG_KEYS:
-        shared.add_argument("--" + name.replace("_", "-"), dest=name)
+        shared.add_argument("--" + name.replace("_", "-"))
 
     p = subs.add_parser("synth", help="generate a synthetic labeled workload")
     p.add_argument("--matches", type=int, required=True)
@@ -397,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right")
     p.add_argument("--gold")
-    p.add_argument("--gold-header", action="store_true", dest="gold_header")
+    p.add_argument("--gold-header", action="store_true")
     p.add_argument("--schema", help="comma-separated attribute columns (default: all but id)")
-    p.add_argument("--id-column", default="id", dest="id_column")
+    p.add_argument("--id-column", default="id")
     p.add_argument("--delimiter", default=",")
-    p.add_argument("--block-on", dest="block_on")
+    p.add_argument("--block-on")
     p.add_argument("-q", type=int, default=2)
     p.add_argument("--workers", type=int, default=None,
                    help="accepted and ignored: featurize runs in one process")
@@ -410,13 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("partition", help="build and persist a subspace partition")
     p.add_argument("--instances", required=True)
-    p.add_argument("--split-features", type=_listed(int), dest="split_features",
+    p.add_argument("--split-features", type=_listed(int),
                    help="comma-separated feature indices for the median split")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_partition)
 
     p = subs.add_parser("train", parents=[shared], help="train on an instance file")
-    p.add_argument("--seed-budget", type=int, required=True, dest="seed_budget")
+    p.add_argument("--seed-budget", type=int, required=True)
     p.add_argument("--checkpoints", action="store_true")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -351,7 +351,7 @@ def read_labels_file(path: str | Path) -> tuple[list[PairId], np.ndarray]:
             raise IngestError(f"{path}: not a labels file")
         ids, _, codes = _read_rows(path, fh, 0, True)
     if UNLABELED in codes:
-        raise _row_fault(path, int(np.argmax(codes == UNLABELED)), "empty label")
+        raise row_fault(path, int(np.argmax(codes == UNLABELED)), "empty label")
     return ids, codes
 
 
@@ -394,10 +394,10 @@ def _read_rows(path: Path, fh, n_features: int, has_label: bool):
             labels[cells == name] = code
         unknown = np.flatnonzero((labels == UNLABELED) & (cells != ""))
         if len(unknown):
-            raise _row_fault(path, int(unknown[0]), f"unknown label {cells[unknown[0]]!r}")
+            raise row_fault(path, int(unknown[0]), f"unknown label {cells[unknown[0]]!r}")
     fault = _check_columns(ids, features, labels)
     if fault is not None:
-        raise _row_fault(path, *fault)
+        raise row_fault(path, *fault)
     return ids, features, labels
 
 
@@ -434,15 +434,15 @@ def _first_rejected(path: Path, fh, dtype: np.dtype) -> IngestError:
     expected = 2 + dtype["f"].shape[0] + ("label" in dtype.names)
     got = lines[lo].count("\t") + 1
     if got != expected:
-        return _row_fault(path, lo, f"expected {expected} columns, got {got}")
+        return row_fault(path, lo, f"expected {expected} columns, got {got}")
     # numpy ends its message with "at row R, column C."; R counts the lines
     # it was given, so only the column carries over to the file
     reason = _rejection(lines[lo : lo + 1], dtype)
     found = re.fullmatch(r"(.*) at row \d+, (column \d+)\.", reason)
-    return _row_fault(path, lo, f"{found[2]}: {found[1]}" if found else reason)
+    return row_fault(path, lo, f"{found[2]}: {found[1]}" if found else reason)
 
 
-def _row_fault(path: str | Path, row: int, message: str) -> IngestError:
+def row_fault(path: str | Path, row: int, message: str) -> IngestError:
     """IngestError naming the file line of data row `row` of an instance or
     labels file (lines up to the column header and blank lines skipped)."""
     with open(path, encoding="utf-8") as fh:

@@ -1,15 +1,17 @@
-"""Splitting, match-quality metrics, the scoring of a run, and the
-ablation experiment harness."""
+"""Splitting, match-quality metrics, the scoring of a run or of a labels
+file, and the ablation experiment harness and its tables."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import statistics
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
-from .datasets import UNLABELED, InstancePool
+from .datasets import UNLABELED, IngestError, InstancePool, row_fault
 from .diversity import SubspacePartition
 from .training import RunResult, TrainConfig, run
 
@@ -69,6 +71,44 @@ def compute_metrics(predicted, actual) -> MetricsReport:
     return MetricsReport(precision, recall, fm, tp, fp, fn, tn, objective)
 
 
+def _join_ids(left: list, right: list):
+    """Rows of left and right that name the same pair id, as two aligned
+    arrays, plus the first row of each list that repeats an id named
+    earlier in the same list (None if there is none)."""
+    n = len(left)
+    keys = np.fromiter(itertools.chain(left, right), dtype=object, count=n + len(right))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    del keys  # evaluate's peak memory is reached here
+    # the sort is stable: equal ids keep left before right, each in file order
+    first, later = order[same], order[same + 1]
+    in_left, in_right = later < n, first >= n
+    repeats = [int(rows.min()) if len(rows) else None
+               for rows in (later[in_left], later[in_right] - n)]
+    joined = ~in_left & ~in_right
+    return first[joined], later[joined] - n, repeats
+
+
+def score_labels(predicted, pred: tuple, truth, true: tuple) -> MetricsReport:
+    """Metrics of a labels file's (ids, codes) against a truth file's (ids,
+    labels), over the pair ids both name. predicted and truth are the two
+    files' paths: a truth row without a label and a pair id repeated within
+    one file raise an IngestError naming the file line; files that share
+    no pair id raise one naming neither file."""
+    (pred_ids, pred_codes), (ids, labels) = pred, true
+    if np.any(labels == UNLABELED):
+        raise row_fault(truth, int(np.argmax(labels == UNLABELED)),
+                        "empty label: a truth file must carry labels")
+    pred_rows, rows, repeats = _join_ids(pred_ids, ids)
+    for path, pairs, row in zip((predicted, truth), (pred_ids, ids), repeats):
+        if row is not None:
+            raise row_fault(path, row, f"repeated pair id {pairs[row]}")
+    if not len(rows):
+        raise IngestError("no overlapping pairs between predictions and truth")
+    return compute_metrics(pred_codes[pred_rows], labels[rows])
+
+
 @dataclass
 class AblationCell:
     variant: str
@@ -79,13 +119,14 @@ class AblationCell:
 
 
 def aggregate(cells: list[AblationCell]) -> list[dict]:
-    """Mean and standard deviation of f-measure per (variant, cost)."""
+    """Mean and standard deviation of f-measure per (variant, cost): by
+    variant, then the budgets in increasing order, then the fractions."""
     groups: dict[tuple, list[AblationCell]] = {}
     for cell in cells:
         groups.setdefault((cell.variant, cell.budget, cell.fraction), []).append(cell)
     rows = []
     for (variant, budget, fraction), group in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), str(kv[0][2]))
+        groups.items(), key=lambda kv: (kv[0][0], kv[0][1] is None, kv[0][1] or 0, kv[0][2] or 0)
     ):
         fms = [c.metrics.f_measure for c in group]
         rows.append(
@@ -204,9 +245,26 @@ def format_table(rows: list[dict]) -> str:
     header = f"{'variant':<16} {'cost':>8} {'seeds':>5} {'fm_mean':>8} {'fm_std':>7}"
     lines = [header, "-" * len(header)]
     for row in rows:
-        cost = row["budget"] if row["budget"] is not None else f"{100 * row['fraction']:g}%"
+        # a fraction's repr in percent, so that two fractions never print alike
+        cost = row["budget"] if row["budget"] is not None else (
+            f"{Decimal(repr(row['fraction'])).scaleb(2).normalize():f}%")
         lines.append(
             f"{row['variant']:<16} {cost!s:>8} {row['seeds']:>5} "
             f"{row['fm_mean']:>8.4f} {row['fm_std']:>7.4f}"
         )
     return "\n".join(lines)
+
+
+def cells_text(cells: list[AblationCell]) -> str:
+    """The cells table (cells.tsv): a header, then one line per cell in
+    cell order, each metric as its repr and an unset cost as an empty
+    field."""
+    lines = ["variant\tbudget\tfraction\tseed\tprecision\trecall\tf_measure\n"]
+    for cell in cells:
+        lines.append(
+            f"{cell.variant}\t{cell.budget if cell.budget is not None else ''}\t"
+            f"{cell.fraction if cell.fraction is not None else ''}\t{cell.seed}\t"
+            f"{cell.metrics.precision!r}\t{cell.metrics.recall!r}\t"
+            f"{cell.metrics.f_measure!r}\n"
+        )
+    return "".join(lines)

@@ -149,7 +149,7 @@ def select_seed_labels(
     return [pool.ids[r] for r in _seed_rows(len(pool), budget, partition, rng)]
 
 
-def _check_budget(budget: int, n: int) -> None:
+def check_budget(budget: int, n: int) -> None:
     if not 1 <= budget <= n:
         raise ValueError(f"budget {budget} is not between 1 and the pool size {n}")
 
@@ -160,7 +160,7 @@ def _seed_rows(n: int, budget: int, partition: SubspacePartition,
     budget spread across the partition's subspaces, a uniform draw when
     it has one subspace.
     """
-    _check_budget(budget, n)
+    check_budget(budget, n)
     return np.sort(diverse_sample(partition.populations(), budget, rng))
 
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -24,6 +25,21 @@ def run_cli(*args):
 
 
 class TestTopLevel:
+    def test_cli_imports_no_private_name(self):
+        # the command line reaches each module through its public names
+        import matchgan.cli as cli
+
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        private = [
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "matchgan")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")
+        ]
+        assert private == []
+
     def test_no_arguments_nonzero(self, capsys):
         assert main([]) != 0
 
@@ -744,6 +760,25 @@ class TestBadInput:
         assert "--fractions" in err and message in err
         assert runs == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["nope/cells.tsv", "."], ids=["missing-dir", "a-dir"])
+    def test_ablate_output_checked_before_any_cell_trains(self, tmp_path, capsys,
+                                                          monkeypatch, out):
+        # writing cells.tsv used to fail with an OSError naming no flag, after
+        # every cell had trained
+        import matchgan.evaluation as evaluation
+
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 3, "--imbalance", 10, "--seed", 1, "--out", data)
+        capsys.readouterr()
+        runs = []
+        monkeypatch.setattr(evaluation, "run", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / out
+        assert run_cli("ablate", "--instances", data / "instances.tsv", "--budgets", 4,
+                       "--seeds", 1, "--workers", 1, "-o", out) == 1
+        assert self._single_error(capsys).startswith(f"error: -o: {out} ")
+        assert runs == []
+        assert not (tmp_path / "nope").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_ablate_rejects_a_variant_it_would_drop(self, tmp_path, capsys, monkeypatch,

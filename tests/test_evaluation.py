@@ -10,6 +10,7 @@ from matchgan.datasets import (
     MATCH,
     NON_MATCH,
     UNLABELED,
+    IngestError,
     InstancePool,
     SyntheticConfig,
     generate_synthetic,
@@ -22,6 +23,7 @@ from matchgan.evaluation import (
     evaluate_run,
     format_table,
     run_ablation_suite,
+    score_labels,
     split_pool,
 )
 from matchgan.training import TrainConfig, run
@@ -107,6 +109,14 @@ class TestMetrics:
             assert min(m.precision, m.recall) - 1e-12 <= m.f_measure <= max(m.precision, m.recall) + 1e-12
         assert (m.f_measure == 0.0) == (m.tp == 0)
 
+    def test_score_labels_joins_on_pair_id(self):
+        # file order does not matter, and a pair only one file names is not scored
+        pred = ([("a", "b"), ("c", "d"), ("x", "y")], np.array([M, N, M], dtype=np.int8))
+        true = ([("c", "d"), ("e", "f"), ("a", "b")], np.array([M, N, M], dtype=np.int8))
+        assert score_labels("p.tsv", pred, "t.tsv", true) == compute_metrics([M, N], [M, M])
+        with pytest.raises(IngestError, match="no overlapping pairs"):
+            score_labels("p.tsv", pred, "t.tsv", ([("e", "f")], np.array([N], dtype=np.int8)))
+
 
 def tiny_problem():
     pool, gold = generate_synthetic(
@@ -189,6 +199,17 @@ class TestAblationSuite:
         assert len(rows) == 4
         assert all(r["seeds"] == 2 for r in rows)
 
+    def test_aggregate_orders_costs_by_value(self):
+        # costs used to sort as strings: budget 10 before 5, fraction 1e-05 after 0.5
+        metrics = compute_metrics([M], [M])
+        costs = [(5, None), (None, 0.5), (20, None), (None, 1e-05), (10, None)]
+        cells = [evaluation.AblationCell(v, b, f, 0, metrics)
+                 for v in ("no_adversary", "full") for b, f in costs]
+        rows = aggregate(cells)
+        assert [(r["variant"], r["budget"], r["fraction"]) for r in rows] == [
+            (v, b, f) for v in ("full", "no_adversary")
+            for b, f in [(5, None), (10, None), (20, None), (None, 1e-05), (None, 0.5)]]
+
     def test_fraction_mode(self):
         pool, partition = tiny_problem()
         cfg = TrainConfig(inner_iters=50)
@@ -262,9 +283,10 @@ class TestAblationSuite:
         rows = [
             {"variant": "full", "budget": 50, "fraction": None, "seeds": 3, "fm_mean": 0.91234, "fm_std": 0.0123},
             *({"variant": "full", "budget": None, "fraction": f, "seeds": 3, "fm_mean": 0.5,
-               "fm_std": 0.0} for f in (0.6, 0.12, 0.125)),
+               "fm_std": 0.0} for f in (0.6, 0.12, 0.125, 0.1234561, 0.1234562, 0.07, 1e-05)),
         ]
         text = format_table(rows)
         assert "full" in text and "0.9123" in text
         # a fraction is printed with every digit that tells it apart
-        assert [line.split()[1] for line in text.splitlines()[3:]] == ["60%", "12%", "12.5%"]
+        assert [line.split()[1] for line in text.splitlines()[3:]] == [
+            "60%", "12%", "12.5%", "12.34561%", "12.34562%", "7%", "0.001%"]
