@@ -156,6 +156,15 @@ def _partition_for(args, pool: InstancePool):
         raise ValueError(f"{path or '--split-features'}: {exc}") from None
 
 
+def _output_file(text: str | None) -> Path | None:
+    """The -o path, None when it is not given, checked before any input is
+    read so that a command cannot fail on it after its work."""
+    out = Path(text) if text else None
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        raise ValueError(f"-o: {out} is not a file path in an existing directory")
+    return out
+
+
 def _training_inputs(args, budget_flag: str, budgets: list, fractions: list = ()):
     """The (config, pool, partition) that train and ablate start from, once
     each of the label budgets given with budget_flag fits the pool and
@@ -261,6 +270,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _output_file(args.out)
     pool = _load_pool(args.instances)
     model, meta = load_model(args.model)
     if meta["kind"] == "discriminator":
@@ -274,6 +284,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _output_file(args.out)
     pred = read_labels_file(args.predicted)
     ids, _, labels, _ = read_instance_file(args.truth)
     metrics = score_labels(args.predicted, pred, args.truth, (ids, labels))
@@ -294,13 +305,11 @@ def cmd_ablate(args) -> int:
     # by flag or config file would be dropped
     if args.variant is not None:
         raise ValueError("--variant: ablate takes its variants from --variants")
+    out = _output_file(args.out)
     if args.config and "variant" in read_config_file(args.config):
         raise IngestError(f"{args.config}: variant: ablate takes its variants from --variants")
     cfg, pool, partition = _training_inputs(args, "--budgets", args.budgets or [],
                                             args.fractions or [])
-    out = Path(args.out) if args.out else None
-    if out and (out.is_dir() or not out.parent.is_dir()):
-        raise ValueError(f"-o: {out} is not a file path in an existing directory")
     seeds = [cfg.seed + k for k in range(args.seeds)]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     cells = run_ablation_suite(

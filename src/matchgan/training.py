@@ -180,111 +180,99 @@ _CHUNK = 50  # iterations whose minibatches are drawn at once
 
 def inner_train(
     gen: nn.MlpModel,
-    disc: nn.MlpModel,
+    disc: nn.MlpModel | None,
     pool: InstancePool,
     state: RunState,
     cfg: TrainConfig,
-    sampler: MinibatchSampler,
+    sampler: MinibatchSampler | None,
     rng: np.random.Generator,
     opt_gen: nn.OptState,
-    opt_disc: nn.OptState,
-) -> tuple[nn.MlpModel, nn.MlpModel, dict]:
-    """Run the alternating minibatch updates for one propagation round.
+    opt_disc: nn.OptState | None,
+) -> tuple[nn.MlpModel, nn.MlpModel | None, dict]:
+    """Run the minibatch updates for one propagation round.
 
-    Unlabeled minibatches come from sampler, which belongs to the run: it
-    is built once over every row without a real label, regardless of
-    propagation progress. Labeled minibatches come uniformly from the rows
-    labeled so far. Returns the models plus mean losses for reporting.
+    Each iteration gathers a real minibatch, drawn uniformly from the rows
+    labeled so far, and steps the generator. With a discriminator it also
+    draws an unlabeled minibatch from sampler, steps the discriminator on
+    both and the generator on its adversarial loss; the sampler belongs to
+    the run, built once over every row without a real label, regardless of
+    propagation progress. With disc, sampler and opt_disc None
+    (no_adversary) the generator steps on its cross-entropy over the real
+    rows, a plain classifier. Returns the models plus mean losses for
+    reporting; d_objective is None without a discriminator.
     """
     if len(state) == 0:
         raise ValueError("labeled pool is empty")
     n_iters = cfg.inner_iters
-    # the labeled [X | y | 1] matrix, so that a real minibatch is one gather
-    real_all = np.column_stack((*_labeled_arrays(pool, state), np.ones(len(state))))
-    fake_size = sampler.size
-    real_size = min(cfg.batch_size, len(real_all))
-    # fixed arrays for the round's passes: the generator on the fake rows
-    # (g_buf.x), the discriminator on the stacked [fake; real] batch
-    # (d_buf.x) and on [X | soft] for the generator's update (s_buf.x)
-    g_buf = nn.Buffers(gen, fake_size)
-    d_buf = nn.Buffers(disc, fake_size + real_size)
-    s_buf = nn.Buffers(disc, fake_size)
-    real_block = d_buf.acts[0][fake_size:]
-    # the discriminator judges hard pseudo labels, so generated and real
-    # pairs share the same label alphabet; the generator's own update keeps
-    # the soft differentiable path
-    d = pool.n_features
-    soft_x, soft_label = s_buf.x[:, :d], s_buf.x[:, d]
-    hard_x, hard_label = d_buf.x[:fake_size, :d], d_buf.x[:fake_size, d]
+    X, y = _labeled_arrays(pool, state)
+    real_size = min(cfg.batch_size, len(y))
+    if disc is None:
+        # [X | 1], so that a real minibatch gathers straight into g_buf.acts[0]
+        real_all = np.column_stack((X, np.ones(len(y))))
+        g_buf = out_buf = nn.Buffers(gen, real_size)
+        real_block, d_width = g_buf.acts[0], 0
+    else:
+        # the labeled [X | y | 1] matrix, so that a real minibatch is one gather
+        real_all = np.column_stack((X, y, np.ones(len(y))))
+        fake_size = sampler.size
+        # fixed arrays for the round's passes: the generator on the fake rows
+        # (g_buf.x), the discriminator on the stacked [fake; real] batch
+        # (d_buf.x) and on [X | soft] for the generator's update (s_buf.x)
+        g_buf = nn.Buffers(gen, fake_size)
+        d_buf = nn.Buffers(disc, fake_size + real_size)
+        s_buf = out_buf = nn.Buffers(disc, fake_size)
+        real_block, d_width = d_buf.acts[0][fake_size:], d_buf.n
+        # the discriminator judges hard pseudo labels, so generated and real
+        # pairs share the same label alphabet; the generator's own update
+        # keeps the soft differentiable path
+        d = pool.n_features
+        soft_x, soft_label = s_buf.x[:, :d], s_buf.x[:, d]
+        hard_x, hard_label = d_buf.x[:fake_size, :d], d_buf.x[:fake_size, d]
+    del X
 
     d_sum = g_sum = 0.0
     for start in range(0, n_iters, _CHUNK):
         n = min(_CHUNK, n_iters - start)
-        fake_rows = sampler.chunk(rng, n)
+        fake_rows = None if disc is None else sampler.chunk(rng, n)
         real_rows = uniform_subsets(rng, len(real_all), real_size, n)
-        # each pass's discriminator outputs, whose losses are taken once per
-        # chunk; they live only between the draws, whose temporaries set
+        # each pass's outputs, whose losses are taken once per chunk: the
+        # discriminator's on [fake; real] (none without one) and the
+        # generator term's, D on the soft fake rows or the classifier on the
+        # real ones; they live only between the draws, whose temporaries set
         # the round's peak memory
-        d_rows, g_rows = np.empty((n, fake_size + real_size)), np.empty((n, fake_size))
-        for i, (fake, real) in enumerate(zip(fake_rows, real_rows)):
-            # the rows are in range; take stages the strided g_buf.x in a copy
-            pool.features.take(fake, axis=0, out=g_buf.x, mode="clip")
-            g_soft = nn.forward_pass(g_buf)
-            np.copyto(soft_x, g_buf.x)
-            np.copyto(hard_x, g_buf.x)
-            np.copyto(soft_label, g_soft)
-            np.greater(g_soft, 0.5, out=hard_label)
+        d_rows, g_rows = np.empty((n, d_width)), np.empty((n, out_buf.n))
+        for i, real in enumerate(real_rows):
             real_all.take(real, axis=0, out=real_block, mode="clip")
-            d_grad = nn.discriminator_backward(d_buf, fake_size, cfg.real_weight)
-            np.copyto(d_rows[i], d_buf.out)
-            nn.opt_step(disc, d_grad, opt_disc)
-            # the generator is unchanged since its pass above, so that pass is reused
-            g_grad = nn.generator_backward(g_buf, s_buf)
-            np.copyto(g_rows[i], s_buf.out)
+            if disc is None:
+                g_grad = nn.classifier_backward(g_buf, y.take(real))
+            else:
+                # the rows are in range; take stages the strided g_buf.x in a copy
+                pool.features.take(fake_rows[i], axis=0, out=g_buf.x, mode="clip")
+                g_soft = nn.forward_pass(g_buf)
+                np.copyto(soft_x, g_buf.x)
+                np.copyto(hard_x, g_buf.x)
+                np.copyto(soft_label, g_soft)
+                np.greater(g_soft, 0.5, out=hard_label)
+                d_grad = nn.discriminator_backward(d_buf, fake_size, cfg.real_weight)
+                np.copyto(d_rows[i], d_buf.out)
+                nn.opt_step(disc, d_grad, opt_disc)
+                # the generator is unchanged since its pass above, so that pass is reused
+                g_grad = nn.generator_backward(g_buf, s_buf)
+            np.copyto(g_rows[i], out_buf.out)
             nn.opt_step(gen, g_grad, opt_gen)
-        d_sum = nn.add_in_order(d_sum, nn.discriminator_loss(
-            d_rows[:, :fake_size], d_rows[:, fake_size:], cfg.real_weight))
-        g_sum = nn.add_in_order(g_sum, nn.generator_loss(g_rows))
+        if disc is None:
+            g_sum = nn.add_in_order(g_sum, nn.binary_log_loss(g_rows, y.take(real_rows)))
+        else:
+            d_sum = nn.add_in_order(d_sum, nn.discriminator_loss(
+                d_rows[:, :fake_size], d_rows[:, fake_size:], cfg.real_weight))
+            g_sum = nn.add_in_order(g_sum, nn.generator_loss(g_rows))
         del d_rows, g_rows
     stats = {
         "iterations": n_iters,
-        "d_objective": d_sum / n_iters,
+        "d_objective": None if disc is None else d_sum / n_iters,
         "g_loss": g_sum / n_iters,
     }
     return gen, disc, stats
-
-
-def _inner_train_classifier(
-    clf: nn.MlpModel,
-    pool: InstancePool,
-    state: RunState,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    opt: nn.OptState,
-) -> dict:
-    """Plain supervised loop on the labeled pool (adversary removed)."""
-    lab_X, lab_y = _labeled_arrays(pool, state)
-    # [X | 1], so that a minibatch gathers straight into buf.acts[0]
-    lab_X = np.column_stack((lab_X, np.ones(len(lab_y))))
-    size = min(cfg.batch_size, len(lab_y))
-    buf = nn.Buffers(clf, size)
-    out_rows = np.empty((_CHUNK, size))
-    loss_sum = 0.0
-    for start in range(0, cfg.inner_iters, _CHUNK):
-        n = min(_CHUNK, cfg.inner_iters - start)
-        idx = uniform_subsets(rng, len(lab_y), size, n)
-        y_rows = lab_y.take(idx)
-        for i in range(n):
-            lab_X.take(idx[i], axis=0, out=buf.acts[0], mode="clip")
-            grad = nn.classifier_backward(buf, y_rows[i])
-            np.copyto(out_rows[i], buf.out)
-            nn.opt_step(clf, grad, opt)
-        loss_sum = nn.add_in_order(loss_sum, nn.binary_log_loss(out_rows[:n], y_rows))
-    return {
-        "iterations": cfg.inner_iters,
-        "d_objective": None,
-        "g_loss": loss_sum / cfg.inner_iters,
-    }
 
 
 def select_top(scores: np.ndarray, count: int) -> np.ndarray:
@@ -393,12 +381,7 @@ def run(
     round_models: list = []
     round_index = 0
     while len(remaining):
-        if adversarial:
-            _, _, stats = inner_train(
-                gen, disc, pool, state, cfg, sampler, rng, opt_gen, opt_disc
-            )
-        else:
-            stats = _inner_train_classifier(gen, pool, state, cfg, rng, opt_gen)
+        _, _, stats = inner_train(gen, disc, pool, state, cfg, sampler, rng, opt_gen, opt_disc)
         round_index += 1
 
         # no_propagation takes every remaining row, so it runs a single round

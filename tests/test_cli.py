@@ -780,6 +780,30 @@ class TestBadInput:
         assert runs == []
         assert not (tmp_path / "nope").exists()
 
+    @pytest.mark.parametrize("out", ["nope/m.json", "."], ids=["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("command, readers", [
+        ("evaluate", ("read_labels_file", "read_instance_file")),
+        ("predict", ("read_instance_file", "load_model")),
+    ])
+    def test_output_checked_before_any_input_is_read(self, tmp_path, capsys, monkeypatch,
+                                                     command, readers, out):
+        # these used to print their scores or read the model, then fail with
+        # an [Errno 2] line that named no flag
+        import matchgan.cli as cli
+
+        calls = []
+        for name in readers:
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
+        inputs = {"evaluate": ["--predicted", tmp_path / "p.tsv", "--truth", tmp_path / "t.tsv"],
+                  "predict": ["--instances", tmp_path / "i.tsv", "--model", tmp_path / "m.npz"]}
+        out = tmp_path / out
+        assert run_cli(command, *inputs[command], "-o", out) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: -o: {out} ") and printed.err.count("\n") == 1
+        assert calls == []
+        assert not (tmp_path / "nope").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_ablate_rejects_a_variant_it_would_drop(self, tmp_path, capsys, monkeypatch,
                                                     source):

@@ -178,6 +178,30 @@ def _ref_inner_train(gen, disc, pool, state, cfg, partition, rng, iters):
     return G, D, mg, md, d_sum / iters, g_sum / iters
 
 
+def _ref_classifier_train(gen, pool, state, cfg, rng, iters):
+    """Layer blocks and Adam moments (lists of [W | b] arrays) of the
+    no_adversary classifier, plus its mean cross-entropy, after iters
+    reference iterations on the labeled rows."""
+    G = [np.column_stack([w, b]) for w, b in zip(gen.weights, gen.biases)]
+    mg = [[np.zeros_like(a) for a in G] for _ in range(2)]
+    lab_X, lab_y = _labeled_arrays(pool, state)
+    real_size = min(cfg.batch_size, lab_X.shape[0])
+    loss_sum = 0.0
+    for t in range(1, iters + 1):
+        # each chunk of iterations draws its real minibatches, and nothing else
+        i = (t - 1) % training._CHUNK
+        if i == 0:
+            n = min(training._CHUNK, iters - t + 1)
+            real_plan = uniform_subsets(rng, lab_X.shape[0], real_size, n)
+        X, y = lab_X[real_plan[i]], lab_y[real_plan[i]]
+        acts = []
+        out = _ref_forward(G, X, acts)
+        loss_sum += float(-np.mean(y * np.log(out) + (1.0 - y) * np.log(1.0 - out)))
+        grads, _ = _ref_backprop(G, acts, (out - y) / len(y))
+        _ref_adam(G, grads, mg, t, cfg.learning_rate)
+    return G, mg, loss_sum / iters
+
+
 def _opt_states(gen, disc, cfg):
     """Fresh optimizer states of both models, as run() makes them."""
     return (nn.OptState.for_model(gen, cfg.learning_rate),
@@ -189,14 +213,21 @@ def _flat(layers):
 
 
 def inner_train_mismatches(iters_list=(1, 49, 50, 51, 73)):
-    """Names of the values where inner_train and the reference differ, at
-    iteration counts on both sides of the draw chunk's edges."""
+    """Names of the values where inner_train and the references differ, at
+    iteration counts on both sides of the draw chunk's edges, with a
+    discriminator and without one (no_adversary)."""
     pool, partition, _ = small_problem()
     state = RunState(len(pool))
     state.add(np.arange(0, len(pool), 4), pool.real_labels[::4], round_index=0)
     pseudo = np.arange(2, len(pool), 8)
     state.add(pseudo, pool.real_labels[pseudo], round_index=1)
     bad = []
+
+    def compare(cfg, iters, names, got, want):
+        return [f"{cfg.variant}/seed {cfg.seed}/{iters}: {name}"
+                for name, a, b in zip(names, got, want)
+                if np.asarray(a).tobytes() != np.asarray(b).tobytes()]
+
     configs = (
         TrainConfig(seed=3, batch_size=16, real_weight=0.7),
         TrainConfig(seed=4, batch_size=500, variant="no_diversity"),
@@ -218,9 +249,24 @@ def inner_train_mismatches(iters_list=(1, 49, 50, 51, 73)):
         want = (_flat(ref[0]), _flat(ref[1]), _flat(ref[2][0]), _flat(ref[2][1]),
                 _flat(ref[3][0]), _flat(ref[3][1]), ref[4], ref[5])
         names = ("gen", "disc", "gen m1", "gen m2", "disc m1", "disc m2", "d_objective", "g_loss")
-        bad += [f"{cfg.variant}/seed {cfg.seed}/{iters}: {name}"
-                for name, a, b in zip(names, got, want)
-                if np.asarray(a).tobytes() != np.asarray(b).tobytes()]
+        bad += compare(cfg, iters, names, got, want)
+    # batches below half of the labeled rows, above half and all of them:
+    # each branch of uniform_subsets
+    half = len(state) // 2
+    clf_configs = tuple(TrainConfig(seed=seed, batch_size=size, variant="no_adversary")
+                        for seed, size in ((5, half - 3), (7, half + 5), (8, len(state))))
+    for iters, cfg in ((i, dataclasses.replace(c, inner_iters=i))
+                       for i in iters_list for c in clf_configs):
+        gen = nn.init_mlp((pool.n_features, *cfg.gen_hidden, 1), np.random.default_rng(cfg.seed))
+        ref = _ref_classifier_train(gen, pool, state, cfg, np.random.default_rng(cfg.seed), iters)
+        opt_g = nn.OptState.for_model(gen, cfg.learning_rate)
+        _, disc, stats = inner_train(gen, None, pool, state, cfg, None,
+                                     np.random.default_rng(cfg.seed), opt_g, None)
+        if disc is not None or stats["d_objective"] is not None:
+            bad.append(f"{cfg.variant}/seed {cfg.seed}/{iters}: discriminator")
+        got = (gen.params, opt_g.moment1, opt_g.moment2, stats["g_loss"])
+        want = (_flat(ref[0]), _flat(ref[1][0]), _flat(ref[1][1]), ref[2])
+        bad += compare(cfg, iters, ("gen", "gen m1", "gen m2", "g_loss"), got, want)
     return bad
 
 
@@ -591,6 +637,30 @@ class TestTracedNames:
         calls.clear()
         propagate(gen, disc, pool, np.flatnonzero(state.label == -1), 5)
         assert calls == {"forward_batch": 2, "select_top": 1}
+
+    def test_no_adversary_round_steps_only_the_classifier(self, monkeypatch):
+        calls = collections.Counter()
+
+        def count(name):
+            real = getattr(nn, name)
+
+            def passthrough(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(nn, name, passthrough)
+
+        for name in ("classifier_backward", "discriminator_backward", "generator_backward",
+                     "opt_step"):
+            count(name)
+        pool, _, state = twin_problem()
+        gen = nn.init_mlp((4, 8, 1), np.random.default_rng(0))
+        k = 7
+        cfg = TrainConfig(seed=0, batch_size=10, inner_iters=k, variant="no_adversary")
+        _, disc, stats = inner_train(gen, None, pool, state, cfg, None, np.random.default_rng(0),
+                                     nn.OptState.for_model(gen, cfg.learning_rate), None)
+        assert calls == {"classifier_backward": k, "opt_step": k}
+        assert disc is None and stats["d_objective"] is None and stats["iterations"] == k
 
 
 class TestRun:
