@@ -21,13 +21,12 @@ for m in (gen, disc):  # move off the zeroed output layer for a generic point
 X = rng.random((6, 4))
 
 # the calls a training step makes, each on the Buffers of its model: the
-# generator's rows, its recording pass, the discriminator's input
-# [X | G(X)], then the gradient
+# generator's rows, its recording pass, the discriminator's rows for X and
+# G(X), then the gradient
 g_buf, s_buf = nn.Buffers(gen, len(X)), nn.Buffers(disc, len(X))
 g_buf.x[...] = X
 nn.forward_pass(g_buf)
-s_buf.x[:, :-1] = X
-s_buf.x[:, -1] = g_buf.out
+nn.disc_input(X, g_buf.out, s_buf.x)
 grad = nn.generator_backward(g_buf, s_buf)
 h = 1e-5
 w = gen.weights[0]

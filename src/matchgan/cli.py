@@ -165,6 +165,17 @@ def _output_file(text: str | None) -> Path | None:
     return out
 
 
+def _output_dir(text: str, flag: str) -> Path:
+    """The directory path given with flag, checked before any input is read:
+    the deepest part of it that exists must be a directory, so that making
+    it after the work cannot fail."""
+    out = Path(text)
+    there = next(p for p in (out, *out.parents) if p.exists())
+    if not there.is_dir():
+        raise ValueError(f"{flag}: {there} is not a directory")
+    return out
+
+
 def _training_inputs(args, budget_flag: str, budgets: list, fractions: list = ()):
     """The (config, pool, partition) that train and ablate start from, once
     each of the label budgets given with budget_flag fits the pool and
@@ -190,13 +201,13 @@ _SYNTH_FLAGS = {"n_matches": "matches", "imbalance_rate": "imbalance",
 
 
 def cmd_synth(args) -> int:
+    out = _output_dir(args.out, "--out")
     try:
         cfg = SyntheticConfig(**{name: getattr(args, flag) for name, flag in _SYNTH_FLAGS.items()})
     except ValueError as exc:
         # each of SyntheticConfig's messages starts with the field it rejects
         raise ValueError(f"--{_SYNTH_FLAGS[str(exc).split()[0]]}: {exc}") from None
     pool, gold = generate_synthetic(cfg)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_instance_file(out / "instances.tsv", pool)
     save_gold(gold, out / "gold.csv")
@@ -205,6 +216,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    _output_file(args.out)
     if len(args.delimiter) != 1:
         raise ValueError(f"--delimiter: {args.delimiter!r} is not one character")
     schema = args.schema.split(",") if args.schema else None
@@ -225,6 +237,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    _output_file(args.out)
     part = _partition_for(args, _load_pool(args.instances))
     save_partition(part, args.out)
     print(f"wrote partition ({part.b} subspaces) to {args.out}")
@@ -243,10 +256,10 @@ def _save_models(directory: Path, models: tuple, cfg: TrainConfig, suffix: str =
 
 
 def cmd_train(args) -> int:
+    out = _output_dir(args.out, "-o")
     cfg, pool, partition = _training_inputs(args, "--seed-budget", [args.seed_budget])
     result = run(cfg, pool, partition, seed_budget=args.seed_budget)
     # made only now, so that a run that fails leaves no directory behind
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_partition(partition, out / "partition.json")
     _save_models(out, (result.generator, result.discriminator), cfg)

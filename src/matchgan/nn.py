@@ -6,6 +6,10 @@ feature vector concatenated with a scalar label channel to a realness
 score in (0, 1). Hidden layers are rectified, the output is logistic and
 clamped away from {0, 1} so no loss evaluation can be non-finite.
 
+The discriminator's input layout lives here alone: disc_input writes its
+rows, disc_width gives its width, and generator_backward folds its input
+gradient back to one derivative per row.
+
 Backpropagation is written out by hand (no autodiff): the generator's
 gradients flow through the discriminator's input while the discriminator
 stays frozen, and vice versa. It starts from the loss derivative at the
@@ -171,9 +175,22 @@ def forward_pass(buf: Buffers) -> np.ndarray:
     return out
 
 
+def disc_width(d: int) -> int:
+    """The discriminator's input width for d feature columns."""
+    return d + 1
+
+
+def disc_input(x: np.ndarray, label: np.ndarray, out: np.ndarray) -> None:
+    """Writes into out, of disc_width(x.shape[1]) columns, the
+    discriminator's rows for feature rows x and their labels: [x | label],
+    a boolean label as 1.0 or 0.0."""
+    out[:, :-1] = x
+    out[:, -1] = label
+
+
 def forward_batch(model: MlpModel, X: np.ndarray, label: np.ndarray | None = None) -> np.ndarray:
     """Deterministic feed-forward values in (0, 1), one per row of X, or
-    per row of [X | label] when a label column is given.
+    per row that disc_input writes for X and label when a label is given.
 
     Rows go through in blocks of SCORE_BLOCK, the last block taking the
     remainder, so scoring a whole pool never allocates a pool-sized hidden
@@ -184,9 +201,9 @@ def forward_batch(model: MlpModel, X: np.ndarray, label: np.ndarray | None = Non
     otherwise.
     """
     X = np.asarray(X, dtype=np.float64)
-    width = model.layer_dims[0] - (label is not None)
-    if X.ndim != 2 or X.shape[1] != width:
-        raise ValueError(f"input shape {X.shape} incompatible with input dim {width}")
+    dim = model.layer_dims[0]
+    if X.ndim != 2 or dim != (X.shape[1] if label is None else disc_width(X.shape[1])):
+        raise ValueError(f"input shape {X.shape} incompatible with input dim {dim}")
     n = len(X)
     cuts = [0, n]
     if n >= 2 * SCORE_BLOCK:
@@ -195,9 +212,10 @@ def forward_batch(model: MlpModel, X: np.ndarray, label: np.ndarray | None = Non
     for lo, hi in zip(cuts, cuts[1:]):
         if buf.n != hi - lo:
             buf = Buffers(model, hi - lo)
-        buf.x[:, :width] = X[lo:hi]
-        if label is not None:
-            buf.x[:, -1] = label[lo:hi]
+        if label is None:
+            buf.x[...] = X[lo:hi]
+        else:
+            disc_input(X[lo:hi], label[lo:hi], buf.x)
         out[lo:hi] = forward_pass(buf)
     return out
 
@@ -259,7 +277,7 @@ def generator_backward(g_buf: Buffers, d_buf: Buffers) -> np.ndarray:
     with the discriminator's own parameters held fixed; only the
     generator's gradient is produced. g_buf and d_buf are the generator's
     and the discriminator's Buffers over the same rows: g_buf holds a
-    forward_pass over X, and d_buf.x the discriminator's input [X | G(X)].
+    forward_pass over X, and d_buf.x disc_input's rows for X and G(X).
     """
     if g_buf.n != d_buf.n:
         raise ValueError(f"generator buffers hold {g_buf.n} rows, discriminator's {d_buf.n}")
@@ -271,16 +289,16 @@ def generator_backward(g_buf: Buffers, d_buf: Buffers) -> np.ndarray:
     g_out, dz = g_buf.out, g_buf.dz
     np.subtract(1.0, g_out, out=dz)
     np.multiply(dz, g_out, out=dz)
-    np.multiply(dz, dinput[:, -1], out=dz)
+    np.multiply(dz, dinput[:, -1], out=dz)  # the fold: the label column's gradient
     return backprop(g_buf)
 
 
 def discriminator_backward(buf: Buffers, n_f: int, real_weight: float) -> np.ndarray:
     """Descent gradient for the discriminator update.
 
-    buf.x holds n_f generated rows, whose last column is the generator's
-    label, a constant (the generator is frozen), and then n_r = buf.n - n_f
-    real ones, all run through one forward pass and one backpropagation.
+    buf.x holds n_f generated rows, whose label is the generator's, a
+    constant (the generator is frozen), and then n_r = buf.n - n_f real
+    ones, all run through one forward pass and one backpropagation.
     The minimized loss is -objective, whose derivative w.r.t. a row's logit
     is d / n_f on a fake row and -real_weight (1 - d) / n_r on a real one,
     so an optimizer step on the returned gradient ascends the objective.

@@ -210,24 +210,20 @@ def inner_train(
         # [X | 1], so that a real minibatch gathers straight into g_buf.acts[0]
         real_all = np.column_stack((X, np.ones(len(y))))
         g_buf = out_buf = nn.Buffers(gen, real_size)
-        real_block, d_width = g_buf.acts[0], 0
+        real_block, d_size = g_buf.acts[0], 0
     else:
-        # the labeled [X | y | 1] matrix, so that a real minibatch is one gather
-        real_all = np.column_stack((X, y, np.ones(len(y))))
         fake_size = sampler.size
         # fixed arrays for the round's passes: the generator on the fake rows
         # (g_buf.x), the discriminator on the stacked [fake; real] batch
-        # (d_buf.x) and on [X | soft] for the generator's update (s_buf.x)
+        # (d_buf.x) and on the soft fake rows for G's update (s_buf.x)
         g_buf = nn.Buffers(gen, fake_size)
         d_buf = nn.Buffers(disc, fake_size + real_size)
         s_buf = out_buf = nn.Buffers(disc, fake_size)
-        real_block, d_width = d_buf.acts[0][fake_size:], d_buf.n
-        # the discriminator judges hard pseudo labels, so generated and real
-        # pairs share the same label alphabet; the generator's own update
-        # keeps the soft differentiable path
-        d = pool.n_features
-        soft_x, soft_label = s_buf.x[:, :d], s_buf.x[:, d]
-        hard_x, hard_label = d_buf.x[:fake_size, :d], d_buf.x[:fake_size, d]
+        real_block, d_size = d_buf.acts[0][fake_size:], d_buf.n
+        hard_rows = d_buf.x[:fake_size]
+        # D's labeled rows with acts[0]'s ones column: a real minibatch is one gather
+        real_all = np.ones((len(y), real_block.shape[1]))
+        nn.disc_input(X, y, real_all[:, :-1])
     del X
 
     d_sum = g_sum = 0.0
@@ -240,7 +236,7 @@ def inner_train(
         # generator term's, D on the soft fake rows or the classifier on the
         # real ones; they live only between the draws, whose temporaries set
         # the round's peak memory
-        d_rows, g_rows = np.empty((n, d_width)), np.empty((n, out_buf.n))
+        d_rows, g_rows = np.empty((n, d_size)), np.empty((n, out_buf.n))
         for i, real in enumerate(real_rows):
             real_all.take(real, axis=0, out=real_block, mode="clip")
             if disc is None:
@@ -249,10 +245,10 @@ def inner_train(
                 # the rows are in range; take stages the strided g_buf.x in a copy
                 pool.features.take(fake_rows[i], axis=0, out=g_buf.x, mode="clip")
                 g_soft = nn.forward_pass(g_buf)
-                np.copyto(soft_x, g_buf.x)
-                np.copyto(hard_x, g_buf.x)
-                np.copyto(soft_label, g_soft)
-                np.greater(g_soft, 0.5, out=hard_label)
+                # D judges hard pseudo labels, the real rows' alphabet; the
+                # generator's own update keeps the soft differentiable path
+                nn.disc_input(g_buf.x, g_soft, s_buf.x)
+                nn.disc_input(g_buf.x, g_soft > 0.5, hard_rows)
                 d_grad = nn.discriminator_backward(d_buf, fake_size, cfg.real_weight)
                 np.copyto(d_rows[i], d_buf.out)
                 nn.opt_step(disc, d_grad, opt_disc)
@@ -365,7 +361,7 @@ def run(
     d = pool.n_features
     gen = nn.init_mlp((d, *cfg.gen_hidden, 1), rng)
     adversarial = cfg.variant != "no_adversary"
-    disc = nn.init_mlp((d + 1, *cfg.disc_hidden, 1), rng) if adversarial else None
+    disc = nn.init_mlp((nn.disc_width(d), *cfg.disc_hidden, 1), rng) if adversarial else None
     opt_gen = nn.OptState.for_model(gen, cfg.learning_rate)
     opt_disc = nn.OptState.for_model(disc, cfg.disc_learning_rate) if adversarial else None
 

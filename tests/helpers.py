@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from matchgan.datasets import LABEL_CODES, UNLABELED, IngestError, RecordSet
 from matchgan.features import _tokens, qgrams
-from matchgan.nn import (Buffers, MlpModel, classifier_backward, discriminator_backward,
-                         forward_pass, generator_backward)
+from matchgan.nn import (Buffers, MlpModel, classifier_backward, disc_input,
+                         discriminator_backward, forward_pass, generator_backward)
 
 
 # The scalar reference for the q-gram kernel: one pair and one pair of
@@ -84,12 +84,12 @@ def copy_model(model: MlpModel) -> MlpModel:
 
 def generator_grad(gen: MlpModel, disc: MlpModel, X) -> np.ndarray:
     """generator_backward on rows X, after the recording pass of gen and
-    the [X | G(X)] input that inner_train fills in first."""
+    the discriminator's rows for X and G(X), which inner_train has
+    disc_input write first."""
     g_buf, s_buf = Buffers(gen, len(X)), Buffers(disc, len(X))
     g_buf.x[...] = X
     forward_pass(g_buf)
-    s_buf.x[:, :-1] = X
-    s_buf.x[:, -1] = g_buf.out
+    disc_input(X, g_buf.out, s_buf.x)
     return generator_backward(g_buf, s_buf)
 
 

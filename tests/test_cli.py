@@ -780,29 +780,50 @@ class TestBadInput:
         assert runs == []
         assert not (tmp_path / "nope").exists()
 
-    @pytest.mark.parametrize("out", ["nope/m.json", "."], ids=["missing-dir", "a-dir"])
-    @pytest.mark.parametrize("command, readers", [
-        ("evaluate", ("read_labels_file", "read_instance_file")),
-        ("predict", ("read_instance_file", "load_model")),
+    @pytest.mark.parametrize("command, readers, out", [
+        # a file output in a directory that does not exist, or on a directory
+        *(pytest.param(command, readers, out, id=f"{command}-readers{k}-{fault}")
+          for k, (command, readers) in enumerate([
+              ("evaluate", ("read_labels_file", "read_instance_file")),
+              ("predict", ("read_instance_file", "load_model")),
+              ("partition", ("read_instance_file",)),
+              ("featurize", ("load_records",)),
+          ])
+          for fault, out in (("missing-dir", "nope/m.json"), ("a-dir", "."))),
+        # a directory output on an existing file, or under one
+        pytest.param("train", ("read_instance_file",), "afile", id="train-a-file"),
+        pytest.param("train", ("read_instance_file",), "afile/run", id="train-under-a-file"),
+        pytest.param("synth", ("generate_synthetic",), "afile", id="synth-a-file"),
     ])
     def test_output_checked_before_any_input_is_read(self, tmp_path, capsys, monkeypatch,
                                                      command, readers, out):
-        # these used to print their scores or read the model, then fail with
-        # an [Errno 2] line that named no flag
+        # these used to print their scores, read the model, build the
+        # partition, read the records, train or generate the pool, then fail
+        # with an [Errno ...] line that named no flag
         import matchgan.cli as cli
 
         calls = []
         for name in readers:
             monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
         inputs = {"evaluate": ["--predicted", tmp_path / "p.tsv", "--truth", tmp_path / "t.tsv"],
-                  "predict": ["--instances", tmp_path / "i.tsv", "--model", tmp_path / "m.npz"]}
-        out = tmp_path / out
-        assert run_cli(command, *inputs[command], "-o", out) == 1
+                  "predict": ["--instances", tmp_path / "i.tsv", "--model", tmp_path / "m.npz"],
+                  "partition": ["--instances", tmp_path / "i.tsv"],
+                  "featurize": ["--left", tmp_path / "l.csv"],
+                  "train": ["--instances", tmp_path / "i.tsv", "--seed-budget", 4],
+                  "synth": ["--matches", 3, "--imbalance", 10]}
+        flag = "--out" if command == "synth" else "-o"
+        out, named = tmp_path / out, tmp_path / out
+        if command in ("train", "synth"):
+            named = tmp_path / "afile"
+            named.touch()
+        assert run_cli(command, *inputs[command], flag, out) == 1
         printed = capsys.readouterr()
         assert printed.out == ""
-        assert printed.err.startswith(f"error: -o: {out} ") and printed.err.count("\n") == 1
+        assert printed.err.startswith(f"error: {flag}: {named} ") and printed.err.count("\n") == 1
         assert calls == []
         assert not (tmp_path / "nope").exists()
+        assert list(tmp_path.iterdir()) == ([named] if named.is_file() else [])
+        assert not named.is_file() or named.read_bytes() == b""
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_ablate_rejects_a_variant_it_would_drop(self, tmp_path, capsys, monkeypatch,

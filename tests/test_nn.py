@@ -122,6 +122,19 @@ class TestForward:
                 assert got[:, :-1].tobytes() == want.tobytes()
                 np.testing.assert_array_equal(got[:, -1], 1.0)
 
+    @pytest.mark.parametrize("labels", ["soft", "hard"])
+    def test_forward_batch_label_path_is_disc_input(self, rng, labels):
+        # D's layout has one writer: scoring with a label sees, block by
+        # block, exactly the rows that disc_input writes for the whole pool
+        d, n = 4, 2 * nn.SCORE_BLOCK + 123
+        disc = init_mlp((nn.disc_width(d), 16, 8, 1), rng)
+        disc.weights[-1][...] = rng.normal(size=disc.weights[-1].shape)
+        X = rng.random((n, d))
+        y = rng.random(n) if labels == "soft" else (rng.random(n) > 0.5).astype(np.int8)
+        rows = np.empty((n, nn.disc_width(d)))
+        nn.disc_input(X, y, rows)
+        assert forward_batch(disc, X, label=y).tobytes() == forward_batch(disc, rows).tobytes()
+
     def test_forward_batch_blocks_bitwise_equal_one_pass(self):
         # BLAS on several threads splits one pass's rows at points of its
         # own choosing, which decides the last bits; on one thread, as the

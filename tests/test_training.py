@@ -662,6 +662,40 @@ class TestTracedNames:
         assert calls == {"classifier_backward": k, "opt_step": k}
         assert disc is None and stats["d_objective"] is None and stats["iterations"] == k
 
+    def test_disc_input_writes_every_discriminator_row(self, monkeypatch):
+        # the round's real matrix, each iteration's soft and hard fake rows
+        # and each scoring block are D's rows, all written by disc_input
+        calls = collections.Counter()
+        real = nn.disc_input
+
+        def passthrough(x, label, out):
+            calls[len(x)] += 1
+            real(x, label, out)
+
+        monkeypatch.setattr(nn, "disc_input", passthrough)
+        pool, partition, state = twin_problem()
+        rng = np.random.default_rng(0)
+        gen = nn.init_mlp((4, 8, 1), rng)
+        disc = nn.init_mlp((nn.disc_width(4), 8, 1), rng)
+        k = 7
+        cfg = TrainConfig(seed=0, batch_size=10, inner_iters=k)
+        sampler = _sampler(partition, state, cfg)
+        inner_train(gen, disc, pool, state, cfg, sampler, rng, *_opt_states(gen, disc, cfg))
+        assert calls == {len(state): 1, sampler.size: 2 * k}
+        # a pool of several scoring blocks: one call per block
+        big, _ = generate_synthetic(SyntheticConfig(n_matches=100, imbalance_rate=100, seed=1))
+        blocks = len(big) // nn.SCORE_BLOCK
+        assert blocks >= 2
+        calls.clear()
+        propagate(gen, disc, big, np.arange(len(big)), 5)
+        assert sum(calls.values()) == blocks
+        calls.clear()
+        cfg = dataclasses.replace(cfg, variant="no_adversary")
+        inner_train(gen, None, pool, state, cfg, None, rng,
+                    nn.OptState.for_model(gen, cfg.learning_rate), None)
+        propagate(gen, None, big, np.arange(len(big)), 5)
+        assert calls == {}
+
 
 class TestRun:
     @pytest.mark.parametrize("variant, built", [("full", 1), ("no_diversity", 1),
