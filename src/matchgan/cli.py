@@ -156,24 +156,40 @@ def _partition_for(args, pool: InstancePool):
         raise ValueError(f"{path or '--split-features'}: {exc}") from None
 
 
-def _output_file(text: str | None) -> Path | None:
-    """The -o path, None when it is not given, checked before any input is
-    read so that a command cannot fail on it after its work."""
-    out = Path(text) if text else None
-    if out and (out.is_dir() or not out.parent.is_dir()):
-        raise ValueError(f"-o: {out} is not a file path in an existing directory")
-    return out
-
-
-def _output_dir(text: str, flag: str) -> Path:
-    """The directory path given with flag, checked before any input is read:
-    the deepest part of it that exists must be a directory, so that making
-    it after the work cannot fail."""
+def _output_file(text: str) -> Path:
+    """The argparse type of a file output: the path must name a file in a
+    directory that exists. Parsing checks it before any input is read, so
+    a command cannot fail on it after its work."""
     out = Path(text)
-    there = next(p for p in (out, *out.parents) if p.exists())
-    if not there.is_dir():
-        raise ValueError(f"{flag}: {there} is not a directory")
+    if out.is_dir() or not out.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{out} is not a file path in an existing directory")
     return out
+
+
+def _output_dir(*names: str):
+    """The argparse type of an output directory that its command makes after
+    its work and writes names into, a name ending in / being a directory: the
+    deepest part of the path that exists must be a directory, and no name may
+    exist as the other kind, so that no write fails after the work."""
+    def check(text: str) -> Path:
+        out = Path(text)
+        there = next(p for p in (out, *out.parents) if p.exists())
+        if not there.is_dir():
+            raise argparse.ArgumentTypeError(f"{there} is not a directory")
+        for name in names:
+            path, subdir = out / name, name.endswith("/")
+            if path.exists() and path.is_dir() != subdir:
+                kind = "not a directory" if subdir else "a directory"
+                raise argparse.ArgumentTypeError(f"{path} is {kind}")
+        return out
+    return check
+
+
+# what train and synth write into their output directory, for the commands and
+# their flags' types alike; checkpoints/ holds each round's models, suffixed
+_TRAIN_FILES = ("partition.json", "generator.npz", "discriminator.npz", "checkpoints/",
+                "labels.tsv", "report.json")
+_SYNTH_FILES = ("instances.tsv", "gold.csv")
 
 
 def _training_inputs(args, budget_flag: str, budgets: list, fractions: list = ()):
@@ -201,22 +217,21 @@ _SYNTH_FLAGS = {"n_matches": "matches", "imbalance_rate": "imbalance",
 
 
 def cmd_synth(args) -> int:
-    out = _output_dir(args.out, "--out")
     try:
         cfg = SyntheticConfig(**{name: getattr(args, flag) for name, flag in _SYNTH_FLAGS.items()})
     except ValueError as exc:
         # each of SyntheticConfig's messages starts with the field it rejects
         raise ValueError(f"--{_SYNTH_FLAGS[str(exc).split()[0]]}: {exc}") from None
     pool, gold = generate_synthetic(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    write_instance_file(out / "instances.tsv", pool)
-    save_gold(gold, out / "gold.csv")
-    print(f"wrote {len(pool)} instances ({len(gold)} matches) to {out}")
+    instances, gold_csv = (args.out / name for name in _SYNTH_FILES)
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_instance_file(instances, pool)
+    save_gold(gold, gold_csv)
+    print(f"wrote {len(pool)} instances ({len(gold)} matches) to {args.out}")
     return 0
 
 
 def cmd_featurize(args) -> int:
-    _output_file(args.out)
     if len(args.delimiter) != 1:
         raise ValueError(f"--delimiter: {args.delimiter!r} is not one character")
     schema = args.schema.split(",") if args.schema else None
@@ -237,38 +252,37 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    _output_file(args.out)
     part = _partition_for(args, _load_pool(args.instances))
     save_partition(part, args.out)
     print(f"wrote partition ({part.b} subspaces) to {args.out}")
     return 0
 
 
-def _save_models(directory: Path, models: tuple, cfg: TrainConfig, suffix: str = "") -> None:
-    """A run's (generator, discriminator) as generator{suffix}.npz and,
-    unless it is None, discriminator{suffix}.npz; the generator of a
+def _save_models(paths: list, models: tuple, cfg: TrainConfig, suffix: str = "") -> None:
+    """A run's (generator, discriminator) at paths, each with suffix before
+    .npz; a discriminator that is None is not saved, and the generator of a
     no_adversary run is a classifier."""
-    names = ("generator", "discriminator")
     kinds = ("classifier" if cfg.variant == "no_adversary" else "generator", "discriminator")
-    for name, kind, model in zip(names, kinds, models):
+    for path, kind, model in zip(paths, kinds, models):
         if model is not None:
-            save_model(directory / f"{name}{suffix}.npz", model, seed=cfg.seed, kind=kind)
+            save_model(path.with_stem(path.stem + suffix), model, seed=cfg.seed, kind=kind)
 
 
 def cmd_train(args) -> int:
-    out = _output_dir(args.out, "-o")
     cfg, pool, partition = _training_inputs(args, "--seed-budget", [args.seed_budget])
     result = run(cfg, pool, partition, seed_budget=args.seed_budget)
     # made only now, so that a run that fails leaves no directory behind
-    out.mkdir(parents=True, exist_ok=True)
-    save_partition(partition, out / "partition.json")
-    _save_models(out, (result.generator, result.discriminator), cfg)
+    args.out.mkdir(parents=True, exist_ok=True)
+    partition_json, *model_files, checkpoints, labels, report = (
+        args.out / name for name in _TRAIN_FILES)
+    save_partition(partition, partition_json)
+    _save_models(model_files, (result.generator, result.discriminator), cfg)
     if args.checkpoints:
-        (out / "checkpoints").mkdir(exist_ok=True)
+        checkpoints.mkdir(exist_ok=True)
         for k, models in enumerate(result.round_models, start=1):
-            _save_models(out / "checkpoints", models, cfg, f"_round{k}")
+            _save_models([checkpoints / f.name for f in model_files], models, cfg, f"_round{k}")
     rows = result.state.pseudo_rows()
-    write_labels_file(out / "labels.tsv", [pool.ids[r] for r in rows], result.state.label[rows])
+    write_labels_file(labels, [pool.ids[r] for r in rows], result.state.label[rows])
     try:
         metrics = evaluate_run(pool, result)
         print(
@@ -277,13 +291,12 @@ def cmd_train(args) -> int:
         )
     except ValueError:
         pass  # a propagated row has no real label, so the run is not scored
-    write_report(result.report, out / "report.json")
+    write_report(result.report, report)
     print(f"rounds={len(result.report['rounds'])} pool={len(result.state)}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    _output_file(args.out)
     pool = _load_pool(args.instances)
     model, meta = load_model(args.model)
     if meta["kind"] == "discriminator":
@@ -297,7 +310,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _output_file(args.out)
     pred = read_labels_file(args.predicted)
     ids, _, labels, _ = read_instance_file(args.truth)
     metrics = score_labels(args.predicted, pred, args.truth, (ids, labels))
@@ -318,7 +330,6 @@ def cmd_ablate(args) -> int:
     # by flag or config file would be dropped
     if args.variant is not None:
         raise ValueError("--variant: ablate takes its variants from --variants")
-    out = _output_file(args.out)
     if args.config and "variant" in read_config_file(args.config):
         raise IngestError(f"{args.config}: variant: ablate takes its variants from --variants")
     cfg, pool, partition = _training_inputs(args, "--budgets", args.budgets or [],
@@ -331,8 +342,8 @@ def cmd_ablate(args) -> int:
         seeds=seeds, workers=workers,
     )
     print(format_table(aggregate(cells)))
-    if out:
-        out.write_text(cells_text(cells), encoding="utf-8")
+    if args.out:
+        args.out.write_text(cells_text(cells), encoding="utf-8")
     return 0
 
 
@@ -377,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, default=SyntheticConfig.n_features)
     p.add_argument("--separation", type=float, default=SyntheticConfig.separation)
     p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output_dir(*_SYNTH_FILES))
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("featurize", help="stream record pairs into an instance file")
@@ -392,32 +403,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", type=int, default=2)
     p.add_argument("--workers", type=int, default=None,
                    help="accepted and ignored: featurize runs in one process")
-    p.add_argument("-o", "--out", required=True)
+    p.add_argument("-o", "--out", required=True, type=_output_file)
     p.set_defaults(func=cmd_featurize)
 
     p = subs.add_parser("partition", help="build and persist a subspace partition")
     p.add_argument("--instances", required=True)
     p.add_argument("--split-features", type=_listed(int),
                    help="comma-separated feature indices for the median split")
-    p.add_argument("-o", "--out", required=True)
+    p.add_argument("-o", "--out", required=True, type=_output_file)
     p.set_defaults(func=cmd_partition)
 
     p = subs.add_parser("train", parents=[shared], help="train on an instance file")
     p.add_argument("--seed-budget", type=int, required=True)
     p.add_argument("--checkpoints", action="store_true")
-    p.add_argument("-o", "--out", required=True)
+    p.add_argument("-o", "--out", required=True, type=_output_dir(*_TRAIN_FILES))
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("predict", help="label held-out instances with a trained model")
     p.add_argument("--instances", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("-o", "--out", required=True)
+    p.add_argument("-o", "--out", required=True, type=_output_file)
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("evaluate", help="score predicted labels against truth")
     p.add_argument("--predicted", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("-o", "--out")
+    p.add_argument("-o", "--out", type=_output_file)
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("ablate", parents=[shared],
@@ -429,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", type=_listed(_variant, distinct=True), default="full")
     p.add_argument("--seeds", type=int, default=3, help="number of seeds (base --seed + k)")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("-o", "--out")
+    p.add_argument("-o", "--out", type=_output_file)
     p.set_defaults(func=cmd_ablate)
 
     return parser

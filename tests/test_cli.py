@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from matchgan import features
-from matchgan.cli import _load_pool, main, read_config_file
+from matchgan.cli import _SYNTH_FILES, _TRAIN_FILES, _load_pool, main, read_config_file
 from matchgan.datasets import IngestError
 
 from helpers import (fault_of, instance_texts, labels_texts, reference_read_instance_file,
@@ -118,6 +118,8 @@ class TestSynthTrainEvaluate:
         run_cli("synth", "--matches", 5, "--imbalance", 10, "--seed", 1, "--out", b)
         assert (a / "instances.tsv").read_bytes() == (b / "instances.tsv").read_bytes()
         assert (a / "gold.csv").read_bytes() == (b / "gold.csv").read_bytes()
+        # --out's type checks every name synth writes, and no other
+        assert sorted(path.name for path in a.iterdir()) == sorted(_SYNTH_FILES)
 
 
 class TestFeaturizePartitionPredict:
@@ -197,6 +199,9 @@ class TestMoreCliPaths:
             # the last round's models are the final ones, byte for byte
             last = out / "checkpoints" / f"{name}_round{rounds}.npz"
             assert last.read_bytes() == (out / f"{name}.npz").read_bytes()
+        # -o's type checks every name train writes, and no other
+        written = sorted(path.name + "/" * path.is_dir() for path in out.iterdir())
+        assert written == sorted(_TRAIN_FILES)
 
     def test_no_adversary_checkpoint_kind(self, tmp_path):
         from matchgan.nn import load_model
@@ -776,13 +781,13 @@ class TestBadInput:
         out = tmp_path / out
         assert run_cli("ablate", "--instances", data / "instances.tsv", "--budgets", 4,
                        "--seeds", 1, "--workers", 1, "-o", out) == 1
-        assert self._single_error(capsys).startswith(f"error: -o: {out} ")
+        assert self._single_error(capsys).startswith(f"error: argument -o/--out: {out} ")
         assert runs == []
         assert not (tmp_path / "nope").exists()
 
-    @pytest.mark.parametrize("command, readers, out", [
+    @pytest.mark.parametrize("command, readers, out, blocker", [
         # a file output in a directory that does not exist, or on a directory
-        *(pytest.param(command, readers, out, id=f"{command}-readers{k}-{fault}")
+        *(pytest.param(command, readers, out, None, id=f"{command}-readers{k}-{fault}")
           for k, (command, readers) in enumerate([
               ("evaluate", ("read_labels_file", "read_instance_file")),
               ("predict", ("read_instance_file", "load_model")),
@@ -791,16 +796,30 @@ class TestBadInput:
           ])
           for fault, out in (("missing-dir", "nope/m.json"), ("a-dir", "."))),
         # a directory output on an existing file, or under one
-        pytest.param("train", ("read_instance_file",), "afile", id="train-a-file"),
-        pytest.param("train", ("read_instance_file",), "afile/run", id="train-under-a-file"),
-        pytest.param("synth", ("generate_synthetic",), "afile", id="synth-a-file"),
+        pytest.param("train", ("read_instance_file",), "afile", "afile", id="train-a-file"),
+        pytest.param("train", ("read_instance_file",), "afile/run", "afile",
+                     id="train-under-a-file"),
+        pytest.param("synth", ("generate_synthetic",), "afile", "afile", id="synth-a-file"),
+        # a name the command writes into its directory that exists as the
+        # other kind: a file where a subdirectory goes, or a directory (a
+        # blocker ending in /) where a file goes
+        pytest.param("train --checkpoints", ("read_instance_file",), "run", "run/checkpoints",
+                     id="train-checkpoints-a-file"),
+        pytest.param("train", ("read_instance_file",), "run", "run/labels.tsv/",
+                     id="train-labels-a-dir"),
+        pytest.param("train", ("read_instance_file",), "run", "run/report.json/",
+                     id="train-report-a-dir"),
+        pytest.param("synth", ("generate_synthetic",), "data", "data/gold.csv/",
+                     id="synth-gold-a-dir"),
     ])
     def test_output_checked_before_any_input_is_read(self, tmp_path, capsys, monkeypatch,
-                                                     command, readers, out):
+                                                     command, readers, out, blocker):
         # these used to print their scores, read the model, build the
         # partition, read the records, train or generate the pool, then fail
         # with an [Errno ...] line that named no flag
         import matchgan.cli as cli
+
+        command, *flags = command.split()
 
         calls = []
         for name in readers:
@@ -812,18 +831,34 @@ class TestBadInput:
                   "train": ["--instances", tmp_path / "i.tsv", "--seed-budget", 4],
                   "synth": ["--matches", 3, "--imbalance", 10]}
         flag = "--out" if command == "synth" else "-o"
-        out, named = tmp_path / out, tmp_path / out
-        if command in ("train", "synth"):
-            named = tmp_path / "afile"
-            named.touch()
-        assert run_cli(command, *inputs[command], flag, out) == 1
+        out, named = tmp_path / out, tmp_path / (blocker or out)
+        if blocker:
+            named.parent.mkdir(parents=True, exist_ok=True)
+            named.mkdir() if blocker.endswith("/") else named.touch()
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(command, *flags, *inputs[command], flag, out) == 1
         printed = capsys.readouterr()
         assert printed.out == ""
-        assert printed.err.startswith(f"error: {flag}: {named} ") and printed.err.count("\n") == 1
+        argument = "--out" if command == "synth" else "-o/--out"
+        assert printed.err.startswith(f"error: argument {argument}: {named} ")
+        assert printed.err.count("\n") == 1
         assert calls == []
-        assert not (tmp_path / "nope").exists()
-        assert list(tmp_path.iterdir()) == ([named] if named.is_file() else [])
+        assert sorted(tmp_path.rglob("*")) == before
         assert not named.is_file() or named.read_bytes() == b""
+
+    def test_every_output_is_checked_by_its_flag_type(self):
+        # parsing refuses an output path before any command reads its input,
+        # so a command can neither skip the check nor make it late
+        import matchgan.cli as cli
+
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if action.dest == "command")
+        for name, parser in commands.items():
+            outputs = [action for action in parser._actions if action.dest in ("out", "trace")]
+            assert "out" in [action.dest for action in outputs], name
+            for action in outputs:
+                assert (action.type is cli._output_file
+                        or action.type.__qualname__ == "_output_dir.<locals>.check"), name
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_ablate_rejects_a_variant_it_would_drop(self, tmp_path, capsys, monkeypatch,
