@@ -34,10 +34,6 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",")) if text.strip() else ()
 
 
-def _parse_propagate(text: str) -> int | None:
-    return None if text == "pool" else int(text)
-
-
 def _variant(text: str) -> str:
     """A variant name from its flag spelling, hyphens or underscores."""
     name = text.replace("-", "_")
@@ -54,44 +50,66 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _listed(parse, distinct: bool = False):
-    """An argparse type for comma-separated values, each read by parse, so
-    that argparse names the flag whose value does not parse; when distinct,
-    a value that repeats an earlier one is rejected as well."""
-    def read(text: str) -> list:
-        values: list = []
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text} is not at least 1")
+    return value
+
+
+def _character(text: str) -> str:
+    if len(text) != 1:
+        raise ValueError(f"{text!r} is not one character")
+    return text
+
+
+def _checked(rule):
+    """An argparse type that reads a flag's text by rule, so that argparse
+    names the flag whose value rule refuses, with rule's message."""
+    def read(text: str):
         try:
-            for tok in text.split(","):
-                value = parse(tok)
-                if distinct and value in values:
-                    raise ValueError(f"{tok!r} repeats an earlier value")
-                values.append(value)
+            return rule(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return values
     return read
 
 
-# How the text of each TrainConfig field (a config value or a flag) is
-# read: by the type of its default unless a parser is listed here.
+def _listed(parse, distinct: bool = False):
+    """An argparse type for comma-separated values, each read by parse; when
+    distinct, a value that repeats an earlier one is rejected as well."""
+    def read(text: str) -> list:
+        values: list = []
+        for tok in text.split(","):
+            value = parse(tok)
+            if distinct and value in values:
+                raise ValueError(f"{tok!r} repeats an earlier value")
+            values.append(value)
+        return values
+    return _checked(read)
+
+
+# How the text of each config field (a config value or a flag) is read: by
+# the type of its value in the base config unless a parser is listed here.
 _PARSERS = {
     "gen_hidden": _parse_hidden,
     "disc_hidden": _parse_hidden,
-    "propagate_count": _parse_propagate,  # integer or "pool"
+    "propagate_count": lambda text: None if text == "pool" else int(text),
     "variant": _variant,
 }
-_CONFIG_KEYS = {
-    field.name: _PARSERS.get(field.name, type(field.default))
-    for field in dataclasses.fields(TrainConfig)
-}
+_CONFIG_KEYS = [field.name for field in dataclasses.fields(TrainConfig)]
 
 
-def _config_value(key: str, text: str):
-    """key's value read from text and held to TrainConfig's rule for it;
-    each rule concerns one field, so the other fields keep their defaults."""
-    value = _CONFIG_KEYS[key](text)
-    TrainConfig(**{key: value})
+def _config_value(key: str, text: str, base=TrainConfig()):
+    """key's value read from text and held to the rule of base's class for
+    it; each rule concerns one field, so base's other values cannot refuse it."""
+    value = _PARSERS.get(key, type(getattr(base, key)))(text)
+    dataclasses.replace(base, **{key: value})
     return value
+
+
+def _field(key: str, base=TrainConfig()):
+    """The argparse type of the flag that sets base's field key."""
+    return _checked(lambda text: _config_value(key, text, base))
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -115,16 +133,8 @@ def read_config_file(path: str | Path) -> dict:
 
 
 def build_train_config(args) -> TrainConfig:
-    values: dict = {}
-    if args.config:
-        values.update(read_config_file(args.config))
-    for name in _CONFIG_KEYS:
-        text = getattr(args, name)
-        if text is not None:
-            try:
-                values[name] = _config_value(name, text)
-            except ValueError as exc:
-                raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
+    values = read_config_file(args.config) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items() if key in _CONFIG_KEYS)
     return TrainConfig(**values)
 
 
@@ -153,7 +163,7 @@ def _partition_for(args, pool: InstancePool):
         part.assign_all(pool.ids, pool.features)
         return part
     except ValueError as exc:
-        raise ValueError(f"{path or '--split-features'}: {exc}") from None
+        raise ValueError(f"{path or 'argument --split-features'}: {exc}") from None
 
 
 def _output_file(text: str) -> Path:
@@ -203,26 +213,18 @@ def _training_inputs(args, budget_flag: str, budgets: list, fractions: list = ()
         for budget in budgets:
             check_budget(budget, len(pool))
     except ValueError as exc:
-        raise ValueError(f"{budget_flag}: {exc}") from None
+        raise ValueError(f"argument {budget_flag}: {exc}") from None
     for fraction in fractions:
         # split_pool labels floor(fraction * n) rows
         if fraction * len(pool) < 1:
-            raise ValueError(f"--fractions: {fraction} of the {len(pool)}-row pool labels no row")
+            raise ValueError(f"argument --fractions: {fraction} of the {len(pool)}-row pool"
+                             " labels no row")
     return cfg, pool, partition
 
 
-# the synth flag that sets each SyntheticConfig field
-_SYNTH_FLAGS = {"n_matches": "matches", "imbalance_rate": "imbalance",
-                "n_features": "features", "separation": "separation", "seed": "seed"}
-
-
 def cmd_synth(args) -> int:
-    try:
-        cfg = SyntheticConfig(**{name: getattr(args, flag) for name, flag in _SYNTH_FLAGS.items()})
-    except ValueError as exc:
-        # each of SyntheticConfig's messages starts with the field it rejects
-        raise ValueError(f"--{_SYNTH_FLAGS[str(exc).split()[0]]}: {exc}") from None
-    pool, gold = generate_synthetic(cfg)
+    pool, gold = generate_synthetic(SyntheticConfig(
+        args.n_matches, args.imbalance_rate, args.n_features, args.separation, args.seed))
     instances, gold_csv = (args.out / name for name in _SYNTH_FILES)
     args.out.mkdir(parents=True, exist_ok=True)
     write_instance_file(instances, pool)
@@ -232,12 +234,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    if len(args.delimiter) != 1:
-        raise ValueError(f"--delimiter: {args.delimiter!r} is not one character")
     schema = args.schema.split(",") if args.schema else None
     left = load_records(args.left, schema, args.id_column, args.delimiter)
     if args.block_on is not None and args.block_on not in left.schema:
-        raise IngestError(f"--block-on: {args.left} has no attribute {args.block_on!r}")
+        raise IngestError(f"argument --block-on: {args.left} has no attribute {args.block_on!r}")
     right = None
     if args.right:
         right = load_records(args.right, left.schema, args.id_column, args.delimiter)
@@ -328,18 +328,17 @@ def cmd_ablate(args) -> int:
         raise ValueError("ablate needs --budgets or --fractions")
     # each cell trains the variant --variants names for it, so a variant set
     # by flag or config file would be dropped
-    if args.variant is not None:
-        raise ValueError("--variant: ablate takes its variants from --variants")
+    if "variant" in args:
+        raise ValueError("argument --variant: ablate takes its variants from --variants")
     if args.config and "variant" in read_config_file(args.config):
         raise IngestError(f"{args.config}: variant: ablate takes its variants from --variants")
     cfg, pool, partition = _training_inputs(args, "--budgets", args.budgets or [],
                                             args.fractions or [])
     seeds = [cfg.seed + k for k in range(args.seeds)]
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     cells = run_ablation_suite(
         pool, partition, cfg,
         variants=args.variants, budgets=args.budgets or [], fractions=args.fractions or [],
-        seeds=seeds, workers=workers,
+        seeds=seeds, workers=args.workers,
     )
     print(format_table(aggregate(cells)))
     if args.out:
@@ -370,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     # the flags train and ablate share: their inputs, --config, and one
-    # flag per TrainConfig field in field order, parsed by build_train_config
+    # flag per TrainConfig field in field order, absent from args unless given
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--instances", required=True)
     source = shared.add_mutually_exclusive_group()
@@ -380,14 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--gold-header", action="store_true")
     shared.add_argument("--config", help="flat key=value config file")
     for name in _CONFIG_KEYS:
-        shared.add_argument("--" + name.replace("_", "-"))
+        shared.add_argument("--" + name.replace("_", "-"), type=_field(name),
+                            default=argparse.SUPPRESS)
 
     p = subs.add_parser("synth", help="generate a synthetic labeled workload")
-    p.add_argument("--matches", type=int, required=True)
-    p.add_argument("--imbalance", type=int, required=True)
-    p.add_argument("--features", type=int, default=SyntheticConfig.n_features)
-    p.add_argument("--separation", type=float, default=SyntheticConfig.separation)
-    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
+    base = SyntheticConfig(n_matches=1, imbalance_rate=1)
+    for flag, key in (("matches", "n_matches"), ("imbalance", "imbalance_rate"),
+                      ("features", "n_features"), ("separation", "separation"), ("seed", "seed")):
+        p.add_argument("--" + flag, dest=key, type=_field(key, base), default=getattr(base, key),
+                       required=key in ("n_matches", "imbalance_rate"))
     p.add_argument("--out", required=True, type=_output_dir(*_SYNTH_FILES))
     p.set_defaults(func=cmd_synth)
 
@@ -398,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold-header", action="store_true")
     p.add_argument("--schema", help="comma-separated attribute columns (default: all but id)")
     p.add_argument("--id-column", default="id")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_checked(_character), default=",")
     p.add_argument("--block-on")
-    p.add_argument("-q", type=int, default=2)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("-q", type=_checked(_count), default=2)
+    p.add_argument("--workers", type=_checked(_count),
                    help="accepted and ignored: featurize runs in one process")
     p.add_argument("-o", "--out", required=True, type=_output_file)
     p.set_defaults(func=cmd_featurize)
@@ -438,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=_listed(_fraction, distinct=True),
                    help="comma-separated train fractions")
     p.add_argument("--variants", type=_listed(_variant, distinct=True), default="full")
-    p.add_argument("--seeds", type=int, default=3, help="number of seeds (base --seed + k)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--seeds", type=_checked(_count), default=3,
+                   help="number of seeds (base --seed + k)")
+    p.add_argument("--workers", type=_checked(_count), default=os.cpu_count() or 1)
     p.add_argument("-o", "--out", type=_output_file)
     p.set_defaults(func=cmd_ablate)
 
@@ -449,10 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for flag in ("--workers", "--seeds", "-q"):
-            value = getattr(args, flag.lstrip("-"), None)
-            if value is not None and value < 1:
-                raise ValueError(f"{flag} must be at least 1, got {value}")
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)

@@ -146,24 +146,19 @@ def evaluate_run(pool: InstancePool, result: RunResult) -> MetricsReport:
     """Score a run's transductive labels against the pool's real labels, and
     record in result.report each round's pseudo_fm (over the rows propagated
     up to that round, so the last round's metrics are the run's), then
-    final.pseudo_fm when there are rounds, and final.metrics. A pseudo row
-    without a real label raises ValueError once the rounds before it are
-    recorded."""
+    final.pseudo_fm and final.metrics. A pseudo row without a real label
+    raises ValueError once the rounds before it are recorded."""
     state, report = result.state, result.report
     rows = state.pseudo_rows()
     added, predicted, actual = state.round_added[rows], state.label[rows], pool.real_labels[rows]
     unscored = added[actual == UNLABELED].min(initial=len(report["rounds"]) + 1)
-    metrics = None
     for record in report["rounds"]:
         if record["round"] >= unscored:
             raise ValueError("pool instances lack real labels; cannot score")
         taken = added <= record["round"]
         metrics = compute_metrics(predicted[taken], actual[taken])
         record["pseudo_fm"] = metrics.f_measure
-    if metrics is None:  # every row is a seed
-        metrics = compute_metrics(predicted, actual)
-    else:
-        report["final"]["pseudo_fm"] = metrics.f_measure
+    report["final"]["pseudo_fm"] = metrics.f_measure
     report["final"]["metrics"] = metrics.as_dict()
     return metrics
 

@@ -150,8 +150,9 @@ def select_seed_labels(
 
 
 def check_budget(budget: int, n: int) -> None:
-    if not 1 <= budget <= n:
-        raise ValueError(f"budget {budget} is not between 1 and the pool size {n}")
+    # a budget of n labels every row, and the run would train nothing
+    if not 1 <= budget < n:
+        raise ValueError(f"budget {budget} is not between 1 and {n - 1}, below the pool size {n}")
 
 
 def _seed_rows(n: int, budget: int, partition: SubspacePartition,
@@ -329,10 +330,11 @@ def run(
 
     The seed rows are given, or seed_budget of them are chosen by
     diversity-aware selection; each takes its label from pool.real_labels,
-    the run's only oracle, and an unlabeled seed row is an error. No other
-    row's real label is read: evaluation.evaluate_run scores the run. Ends
-    when every other instance has been propagated; the final prediction
-    for each is its propagated pseudo label. The pool is left unchanged.
+    the run's only oracle. An unlabeled seed row is an error, and so are
+    seed rows that cover the pool. No other row's real label is read:
+    evaluation.evaluate_run scores the run. Ends when every other instance
+    has been propagated; the final prediction for each is its propagated
+    pseudo label. The pool is left unchanged.
     """
     if len(partition.subspaces) != len(pool):
         raise ValueError("partition is not assigned over this pool")
@@ -357,6 +359,8 @@ def run(
         raise ValueError(f"seed pair {pool.ids[unlabeled[0]]} has no real label")
     state = RunState(len(pool))
     state.add(seed_rows, seed_labels, round_index=0)
+    if len(state) == len(pool):
+        raise ValueError("the seed rows cover the whole pool, so no row is left to train on")
 
     d = pool.n_features
     gen = nn.init_mlp((d, *cfg.gen_hidden, 1), rng)

@@ -230,7 +230,7 @@ class TestMoreCliPaths:
             "-o", tmp_path / "out",
         )
         assert code != 0
-        assert ("--seed-budget: budget 99 is not between 1 and the pool size 10"
+        assert ("argument --seed-budget: budget 99 is not between 1 and 9, below the pool size 10"
                 in capsys.readouterr().err)
 
 
@@ -298,7 +298,8 @@ class TestBadInput:
         else:
             argv = ["featurize", "--left", records_csv]
         assert run_cli(*argv, "--workers", workers, "-o", out) == 1
-        assert "--workers must be at least 1" in self._single_error(capsys)
+        assert (self._single_error(capsys)
+                == f"error: argument --workers: {workers} is not at least 1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -363,7 +364,7 @@ class TestBadInput:
                            "--inner-iters", 20, "-o", out) == code
         assert (tmp_path / "run40" / "labels.tsv").exists()
         err = self._single_error(capsys)
-        assert err.startswith("error: --split-features: 64 split features")
+        assert err.startswith("error: argument --split-features: 64 split features")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -436,7 +437,8 @@ class TestBadInput:
         err = self._single_error(capsys)
         assert f"{key} must be finite" in err
         # the value's source: the flag, or the config file and its line
-        assert err.startswith(f"error: {setting[0] if source == 'flag' else f'{config}:1'}: ")
+        assert err.startswith(
+            f"error: {f'argument {setting[0]}' if source == 'flag' else f'{config}:1'}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -601,7 +603,8 @@ class TestBadInput:
         left.write_text("id,title\nl1,deep nets\nl2,deep net\n")
         inst = tmp_path / "x.tsv"
         assert run_cli("featurize", "--left", left, "--block-on", "venue", "-o", inst) == 1
-        assert self._single_error(capsys) == f"error: --block-on: {left} has no attribute 'venue'\n"
+        assert (self._single_error(capsys)
+                == f"error: argument --block-on: {left} has no attribute 'venue'\n")
         assert not inst.exists()
 
     @pytest.mark.parametrize("block_on", [[], ["--block-on", "venue"]])
@@ -669,7 +672,7 @@ class TestBadInput:
         capsys.readouterr()
         out = tmp_path / "out"
         budget = "--seed-budget" if command == "train" else "--budgets"
-        for extra, named in (([f"--gen-hidden={value}"], "--gen-hidden: "),
+        for extra, named in (([f"--gen-hidden={value}"], "argument --gen-hidden: "),
                              (["--config", cfg], f"{cfg}:1: gen_hidden: ")):
             assert run_cli(command, "--instances", data / "instances.tsv", budget, 4,
                            *extra, "-o", out) == 1
@@ -695,7 +698,8 @@ class TestBadInput:
         out = tmp_path / "cells.tsv"
         assert run_cli("ablate", "--instances", data / "instances.tsv", "--budgets", 4,
                        f"--seeds={seeds}", "-o", out) == 1
-        assert "--seeds must be at least 1" in self._single_error(capsys)
+        assert (self._single_error(capsys)
+                == f"error: argument --seeds: {seeds} is not at least 1\n")
         assert not out.exists()
 
     def test_ablate_variants_checked_before_any_cell_trains(self, tmp_path, capsys,
@@ -762,7 +766,7 @@ class TestBadInput:
                        "--fractions", f"0.5,{fraction}", "--seeds", 1, "--workers", 1,
                        "-o", out) == 1
         err = self._single_error(capsys)
-        assert "--fractions" in err and message in err
+        assert err.startswith("error: argument --fractions: ") and message in err
         assert runs == []
         assert not out.exists()
 
@@ -860,6 +864,41 @@ class TestBadInput:
                 assert (action.type is cli._output_file
                         or action.type.__qualname__ == "_output_dir.<locals>.check"), name
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--batch-size", "0"),
+        ("train", "--seed", "-1"),
+        ("ablate", "--seeds", "0"),
+        ("featurize", "-q", "0"),
+        ("featurize", "-q", "-1"),
+        ("featurize", "--delimiter", "ab"),
+        ("synth", "--features", "0"),
+    ])
+    def test_flag_value_refused_while_parsing(self, tmp_path, capsys, monkeypatch,
+                                              command, flag, value):
+        # a value that can be judged alone is refused by its flag's type,
+        # before any input is read; these were refused after parsing, and
+        # the message named the flag without argparse's "argument"
+        import matchgan.cli as cli
+
+        calls = []
+        for name in ("read_instance_file", "read_config_file", "load_records",
+                     "generate_synthetic"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
+        inputs = {"train": ["--instances", tmp_path / "i.tsv", "--seed-budget", 4,
+                            "--config", tmp_path / "c.cfg", "-o", tmp_path / "run"],
+                  "ablate": ["--instances", tmp_path / "i.tsv", "--budgets", 4,
+                             "--config", tmp_path / "c.cfg", "-o", tmp_path / "cells.tsv"],
+                  "featurize": ["--left", tmp_path / "l.csv", "-o", tmp_path / "i.tsv"],
+                  "synth": ["--matches", 3, "--imbalance", 10, "--out", tmp_path / "data"]}
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(command, *inputs[command], flag, value) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: argument {flag}: ")
+        assert printed.err.count("\n") == 1
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_ablate_rejects_a_variant_it_would_drop(self, tmp_path, capsys, monkeypatch,
                                                     source):
@@ -878,7 +917,7 @@ class TestBadInput:
         out = tmp_path / "cells.tsv"
         assert run_cli("ablate", "--instances", data / "instances.tsv", "--budgets", 4,
                        *extra, "--seeds", 1, "--workers", 1, "-o", out) == 1
-        named = "--variant: " if source == "flag" else f"{cfg}: variant: "
+        named = "argument --variant: " if source == "flag" else f"{cfg}: variant: "
         err = self._single_error(capsys)
         assert err.startswith(f"error: {named}") and "--variants" in err, err
         assert runs == []
@@ -888,15 +927,12 @@ class TestBadInput:
         # csv used to raise a TypeError, printed as a traceback
         ("--delimiter", "ab", "--delimiter: 'ab' is not one character"),
         ("--delimiter", "", "--delimiter: '' is not one character"),
-        # these used to print "q must be at least 1" without the flag
-        ("-q", "0", "-q must be at least 1, got 0"),
-        ("-q", "-1", "-q must be at least 1, got -1"),
     ])
     def test_featurize_flag_value_named(self, tmp_path, capsys, records_csv, flag, value,
                                         named):
         out = tmp_path / "inst.tsv"
         assert run_cli("featurize", "--left", records_csv, flag, value, "-o", out) == 1
-        assert self._single_error(capsys) == f"error: {named}\n"
+        assert self._single_error(capsys) == f"error: argument {named}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("budget", [0, -2])
@@ -907,7 +943,8 @@ class TestBadInput:
         out = tmp_path / "run"
         assert run_cli("train", "--instances", data / "instances.tsv",
                        f"--seed-budget={budget}", "--checkpoints", "-o", out) == 1
-        assert f"--seed-budget: budget {budget} is not between 1" in self._single_error(capsys)
+        assert self._single_error(capsys).startswith(
+            f"error: argument --seed-budget: budget {budget} is not between 1 and 9, ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -916,7 +953,11 @@ class TestBadInput:
         ["train", "--seed-budget", 100000],
         ["train", "--variant", "no-diversity", "--seed-budget", -5],
         ["ablate", "--budgets", -3, "--variants", "no-diversity"],
-    ], ids=["zero", "negative", "above-pool", "no-diversity-negative", "ablate-negative"])
+        # a budget of the pool size used to label every row and train nothing
+        ["train", "--seed-budget", 55],
+        ["ablate", "--budgets", "4,55", "--seeds", 1],
+    ], ids=["zero", "negative", "above-pool", "no-diversity-negative", "ablate-negative",
+            "pool-size", "ablate-pool-size"])
     def test_bad_budget_names_its_flag(self, tmp_path, capsys, argv):
         data = tmp_path / "data"
         run_cli("synth", "--matches", 5, "--imbalance", 10, "--seed", 3, "--out", data)
@@ -925,9 +966,10 @@ class TestBadInput:
         assert run_cli(argv[0], "--instances", data / "instances.tsv", *argv[1:],
                        "--inner-iters", 2, "-o", out) == 1
         flag = "--budgets" if argv[0] == "ablate" else "--seed-budget"
-        budget = argv[argv.index(flag) + 1]
-        assert (f"error: {flag}: budget {budget} is not between 1 and the pool size 55"
-                in self._single_error(capsys))
+        budget = str(argv[argv.index(flag) + 1]).split(",")[-1]
+        assert self._single_error(capsys) == (
+            f"error: argument {flag}: budget {budget} is not between 1 and 54,"
+            " below the pool size 55\n")
         assert not out.exists()
 
 
@@ -949,7 +991,7 @@ _BAD_TRAIN_FLAGS = st.one_of(
               st.one_of(st.floats(max_value=-1e-300), st.sampled_from([math.inf, math.nan]))
               .map(repr)),
     st.tuples(st.just("--seed-budget"),
-              st.one_of(_nonpositive_ints(), st.integers(min_value=34).map(str))),
+              st.one_of(_nonpositive_ints(), st.integers(min_value=33).map(str))),
     st.tuples(st.just("--seed"), st.integers(max_value=-1).map(str)),
 )
 
@@ -977,7 +1019,7 @@ class TestTrainFlagProperty:
                                *(f"{k}={v}" for k, v in argv.items()), "-o", out)
             assert code == 1
             lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: "), lines
+            assert len(lines) == 1 and lines[0].startswith(f"error: argument {flag}: "), lines
             assert not out.exists()
 
 
@@ -1008,7 +1050,7 @@ class TestSynthFlagProperty:
             assert code == 1
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
-            assert any(f"{flag}: " in lines[0] for flag, _ in bad), lines
+            assert any(lines[0].startswith(f"error: argument {flag}: ") for flag, _ in bad), lines
             assert not out.exists()
 
 
@@ -1209,7 +1251,7 @@ def featurize_inputs(draw):
         where = f"{{tmp}}/{name}.csv:{len(rows) + 1}: "  # below the header
     elif fault == "unknown block attribute":
         block_on = "v"
-        where = "--block-on: {tmp}/left.csv "
+        where = "argument --block-on: {tmp}/left.csv "
     ids = [row[0] for rows in files.values() for row in rows]
     some_id = st.sampled_from(ids)
     gold = draw(st.lists(st.tuples(some_id, some_id).filter(lambda p: p[0] != p[1]).map(list),
@@ -1635,6 +1677,19 @@ class TestConfigFile:
         args = parser.parse_args(
             ["train", "--instances", "x", "--seed-budget", "1", "-o", "y", "--config", str(cfg)]
         )
+        assert build_train_config(args).propagate_count is None
+
+    def test_propagate_count_pool_flag_overrides_the_file(self, tmp_path):
+        # the flag parses to None, so only its absence from args, not a None
+        # value, may leave the file's value in place
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("propagate_count = 100\n")
+        from matchgan.cli import build_parser, build_train_config
+
+        argv = ["train", "--instances", "x", "--seed-budget", "1", "-o", "y", "--config", str(cfg)]
+        parser = build_parser()
+        assert build_train_config(parser.parse_args(argv)).propagate_count == 100
+        args = parser.parse_args([*argv, "--propagate-count", "pool"])
         assert build_train_config(args).propagate_count is None
 
     def test_every_train_config_field_settable_from_file(self, tmp_path):

@@ -165,15 +165,6 @@ class TestEvaluateRun:
                 if "pseudo_fm" in record] == list(range(1, unscored))
         assert not {"pseudo_fm", "metrics"} & set(result.report["final"])
 
-    def test_run_without_rounds_gets_final_metrics_only(self):
-        pool, partition = tiny_problem()
-        result = run(TrainConfig(seed=0), pool, partition, seed_rows=range(len(pool)))
-        metrics = evaluate_run(pool, result)
-        assert result.report["rounds"] == []
-        assert metrics == compute_metrics([], [])
-        assert result.report["final"]["metrics"] == metrics.as_dict()
-        assert "pseudo_fm" not in result.report["final"]
-
 
 class TestAblationSuite:
     def test_single_cell(self):

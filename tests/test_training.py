@@ -293,15 +293,17 @@ class TestLabeledPool:
 
 
 class TestSelectSeedLabels:
-    def test_full_budget_labels_everything(self, rng):
+    def test_largest_budget_leaves_one_row_unlabeled(self, rng):
         pool, partition, gold = small_problem()
-        ids = select_seed_labels(pool, gold, len(pool), partition, rng)
-        assert sorted(ids) == sorted(pool.ids)
+        ids = select_seed_labels(pool, gold, len(pool) - 1, partition, rng)
+        assert len(set(ids)) == len(pool) - 1 and set(ids) < set(pool.ids)
 
     def test_budget_exceeds_pool(self, rng):
         pool, partition, gold = small_problem()
-        with pytest.raises(ValueError):
-            select_seed_labels(pool, gold, len(pool) + 1, partition, rng)
+        # a budget of the pool size would label every row and train nothing
+        for budget in (len(pool), len(pool) + 1):
+            with pytest.raises(ValueError):
+                select_seed_labels(pool, gold, budget, partition, rng)
 
     def test_diverse_selection_catches_minority(self):
         # separable classes land in their own subspace, so a diverse budget
@@ -718,11 +720,11 @@ class TestRun:
         assert len(made) == built
 
     def test_empty_unlabeled_returns_seed_pool(self):
+        # seed rows that cover the pool leave nothing to train on, so the
+        # run refuses them instead of ending with no round
         pool, partition, gold = small_problem()
-        result = run(TrainConfig(seed=0), pool, partition, seed_rows=range(len(pool)))
-        assert len(result.state) == len(pool)
-        assert len(result.state.pseudo_rows()) == 0
-        assert result.report["rounds"] == []
+        with pytest.raises(ValueError, match="seed rows cover the whole pool"):
+            run(TrainConfig(seed=0), pool, partition, seed_rows=range(len(pool)))
 
     def test_fixed_count_round_formula(self):
         # ten unlabeled instances propagated three at a time: ceil(10/3) = 4
@@ -788,7 +790,7 @@ class TestRun:
             separation=separation, seed=seed,
         ))
         partition = build_partition(pool.ids, pool.features)
-        budget = min(budget, len(pool))
+        budget = min(budget, len(pool) - 1)
         cfg = TrainConfig(seed=seed, batch_size=16, inner_iters=inner_iters,
                           propagate_count=propagate_count, variant=variant)
         drawn_on = _partition_of([len(pool)]) if variant == "no_diversity" else partition
@@ -991,6 +993,7 @@ class TestVariants:
             run(TrainConfig(seed=0), pool, partition, seed_rows=[0, -1])
         with pytest.raises(ValueError, match=f"seed row {n} is outside"):
             run(TrainConfig(seed=0), pool, partition, seed_rows=[n, 0])
-        for budget in (0, n + 1):
-            with pytest.raises(ValueError, match=f"budget {budget} is not between 1 and the pool"):
+        for budget in (0, n, n + 1):
+            with pytest.raises(ValueError, match=f"budget {budget} is not between 1 and {n - 1}, "
+                               f"below the pool size {n}"):
                 run(TrainConfig(seed=0), pool, partition, seed_budget=budget)
