@@ -132,10 +132,11 @@ def read_config_file(path: str | Path) -> dict:
     return values
 
 
-def build_train_config(args) -> TrainConfig:
-    values = read_config_file(args.config) if args.config else {}
-    values.update((key, value) for key, value in vars(args).items() if key in _CONFIG_KEYS)
-    return TrainConfig(**values)
+def build_train_config(args, values: dict | None = None) -> TrainConfig:
+    """args' flags over values, which are its --config file's unless given."""
+    if values is None:
+        values = read_config_file(args.config) if args.config else {}
+    return TrainConfig(**values | {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS})
 
 
 def _load_pool(path: str, gold_path: str | None = None, gold_header: bool = False) -> InstancePool:
@@ -150,9 +151,8 @@ def _load_pool(path: str, gold_path: str | None = None, gold_header: bool = Fals
 
 def _partition_for(args, pool: InstancePool):
     """The --partition file's partition, or one built from pool on
-    --split-features (default: every feature), assigned over pool; an
-    empty pool is named with --instances, and a feature index that pool
-    lacks with the file or the flag."""
+    --split-features (default: every feature), assigned over pool. A fault
+    is named by the input that holds it: the file, the flag, or --instances."""
     if not len(pool):
         raise IngestError(f"{args.instances}: no instance rows")
     path = getattr(args, "partition", None)
@@ -163,7 +163,8 @@ def _partition_for(args, pool: InstancePool):
         part.assign_all(pool.ids, pool.features)
         return part
     except ValueError as exc:
-        raise ValueError(f"{path or 'argument --split-features'}: {exc}") from None
+        source = path or ("argument --split-features" if args.split_features else args.instances)
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _output_file(text: str) -> Path:
@@ -202,11 +203,11 @@ _TRAIN_FILES = ("partition.json", "generator.npz", "discriminator.npz", "checkpo
 _SYNTH_FILES = ("instances.tsv", "gold.csv")
 
 
-def _training_inputs(args, budget_flag: str, budgets: list, fractions: list = ()):
-    """The (config, pool, partition) that train and ablate start from, once
-    each of the label budgets given with budget_flag fits the pool and
-    each --fractions value labels at least one of its rows."""
-    cfg = build_train_config(args)
+def _training_inputs(args, budget_flag: str, budgets: list, fractions: list = (), values=None):
+    """The (config, pool, partition) that train and ablate start from, the
+    config over values if given, once each label budget given with
+    budget_flag fits the pool and each --fractions value labels a row."""
+    cfg = build_train_config(args, values)
     pool = _load_pool(args.instances, args.gold, args.gold_header)
     partition = _partition_for(args, pool)
     try:
@@ -330,10 +331,11 @@ def cmd_ablate(args) -> int:
     # by flag or config file would be dropped
     if "variant" in args:
         raise ValueError("argument --variant: ablate takes its variants from --variants")
-    if args.config and "variant" in read_config_file(args.config):
+    values = read_config_file(args.config) if args.config else {}
+    if "variant" in values:
         raise IngestError(f"{args.config}: variant: ablate takes its variants from --variants")
     cfg, pool, partition = _training_inputs(args, "--budgets", args.budgets or [],
-                                            args.fractions or [])
+                                            args.fractions or [], values)
     seeds = [cfg.seed + k for k in range(args.seeds)]
     cells = run_ablation_suite(
         pool, partition, cfg,

@@ -282,8 +282,7 @@ def select_top(scores: np.ndarray, count: int) -> np.ndarray:
     are the lowest-positioned rows that equal it, until count are chosen.
     """
     neg = -np.asarray(scores)
-    if count >= len(neg):
-        return np.argsort(neg, kind="stable")
+    count = min(count, len(neg))
     if count <= 0:
         return np.empty(0, dtype=np.intp)
     cut = np.partition(neg, count - 1)[count - 1]

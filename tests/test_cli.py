@@ -363,9 +363,40 @@ class TestBadInput:
             assert run_cli("train", "--instances", data / "instances.tsv", "--seed-budget", 20,
                            "--inner-iters", 20, "-o", out) == code
         assert (tmp_path / "run40" / "labels.tsv").exists()
+        # no split was typed: the default split uses every feature of the file
         err = self._single_error(capsys)
-        assert err.startswith("error: argument --split-features: 64 split features")
+        assert err.startswith(f"error: {data / 'instances.tsv'}: 64 split features")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, source", [
+        ("partition", "default"), ("partition", "flag"), ("train", "default"),
+        ("train", "flag"), ("train", "file"), ("ablate", "default"), ("ablate", "flag"),
+        ("ablate", "file"),
+    ])
+    def test_too_many_split_features_named_by_their_source(self, tmp_path, capsys, command,
+                                                           source):
+        # 64 split indices, chosen by default (every feature of the instance
+        # file), typed with --split-features or read from a partition file
+        from matchgan.diversity import PARTITION_FORMAT_VERSION
+
+        data = tmp_path / "d64"
+        run_cli("synth", "--matches", 2, "--imbalance", 5, "--features", 64, "--seed", 1,
+                "--out", data)
+        capsys.readouterr()
+        instances, part = data / "instances.tsv", tmp_path / "p64.json"
+        part.write_text(json.dumps({"format_version": PARTITION_FORMAT_VERSION,
+                                    "feature_indices": list(range(64)), "medians": [0.5] * 64}))
+        split = {"default": (), "flag": ("--split-features", ",".join(map(str, range(64)))),
+                 "file": ("--partition", part)}[source]
+        named = {"default": instances, "flag": "argument --split-features", "file": part}[source]
+        costs = {"partition": (), "train": ("--seed-budget", 4), "ablate": ("--budgets", 4)}
+        out = tmp_path / "out"
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(command, "--instances", instances, *split, *costs[command],
+                       "-o", out) == 1
+        assert self._single_error(capsys) == (
+            f"error: {named}: 64 split features exceed the limit of 63\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_partition_file_and_split_features_exclusive(self, tmp_path, capsys, command):
@@ -1621,6 +1652,25 @@ class TestAblateCommand:
         assert "variant" in out and "fm_mean" in out
         lines = table.read_text().splitlines()
         assert len(lines) == 1 + 4  # header + 2 variants x 1 budget x 2 seeds
+
+    def test_config_file_read_once(self, tmp_path, capsys, monkeypatch):
+        # the file's variant line is refused from the same read that sets
+        # the run's config; ablate used to parse the file twice
+        import matchgan.cli as cli
+
+        data = tmp_path / "data"
+        run_cli("synth", "--matches", 3, "--imbalance", 10, "--seed", 1, "--out", data)
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("seed = 3\ninner_iters = 5\n")
+        read, calls = cli.read_config_file, []
+        monkeypatch.setattr(cli, "read_config_file",
+                            lambda path: calls.append(path) or read(path))
+        table = tmp_path / "cells.tsv"
+        assert run_cli("ablate", "--instances", data / "instances.tsv", "--budgets", 4,
+                       "--config", cfg, "--seeds", 1, "--workers", 1, "-o", table) == 0
+        assert calls == [str(cfg)]
+        # the one read set the run's seed
+        assert table.read_text().splitlines()[1].split("\t")[3] == "3"
 
 
 class TestConfigFile:
