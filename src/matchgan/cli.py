@@ -16,10 +16,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .datasets import (INSTANCE_FORMAT_VERSION, IngestError, InstancePool, SyntheticConfig,
-                       generate_synthetic, load_gold, load_records, open_text,
-                       read_instance_file, read_labels_file, save_gold, write_instance_file,
-                       write_labels_file)
+from .datasets import (INSTANCE_FORMAT_VERSION, IngestError, InstancePool, RowError,
+                       SyntheticConfig, generate_synthetic, load_gold, load_records, open_text,
+                       read_instance_file, read_labels_file, row_fault, save_gold,
+                       write_instance_file, write_labels_file)
 from .diversity import PARTITION_FORMAT_VERSION, build_partition, load_partition, save_partition
 # not called here: bench/layers.py wraps compute_metrics on this module
 from .evaluation import (aggregate, cells_text, compute_metrics, evaluate_run, format_table,
@@ -146,7 +146,10 @@ def _load_pool(path: str, gold_path: str | None = None, gold_header: bool = Fals
     if gold_path:
         labels = load_gold(gold_path, has_header=gold_header).label_codes(ids)
     # read_instance_file has checked the row rules and named the bad line
-    return InstancePool(ids, features, labels, _checked=True)
+    try:
+        return InstancePool(ids, features, labels, _checked=True)
+    except RowError as exc:
+        raise row_fault(path, exc.row, str(exc)) from None
 
 
 def _partition_for(args, pool: InstancePool):

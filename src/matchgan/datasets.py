@@ -1,10 +1,12 @@
 """Input data: records, gold standards, the instance pool and its file.
 
 Records and gold standards arrive as delimited text; a gold standard lists
-matching id pairs, and every pair it does not list is a non-match. A pool
-of record-pair instances lives in memory only as InstancePool's columns
-(pair ids, a float64 feature matrix, an int8 label column), which the
-instance file is read into and written from; no object stands for a row.
+matching id pairs, every pair it does not list is a non-match, and
+GoldStandard.label_codes is the one rule that labels pair ids by it. A
+pool of record-pair instances lives in memory only as InstancePool's
+columns (pair ids, a float64 feature matrix, an int8 label column); no
+object stands for a row. write_instance_tiles writes every instance
+file, a pool's or featurize's, and the file is read back into columns.
 A labels file is the same table without the comment line or features.
 generate_synthetic builds such a pool directly, with class overlap set by
 one knob, so imbalanced workloads of any size are deterministic.
@@ -54,6 +56,14 @@ _ZERO_MASS = 0.9
 
 class IngestError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+class RowError(IngestError):
+    """An IngestError about the row-th row of a pool's columns as given."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 @contextmanager
@@ -113,7 +123,7 @@ class GoldStandard:
 
     def label_codes(self, ids: list[PairId]) -> np.ndarray:
         """The int8 label code of each pair id, its two ids in either order."""
-        return np.fromiter((frozenset(pid) in self.matches for pid in ids), np.int8, len(ids))
+        return np.fromiter(map(self.matches.__contains__, map(frozenset, ids)), np.int8, len(ids))
 
     def __len__(self) -> int:
         return len(self.matches)
@@ -168,9 +178,15 @@ class InstancePool:
         # ids that strictly ascend are already in order and hold no repeat
         if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))):
             order = sorted(range(len(ids)), key=ids.__getitem__)
-            ids = [ids[k] for k in order]
-            if any(map(operator.eq, ids, itertools.islice(ids, 1, None))):
-                raise IngestError("duplicate pair ids in pool")
+            ranked = [ids[k] for k in order]
+            # the sort keeps equal ids in row order: an id equal to the one
+            # ranked before it repeats an earlier row
+            repeats = itertools.compress(
+                order[1:], map(operator.eq, ranked, itertools.islice(ranked, 1, None)))
+            row = min(repeats, default=None)
+            if row is not None:
+                raise RowError(row, f"repeated pair id {ids[row]}")
+            ids = ranked
             features, real_labels = features[order], real_labels[order]
         self.ids: list[PairId] = list(ids)
         self.features = features
@@ -273,26 +289,30 @@ def save_gold(gold: GoldStandard, path: str | Path) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _write_tile(fh, ids_a: np.ndarray, ids_b: np.ndarray, feats: np.ndarray, codes) -> None:
-    """Write one tile of instance rows, calling repr once per distinct value.
-
-    Values are told apart by their bits, so each float is written as its
-    own repr. codes become the label column, UNLABELED as an empty cell.
-    """
-    bits, inverse = np.unique(feats.view(np.int64), return_inverse=True)
-    table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    cols = [ids_a.tolist(), ids_b.tolist(), *table[inverse.reshape(feats.shape)].T.tolist()]
-    if codes is not None:
-        cols.append(LABEL_NAMES[codes].tolist())
-    fh.write("\n".join(map("\t".join, zip(*cols))) + "\n")
-
-
-def _write_instance_header(fh, schema: tuple[str, ...], q: int, labeled: bool) -> None:
-    fh.write(f"# instances v{INSTANCE_FORMAT_VERSION} q={q}\n")
-    cols = ["id_a", "id_b", *schema]
-    if labeled:
-        cols.append("label")
-    fh.write("\t".join(cols) + "\n")
+def write_instance_tiles(path: str | Path, schema, q: int, labeled: bool, tiles) -> int:
+    """Write the format line, the column header (with a label column when
+    labeled) and the rows of each (ids_a, ids_b, features, codes) tile as
+    an instance file, and return its row count; a failed write leaves no
+    file. Floats are told apart by their bits, and each is written as its
+    own repr, called once per distinct value in a tile."""
+    count = 0
+    with Path(path).open("w", encoding="utf-8") as fh:
+        try:
+            fh.write(f"# instances v{INSTANCE_FORMAT_VERSION} q={q}\n")
+            fh.write("\t".join(["id_a", "id_b", *schema] + ["label"] * labeled) + "\n")
+            for ids_a, ids_b, feats, codes in tiles:
+                bits, inverse = np.unique(feats.view(np.int64), return_inverse=True)
+                table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+                cols = [ids_a.tolist(), ids_b.tolist(),
+                        *table[inverse.reshape(feats.shape)].T.tolist()]
+                if labeled:
+                    cols.append(LABEL_NAMES[codes].tolist())
+                fh.write("\n".join(map("\t".join, zip(*cols))) + "\n")
+                count += len(ids_a)
+        except BaseException:
+            Path(path).unlink()
+            raise
+    return count
 
 
 def write_instance_file(path: str | Path, pool: InstancePool) -> None:
@@ -301,13 +321,10 @@ def write_instance_file(path: str | Path, pool: InstancePool) -> None:
     column is written only when some row has a real label; an unlabeled
     row's cell is then empty."""
     labeled = bool(np.any(pool.real_labels != UNLABELED))
-    schema = [f"f{k}" for k in range(pool.n_features)]
-    with Path(path).open("w", encoding="utf-8") as fh:
-        _write_instance_header(fh, schema, 2, labeled)
-        for lo in range(0, len(pool), _FILE_TILE):
-            ids = np.array(pool.ids[lo : lo + _FILE_TILE], dtype=object)
-            _write_tile(fh, ids[:, 0], ids[:, 1], pool.features[lo : lo + _FILE_TILE],
-                        pool.real_labels[lo : lo + _FILE_TILE] if labeled else None)
+    spans = (slice(lo, lo + _FILE_TILE) for lo in range(0, len(pool), _FILE_TILE))
+    tiles = ((*np.array(pool.ids[rows], dtype=object).T, pool.features[rows],
+              pool.real_labels[rows]) for rows in spans)
+    write_instance_tiles(path, [f"f{k}" for k in range(pool.n_features)], 2, labeled, tiles)
 
 
 def read_instance_file(path: str | Path) -> tuple[list[PairId], np.ndarray, np.ndarray, dict]:

@@ -1,30 +1,28 @@
 """The q-gram similarity kernel: candidate pairs become feature rows.
 
 A pair of records becomes an instance: a vector with one similarity value
-per attribute, each in [0, 1]. featurize_to_file writes every candidate
-pair in sorted id order straight to a delimited instance file, one tile
-of pairs at a time in a single process: per attribute, each record's
-q-gram set becomes a row of gram ids, a tile's intersection counts come
-from one product of 0/1 indicator blocks, and Jaccard is
-I / (|A| + |B| - I). Blocking tokens become rows of token ids the same
-way, and a tile's blocked candidates are its left records' tokens
-expanded into the right records that hold them. featurize_pair runs
-the same kernel on a tile of one pair, so there is one Jaccard in the
-library; the test suite checks it bit for bit against a scalar
-reference that works set by set. The instance file's format and the pool
-read from it belong to datasets.
+per attribute, each in [0, 1]. featurize_to_file computes every candidate
+pair in sorted id order, one tile of pairs at a time in a single process,
+and hands the tiles to datasets.write_instance_tiles, which writes every
+instance file; a tile's labels come from GoldStandard.label_codes, the
+one gold rule. Per attribute, each record's q-gram set becomes a row of
+gram ids, a tile's intersection counts come from one product of 0/1
+indicator blocks, and Jaccard is I / (|A| + |B| - I). Blocking tokens
+become rows of token ids the same way, and a tile's blocked candidates
+are its left records' tokens expanded into the right records that hold
+them. featurize_pair runs the same kernel on a tile of one pair, so there
+is one Jaccard in the library; the test suite checks it bit for bit
+against a scalar reference that works set by set.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import (GoldStandard, IngestError, Record, RecordSet, _write_instance_header,
-                       _write_tile)
+from .datasets import GoldStandard, IngestError, Record, RecordSet, write_instance_tiles
 # the benchmark imports and traces these two here
 from .datasets import InstancePool, write_instance_file  # noqa: F401
 
@@ -76,7 +74,7 @@ def featurize_to_file(
     (id_i, id_j) order and hold the features featurize_pair gives: for
     each tile of pairs and each attribute, the gram-set intersections come
     from one indicator-matrix product and the Jaccard values from one
-    divide. Returns the number of instances written.
+    divide, and gold labels them. Returns the number of instances written.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -98,38 +96,20 @@ def featurize_to_file(
             raise IngestError(f"unknown attribute {block_on!r}")
         col = left.schema.index(block_on)
         tokens = _gram_rows([_tokens(rec.attributes[col]) for rec in records])
-    match_keys = None
-    if gold is not None:
-        left_row = {rec.id: k for k, rec in enumerate(lrecs)}
-        right_row = left_row if right is None else {rec.id: k for k, rec in enumerate(rrecs)}
-        match_keys = np.array([
-            left_row[a] * n_right + right_row[b]
-            for pair in gold.matches for a, b in itertools.permutations(pair)
-            if a in left_row and b in right_row
-        ], dtype=np.int64)
     left_ids = np.array([rec.id for rec in lrecs], dtype=object)
     right_ids = np.array([rec.id for rec in rrecs], dtype=object)
 
-    count = 0
-    with Path(out_path).open("w", encoding="utf-8") as fh:
-        try:
-            _write_instance_header(fh, left.schema, q, labeled=gold is not None)
-            for ia, ib in _pair_tiles(n_left, n_right, right is None, tokens):
-                ids_a, ids_b = left_ids[ia], right_ids[ib]
-                same = np.flatnonzero(ids_a == ids_b)
-                if len(same):
-                    raise IngestError(f"both record sets hold id {ids_a[same[0]]!r},"
-                                      " on a candidate pair")
-                codes = None
-                if match_keys is not None:
-                    codes = np.isin(ia * n_right + ib, match_keys).astype(np.int8)
-                _write_tile(fh, ids_a, ids_b, _tile_features(grams, ia, ib + offset), codes)
-                count += len(ia)
-        except BaseException:
-            # a failed run leaves no partial instance file behind
-            Path(out_path).unlink()
-            raise
-    return count
+    def tiles():
+        for ia, ib in _pair_tiles(n_left, n_right, right is None, tokens):
+            ids_a, ids_b = left_ids[ia], right_ids[ib]
+            same = np.flatnonzero(ids_a == ids_b)
+            if len(same):
+                raise IngestError(f"both record sets hold id {ids_a[same[0]]!r},"
+                                  " on a candidate pair")
+            codes = None if gold is None else gold.label_codes(list(zip(ids_a, ids_b)))
+            yield ids_a, ids_b, _tile_features(grams, ia, ib + offset), codes
+
+    return write_instance_tiles(out_path, left.schema, q, gold is not None, tiles())
 
 
 def _gram_rows(sets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

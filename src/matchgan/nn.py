@@ -244,12 +244,6 @@ def backprop(buf: Buffers, want_input: bool = False) -> np.ndarray:
     return buf.dinput if want_input else buf.grad
 
 
-def _mean(x: np.ndarray):
-    # the sum over the last axis and one division, as np.mean computes it,
-    # without its overhead; each row of a 2-D x gets the bits of a 1-D x
-    return np.add.reduce(x, axis=-1) / x.shape[-1]
-
-
 def add_in_order(total: float, values: np.ndarray) -> float:
     """total plus each of values in turn, with the bits of a loop that adds
     one value per iteration."""
@@ -261,13 +255,14 @@ def add_in_order(total: float, values: np.ndarray) -> float:
 def generator_loss(d_on_fake: np.ndarray):
     """Mean of log(1 - d) over the discriminator's scores on generated
     pairs, along the last axis: one loss per row of a 2-D array."""
-    return _mean(np.log(1.0 - d_on_fake))
+    return np.mean(np.log(1.0 - d_on_fake), axis=-1)
 
 
 def discriminator_loss(d_on_fake: np.ndarray, d_on_real: np.ndarray, real_weight: float):
     """Objective the discriminator maximizes: mean log(1 - d_fake) plus
     real_weight times mean log(d_real), along the last axis."""
-    return _mean(np.log(1.0 - d_on_fake)) + real_weight * _mean(np.log(d_on_real))
+    return (np.mean(np.log(1.0 - d_on_fake), axis=-1)
+            + real_weight * np.mean(np.log(d_on_real), axis=-1))
 
 
 def generator_backward(g_buf: Buffers, d_buf: Buffers) -> np.ndarray:
@@ -315,7 +310,7 @@ def discriminator_backward(buf: Buffers, n_f: int, real_weight: float) -> np.nda
 def binary_log_loss(outputs: np.ndarray, targets: np.ndarray):
     """Mean binary cross-entropy of clamped outputs against 0/1 targets,
     along the last axis."""
-    return -_mean(targets * np.log(outputs) + (1.0 - targets) * np.log(1.0 - outputs))
+    return -np.mean(targets * np.log(outputs) + (1.0 - targets) * np.log(1.0 - outputs), axis=-1)
 
 
 def classifier_backward(buf: Buffers, targets: np.ndarray) -> np.ndarray:

@@ -24,12 +24,14 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
-class TestTopLevel:
-    def test_cli_imports_no_private_name(self):
-        # the command line reaches each module through its public names
-        import matchgan.cli as cli
+MODULES = sorted(Path(features.__file__).parent.glob("*.py"))
 
-        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+
+class TestTopLevel:
+    @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+    def test_imports_no_private_name(self, path):
+        # each module reaches the others through their public names
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         private = [
             f"{node.module}.{alias.name}"
             for node in ast.walk(tree)
@@ -615,8 +617,22 @@ class TestBadInput:
         labels = tmp_path / "pred.tsv"
         code = run_cli("predict", "--instances", inst, "--model", model_path, "-o", labels)
         assert code == 1
-        assert "duplicate pair ids" in self._single_error(capsys)
+        # the first row, in file order, that repeats an earlier pair id
+        assert self._single_error(capsys) == f"error: {inst}:5: repeated pair id ('a', 'b')\n"
         assert not labels.exists()
+
+    @pytest.mark.parametrize("command", ["partition", "train", "ablate"])
+    def test_repeated_pair_id_named_by_its_line(self, tmp_path, capsys, command):
+        # ids that do not ascend, the repeat two rows after the row it repeats
+        inst = tmp_path / "dup.tsv"
+        inst.write_text("# instances v1 q=2\nid_a\tid_b\tf0\na\tb\t0.5\nc\td\t0.1\na\tb\t0.2\n")
+        out = tmp_path / "out"
+        args = {"partition": [], "train": ["--seed-budget", 1],
+                "ablate": ["--budgets", 1, "--seeds", 1, "--workers", 1]}[command]
+        capsys.readouterr()
+        assert run_cli(command, "--instances", inst, *args, "-o", out) == 1
+        assert self._single_error(capsys) == f"error: {inst}:5: repeated pair id ('a', 'b')\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("rid", ["a\tx", "a\nx", "a\rx"])
     def test_record_id_with_tab_or_line_break_rejected(self, tmp_path, capsys, rid):

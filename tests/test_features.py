@@ -16,7 +16,6 @@ from matchgan.datasets import (
     InstancePool,
     Record,
     RecordSet,
-    _write_instance_header,
     read_instance_file,
     write_instance_file,
 )
@@ -30,7 +29,8 @@ def write_reference(path, left, right=None, gold=None, q=2, block_on=None):
     """The instance file written pair by pair through the scalar reference,
     one repr call per feature value."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        _write_instance_header(fh, left.schema, q, labeled=gold is not None)
+        fh.write(f"# instances v1 q={q}\n")
+        fh.write("\t".join(["id_a", "id_b", *left.schema] + ["label"] * (gold is not None)) + "\n")
         for r_i, r_j in generate_pairs(left, right, block_on):
             values = (qgram_jaccard(a, b, q) for a, b in zip(r_i.attributes, r_j.attributes))
             cells = [r_i.id, r_j.id, *map(repr, values)]
@@ -525,10 +525,15 @@ class TestInstancePool:
         assert pool.real_labels.tolist() == [k % 2 for k in range(1, 6)]
 
     def test_duplicate_pairs_rejected(self):
-        # next to each other, and apart so that only the sort brings them together
-        for ids in ([("a", "b"), ("a", "b")], [("c", "d"), ("a", "b"), ("c", "d")]):
-            with pytest.raises(IngestError, match="duplicate pair ids in pool"):
+        # next to each other, and apart so that only the sort brings them
+        # together: the first row that repeats an earlier one is named
+        for ids, row in (([("a", "b"), ("a", "b")], 1),
+                         ([("c", "d"), ("a", "b"), ("c", "d"), ("a", "b")], 2)):
+            with pytest.raises(datasets.RowError) as caught:
                 pool_of([(pid, [0.1 * k], -1) for k, pid in enumerate(ids)])
+            assert caught.value.row == row
+            # a pool built in memory names the pair, without a line
+            assert str(caught.value) == f"repeated pair id {ids[row]}"
 
     def test_ascending_ids_give_the_sorted_pool(self, rng):
         ids = [(f"a{k:02d}", f"b{k:02d}") for k in range(20)]
